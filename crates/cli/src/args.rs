@@ -11,16 +11,26 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `argv`; every `--name` consumes the following token as its
-    /// value. Boolean flags use the value `"true"` when given bare at the
-    /// end or followed by another flag.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parse `argv` for a subcommand that accepts the flags named in
+    /// `accepted` (without the leading `--`); any other flag is an error.
+    /// Every `--name` consumes the following token as its value. Boolean
+    /// flags use the value `"true"` when given bare at the end or followed
+    /// by another flag.
+    pub fn parse(argv: &[String], accepted: &[&str]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
         let mut i = 0;
         while i < argv.len() {
             let tok = &argv[i];
             if let Some(name) = tok.strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    let known: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+                    return Err(if known.is_empty() {
+                        format!("unknown flag --{name} (this command takes no flags)")
+                    } else {
+                        format!("unknown flag --{name} (accepted: {})", known.join(" "))
+                    });
+                }
                 let value = match argv.get(i + 1) {
                     Some(v) if !v.starts_with("--") => {
                         i += 1;
@@ -77,9 +87,14 @@ impl Args {
 mod tests {
     use super::*;
 
+    const FLAGS: &[&str] = &["scale", "seed", "hetero", "ratio", "a", "other"];
+
+    fn argv(toks: &[&str]) -> Vec<String> {
+        toks.iter().map(|s| s.to_string()).collect()
+    }
+
     fn parse(toks: &[&str]) -> Args {
-        let v: Vec<String> = toks.iter().map(|s| s.to_string()).collect();
-        Args::parse(&v).unwrap()
+        Args::parse(&argv(toks), FLAGS).unwrap()
     }
 
     #[test]
@@ -106,11 +121,15 @@ mod tests {
 
     #[test]
     fn duplicate_flags_rejected() {
-        let v: Vec<String> = ["--a", "1", "--a", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(Args::parse(&v).is_err());
+        assert!(Args::parse(&argv(&["--a", "1", "--a", "2"]), FLAGS).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_rejected() {
+        let err = Args::parse(&argv(&["g.bin", "--bogus", "1"]), FLAGS).err();
+        assert!(err.unwrap().starts_with("unknown flag --bogus"));
+        let err = Args::parse(&argv(&["g.bin", "--seed", "1"]), &[]).err();
+        assert!(err.unwrap().contains("takes no flags"));
     }
 
     #[test]

@@ -9,8 +9,11 @@ use phigraph_core::api::VertexProgram;
 use phigraph_core::check::{check_program, CheckReport};
 use phigraph_graph::Csr;
 
+/// The flags `check` accepts; any other is an error.
+const FLAGS: &[&str] = &["iters", "k", "source", "step-budget"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let app = args.pos(0, "app")?.to_string();
     let graph_path = args.pos(1, "graph")?;
     let g = load_graph(graph_path)?;

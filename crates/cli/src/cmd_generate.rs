@@ -7,8 +7,11 @@ use phigraph_graph::{io, Csr};
 use std::fs::File;
 use std::path::Path;
 
+/// The flags `generate` accepts; any other is an error.
+const FLAGS: &[&str] = &["edges", "scale", "seed", "vertices"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let kind = args.pos(0, "kind")?;
     let out = args.pos(1, "out")?.to_string();
     let scale =

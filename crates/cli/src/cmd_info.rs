@@ -7,8 +7,11 @@ use phigraph_graph::degree::{log2_histogram, top_k};
 use phigraph_graph::validation::{self, weakly_connected_components};
 use phigraph_graph::DegreeStats;
 
+/// The flags `info` accepts; any other is an error.
+const FLAGS: &[&str] = &[];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let path = args.pos(0, "graph")?;
     let g = load_graph(path)?;
     g.validate().map_err(|e| format!("invalid graph: {e}"))?;

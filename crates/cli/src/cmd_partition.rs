@@ -6,8 +6,11 @@ use phigraph_partition::file::write_partition;
 use phigraph_partition::{partition, PartitionScheme, PartitionStats, Ratio};
 use std::fs::File;
 
+/// The flags `partition` accepts; any other is an error.
+const FLAGS: &[&str] = &["blocks", "ratio", "scheme", "seed"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let graph_path = args.pos(0, "graph")?;
     let out = args.pos(1, "out")?;
     let scheme = match args.flag_or("scheme", "hybrid") {

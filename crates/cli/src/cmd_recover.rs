@@ -17,8 +17,11 @@ use crate::args::Args;
 use phigraph_recover::{CheckpointStore, DirStore, Snapshot};
 use phigraph_trace::json::Json;
 
+/// The flags `recover` accepts; any other is an error.
+const FLAGS: &[&str] = &["inspect"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let dir = args.pos(0, "checkpoint-dir")?;
     if !std::path::Path::new(dir).is_dir() {
         return Err(format!("no checkpoint directory at {dir}"));

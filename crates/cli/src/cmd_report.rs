@@ -15,8 +15,11 @@ use crate::args::Args;
 use phigraph_serve::FLIGHT_SCHEMA;
 use phigraph_trace::json::Json;
 
+/// The flags `report` accepts; any other is an error.
+const FLAGS: &[&str] = &["steps", "top"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let path = args.pos(0, "report.json")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = match Json::parse(&text) {

@@ -31,8 +31,37 @@ type DriveResult = Result<(RunReport, Vec<RunReport>, Vec<String>, Option<u64>),
 /// daemon's per-job checksums compare directly against one-shot runs).
 type ChecksumFn<V> = fn(&[V]) -> u64;
 
+/// The flags `run` accepts; any other is an error.
+const FLAGS: &[&str] = &[
+    "backoff-ms",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "checksum",
+    "device",
+    "devices",
+    "engine",
+    "failover",
+    "faults",
+    "hetero",
+    "integrity",
+    "iters",
+    "k",
+    "max-retries",
+    "out",
+    "partition",
+    "ratio",
+    "rebalance-after",
+    "resume",
+    "scrub-every",
+    "source",
+    "trace-format",
+    "trace-level",
+    "trace-out",
+    "watchdog-ms",
+];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let app = args.pos(0, "app")?.to_string();
     let graph_path = args.pos(1, "graph")?;
     let g = load_graph(graph_path)?;

@@ -25,8 +25,33 @@ use phigraph_serve::{run_daemon, DaemonConfig, ServeConfig, ShedPolicy};
 use phigraph_trace::{Trace, TraceLevel};
 use std::sync::Arc;
 
+/// The flags `serve` accepts; any other is an error.
+const FLAGS: &[&str] = &[
+    "deadline-ms",
+    "default-cap",
+    "default-weight",
+    "device",
+    "drain",
+    "engine",
+    "events-out",
+    "integrity",
+    "integrity-max",
+    "journal-dir",
+    "metrics-every",
+    "metrics-sock",
+    "prom-out",
+    "queue-cap",
+    "report-out",
+    "shed-policy",
+    "socket",
+    "tenants",
+    "trace-level",
+    "watchdog-tick-ms",
+    "workers",
+];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let graph_path = args.pos(0, "graph")?;
     let g = Arc::new(load_graph(graph_path)?);
     eprintln!(

@@ -14,8 +14,20 @@ use phigraph_core::engine::ExecMode;
 use phigraph_serve::{run_chaos, ChaosConfig};
 use std::path::PathBuf;
 
+/// The flags `serve-chaos` accepts; any other is an error.
+const FLAGS: &[&str] = &[
+    "cycles",
+    "engine",
+    "jobs-per-cycle",
+    "journal-dir",
+    "queue-cap",
+    "reload-every",
+    "seed",
+    "workers",
+];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let defaults = ChaosConfig::default();
     let mode = match args.flag_or("engine", "seq") {
         "lock" => ExecMode::Locking,

@@ -14,8 +14,11 @@ use std::io::Read;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
+/// The flags `top` accepts; any other is an error.
+const FLAGS: &[&str] = &["count", "interval", "raw", "window"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let sock = args.pos(0, "metrics-socket")?;
     let interval: u64 = args.flag_parse("interval", 2u64)?;
     let count: u64 = args.flag_parse("count", 0u64)?; // 0 = forever

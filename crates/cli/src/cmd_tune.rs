@@ -13,8 +13,11 @@ use phigraph_core::tune::{
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
 
+/// The flags `tune` accepts; any other is an error.
+const FLAGS: &[&str] = &["blocks", "iters", "probe-steps", "source"];
+
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let app = args.pos(0, "app")?.to_string();
     let graph_path = args.pos(1, "graph")?;
     let g = load_graph(graph_path)?;

@@ -155,6 +155,38 @@ fn errors_are_reported_with_nonzero_exit() {
 }
 
 #[test]
+fn unknown_flags_exit_2_instead_of_being_ignored() {
+    let dir = tmpdir("flags");
+    let graph = dir.join("g.bin");
+    let graph_s = graph.to_str().unwrap();
+    let part = dir.join("g.part");
+    let o = phigraph(&["generate", "gnm", graph_s, "--scale", "tiny"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    for argv in [
+        &["run", "sssp", graph_s, "--bogus-flag", "1"][..],
+        &["run", "sssp", graph_s, "--host-threads", "1"],
+        &["partition", graph_s, part.to_str().unwrap(), "--bogus", "1"],
+        &["info", graph_s, "--seed", "1"],
+    ] {
+        let o = phigraph(argv);
+        assert_eq!(o.status.code(), Some(2), "{argv:?} must exit 2");
+        assert!(
+            stderr(&o).contains("error: unknown flag --"),
+            "{argv:?}: {}",
+            stderr(&o)
+        );
+    }
+    assert!(
+        !part.exists(),
+        "a rejected partition command wrote its output"
+    );
+    // The same commands without the unknown flag still succeed.
+    let o = phigraph(&["run", "sssp", graph_s, "--engine", "pipe", "--checksum"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn run_rejects_out_of_range_source() {
     let dir = tmpdir("source");
     let graph = dir.join("g.bin");

@@ -1,8 +1,7 @@
 //! Graph coarsening: collapse a matching into a coarse graph.
 
-use super::matching::{coarse_count, heavy_edge_matching};
+use super::matching::{coarse_count, match_vertices};
 use super::WGraph;
-use std::collections::HashMap;
 
 /// One level of the coarsening hierarchy.
 #[derive(Clone, Debug)]
@@ -18,55 +17,53 @@ pub struct CoarseLevel {
 /// summed edge weight; self-edges are dropped.
 pub fn contract(g: &WGraph, mate: &[u32]) -> CoarseLevel {
     let n = g.n();
+    // Coarse ids follow the lower-id member of each pair, in id order.
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut leaders: Vec<u32> = Vec::new();
     for v in 0..n {
-        if map[v] != u32::MAX {
-            continue;
+        if map[v] == u32::MAX {
+            map[v] = leaders.len() as u32;
+            map[mate[v] as usize] = leaders.len() as u32;
+            leaders.push(v as u32);
         }
-        map[v] = next;
-        let m = mate[v] as usize;
-        if m != v {
-            map[m] = next;
-        }
-        next += 1;
     }
-    let cn = next as usize;
+    let cn = leaders.len();
 
-    let mut vwgt = vec![0.0f32; cn];
-    for v in 0..n {
-        vwgt[map[v] as usize] += g.vwgt[v];
-    }
-
-    // Aggregate coarse edges per coarse source.
     let mut xadj = Vec::with_capacity(cn + 1);
     let mut adj: Vec<u32> = Vec::new();
     let mut ewgt: Vec<f32> = Vec::new();
+    let mut vwgt = Vec::with_capacity(cn);
     xadj.push(0);
 
-    // Group fine vertices by coarse id.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); cn];
-    for v in 0..n {
-        members[map[v] as usize].push(v as u32);
-    }
-
-    let mut acc: HashMap<u32, f32> = HashMap::new();
-    for (c, group) in members.iter().enumerate() {
-        acc.clear();
-        for &v in group {
-            for (u, w) in g.neighbors(v) {
+    // Dense accumulator of edge weight per coarse neighbour; `owner`
+    // records which coarse vertex last touched each entry.
+    let mut acc = vec![0.0f32; cn];
+    let mut owner = vec![u32::MAX; cn];
+    let mut touched: Vec<u32> = Vec::new();
+    for (c, &v) in leaders.iter().enumerate() {
+        let m = mate[v as usize];
+        let members = if m == v { &[v][..] } else { &[v, m][..] };
+        let mut w_c = 0.0f32;
+        for &x in members {
+            w_c += g.vwgt[x as usize];
+            for (u, w) in g.neighbors(x) {
                 let cu = map[u as usize];
                 if cu as usize != c {
-                    *acc.entry(cu).or_insert(0.0) += w;
+                    if owner[cu as usize] != c as u32 {
+                        owner[cu as usize] = c as u32;
+                        touched.push(cu);
+                    }
+                    acc[cu as usize] += w;
                 }
             }
         }
-        let mut entries: Vec<(u32, f32)> = acc.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        for (u, w) in entries {
-            adj.push(u);
-            ewgt.push(w);
+        vwgt.push(w_c);
+        touched.sort_unstable();
+        for &cu in &touched {
+            adj.push(cu);
+            ewgt.push(std::mem::take(&mut acc[cu as usize]));
         }
+        touched.clear();
         xadj.push(adj.len());
     }
 
@@ -82,20 +79,21 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> CoarseLevel {
 }
 
 /// Coarsen repeatedly until the graph has at most `target_n` vertices or
-/// the reduction stalls (< 10% shrink). Returns the hierarchy, finest
+/// the reduction stalls (< 5% shrink). Returns the hierarchy, finest
 /// first; empty if `g` is already small enough.
 pub fn coarsen_to(g: &WGraph, target_n: usize, seed: u64) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut cur = g.clone();
     let mut s = seed;
-    while cur.n() > target_n {
-        let mate = heavy_edge_matching(&cur, s);
-        let cn = coarse_count(&mate);
-        if cn as f64 > cur.n() as f64 * 0.95 {
-            break; // stalled (e.g. star graphs match poorly)
+    loop {
+        let cur = levels.last().map_or(g, |l| &l.graph);
+        if cur.n() <= target_n {
+            break;
         }
-        let level = contract(&cur, &mate);
-        cur = level.graph.clone();
+        let mate = match_vertices(cur, s);
+        if coarse_count(&mate) as f64 > cur.n() as f64 * 0.95 {
+            break; // stalled
+        }
+        let level = contract(cur, &mate);
         levels.push(level);
         s = s.wrapping_add(0x9E37_79B9);
     }
@@ -110,7 +108,7 @@ mod tests {
     #[test]
     fn contract_preserves_total_vertex_weight() {
         let g = WGraph::from_csr(&cycle(12));
-        let mate = heavy_edge_matching(&g, 1);
+        let mate = match_vertices(&g, 1);
         let lvl = contract(&g, &mate);
         assert!((lvl.graph.total_vwgt() - g.total_vwgt()).abs() < 1e-6);
     }
@@ -118,7 +116,7 @@ mod tests {
     #[test]
     fn contract_keeps_symmetry() {
         let g = WGraph::from_csr(&gnm(200, 800, 3));
-        let mate = heavy_edge_matching(&g, 5);
+        let mate = match_vertices(&g, 5);
         let c = contract(&g, &mate).graph;
         for v in 0..c.n() as u32 {
             for (u, w) in c.neighbors(v) {

@@ -5,73 +5,55 @@
 //! the region) until the region holds the target weight fraction. Several
 //! seeds are tried; the lowest-cut balanced result wins.
 
-use super::WGraph;
+use super::{GainEntry, WGraph};
 use phigraph_graph::generators::rng::SplitMix64 as StdRng;
+use std::collections::BinaryHeap;
 
-/// Grow one region to `target_frac` of total weight from `seed_vertex`.
+/// Grow one region to `target_w` vertex weight from `seed_vertex`.
 /// Returns the side assignment (0 = region, 1 = rest).
 fn grow_from(g: &WGraph, target_w: f64, seed_vertex: u32) -> Vec<u8> {
     let n = g.n();
     let mut side = vec![1u8; n];
-    let mut in_region = vec![false; n];
-    // gain[v] = weight to region − weight to rest (for frontier candidates)
+    // gain[v] = edge weight from v into the region. Gains only grow, so a
+    // vertex's newest heap entry pops first and its older ones find it
+    // already in the region.
     let mut gain = vec![0.0f32; n];
-    let mut frontier: Vec<u32> = Vec::new();
-
+    let mut frontier = BinaryHeap::new();
+    // Every vertex below `scan` is in the region (fallback cursor).
+    let mut scan = 0usize;
     let mut region_w = 0.0f64;
-    let add = |v: u32,
-               side: &mut Vec<u8>,
-               in_region: &mut Vec<bool>,
-               gain: &mut Vec<f32>,
-               frontier: &mut Vec<u32>,
-               region_w: &mut f64| {
+    let mut next = Some(seed_vertex);
+    while let Some(v) = next {
         side[v as usize] = 0;
-        in_region[v as usize] = true;
-        *region_w += g.vwgt[v as usize] as f64;
+        region_w += g.vwgt[v as usize] as f64;
+        if region_w >= target_w {
+            break;
+        }
         for (u, w) in g.neighbors(v) {
-            if !in_region[u as usize] {
-                if gain[u as usize] == 0.0 && !frontier.contains(&u) {
-                    frontier.push(u);
-                }
+            if side[u as usize] == 1 {
                 gain[u as usize] += w;
+                frontier.push(GainEntry {
+                    gain: gain[u as usize],
+                    v: u,
+                    stamp: 0,
+                });
             }
         }
-    };
-
-    add(
-        seed_vertex,
-        &mut side,
-        &mut in_region,
-        &mut gain,
-        &mut frontier,
-        &mut region_w,
-    );
-
-    while region_w < target_w {
-        // Pick the frontier vertex with max gain; fall back to any
-        // unassigned vertex if the frontier is empty (disconnected graph).
-        let next = if let Some((idx, _)) = frontier.iter().enumerate().max_by(|a, b| {
-            gain[*a.1 as usize]
-                .partial_cmp(&gain[*b.1 as usize])
-                .unwrap()
-        }) {
-            frontier.swap_remove(idx)
-        } else if let Some(v) = (0..n as u32).find(|&v| !in_region[v as usize]) {
-            v
-        } else {
-            break;
+        // The frontier vertex with max gain (ties to the lower id), or the
+        // lowest-id outside vertex if the frontier is empty (disconnected
+        // graph).
+        next = loop {
+            match frontier.pop() {
+                Some(e) if side[e.v as usize] == 1 => break Some(e.v),
+                Some(_) => {}
+                None => {
+                    while scan < n && side[scan] == 0 {
+                        scan += 1;
+                    }
+                    break (scan < n).then_some(scan as u32);
+                }
+            }
         };
-        if in_region[next as usize] {
-            continue;
-        }
-        add(
-            next,
-            &mut side,
-            &mut in_region,
-            &mut gain,
-            &mut frontier,
-            &mut region_w,
-        );
     }
     side
 }

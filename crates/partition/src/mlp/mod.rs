@@ -5,16 +5,17 @@
 //! here by a from-scratch multilevel k-way partitioner using the classic
 //! recipe (Karypis & Kumar):
 //!
-//! 1. **Coarsening** ([`matching`], [`coarsen`]) — heavy-edge matching
-//!    collapses matched pairs, aggregating vertex and edge weights, until
-//!    the graph is small.
+//! 1. **Coarsening** ([`matching`], [`coarsen`]) — heavy-edge matching,
+//!    then 2-hop and island matching for the vertices it strands on
+//!    power-law graphs, collapses matched pairs, aggregating vertex and
+//!    edge weights, until the graph is small.
 //! 2. **Initial bisection** ([`initial`]) — greedy graph growing from
 //!    several seeds, keeping the best balanced cut.
 //! 3. **Refinement** ([`refine`]) — boundary Fiduccia–Mattheyses passes at
-//!    every uncoarsening level.
+//!    every uncoarsening level, each cut short once it stops improving.
 //! 4. **K-way** ([`kway`]) — recursive bisection with proportional target
-//!    weights, finished by a direct greedy k-way boundary pass
-//!    ([`kway_refine`]).
+//!    weights, its independent halves run in parallel, finished by a
+//!    direct greedy k-way boundary pass ([`kway_refine`]).
 //!
 //! The partitioner works on an undirected weighted view ([`WGraph`]); vertex
 //! weights default to `1 + out_degree` of the original directed graph so
@@ -29,6 +30,7 @@ pub mod matching;
 pub mod refine;
 
 use phigraph_graph::Csr;
+use std::cmp::Ordering;
 
 pub use kway::partition_kway;
 
@@ -50,6 +52,11 @@ impl WGraph {
     /// Number of vertices.
     pub fn n(&self) -> usize {
         self.xadj.len() - 1
+    }
+
+    /// Number of neighbors of `v`.
+    pub fn degree(&self, v: u32) -> usize {
+        self.xadj[v as usize + 1] - self.xadj[v as usize]
     }
 
     /// Neighbors of `v` with edge weights.
@@ -102,6 +109,30 @@ impl WGraph {
             w[side[v] as usize] += self.vwgt[v] as f64;
         }
         (w[0], w[1])
+    }
+}
+
+/// Max-heap entry of a gain-ordered vertex: higher gain first, ties to the
+/// lower vertex id. `stamp` lets a holder skip entries made stale by later
+/// gain updates.
+#[derive(PartialEq)]
+struct GainEntry {
+    gain: f32,
+    v: u32,
+    stamp: u32,
+}
+impl Eq for GainEntry {}
+impl PartialOrd for GainEntry {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+impl Ord for GainEntry {
+    fn cmp(&self, o: &Self) -> Ordering {
+        self.gain
+            .partial_cmp(&o.gain)
+            .unwrap_or(Ordering::Equal)
+            .then(o.v.cmp(&self.v))
     }
 }
 

@@ -4,31 +4,11 @@
 //! unlocked boundary vertex (gain = external − internal edge weight),
 //! tentatively accepting negative-gain moves, then keep the prefix of the
 //! move sequence with the lowest cut that respects the balance tolerance.
+//! As in Metis, a pass gives up once a run of moves has not beaten the
+//! best prefix, rather than moving every vertex.
 
-use super::WGraph;
-use std::cmp::Ordering;
+use super::{GainEntry, WGraph};
 use std::collections::BinaryHeap;
-
-#[derive(PartialEq)]
-struct Entry {
-    gain: f32,
-    v: u32,
-    stamp: u32,
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, o: &Self) -> Ordering {
-        self.gain
-            .partial_cmp(&o.gain)
-            .unwrap_or(Ordering::Equal)
-            .then(o.v.cmp(&self.v))
-    }
-}
 
 /// Refine a 2-way assignment in place. `target_frac` is side 0's desired
 /// weight share; `max_passes` bounds the number of FM passes. Returns the
@@ -43,6 +23,9 @@ pub fn fm_refine(g: &WGraph, side: &mut [u8], target_frac: f64, max_passes: usiz
     let max_vwgt = g.vwgt.iter().cloned().fold(0.0f32, f32::max) as f64;
     let tol = (0.02 * total).max(max_vwgt * 1.01);
 
+    // Metis' 2-way FM limit: a pass ends once this many consecutive moves
+    // have not beaten the best prefix.
+    let stall_limit = (n / 100).clamp(15, 100);
     let mut total_improvement = 0.0;
 
     for _pass in 0..max_passes {
@@ -65,7 +48,7 @@ pub fn fm_refine(g: &WGraph, side: &mut [u8], target_frac: f64, max_passes: usiz
             if g.neighbors(v)
                 .any(|(u, _)| side[u as usize] != side[v as usize])
             {
-                heap.push(Entry {
+                heap.push(GainEntry {
                     gain: gain[v as usize],
                     v,
                     stamp: 0,
@@ -79,10 +62,9 @@ pub fn fm_refine(g: &WGraph, side: &mut [u8], target_frac: f64, max_passes: usiz
         let mut cut_delta = 0.0f64; // negative = improvement
         let mut best_delta = 0.0f64;
         let mut best_len = 0usize;
-        let move_limit = n.min(4 * (n / 2).max(64));
         let start_dev = (w0 - target0).abs();
 
-        while moves.len() < move_limit {
+        while moves.len() - best_len < stall_limit {
             // Pop the best current entry (lazy deletion of stale entries).
             let Some(e) = heap.pop() else { break };
             let v = e.v as usize;
@@ -117,7 +99,7 @@ pub fn fm_refine(g: &WGraph, side: &mut [u8], target_frac: f64, max_passes: usiz
                     gain[u] -= 2.0 * w;
                 }
                 stamp[u] += 1;
-                heap.push(Entry {
+                heap.push(GainEntry {
                     gain: gain[u],
                     v: u as u32,
                     stamp: stamp[u],

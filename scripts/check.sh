@@ -23,6 +23,10 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy -- -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> perfbench: the end-to-end benchmark's own tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "==> observability smoke: run --trace-out + report on a toy graph"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

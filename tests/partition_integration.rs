@@ -3,8 +3,9 @@
 
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_partition::file::{read_partition, write_partition};
+use phigraph_partition::mlp::coarsen::coarsen_to;
 use phigraph_partition::mlp::kway::block_cut;
-use phigraph_partition::mlp::partition_kway;
+use phigraph_partition::mlp::{partition_kway, WGraph};
 use phigraph_partition::{partition, PartitionScheme, PartitionStats, Ratio};
 
 #[test]
@@ -143,5 +144,22 @@ fn partitioning_is_deterministic() {
         let a = partition(&g, scheme, Ratio::new(3, 5), 42);
         let b = partition(&g, scheme, Ratio::new(3, 5), 42);
         assert_eq!(a.assign, b.assign, "{}", scheme.name());
+    }
+}
+
+#[test]
+fn coarsening_does_not_stall_on_power_law_graphs() {
+    // About a third of a pokec-like graph's vertices have no edge at all
+    // and many more are leaves of a hub; heavy-edge matching alone stalls
+    // near half the input. Island and 2-hop matching carry coarsening down
+    // to the target.
+    for seed in 1..=3 {
+        let g = WGraph::from_csr(&workloads::pokec_like(Scale::Small, seed));
+        let levels = coarsen_to(&g, 64, seed);
+        let last = levels.last().map_or(g.n(), |l| l.graph.n());
+        assert!(
+            last <= 64,
+            "seed {seed}: coarsening stopped at {last} vertices"
+        );
     }
 }

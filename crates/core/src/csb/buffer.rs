@@ -15,7 +15,11 @@
 //!
 //! Within a column, slots are claimed by an atomic cursor (`fetch_add`),
 //! which plays the role of the paper's per-column lock: each message gets a
-//! unique `(row, column)` cell, making the raw write race-free.
+//! unique `(row, column)` cell, making the raw write race-free. That
+//! concurrent path ([`Csb::insert`], [`Csb::insert_slice`]) serves the
+//! pipelined movers. The locking engine stages its messages and drains each
+//! run of groups from one owning thread through `Csb::insert_owned`, which
+//! needs neither the cursor RMW nor the allocation lock.
 
 use super::layout::{CsbLayout, NOT_OWNED};
 use phigraph_device::counters::InsertProfile;
@@ -105,8 +109,6 @@ pub struct Csb<T: MsgValue> {
     group_next: Vec<AtomicU32>,
     /// Per-group allocation lock ("using locking in the process").
     group_locks: Vec<Mutex<()>>,
-    /// Columns allocated since the last reset.
-    allocs: AtomicU64,
     /// Integrity kill switch: when false (the default) no checksum work
     /// happens anywhere on the insertion path — one relaxed load per
     /// insert/batch, so the disabled path stays bit-identical and
@@ -135,7 +137,6 @@ impl<T: MsgValue> Csb<T> {
                 .map(|_| AtomicU32::new(0))
                 .collect(),
             group_locks: (0..layout.num_groups()).map(|_| Mutex::new(())).collect(),
-            allocs: AtomicU64::new(0),
             audit: AtomicBool::new(false),
             group_sums: (0..layout.num_groups())
                 .map(|_| AtomicU64::new(0))
@@ -166,7 +167,7 @@ impl<T: MsgValue> Csb<T> {
     /// [`CsbInsertError::OutOfRange`], an unowned one is
     /// [`CsbInsertError::NotOwned`].
     #[inline(always)]
-    fn resolve(&self, dst: VertexId) -> Result<u32, CsbInsertError> {
+    pub(crate) fn resolve(&self, dst: VertexId) -> Result<u32, CsbInsertError> {
         let pos = *self
             .layout
             .position
@@ -182,8 +183,8 @@ impl<T: MsgValue> Csb<T> {
     }
 
     /// Insert one message for `dst`. Thread-safe; callable concurrently
-    /// from any number of threads (locking engine) or from the column's
-    /// owning mover (pipelined engine).
+    /// from any number of threads (the pipelined engine's movers, quarantine
+    /// regeneration).
     ///
     /// # Panics
     /// Panics if `dst` is not owned by this buffer's device, or if the
@@ -290,6 +291,76 @@ impl<T: MsgValue> Csb<T> {
                 self.group_sums[group].fetch_add(sum, Ordering::Relaxed);
             }
             i = j;
+        }
+        Ok(())
+    }
+
+    /// Insert staged `(position, value)` messages as their groups' only
+    /// writer: the drain half of the locking engine's stage-and-drain.
+    /// Messages land in the order given, in the cells, columns and column
+    /// order a one-thread sequence of [`Csb::insert`] calls would give them,
+    /// and fold the same integrity sums; but cursors, index entries and
+    /// column offsets advance with plain loads and stores — no `fetch_add`,
+    /// no group lock.
+    ///
+    /// On [`CsbInsertError::OverCapacity`] the messages before the
+    /// offending one have landed; the buffer must be reset before reuse.
+    ///
+    /// Every atomic here is accessed `Relaxed`: ownership keeps other
+    /// threads out for the call, and the phase barriers around it (joined
+    /// threads) order it against the staging before and the processing
+    /// after.
+    ///
+    /// # Safety
+    /// Every position must be an owned position (`< num_positions`), and
+    /// for the whole call no other thread may insert into, reset, audit or
+    /// process any group those positions fall in.
+    pub(crate) unsafe fn insert_owned(&self, staged: &[(u32, T)]) -> Result<(), CsbInsertError> {
+        let audit = self.audit.load(Ordering::Relaxed);
+        let width = self.layout.width;
+        for &(pos, value) in staged {
+            let group = self.layout.group_of(pos);
+            let col_in_group = match self.mode {
+                ColumnMode::OneToOne => pos as usize % width,
+                ColumnMode::Dynamic => {
+                    let cached = self.index[pos as usize].load(Ordering::Relaxed);
+                    if cached >= 0 {
+                        cached as usize
+                    } else {
+                        let col = self.group_next[group].load(Ordering::Relaxed);
+                        debug_assert!((col as usize) < width);
+                        self.group_next[group].store(col + 1, Ordering::Relaxed);
+                        self.col_pos[self.global_col(group, col as usize)]
+                            .store(pos, Ordering::Relaxed);
+                        self.index[pos as usize].store(col as i32, Ordering::Relaxed);
+                        col as usize
+                    }
+                }
+            };
+            let cursor = &self.col_count[self.global_col(group, col_in_group)];
+            let row = cursor.load(Ordering::Relaxed);
+            let info = &self.layout.groups[group];
+            if row >= info.rows {
+                return Err(CsbInsertError::OverCapacity {
+                    dst: self.layout.order[pos as usize],
+                    capacity: info.rows,
+                });
+            }
+            cursor.store(row + 1, Ordering::Relaxed);
+            let cell = info.cell_offset + row as usize * width + col_in_group;
+            debug_assert!(cell < self.layout.total_cells);
+            // SAFETY: the caller owns this group exclusively, so row `row`
+            // of the column is written once; row < rows keeps it in bounds.
+            unsafe { *self.data.base_ptr().add(cell) = value };
+            if audit {
+                let dst = self.layout.order[pos as usize];
+                let sum = &self.group_sums[group];
+                sum.store(
+                    sum.load(Ordering::Relaxed)
+                        .wrapping_add(Self::digest_one(dst, value)),
+                    Ordering::Relaxed,
+                );
+            }
         }
         Ok(())
     }
@@ -436,7 +507,6 @@ impl<T: MsgValue> Csb<T> {
         debug_assert!(col < self.layout.width);
         self.col_pos[self.global_col(group, col)].store(pos, Ordering::Relaxed);
         self.index[pos as usize].store(col as i32, Ordering::Release);
-        self.allocs.fetch_add(1, Ordering::Relaxed);
         col
     }
 
@@ -473,7 +543,6 @@ impl<T: MsgValue> Csb<T> {
                 s.store(0, Ordering::Relaxed);
             }
         }
-        self.allocs.store(0, Ordering::Relaxed);
         touched
     }
 
@@ -506,12 +575,19 @@ impl<T: MsgValue> Csb<T> {
     }
 
     /// Contention/occupancy statistics after a generation phase:
-    /// `(profile, occupied_columns, column_allocations)`.
+    /// `(profile, occupied_columns, column_allocations)`. Allocations are
+    /// the columns the dynamic mode bound since the groups were last reset
+    /// (the one-to-one mode binds none).
     pub fn insert_stats(&self) -> (InsertProfile, u64, u64) {
         let mut profile = InsertProfile::default();
         let mut occupied = 0u64;
+        let mut allocs = 0u64;
         for g in 0..self.layout.num_groups() {
-            for c in 0..self.used_columns(g) {
+            let used = self.used_columns(g);
+            if self.mode == ColumnMode::Dynamic {
+                allocs += used as u64;
+            }
+            for c in 0..used {
                 let count = self.column_count(g, c) as u64;
                 if count > 0 {
                     profile.record(count);
@@ -519,7 +595,7 @@ impl<T: MsgValue> Csb<T> {
                 }
             }
         }
-        (profile, occupied, self.allocs.load(Ordering::Relaxed))
+        (profile, occupied, allocs)
     }
 
     /// Raw cell pointer (processing phase; tasks own disjoint groups).

@@ -37,6 +37,10 @@ pub struct CsbLayout {
     pub groups: Vec<GroupInfo>,
     /// Total message cells allocated.
     pub total_cells: usize,
+    /// `log2(width)` when the width is a power of two (lanes always are,
+    /// and so is the default `k`): [`CsbLayout::group_of`] then shifts
+    /// instead of dividing on every insertion.
+    group_shift: Option<u32>,
 }
 
 impl CsbLayout {
@@ -92,6 +96,7 @@ impl CsbLayout {
             capacity: sorted_cap,
             groups,
             total_cells: cell_offset,
+            group_shift: width.is_power_of_two().then(|| width.trailing_zeros()),
         }
     }
 
@@ -110,7 +115,10 @@ impl CsbLayout {
     /// Group index of a position.
     #[inline(always)]
     pub fn group_of(&self, pos: u32) -> usize {
-        pos as usize / self.width
+        match self.group_shift {
+            Some(shift) => (pos >> shift) as usize,
+            None => (pos / self.width as u32) as usize,
+        }
     }
 
     /// Cells a *non-condensed* static buffer would need (every vertex gets
@@ -222,6 +230,12 @@ mod tests {
         assert_eq!(l.group_of(0), 0);
         assert_eq!(l.group_of(7), 0);
         assert_eq!(l.group_of(8), 1);
+        // A width that is not a power of two (k = 3) divides instead.
+        let owned: Vec<VertexId> = (0..30).collect();
+        let l = CsbLayout::build(30, &owned, &[1; 30], 4, 3);
+        for pos in 0..30u32 {
+            assert_eq!(l.group_of(pos), pos as usize / 12);
+        }
     }
 
     // -- boundary cases --

@@ -17,10 +17,15 @@
 //! 4. message processing ([`process`]) reduces each vector array row-wise
 //!    with the program's operator, lane-parallel, after filling bubble
 //!    cells with the operator identity.
+//!
+//! The locking engine fills the buffer by stage-and-drain (`stage`):
+//! threads stage messages per run of groups while generating, and each run
+//! is then drained by one owning thread, in source order.
 
 pub mod buffer;
 pub mod layout;
 pub mod process;
+pub(crate) mod stage;
 
 pub use buffer::{ColumnMode, Csb, CsbInsertError};
 pub use layout::{CsbLayout, GroupInfo, NOT_OWNED};

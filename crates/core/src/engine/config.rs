@@ -99,6 +99,12 @@ pub struct EngineConfig {
     pub cancel: Option<CancelToken>,
 }
 
+// The `with_*` builders build a new value from `self` instead of assigning
+// into it and returning it. Compiled in release mode, rustc 1.95.0 can pass
+// one argument buffer to two by-value builder calls on equal configs; a
+// builder that wrote into its argument then leaked that write into the
+// second call (a `FaultInjector` reference was dropped twice). Building a
+// new value never writes to the argument.
 impl EngineConfig {
     fn base(mode: ExecMode) -> Self {
         EngineConfig {
@@ -148,100 +154,141 @@ impl EngineConfig {
     }
 
     /// Set SIMD processing on/off.
-    pub fn with_vectorized(mut self, yes: bool) -> Self {
-        self.vectorized = yes;
-        self
+    pub fn with_vectorized(self, yes: bool) -> Self {
+        EngineConfig {
+            vectorized: yes,
+            ..self
+        }
     }
 
     /// Set the CSB column mode.
-    pub fn with_column_mode(mut self, mode: ColumnMode) -> Self {
-        self.column_mode = mode;
-        self
+    pub fn with_column_mode(self, mode: ColumnMode) -> Self {
+        EngineConfig {
+            column_mode: mode,
+            ..self
+        }
     }
 
     /// Set the group width factor `k`.
-    pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k.max(1);
-        self
+    pub fn with_k(self, k: usize) -> Self {
+        EngineConfig {
+            k: k.max(1),
+            ..self
+        }
     }
 
     /// Cap supersteps.
-    pub fn with_max_supersteps(mut self, n: usize) -> Self {
-        self.max_supersteps = Some(n);
-        self
+    pub fn with_max_supersteps(self, n: usize) -> Self {
+        EngineConfig {
+            max_supersteps: Some(n),
+            ..self
+        }
     }
 
     /// Set real host threads.
-    pub fn with_host_threads(mut self, n: usize) -> Self {
-        self.host_threads = n;
-        self
+    pub fn with_host_threads(self, n: usize) -> Self {
+        EngineConfig {
+            host_threads: n,
+            ..self
+        }
     }
 
     /// Set the generation chunk size.
-    pub fn with_gen_chunk(mut self, n: usize) -> Self {
-        self.gen_chunk = n.max(1);
-        self
+    pub fn with_gen_chunk(self, n: usize) -> Self {
+        EngineConfig {
+            gen_chunk: n.max(1),
+            ..self
+        }
     }
 
     /// Set the worker-side flush batch size for the pipelined engine.
-    pub fn with_pipe_batch(mut self, n: usize) -> Self {
-        self.pipe_batch = n.max(1);
-        self
+    pub fn with_pipe_batch(self, n: usize) -> Self {
+        EngineConfig {
+            pipe_batch: n.max(1),
+            ..self
+        }
     }
 
     /// Set the SPSC ring capacity for the pipelined engine.
-    pub fn with_queue_cap(mut self, n: usize) -> Self {
-        self.queue_cap = n.max(2);
-        self
+    pub fn with_queue_cap(self, n: usize) -> Self {
+        EngineConfig {
+            queue_cap: n.max(2),
+            ..self
+        }
     }
 
     /// Write a barrier checkpoint every `k` supersteps (0 disables).
-    pub fn with_checkpoint_every(mut self, k: usize) -> Self {
-        self.recovery.checkpoint_every = k;
-        self
+    pub fn with_checkpoint_every(self, k: usize) -> Self {
+        EngineConfig {
+            recovery: RecoveryPolicy {
+                checkpoint_every: k,
+                ..self.recovery
+            },
+            ..self
+        }
     }
 
     /// Set the rollback/replay retry budget before sequential degradation.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.recovery.max_retries = n;
-        self
+    pub fn with_max_retries(self, n: u32) -> Self {
+        EngineConfig {
+            recovery: RecoveryPolicy {
+                max_retries: n,
+                ..self.recovery
+            },
+            ..self
+        }
     }
 
     /// Set the exponential-backoff base in milliseconds (0 = no sleeping,
     /// what the deterministic tests use).
-    pub fn with_backoff_ms(mut self, base: u64) -> Self {
-        self.recovery.backoff_base_ms = base;
-        self
+    pub fn with_backoff_ms(self, base: u64) -> Self {
+        EngineConfig {
+            recovery: RecoveryPolicy {
+                backoff_base_ms: base,
+                ..self.recovery
+            },
+            ..self
+        }
     }
 
     /// Install a compiled fault-injection plan.
-    pub fn with_fault_plan(mut self, injector: FaultInjector) -> Self {
-        self.fault_plan = Some(injector);
-        self
+    pub fn with_fault_plan(self, injector: FaultInjector) -> Self {
+        EngineConfig {
+            fault_plan: Some(injector),
+            ..self
+        }
     }
 
     /// Install a structured tracing sink (see [`phigraph_trace`]).
-    pub fn with_trace(mut self, trace: Trace) -> Self {
-        self.trace = Some(trace);
-        self
+    pub fn with_trace(self, trace: Trace) -> Self {
+        EngineConfig {
+            trace: Some(trace),
+            ..self
+        }
     }
 
     /// Set the silent-data-corruption defense level.
-    pub fn with_integrity(mut self, mode: IntegrityMode) -> Self {
-        self.integrity = mode;
-        self
+    pub fn with_integrity(self, mode: IntegrityMode) -> Self {
+        EngineConfig {
+            integrity: mode,
+            ..self
+        }
     }
 
     /// Scrub (state-digest audit) every `n` supersteps (0 disables).
-    pub fn with_scrub_every(mut self, n: usize) -> Self {
-        self.scrub_every = n;
-        self
+    pub fn with_scrub_every(self, n: usize) -> Self {
+        EngineConfig {
+            scrub_every: n,
+            ..self
+        }
     }
 
     /// Install a cooperative cancellation token (see [`CancelToken`]).
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
+    pub fn with_cancel(self, token: CancelToken) -> Self {
+        EngineConfig {
+            cancel: Some(token),
+            ..self
+        }
     }
 
     /// Poll the cancellation token (ticking its liveness heartbeat); true

@@ -66,8 +66,17 @@ fn run_csb_single<P: VertexProgram>(
     spec: DeviceSpec,
     config: &EngineConfig,
 ) -> RunOutput<P::Value> {
+    let engine = DeviceEngine::new(program, graph, spec, config.clone(), 0, None);
+    run_device(engine, config)
+}
+
+/// The single-device superstep loop over an already built engine.
+pub(crate) fn run_device<P: VertexProgram>(
+    mut engine: DeviceEngine<'_, P>,
+    config: &EngineConfig,
+) -> RunOutput<P::Value> {
+    let (program, spec) = (engine.program, engine.spec.clone());
     let cost = CostModel::new(spec.clone());
-    let mut engine = DeviceEngine::new(program, graph, spec.clone(), config.clone(), 0, None);
     let cap = run_cap(program.max_supersteps(), config.max_supersteps);
     let tracer = config.tracer("dev0", 0);
     let wall_start = Instant::now();

@@ -90,7 +90,8 @@ pub enum Phase {
     /// Message generation (scanning active vertices, producing messages).
     Generate = 1,
     /// Message insertion into the condensed static buffer (the mover side
-    /// of the pipeline; folded into generation for the locking engine).
+    /// of the pipeline; the drain after generation for the locking
+    /// engine).
     Insert = 2,
     /// Message processing (lane reduction).
     Process = 3,

@@ -69,6 +69,24 @@ grep -q "rank2: " "$SMOKE_DIR/fabric-recover.txt"
 grep -q "migrations=1" "$SMOKE_DIR/fabric-recover.txt"
 echo "    (rank 1 killed at step 4 of 3-rank SSSP: checksum parity after migration: ok)"
 
+echo "==> determinism smoke: lock PageRank prints seq's checksum on every run"
+# f32 sums follow their association order. The locking engine drains each
+# column in source order, so on any host thread count three lock runs and
+# one seq run must print the same checksum.
+"$PHIGRAPH" generate gnm "$SMOKE_DIR/gnm-small.bin" --scale small --seed 7 >/dev/null
+WANT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine seq --checksum \
+    | sed -n 's/^checksum=//p')"
+test -n "$WANT_PR"
+for i in 1 2 3; do
+    GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine lock --checksum \
+        | sed -n 's/^checksum=//p')"
+    if [ "$GOT_PR" != "$WANT_PR" ]; then
+        echo "lock run $i printed checksum $GOT_PR, seq printed $WANT_PR" >&2
+        exit 1
+    fi
+done
+echo "    (lock x3 and seq: checksum=$WANT_PR)"
+
 echo "==> bench smoke: BENCH_*.json emission + regression gate"
 # Smoke-measure every area into the repo root (the per-PR perf artifacts),
 # then prove the gate both passes and trips. Numbers from smoke runs are

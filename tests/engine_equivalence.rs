@@ -86,8 +86,10 @@ where
 #[test]
 fn pagerank_equivalence() {
     // PageRank reduces with f32 sums, whose result depends on association
-    // order (insertion order varies across threads), so equivalence is
-    // numeric rather than bitwise.
+    // order. The locking engine stages and drains its insertions so every
+    // column holds its messages in source order, the sequential order: its
+    // configs must match `seq` bit for bit. The pipelined and flat engines
+    // accumulate in thread-arrival order, so they match numerically.
     let g = workloads::pokec_like(workloads::Scale::Tiny, 11);
     let pr = PageRank {
         damping: 0.85,
@@ -102,6 +104,14 @@ fn pagerank_equivalence() {
     for spec in devices() {
         for (name, config) in all_configs() {
             let out = run_single(&pr, &g, spec.clone(), &config);
+            if name.starts_with("lock") {
+                let bits = |vals: &[f32]| vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(&out.values) == bits(&baseline.values),
+                    "engine {name} on {} is not bit-identical to seq",
+                    spec.name
+                );
+            }
             for v in 0..g.num_vertices() {
                 assert!(
                     (out.values[v] - baseline.values[v]).abs() < 1e-3,

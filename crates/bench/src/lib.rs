@@ -21,7 +21,7 @@ use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::{Bfs, PageRank, SemiClustering, Sssp, TopoSort};
 use phigraph_comm::PcieLink;
 use phigraph_core::engine::obj::{run_obj_hetero, run_obj_single};
-use phigraph_core::engine::{run_hetero, run_single, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_core::metrics::RunReport;
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
@@ -254,22 +254,22 @@ impl Workbench {
         let link = PcieLink::gen2_x16();
         match app {
             AppId::PageRank => {
-                run_hetero(
+                run_ranks(
                     &PageRank {
                         damping: 0.85,
                         iterations: PAGERANK_ITERS,
                     },
                     g,
                     p,
-                    specs,
-                    configs,
+                    &specs,
+                    &configs,
                     link,
                 )
                 .report
             }
-            AppId::Bfs => run_hetero(&Bfs { source: 0 }, g, p, specs, configs, link).report,
-            AppId::Sssp => run_hetero(&Sssp { source: 0 }, g, p, specs, configs, link).report,
-            AppId::TopoSort => run_hetero(&TopoSort::new(g), g, p, specs, configs, link).report,
+            AppId::Bfs => run_ranks(&Bfs { source: 0 }, g, p, &specs, &configs, link).report,
+            AppId::Sssp => run_ranks(&Sssp { source: 0 }, g, p, &specs, &configs, link).report,
+            AppId::TopoSort => run_ranks(&TopoSort::new(g), g, p, &specs, &configs, link).report,
             AppId::SemiCluster => {
                 run_obj_hetero(&SemiClustering::default(), g, p, specs, configs, link).report
             }

@@ -12,26 +12,15 @@
 //! * `checksum` — FNV-1a 64 over every message's wire bytes, in order;
 //!   catches bit flips anywhere in the payload.
 //!
-//! The hash is the same FNV-1a 64 the snapshot codec uses, re-derived here
-//! so `phigraph-comm` stays free of a recovery-crate dependency. Sealing is
-//! one pass over bytes that are about to cross the link anyway — the cost
-//! the frames-only integrity mode pays per exchange, and nothing per
-//! message on the intra-device path.
+//! The hash is the workspace's one FNV-1a 64 ([`phigraph_graph::hash`]),
+//! the same the snapshot codec uses. Sealing is one pass over bytes that
+//! are about to cross the link anyway — the cost the frames-only integrity
+//! mode pays per exchange, and nothing per message on the intra-device
+//! path.
 
 use crate::message::WireMsg;
+use phigraph_graph::hash::{fnv1a64_seeded, FNV_OFFSET};
 use phigraph_simd::MsgValue;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a64_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Why a received frame failed validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,7 +93,7 @@ pub fn payload_checksum<T: MsgValue>(msgs: &[WireMsg<T>]) -> u64 {
     for m in msgs {
         let wire = &mut buf[..WireMsg::<T>::WIRE_SIZE];
         m.encode(wire);
-        h = fnv1a64_step(h, wire);
+        h = fnv1a64_seeded(h, wire);
     }
     h
 }

@@ -169,8 +169,10 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     pub spec: DeviceSpec,
     /// Engine configuration.
     pub config: EngineConfig,
-    dev_id: u8,
-    assign: Option<&'g [u8]>,
+    /// This device's rank.
+    pub(crate) dev_id: u8,
+    /// The vertex→rank map (`None` = this device owns everything).
+    pub(crate) assign: Option<&'g [u8]>,
     owned: Vec<VertexId>,
     csb: Csb<P::Msg>,
     /// Per-thread staging of the locking engine's insertions (and of every
@@ -1382,10 +1384,9 @@ mod tests {
     fn lock_simulated_seconds_do_not_depend_on_host_threads() {
         /// Simulated seconds of a whole run on `threads` forced host threads.
         fn sim<P: VertexProgram>(program: &P, g: &Csr, spec: DeviceSpec, threads: usize) -> f64 {
-            let config = EngineConfig::locking();
-            let mut eng = DeviceEngine::new(program, g, spec, config.clone(), 0, None);
+            let mut eng = DeviceEngine::new(program, g, spec, EngineConfig::locking(), 0, None);
             eng.host_threads = threads;
-            crate::engine::run_device(eng, &config).report.sim_total()
+            crate::engine::run_device(eng).report.sim_total()
         }
         let g = pokec_small(9);
         for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {

@@ -1,9 +1,10 @@
 //! Live rank failover for the N-device fabric.
 //!
-//! The plain rank drivers assume every device survives the whole run;
-//! [`run_ranks_recovering`] treats any fault as a whole-run retry. Real
+//! The plain rank driver assumes every device survives the whole run. Real
 //! heterogeneous deployments lose or stall *one* rank far more often than
-//! all of them, so this driver maintains a live membership instead:
+//! all of them, so this driver runs the same per-rank superstep loop as
+//! `run_ranks` (the `rank_loop` in [`hetero`]) with liveness switched on, and
+//! maintains a live membership around it:
 //!
 //! * **Liveness**: each rank ticks a [`Heartbeat`] at every phase
 //!   boundary, a watchdog thread polls those beacons against the configured
@@ -39,30 +40,34 @@
 //!   replays — bounded by the retry budget — instead of restarting the
 //!   whole run.
 //!
-//! The 2-device path is the N = 2 instance of this machinery, not a
-//! parallel implementation: [`run_hetero_failover`] simply forwards to
-//! [`run_ranks_failover`].
+//! Each rank loop receives its heartbeat, the deadline, the straggler vote
+//! and a barrier hook that writes its snapshot, so the loop itself needs no
+//! `PodState` bound. The driver thread owns everything else: the watchdog,
+//! the eviction verdicts, and the lockstep replay, which reuses the loop's
+//! bucket-and-combine, close and report helpers.
 //!
-//! [`run_ranks_recovering`]: crate::engine::hetero::run_ranks_recovering
+//! [`hetero`]: crate::engine::hetero
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
-use crate::engine::flat::run_cap;
-use crate::engine::integrity::framed_exchange;
+use crate::engine::hetero::{
+    bucket_and_combine, close_step, fabric_cap, merge_by_owner, rank_loop, rank_report,
+    step_report, ExitKind, Liveness, BEATS_PER_STEP,
+};
+use crate::engine::recover::{encode_snapshot, validate_snapshot, write_snapshot};
 use crate::engine::seq::run_seq_resume;
 use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
 use phigraph_comm::message::wire_bytes;
-use phigraph_comm::{combine_messages, mesh, Endpoint, ExchangeError, PcieLink, WireMsg};
+use phigraph_comm::{mesh, PcieLink, WireMsg};
 use phigraph_device::{CostModel, DeviceSpec, Heartbeat, StepCounters};
-use phigraph_graph::state::{decode_state_slice, encode_state_slice, PodState};
+use phigraph_graph::state::PodState;
 use phigraph_graph::Csr;
 use phigraph_partition::{partition_n, DevicePartition, Shares};
 use phigraph_recover::{
-    CheckpointStore, FailoverConfig, FailoverPolicy, FailoverStats, FaultInjector, FaultKind,
-    IntegrityStats, RecoveryPolicy, RecoveryStats, Snapshot,
+    CheckpointStore, FailoverConfig, FailoverPolicy, FailoverStats, IntegrityStats, RecoveryStats,
+    Snapshot,
 };
-use phigraph_simd::MsgValue;
 use phigraph_trace::{HistKind, Phase, ThreadTracer, Trace};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -74,129 +79,20 @@ const REBALANCE_SEED: u64 = 7;
 /// Sentinel for "not detected" in the watchdog's latency slots.
 const UNDETECTED: u64 = u64::MAX;
 
-/// How one rank loop ended. `Hung` keeps every link endpoint alive inside
-/// the variant so peers observe a *silent* (timeout) failure rather than a
-/// dead channel — exactly the difference between a hang and a crash.
-enum LoopExit<M: Send> {
-    /// Global termination (or superstep cap) reached.
-    Done,
-    /// An injected `CrashDevice`/`CrashRank` fault: all endpoints torn down.
-    Crashed { step: usize },
-    /// An injected `HangDevice` fault: endpoints stay alive but silent.
-    Hung {
-        step: usize,
-        _keep_alive: Vec<Endpoint<WireMsg<M>>>,
-    },
-    /// A peer's endpoint disappeared (that peer crashed).
-    PeerDead { step: usize },
-    /// A peer went silent past the deadline (that peer hung).
-    PeerTimeout { step: usize, waited_ms: u64 },
-    /// The exchange was dropped on a link (both ends observe this).
-    ExchangeDrop { step: usize },
-    /// An injected `PartitionLink` severed the link to `high`; this end
-    /// (the lower rank, which armed the fault) names the pair so the
-    /// driver can evict the deterministic side.
-    LinkPartitioned { step: usize, low: u8, high: u8 },
-    /// Straggler threshold reached; all ranks leave at the same barrier.
-    Rebalance { step: usize },
-}
-
-/// Plain-data view of [`LoopExit`] (drops the kept-alive endpoints).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExitKind {
-    Done,
-    Crashed(usize),
-    Hung(usize),
-    PeerDead(usize),
-    PeerTimeout(usize, u64),
-    ExchangeDrop(usize),
-    LinkPartitioned(usize, u8, u8),
-    Rebalance(usize),
-}
-
-impl<M: Send> LoopExit<M> {
-    fn kind(&self) -> ExitKind {
-        match self {
-            LoopExit::Done => ExitKind::Done,
-            LoopExit::Crashed { step } => ExitKind::Crashed(*step),
-            LoopExit::Hung { step, .. } => ExitKind::Hung(*step),
-            LoopExit::PeerDead { step } => ExitKind::PeerDead(*step),
-            LoopExit::PeerTimeout { step, waited_ms } => ExitKind::PeerTimeout(*step, *waited_ms),
-            LoopExit::ExchangeDrop { step } => ExitKind::ExchangeDrop(*step),
-            LoopExit::LinkPartitioned { step, low, high } => {
-                ExitKind::LinkPartitioned(*step, *low, *high)
-            }
-            LoopExit::Rebalance { step } => ExitKind::Rebalance(*step),
-        }
-    }
-}
-
-impl ExitKind {
-    /// Only a self-reported crash/hang marks the rank itself as lost;
-    /// `PeerDead`/`PeerTimeout` from healthy ranks are observations.
-    fn lost(&self) -> bool {
-        matches!(self, ExitKind::Crashed(_) | ExitKind::Hung(_))
-    }
-}
-
-/// Everything one rank loop hands back to the driver.
-struct LoopOut<P: VertexProgram> {
-    values: Vec<P::Value>,
-    flags: Vec<u8>,
-    steps: Vec<StepReport>,
-    exit: LoopExit<P::Msg>,
-    /// Whether a `SlowDevice` fault latched on this rank (persists across
-    /// restarts so the straggler stays slow after a rollback/rebalance).
-    slowed: bool,
-    /// Sum of the advertised (straggler-model) step times this attempt.
-    sim_adv_total: f64,
-    /// Frame-integrity counters from this rank's exchanges.
-    integ: IntegrityStats,
-}
-
 type ResumePair<V> = Option<(Vec<V>, Vec<u8>)>;
 type MergedState<V> = (usize, Vec<V>, Vec<u8>);
 /// Merged values, merged active flags, and per-rank step reports keyed by
 /// original rank id — what a lockstep replay hands back.
 type ReplayOut<V> = (Vec<V>, Vec<u8>, Vec<(usize, Vec<StepReport>)>);
 
-/// Encode and save one rank's barrier snapshot into its store, honoring
-/// the keep window and the `CorruptCheckpoint` injection site.
-fn write_device_checkpoint<P: VertexProgram>(
-    engine: &DeviceEngine<'_, P>,
-    step: usize,
-    store: &Mutex<&mut dyn CheckpointStore>,
-    policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
-    dev: u8,
-    c: &mut StepCounters,
-) where
-    P::Value: PodState,
-{
-    let next_step = step as u64 + 1;
-    let snap = Snapshot {
-        superstep: next_step,
-        app: P::NAME.to_string(),
-        value_size: P::Value::STATE_SIZE as u16,
-        values: encode_state_slice(&engine.values),
-        active: engine.active_flags().to_vec(),
-    };
-    let mut bytes = snap.encode();
-    if injector.is_some_and(|i| i.fire(step as u64, FaultKind::CorruptCheckpoint, dev)) {
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xAA;
-        c.faults_injected += 1;
-    }
-    let mut s = store.lock().expect("checkpoint store poisoned");
-    if s.save(next_step, &bytes).is_ok() {
-        c.checkpoints_written += 1;
-        c.checkpoint_bytes += bytes.len() as u64;
-        if policy.keep_snapshots > 0 {
-            let _ = s.retain_newest(policy.keep_snapshots);
-        }
-    }
+/// Merge per-rank `(rank, values, flags)` barrier states by ownership.
+fn merge_state<V>(assign: &[u8], parts: Vec<(usize, Vec<V>, Vec<u8>)>) -> (Vec<V>, Vec<u8>) {
+    let (values, flags): (Vec<_>, Vec<_>) =
+        parts.into_iter().map(|(r, v, f)| ((r, v), (r, f))).unzip();
+    (
+        merge_by_owner(assign, values),
+        merge_by_owner(assign, flags),
+    )
 }
 
 /// Load the newest barrier state valid in *every* `membership` rank's
@@ -222,44 +118,27 @@ where
         .filter(|s| lists.iter().all(|l| l.contains(s)))
         .collect();
     'barrier: for k in common.into_iter().rev() {
-        let mut merged: Option<(Vec<P::Value>, Vec<u8>)> = None;
+        let mut parts = Vec::with_capacity(membership.len());
         for &r in membership {
             let bytes = stores[r].lock().expect("checkpoint store poisoned").load(k);
-            let Ok(bytes) = bytes else {
-                rstats.corrupt_snapshots_rejected += 1;
-                continue 'barrier;
-            };
-            let Ok(s) = Snapshot::decode(&bytes) else {
-                rstats.corrupt_snapshots_rejected += 1;
-                continue 'barrier;
-            };
-            let valid = s.app == P::NAME
-                && s.value_size as usize == P::Value::STATE_SIZE
-                && s.active.len() == n
-                && s.superstep == k;
-            if !valid {
-                rstats.corrupt_snapshots_rejected += 1;
-                continue 'barrier;
-            }
-            let Some(v) = decode_state_slice::<P::Value>(&s.values, n) else {
-                rstats.corrupt_snapshots_rejected += 1;
-                continue 'barrier;
-            };
-            match &mut merged {
-                None => merged = Some((v, s.active)),
-                Some((vals, flags)) => {
-                    let rd = r as u8;
-                    for (x, val) in v.into_iter().enumerate() {
-                        if assign[x] == rd {
-                            vals[x] = val;
-                            flags[x] = s.active[x];
-                        }
-                    }
+            let snap = bytes
+                .ok()
+                .and_then(|b| Snapshot::decode(&b).ok())
+                .filter(|s| s.superstep == k);
+            let point = match snap {
+                Some(s) => validate_snapshot::<P>(s, n, rstats),
+                None => {
+                    rstats.corrupt_snapshots_rejected += 1;
+                    None
                 }
-            }
+            };
+            let Some((_, values, flags)) = point else {
+                continue 'barrier;
+            };
+            parts.push((r, values, flags));
         }
-        let (vals, flags) = merged.expect("membership is never empty");
-        return Some((k as usize, vals, flags));
+        let (values, flags) = merge_state(assign, parts);
+        return Some((k as usize, values, flags));
     }
     None
 }
@@ -276,343 +155,13 @@ fn reset_stores_with<P: VertexProgram>(
 ) where
     P::Value: PodState,
 {
-    let snap = Snapshot {
-        superstep: step as u64,
-        app: P::NAME.to_string(),
-        value_size: P::Value::STATE_SIZE as u16,
-        values: encode_state_slice(values),
-        active: flags.to_vec(),
-    };
-    let bytes = snap.encode();
+    let bytes = encode_snapshot::<P>(step as u64, values, flags);
     for &r in membership {
         let mut s = stores[r].lock().expect("checkpoint store poisoned");
         for k in s.list() {
             let _ = s.remove(k);
         }
         let _ = s.save(step as u64, &bytes);
-    }
-}
-
-/// One rank's superstep loop with liveness instrumentation. Mirrors the
-/// plain rank loop phase-for-phase (so a fault-free failover run computes
-/// exactly what `run_ranks` computes) and adds: heartbeat ticks at phase
-/// boundaries, step-start crash/hang/slow injection sites, link-partition
-/// arming on the lower end of each link, deadline-capable per-link
-/// exchanges, per-rank barrier snapshots, and symmetric straggler detection
-/// from the N-vector of step times piggybacked on every exchange.
-#[allow(clippy::too_many_arguments)]
-fn failover_rank_loop<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    assign: &[u8],
-    rank: usize,
-    spec: DeviceSpec,
-    config: EngineConfig,
-    eps: Vec<Endpoint<WireMsg<P::Msg>>>,
-    cap: usize,
-    start_step: usize,
-    resume: ResumePair<P::Value>,
-    store: &Mutex<&mut dyn CheckpointStore>,
-    fcfg: &FailoverConfig,
-    hb: Heartbeat,
-    finished: &AtomicBool,
-    slowed_in: bool,
-    rebalance_enabled: bool,
-    membership: &[usize],
-) -> LoopOut<P>
-where
-    P::Value: PodState,
-{
-    let dev = rank as u8;
-    let policy = config.recovery;
-    let cost = CostModel::new(spec.clone());
-    let mut engine = DeviceEngine::new(
-        program,
-        graph,
-        spec.clone(),
-        config.clone(),
-        dev,
-        Some(assign),
-    );
-    if let Some((vals, flags)) = resume {
-        engine.restore(vals, &flags);
-    }
-    let tracer = config.tracer(&format!("dev{dev}"), dev as u32 * 1000);
-    let deadline = fcfg.deadline();
-    let my_pos = membership
-        .iter()
-        .position(|&r| r == rank)
-        .expect("rank not in its own membership");
-    // Destination rank -> outgoing link index (links are peer-ascending).
-    let max_peer = eps.iter().map(|e| e.peer).max().unwrap_or(0);
-    let mut bucket_of = vec![usize::MAX; max_peer + 1];
-    for (i, ep) in eps.iter().enumerate() {
-        bucket_of[ep.peer] = i;
-    }
-    let mut steps: Vec<StepReport> = Vec::new();
-    let mut slowed = slowed_in;
-    let mut prev_adv = 0.0f64;
-    let mut base_times: Option<Vec<f64>> = None;
-    let mut consec_slow = 0u32;
-    let mut sim_adv_total = 0.0f64;
-    let mut integ = IntegrityStats::default();
-    let mut exit = LoopExit::Done;
-
-    let mut step = start_step;
-    'run: while step < cap {
-        hb.tick();
-        let mut hb_count = 1u64;
-        if let Some(inj) = &config.fault_plan {
-            if inj.fire(step as u64, FaultKind::CrashDevice, dev)
-                || inj.fire(step as u64, FaultKind::CrashRank(dev), 0)
-            {
-                // Fail-stop: tear every endpoint down so each peer's next
-                // exchange observes a dead channel.
-                drop(eps);
-                exit = LoopExit::Crashed { step };
-                break 'run;
-            }
-            if inj.fire(step as u64, FaultKind::HangDevice, dev) {
-                // Hang: the rank goes silent but its endpoints stay
-                // alive; only a deadline can tell this apart from "slow".
-                exit = LoopExit::Hung {
-                    step,
-                    _keep_alive: eps,
-                };
-                break 'run;
-            }
-            if inj.fire(step as u64, FaultKind::SlowDevice, dev) {
-                slowed = true;
-            }
-        }
-        let t0 = Instant::now();
-        let _step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c = engine.begin_step();
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        hb.tick();
-        hb_count += 1;
-        c.remote_before_combine = remote.len() as u64;
-        // Bucket by destination rank (generation order preserved within a
-        // bucket), then combine per link — the N = 2 case is exactly the
-        // old single-peer combine.
-        let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..eps.len()).map(|_| Vec::new()).collect();
-        for msg in remote {
-            buckets[bucket_of[assign[msg.dst as usize] as usize]].push(msg);
-        }
-        let mut outgoing: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        for b in buckets {
-            let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-            c.remote_after_combine += combined.len() as u64;
-            outgoing.push(combined);
-        }
-        // Arm injected link faults before exchanging. A partition is armed
-        // by the lower end of the link (fire-once, so exactly one side
-        // arms) and remembered so the resulting drop is attributed to the
-        // partition, not a generic exchange fault.
-        let mut partitioned: Option<usize> = None;
-        if let Some(inj) = &config.fault_plan {
-            if inj.fire(step as u64, FaultKind::DropExchange, dev) {
-                eps[0].inject_fault();
-            }
-            for ep in &eps {
-                if ep.peer > rank
-                    && inj.fire(
-                        step as u64,
-                        FaultKind::partition_link(dev, ep.peer as u8),
-                        0,
-                    )
-                {
-                    ep.inject_fault();
-                    partitioned = Some(ep.peer);
-                }
-            }
-        }
-        let my_any = c.msgs_total() > 0;
-        let x0 = Instant::now();
-        let xspan = tracer.span(Phase::Exchange, step as u32);
-        let mut incoming_all: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        let mut peer_any = false;
-        let mut peer_times: Vec<(usize, f64)> = Vec::with_capacity(eps.len());
-        let mut comm_time = 0.0f64;
-        let mut fail: Option<LoopExit<P::Msg>> = None;
-        for (ep, out) in eps.iter().zip(outgoing) {
-            let bytes_out = wire_bytes::<P::Msg>(out.len());
-            let res = framed_exchange(
-                ep,
-                out,
-                bytes_out,
-                my_any,
-                prev_adv,
-                Some(deadline),
-                step as u64,
-                dev,
-                config.integrity,
-                config.fault_plan.as_ref(),
-                &mut integ,
-            );
-            match res {
-                Ok((incoming, peer, xstats)) => {
-                    peer_any |= peer.any_active;
-                    peer_times.push((ep.peer, peer.step_time));
-                    c.comm_bytes += xstats.bytes_sent + xstats.bytes_recv;
-                    comm_time += xstats.sim_time;
-                    incoming_all.push(incoming);
-                }
-                Err(ExchangeError::Dropped(_)) => {
-                    fail = Some(if partitioned == Some(ep.peer) {
-                        LoopExit::LinkPartitioned {
-                            step,
-                            low: dev,
-                            high: ep.peer as u8,
-                        }
-                    } else {
-                        LoopExit::ExchangeDrop { step }
-                    });
-                    break;
-                }
-                Err(ExchangeError::Timeout(t)) => {
-                    fail = Some(LoopExit::PeerTimeout {
-                        step,
-                        waited_ms: t.waited_ms,
-                    });
-                    break;
-                }
-                Err(ExchangeError::PeerDead) => {
-                    fail = Some(LoopExit::PeerDead { step });
-                    break;
-                }
-            }
-        }
-        drop(xspan);
-        config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
-        hb.tick();
-        hb_count += 1;
-        if let Some(f) = fail {
-            exit = f;
-            break 'run;
-        }
-        {
-            let _i = tracer.span(Phase::Insert, step as u32);
-            for incoming in &incoming_all {
-                engine.absorb_remote(incoming, &mut c);
-            }
-            engine.finalize_insertion_stats(&mut c);
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
-        hb.tick();
-        hb_count += 1;
-        c.heartbeats = hb_count;
-
-        let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-        let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
-        // Advertised step time: the simulated compute time, inflated by the
-        // straggler model when a SlowDevice fault has latched.
-        let adv = times.total * if slowed { fcfg.slow_time_factor } else { 1.0 };
-        sim_adv_total += adv;
-
-        // Symmetric straggler detection: at this barrier every rank saw the
-        // identical N-vector of previous-step times (its own plus each
-        // peer's piggybacked advertisement), so all ranks maintain the same
-        // consecutive-slow counter and leave at the same barrier when it
-        // trips. The devices are *naturally* asymmetric, so raw times are
-        // useless — the first fully-populated barrier calibrates the
-        // healthy per-rank baselines, and a straggler is a max/min drift of
-        // the normalized times beyond `slow_factor`. The N = 2 drift
-        // equals the old pairwise `max(cur/base, base/cur)`.
-        if rebalance_enabled && fcfg.rebalance_after > 0 {
-            let mut t = vec![0.0f64; membership.len()];
-            t[my_pos] = prev_adv;
-            for &(peer, pt) in &peer_times {
-                if let Some(i) = membership.iter().position(|&r| r == peer) {
-                    t[i] = pt;
-                }
-            }
-            if t.iter().all(|&x| x > 0.0) {
-                match &base_times {
-                    None => base_times = Some(t),
-                    Some(base) => {
-                        let mut lo = f64::INFINITY;
-                        let mut hi = 0.0f64;
-                        for (x, b) in t.iter().zip(base) {
-                            let norm = x / b;
-                            lo = lo.min(norm);
-                            hi = hi.max(norm);
-                        }
-                        if hi / lo > fcfg.slow_factor {
-                            consec_slow += 1;
-                        } else {
-                            consec_slow = 0;
-                        }
-                    }
-                }
-            }
-        }
-        prev_adv = adv;
-
-        // The barrier after update is the consistency point: snapshot the
-        // state step `step + 1` will start from, into this rank's store.
-        if policy.is_checkpoint_step(step as u64 + 1) {
-            let ck0 = Instant::now();
-            let _ck = tracer.span(Phase::Checkpoint, step as u32);
-            write_device_checkpoint(
-                &engine,
-                step,
-                store,
-                &policy,
-                config.fault_plan.as_ref(),
-                dev,
-                &mut c,
-            );
-            config.record_hist(
-                HistKind::CheckpointWriteUs,
-                ck0.elapsed().as_micros() as u64,
-            );
-        }
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-
-        // Global termination: nobody generated messages this superstep.
-        if !my_any && !peer_any {
-            break 'run;
-        }
-        if rebalance_enabled && fcfg.rebalance_after > 0 && consec_slow >= fcfg.rebalance_after {
-            exit = LoopExit::Rebalance { step };
-            break 'run;
-        }
-        step += 1;
-    }
-
-    // A rank that crashed or hung never reports itself finished — that is
-    // exactly the silence the watchdog is built to notice.
-    if !matches!(exit, LoopExit::Crashed { .. } | LoopExit::Hung { .. }) {
-        finished.store(true, Ordering::Release);
-    }
-    let flags = engine.active_flags().to_vec();
-    LoopOut {
-        values: engine.values,
-        flags,
-        steps,
-        exit,
-        slowed,
-        sim_adv_total,
-        integ,
     }
 }
 
@@ -720,128 +269,66 @@ where
         pos_of[r] = i;
     }
     let mut steps: Vec<Vec<StepReport>> = vec![Vec::new(); m];
-    let stop = stop_step.unwrap_or(cap);
+    let untraced = ThreadTracer::disabled();
 
-    for step in start_step..stop {
+    for step in start_step..stop_step.unwrap_or(cap) {
         let t0 = Instant::now();
         let _replay_span = tracer.span(Phase::Replay, step as u32);
+        // Generate, then bucket and combine per (source, destination) pair:
+        // `out[i][j]` is the payload rank position `i` sends `j` on the
+        // live link (the self bucket is empty by construction).
         let mut counters: Vec<StepCounters> = Vec::with_capacity(m);
-        let mut remotes: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(m);
+        let mut out: Vec<Vec<Vec<WireMsg<P::Msg>>>> = Vec::with_capacity(m);
         for e in engines.iter_mut() {
             let mut c = e.begin_step();
-            let r = e.generate(&mut c);
-            c.remote_before_combine = r.len() as u64;
+            let remote = e.generate(&mut c);
+            out.push(bucket_and_combine::<P>(remote, assign, &pos_of, m, &mut c));
             counters.push(c);
-            remotes.push(r);
         }
-        // Bucket and combine per (source, destination) pair — the same
-        // per-link payloads the live loop exchanges (the self bucket is
-        // empty by construction).
-        let mut out: Vec<Vec<Vec<WireMsg<P::Msg>>>> = Vec::with_capacity(m);
-        for (i, remote) in remotes.into_iter().enumerate() {
-            let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..m).map(|_| Vec::new()).collect();
-            for msg in remote {
-                buckets[pos_of[assign[msg.dst as usize] as usize]].push(msg);
-            }
-            let mut row = Vec::with_capacity(m);
-            for b in buckets {
-                let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-                counters[i].remote_after_combine += combined.len() as u64;
-                row.push(combined);
-            }
-            out.push(row);
-        }
+        let all_quiet = counters.iter().all(|c| c.msgs_total() == 0);
         // Per-rank simulated comm: one link traversal per peer, the same
         // byte counts and link model as the live per-link exchange.
-        let mut comm_times = vec![0.0f64; m];
-        for i in 0..m {
-            let mut bytes = 0u64;
-            let mut t = 0.0f64;
-            for (j, row_j) in out.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let bo = wire_bytes::<P::Msg>(out[i][j].len());
-                let bi = wire_bytes::<P::Msg>(row_j[i].len());
-                bytes += bo + bi;
-                t += link.exchange_time(bo, bi);
-            }
-            counters[i].comm_bytes = bytes;
-            comm_times[i] = t;
-        }
-        // Absorb in ascending peer order (the live loop's link order),
-        // then the per-engine tail phases.
-        for i in 0..m {
-            let c = &mut counters[i];
-            for (j, row) in out.iter().enumerate() {
-                if j != i {
-                    engines[i].absorb_remote(&row[i], c);
-                }
-            }
-            engines[i].finalize_insertion_stats(c);
-            engines[i].process(c);
-            engines[i].update(c);
-            // Report parity with the live loop's four phase-boundary ticks.
-            c.heartbeats = 4;
-        }
-
-        if policy.is_checkpoint_step(step as u64 + 1) {
-            for (i, &r) in membership.iter().enumerate() {
-                write_device_checkpoint(
-                    &engines[i],
-                    step,
-                    &stores[r],
-                    &policy,
-                    None,
-                    r as u8,
-                    &mut counters[i],
-                );
-            }
-        }
-
-        let wall = t0.elapsed().as_secs_f64();
-        let mut all_quiet = true;
+        let comm: Vec<(u64, f64)> = (0..m)
+            .map(|i| {
+                (0..m).filter(|&j| j != i).fold((0, 0.0), |(bytes, t), j| {
+                    let bo = wire_bytes::<P::Msg>(out[i][j].len());
+                    let bi = wire_bytes::<P::Msg>(out[j][i].len());
+                    (bytes + bo + bi, t + link.exchange_time(bo, bi))
+                })
+            })
+            .collect();
+        // Each engine absorbs in ascending peer order (the live loop's link
+        // order) and closes its step exactly as the live loop does.
         for (i, mut c) in counters.into_iter().enumerate() {
             let r = membership[i];
-            if c.msgs_total() > 0 {
-                all_quiet = false;
+            let incoming: Vec<Vec<WireMsg<P::Msg>>> = (0..m)
+                .filter(|&j| j != i)
+                .map(|j| std::mem::take(&mut out[j][i]))
+                .collect();
+            c.comm_bytes = comm[i].0;
+            close_step(&mut engines[i], &incoming, &mut c, &untraced, step);
+            // Report parity with the live loop's phase-boundary ticks.
+            c.heartbeats = BEATS_PER_STEP;
+            if policy.is_checkpoint_step(step as u64 + 1) {
+                let mut store = stores[r].lock().expect("checkpoint store poisoned");
+                write_snapshot(&engines[i], step, &mut **store, &policy, None, &mut c);
             }
-            let vectorized = configs[r].vectorized && P::SIMD_REDUCIBLE;
-            let times =
-                cost[i].step_times(&c, configs[r].gen_mode(&specs[r]), P::Msg::SIZE, vectorized);
-            c.gen_chunks.clear();
-            c.proc_chunks.clear();
-            steps[i].push(StepReport {
-                step,
-                times,
-                comm_time: comm_times[i],
-                wall,
-                counters: c,
-            });
+            steps[i].push(step_report(&engines[i], &cost[i], step, c, comm[i].1, t0));
         }
         if all_quiet {
             break;
         }
     }
 
-    let mut merged: Option<(Vec<P::Value>, Vec<u8>)> = None;
-    for (i, e) in engines.into_iter().enumerate() {
-        let f = e.active_flags().to_vec();
-        let v = e.values;
-        match &mut merged {
-            None => merged = Some((v, f)),
-            Some((vals, flags)) => {
-                let rd = membership[i] as u8;
-                for (x, val) in v.into_iter().enumerate() {
-                    if assign[x] == rd {
-                        vals[x] = val;
-                        flags[x] = f[x];
-                    }
-                }
-            }
-        }
-    }
-    let (values, flags) = merged.expect("membership is never empty");
+    let parts = membership
+        .iter()
+        .zip(engines)
+        .map(|(&r, e)| {
+            let flags = e.active_flags().to_vec();
+            (r, e.values, flags)
+        })
+        .collect();
+    let (values, flags) = merge_state(assign, parts);
     (
         values,
         flags,
@@ -868,7 +355,7 @@ where
 /// [`RunReport::failover`] and per-step counters; rollback/degradation
 /// accounting stays in [`RunReport::recovery`].
 ///
-/// [`run_ranks`]: crate::engine::hetero::run_ranks
+/// [`run_ranks`]: crate::engine::run_ranks
 #[allow(clippy::too_many_arguments)]
 pub fn run_ranks_failover<P: VertexProgram>(
     program: &P,
@@ -894,10 +381,7 @@ where
         "partition names a rank outside the fabric"
     );
     let policy = configs[0].recovery;
-    let cap = run_cap(
-        program.max_supersteps(),
-        configs.iter().filter_map(|c| c.max_supersteps).min(),
-    );
+    let cap = fabric_cap(program.max_supersteps(), configs);
     let stores: Vec<Mutex<&mut dyn CheckpointStore>> = stores.into_iter().map(Mutex::new).collect();
     let deadline = fcfg.deadline();
 
@@ -961,14 +445,7 @@ where
         let reports: Vec<RunReport> = dev_steps
             .into_iter()
             .enumerate()
-            .map(|(r, steps)| RunReport {
-                app: P::NAME.to_string(),
-                device: specs[r].name.to_string(),
-                mode: "cpu-mic".to_string(),
-                steps,
-                wall,
-                ..Default::default()
-            })
+            .map(|(r, steps)| rank_report::<P>(&specs[r], steps, wall))
             .collect();
         let mut report = combine_ranks(P::NAME, &reports);
         report.recovery = rstats;
@@ -1004,6 +481,32 @@ where
         }};
     }
 
+    // Roll every rank back to the newest common barrier (superstep 0 when
+    // none survives) and retry in lock-step; past the retry budget, degrade
+    // onto one survivor instead.
+    macro_rules! roll_back {
+        ($survivor:expr) => {{
+            rstats.rollbacks += 1;
+            if retry >= policy.max_retries {
+                degrade_seq!($survivor);
+            }
+            retry += 1;
+            rstats.retries += 1;
+            let backoff = policy.backoff_ms(retry - 1);
+            if backoff > 0 {
+                std::thread::sleep(Duration::from_millis(backoff));
+            }
+            let (k, state) = match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
+                Some((k, vals, flags)) => (k, Some((vals, flags))),
+                None => (0, None),
+            };
+            start_step = k;
+            resume_state = state;
+            last_resume = Some(k);
+            continue;
+        }};
+    }
+
     loop {
         let assign_now = part.assign.clone();
         let m = live.len();
@@ -1014,7 +517,7 @@ where
         let sides = mesh::<WireMsg<P::Msg>>(link, &live);
         let mut resume_now = resume_state.take();
 
-        let outs: Vec<LoopOut<P>> = std::thread::scope(|s| {
+        let outs = std::thread::scope(|s| {
             let assign = &assign_now;
             let membership = &live;
             let stores_ref = &stores;
@@ -1026,33 +529,54 @@ where
                     let r = membership[i];
                     let spec = specs[r].clone();
                     let config = configs[r].clone();
-                    let hb_i = hb[i].clone();
                     let resume_i = if i + 1 == m {
                         resume_now.take()
                     } else {
                         resume_now.clone()
                     };
-                    let slowed_i = slowed[r];
+                    let live = Liveness {
+                        hb: hb[i].clone(),
+                        fcfg,
+                        membership,
+                        slowed: slowed[r],
+                        rebalance: rebalance_enabled,
+                    };
                     s.spawn(move || {
-                        failover_rank_loop(
-                            program,
-                            graph,
-                            assign,
-                            r,
-                            spec,
-                            config,
+                        let mut engine =
+                            DeviceEngine::new(program, graph, spec, config, r as u8, Some(assign));
+                        if let Some((vals, flags)) = resume_i {
+                            engine.restore(vals, &flags);
+                        }
+                        let (policy, injector) =
+                            (engine.config.recovery, engine.config.fault_plan.clone());
+                        let mut write_own =
+                            |e: &DeviceEngine<'_, P>, step, c: &mut StepCounters| {
+                                let mut store =
+                                    stores_ref[r].lock().expect("checkpoint store poisoned");
+                                write_snapshot(
+                                    e,
+                                    step,
+                                    &mut **store,
+                                    &policy,
+                                    injector.as_ref(),
+                                    c,
+                                );
+                            };
+                        let run = rank_loop(
+                            &mut engine,
                             eps,
-                            cap,
-                            start_step,
-                            resume_i,
-                            &stores_ref[r],
-                            fcfg,
-                            hb_i,
-                            &finished_ref[i],
-                            slowed_i,
-                            rebalance_enabled,
-                            membership,
-                        )
+                            start_step..cap,
+                            Some(live),
+                            Some(&mut write_own),
+                        );
+                        // A rank that crashed or hung never reports itself
+                        // finished — that is exactly the silence the
+                        // watchdog is built to notice.
+                        if !run.exit.lost() {
+                            finished_ref[i].store(true, Ordering::Release);
+                        }
+                        let flags = engine.active_flags().to_vec();
+                        (engine.values, flags, run)
                     })
                 })
                 .collect();
@@ -1067,7 +591,7 @@ where
                     configs[0].trace.as_ref(),
                 )
             });
-            let outs: Vec<LoopOut<P>> = handles
+            let outs: Vec<_> = handles
                 .into_iter()
                 .map(|h| h.join().expect("rank loop panicked"))
                 .collect();
@@ -1077,21 +601,20 @@ where
         });
 
         // Plain-data exits; splice this attempt's step reports in and keep
-        // the per-rank state the driver needs after the scope.
+        // the per-rank state the driver needs after the scope. Hung ranks'
+        // endpoints stay alive until every rank has returned.
         let mut exits: Vec<ExitKind> = Vec::with_capacity(m);
-        let mut vals_out: Vec<Vec<P::Value>> = Vec::with_capacity(m);
-        let mut flags_out: Vec<Vec<u8>> = Vec::with_capacity(m);
+        let mut state_out: Vec<(usize, Vec<P::Value>, Vec<u8>)> = Vec::with_capacity(m);
         let mut sim_adv: Vec<f64> = Vec::with_capacity(m);
-        for (i, o) in outs.into_iter().enumerate() {
+        for (i, (values, flags, run)) in outs.into_iter().enumerate() {
             let r = live[i];
-            exits.push(o.exit.kind());
-            slowed[r] = o.slowed;
-            istats.accumulate(&o.integ);
-            sim_adv.push(o.sim_adv_total);
+            exits.push(run.exit);
+            slowed[r] = run.slowed;
+            istats.accumulate(&run.integ);
+            sim_adv.push(run.sim_adv_total);
             dev_steps[r].retain(|s| s.step < start_step);
-            dev_steps[r].extend(o.steps);
-            vals_out.push(o.values);
-            flags_out.push(o.flags);
+            dev_steps[r].extend(run.steps);
+            state_out.push((r, values, flags));
         }
 
         // Watchdog bookkeeping: record the detection latency for every
@@ -1266,49 +789,15 @@ where
                     }
                     continue;
                 }
-                FailoverPolicy::Retry => {
-                    // Transient-fault model: roll every rank back to the
-                    // newest common barrier and retry in lock-step with the
-                    // membership unchanged.
-                    rstats.rollbacks += 1;
-                    if retry >= policy.max_retries {
-                        degrade_seq!(survivors[0]);
-                    }
-                    retry += 1;
-                    rstats.retries += 1;
-                    let backoff = policy.backoff_ms(retry - 1);
-                    if backoff > 0 {
-                        std::thread::sleep(Duration::from_millis(backoff));
-                    }
-                    match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
-                        Some((k, vals, flags)) => {
-                            start_step = k;
-                            resume_state = Some((vals, flags));
-                            last_resume = Some(k);
-                        }
-                        None => {
-                            start_step = 0;
-                            resume_state = None;
-                            last_resume = Some(0);
-                        }
-                    }
-                    continue;
-                }
+                // Transient-fault model: membership unchanged.
+                FailoverPolicy::Retry => roll_back!(survivors[0]),
                 FailoverPolicy::Off => degrade_seq!(survivors[0]),
             }
         }
 
         if exits.iter().all(|e| matches!(e, ExitKind::Done)) {
-            let mut it = vals_out.into_iter();
-            let mut values = it.next().expect("at least one rank");
-            for (i, v) in it.enumerate() {
-                let rd = live[i + 1] as u8;
-                for (x, val) in v.into_iter().enumerate() {
-                    if assign_now[x] == rd {
-                        values[x] = val;
-                    }
-                }
-            }
+            let parts = state_out.into_iter().map(|(r, values, _)| (r, values));
+            let values = merge_by_owner(&assign_now, parts);
             return finish(
                 dev_steps,
                 values,
@@ -1334,17 +823,7 @@ where
             let _rb = drv_tracer.span(Phase::Rebalance, sr as u32);
             fstats.rebalances += 1;
             // Merge live state at the barrier under the old assignment.
-            let mut it = vals_out.into_iter().zip(flags_out);
-            let (mut vals, mut flags) = it.next().expect("at least one rank");
-            for (i, (v, f)) in it.enumerate() {
-                let rd = live[i + 1] as u8;
-                for (x, val) in v.into_iter().enumerate() {
-                    if assign_now[x] == rd {
-                        vals[x] = val;
-                        flags[x] = f[x];
-                    }
-                }
-            }
+            let (vals, flags) = merge_state(&assign_now, state_out);
             // New shares proportional to the live ranks' observed
             // throughputs (dead ranks keep a zero share); re-derive the
             // partition with the same scheme.
@@ -1371,29 +850,7 @@ where
             // pair tears down. Roll everyone back together.
             fstats.exchange_drops += 1;
             rstats.faults_injected += 1;
-            rstats.rollbacks += 1;
-            if retry >= policy.max_retries {
-                degrade_seq!(live[0]);
-            }
-            retry += 1;
-            rstats.retries += 1;
-            let backoff = policy.backoff_ms(retry - 1);
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
-            match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
-                Some((k, vals, flags)) => {
-                    start_step = k;
-                    resume_state = Some((vals, flags));
-                    last_resume = Some(k);
-                }
-                None => {
-                    start_step = 0;
-                    resume_state = None;
-                    last_resume = Some(0);
-                }
-            }
-            continue;
+            roll_back!(live[0]);
         }
 
         // Any remaining mix (peer-dead/timeout without a lost rank or a
@@ -1403,41 +860,3 @@ where
         degrade_seq!(live[0]);
     }
 }
-
-/// Run `program` across both devices with live failover — the N = 2 form
-/// of [`run_ranks_failover`], kept for the classic CPU+MIC topology.
-#[allow(clippy::too_many_arguments)]
-pub fn run_hetero_failover<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition_in: &DevicePartition,
-    specs: [DeviceSpec; 2],
-    configs: [EngineConfig; 2],
-    link: PcieLink,
-    fcfg: &FailoverConfig,
-    stores: [&mut dyn CheckpointStore; 2],
-    resume: bool,
-) -> RunOutput<P::Value>
-where
-    P::Value: PodState,
-{
-    let [s0, s1] = stores;
-    run_ranks_failover(
-        program,
-        graph,
-        partition_in,
-        &specs,
-        &configs,
-        link,
-        fcfg,
-        vec![s0, s1],
-        resume,
-    )
-}
-
-fn _assert_send<T: Send>() {}
-const _: () = {
-    fn _check() {
-        _assert_send::<Heartbeat>();
-    }
-};

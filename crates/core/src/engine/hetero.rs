@@ -1,40 +1,517 @@
-//! Heterogeneous N-rank execution (§IV.A / §IV.E, generalized).
+//! The one per-rank superstep loop (§IV.A / §IV.E, generalized).
 //!
 //! "The system is built using MPI symmetric computing, with CPU being Rank
 //! 0, and MIC being Rank 1." Every device runtime executes the same
-//! superstep in lockstep; between generation and processing each rank
-//! buckets its remote buffer per destination rank, combines each bucket
-//! per destination, and exchanges the combined payloads over its per-peer
-//! links (ascending peer order on every rank — sends never block, so the
-//! mesh schedule is deadlock-free). Global termination: a superstep in
-//! which no rank generated any message — each rank sees its own flag plus
-//! every peer's, so all ranks reach the identical decision at the same
-//! barrier. The classic 2-device CPU+MIC topology is the `N = 2` case of
-//! this one code path.
+//! superstep in lockstep — generate, exchange the remote messages, process,
+//! update — and `rank_loop` is that superstep, written once. Between
+//! generation and processing each rank buckets its remote buffer per
+//! destination rank, combines each bucket per destination, and exchanges
+//! the combined payloads over its per-peer links (ascending peer order on
+//! every rank — sends never block, so the mesh schedule is deadlock-free).
+//! Global termination: a superstep in which no rank generated any message —
+//! each rank sees its own flag plus every peer's, so all ranks reach the
+//! identical decision at the same barrier.
+//!
+//! Three drivers run on the loop and pass in only what they need:
+//!
+//! * [`run_single`] (lock/pipe) is the `N = 1` case: no links, no
+//!   assignment, no heartbeat, on the caller's thread. It is the only
+//!   caller that polls cancellation (at the step start and after
+//!   generation).
+//! * [`run_ranks`] runs one thread per rank over a link mesh with a
+//!   blocking exchange and no checkpoint hook; any early exit panics.
+//! * [`run_ranks_failover`] adds heartbeats, the exchange deadline, the
+//!   straggler vote, and its per-rank snapshot write as a barrier hook.
+//!
+//! The failover driver's lockstep replay and the recovering single-device
+//! driver call the loop's pieces: the per-link bucket and combine, the
+//! absorb→process→update close, the step report, and the merge of values
+//! by owner.
+//!
+//! [`run_single`]: crate::engine::run_single
+//! [`run_ranks_failover`]: crate::engine::run_ranks_failover
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
 use crate::engine::flat::run_cap;
 use crate::engine::integrity::framed_exchange;
-use crate::engine::seq::run_seq;
 use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
 use phigraph_comm::message::wire_bytes;
-use phigraph_comm::{combine_messages, mesh, Endpoint, PcieLink, WireMsg};
-use phigraph_device::{CostModel, DeviceSpec, StepCounters};
+use phigraph_comm::{combine_messages, mesh, Endpoint, ExchangeError, PcieLink, WireMsg};
+use phigraph_device::{CostModel, DeviceSpec, Heartbeat, StepCounters};
 use phigraph_graph::Csr;
 use phigraph_partition::DevicePartition;
-use phigraph_recover::{FaultKind, IntegrityStats, RecoveryStats};
+use phigraph_recover::{FailoverConfig, FaultInjector, FaultKind, IntegrityStats};
 use phigraph_simd::MsgValue;
-use phigraph_trace::{HistKind, Phase};
+use phigraph_trace::{HistKind, Phase, ThreadTracer};
+use std::ops::Range;
 use std::time::Instant;
+
+/// How one rank loop ended. Every early exit carries the superstep it left
+/// at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ExitKind {
+    /// Global termination, the superstep cap, or (single device)
+    /// cancellation.
+    Done,
+    /// An injected `CrashDevice`/`CrashRank` fault: all endpoints torn down.
+    Crashed(usize),
+    /// An injected `HangDevice` fault: endpoints kept alive but silent.
+    Hung(usize),
+    /// A peer's endpoint disappeared (that peer crashed).
+    PeerDead(usize),
+    /// A peer went silent past the deadline (that peer hung), after the
+    /// given milliseconds.
+    PeerTimeout(usize, u64),
+    /// The exchange was dropped on a link (both ends observe this).
+    ExchangeDrop(usize),
+    /// An injected `PartitionLink` severed the link `(low, high)`; the
+    /// lower end, which armed the fault, names the pair so the driver can
+    /// evict the deterministic side.
+    LinkPartitioned(usize, u8, u8),
+    /// Straggler threshold reached; all ranks leave at the same barrier.
+    Rebalance(usize),
+}
+
+impl ExitKind {
+    /// Only a self-reported crash/hang marks the rank itself as lost;
+    /// `PeerDead`/`PeerTimeout` from healthy ranks are observations.
+    pub(crate) fn lost(&self) -> bool {
+        matches!(self, ExitKind::Crashed(_) | ExitKind::Hung(_))
+    }
+}
+
+/// What the failover driver adds to a rank loop.
+pub(crate) struct Liveness<'a> {
+    /// Ticked at every phase boundary; the watchdog polls it.
+    pub hb: Heartbeat,
+    /// Deadline, straggler thresholds and the slowdown model.
+    pub fcfg: &'a FailoverConfig,
+    /// The live ranks, ascending: the positions of the straggler vote.
+    pub membership: &'a [usize],
+    /// Whether a `SlowDevice` fault latched on this rank in an earlier
+    /// attempt (the straggler stays slow after a rollback or rebalance).
+    pub slowed: bool,
+    /// Whether the straggler vote may still ask for a rebalance.
+    pub rebalance: bool,
+}
+
+/// Heartbeat ticks in one completed superstep: at the step start, after
+/// generation, after the exchange and after update.
+pub(crate) const BEATS_PER_STEP: u64 = 4;
+
+/// A driver's barrier hook: runs after update at every checkpoint
+/// superstep (`policy.is_checkpoint_step(step + 1)`).
+pub(crate) type BarrierHook<'h, 'g, P> =
+    &'h mut dyn FnMut(&DeviceEngine<'g, P>, usize, &mut StepCounters);
+
+/// What one rank loop hands back besides the engine's own state.
+pub(crate) struct RankRun<M: Send> {
+    /// One report per completed superstep.
+    pub steps: Vec<StepReport>,
+    /// How the loop ended.
+    pub exit: ExitKind,
+    /// A hung rank's link endpoints, kept alive so its peers observe
+    /// silence (a timeout) rather than a dead channel — exactly the
+    /// difference between a hang and a crash.
+    pub keep_alive: Vec<Endpoint<WireMsg<M>>>,
+    /// Whether a `SlowDevice` fault has latched on this rank.
+    pub slowed: bool,
+    /// Sum of the advertised (straggler-model) step times.
+    pub sim_adv_total: f64,
+    /// Frame-integrity counters from this rank's exchanges.
+    pub integ: IntegrityStats,
+}
+
+/// The superstep cap every rank agrees on — they must, or the lockstep
+/// exchange deadlocks.
+pub(crate) fn fabric_cap(program_cap: Option<usize>, configs: &[EngineConfig]) -> usize {
+    run_cap(
+        program_cap,
+        configs.iter().filter_map(|c| c.max_supersteps).min(),
+    )
+}
+
+/// Bucket a rank's remote buffer by destination link (generation order
+/// preserved within a bucket) and combine each bucket per destination —
+/// "the combination result is sent to the other device as a single MPI
+/// message", one such message per peer. `link_of` maps a rank id to its
+/// bucket.
+pub(crate) fn bucket_and_combine<P: VertexProgram>(
+    remote: Vec<WireMsg<P::Msg>>,
+    assign: &[u8],
+    link_of: &[usize],
+    links: usize,
+    c: &mut StepCounters,
+) -> Vec<Vec<WireMsg<P::Msg>>> {
+    c.remote_before_combine = remote.len() as u64;
+    let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..links).map(|_| Vec::new()).collect();
+    for msg in remote {
+        buckets[link_of[assign[msg.dst as usize] as usize]].push(msg);
+    }
+    buckets
+        .into_iter()
+        .map(|b| {
+            let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
+            c.remote_after_combine += combined.len() as u64;
+            combined
+        })
+        .collect()
+}
+
+/// Close a superstep on one engine: insert the peers' combined messages
+/// (ascending peer order), then process and update locally. A single
+/// device has no insert barrier to trace.
+pub(crate) fn close_step<P: VertexProgram>(
+    engine: &mut DeviceEngine<'_, P>,
+    incoming: &[Vec<WireMsg<P::Msg>>],
+    c: &mut StepCounters,
+    tracer: &ThreadTracer,
+    step: usize,
+) {
+    {
+        let _i = (!incoming.is_empty()).then(|| tracer.span(Phase::Insert, step as u32));
+        for msgs in incoming {
+            engine.absorb_remote(msgs, c);
+        }
+        engine.finalize_insertion_stats(c);
+    }
+    {
+        let _p = tracer.span(Phase::Process, step as u32);
+        engine.process(c);
+    }
+    {
+        let _u = tracer.span(Phase::Update, step as u32);
+        engine.update(c);
+    }
+}
+
+/// Cost a closed superstep into its report. Per-chunk records are dropped
+/// once costed to keep reports small.
+pub(crate) fn step_report<P: VertexProgram>(
+    engine: &DeviceEngine<'_, P>,
+    cost: &CostModel,
+    step: usize,
+    mut c: StepCounters,
+    comm_time: f64,
+    t0: Instant,
+) -> StepReport {
+    let vectorized = engine.config.vectorized && P::SIMD_REDUCIBLE;
+    let gen_mode = engine.config.gen_mode(&engine.spec);
+    let times = cost.step_times(&c, gen_mode, P::Msg::SIZE, vectorized);
+    c.gen_chunks.clear();
+    c.proc_chunks.clear();
+    StepReport {
+        step,
+        times,
+        comm_time,
+        wall: t0.elapsed().as_secs_f64(),
+        counters: c,
+    }
+}
+
+/// Merge full-length per-rank vectors by ownership: entry `v` comes from
+/// the part of rank `assign[v]`. The first part seeds every entry, so
+/// vertices owned by a rank without a part keep its values.
+pub(crate) fn merge_by_owner<T>(
+    assign: &[u8],
+    parts: impl IntoIterator<Item = (usize, Vec<T>)>,
+) -> Vec<T> {
+    let mut parts = parts.into_iter();
+    let (_, mut merged) = parts.next().expect("at least one rank");
+    for (rank, part) in parts {
+        for (v, val) in part.into_iter().enumerate() {
+            if assign[v] as usize == rank {
+                merged[v] = val;
+            }
+        }
+    }
+    merged
+}
+
+/// The per-rank report of a fabric run.
+pub(crate) fn rank_report<P: VertexProgram>(
+    spec: &DeviceSpec,
+    steps: Vec<StepReport>,
+    wall: f64,
+) -> RunReport {
+    RunReport {
+        app: P::NAME.to_string(),
+        device: spec.name.to_string(),
+        mode: "cpu-mic".to_string(),
+        steps,
+        wall,
+        ..Default::default()
+    }
+}
+
+/// Arm the injected link faults for `step` before exchanging. A
+/// `DropExchange` poisons the rank's first link. A partition is armed by
+/// the lower end of the link (fire-once, so exactly one side arms) and its
+/// peer is returned, so the resulting drop is attributed to the partition
+/// rather than to a generic exchange fault.
+fn arm_link_faults<M: Send>(
+    eps: &[Endpoint<M>],
+    injector: Option<&FaultInjector>,
+    step: usize,
+    dev: u8,
+) -> Option<usize> {
+    let inj = injector?;
+    if inj.fire(step as u64, FaultKind::DropExchange, dev) {
+        eps[0].inject_fault();
+    }
+    let mut partitioned = None;
+    for ep in eps.iter().filter(|ep| ep.peer > dev as usize) {
+        if inj.fire(
+            step as u64,
+            FaultKind::partition_link(dev, ep.peer as u8),
+            0,
+        ) {
+            ep.inject_fault();
+            partitioned = Some(ep.peer);
+        }
+    }
+    partitioned
+}
+
+/// One rank's superstep loop over `steps` — the only one in the engine.
+///
+/// `eps` are the rank's links, ascending by peer id (empty for a single
+/// device). `live` adds the failover driver's instrumentation: heartbeat
+/// ticks at phase boundaries, the step-start crash/hang/slow injection
+/// sites, a deadline on every exchange, and symmetric straggler detection
+/// from the step times every rank piggybacks on its exchanges.
+/// `checkpoint` runs at the barrier after update on checkpoint supersteps.
+pub(crate) fn rank_loop<'g, P: VertexProgram>(
+    engine: &mut DeviceEngine<'g, P>,
+    mut eps: Vec<Endpoint<WireMsg<P::Msg>>>,
+    steps: Range<usize>,
+    live: Option<Liveness<'_>>,
+    mut checkpoint: Option<BarrierHook<'_, 'g, P>>,
+) -> RankRun<P::Msg> {
+    let config = engine.config.clone();
+    let cost = CostModel::new(engine.spec.clone());
+    let dev = engine.dev_id;
+    let tracer = config.tracer(&format!("dev{dev}"), dev as u32 * 1000);
+    let solo = eps.is_empty();
+    let assign = engine.assign.unwrap_or_default();
+    let deadline = live.as_ref().map(|l| l.fcfg.deadline());
+    let beat = || {
+        if let Some(l) = &live {
+            l.hb.tick();
+        }
+    };
+    // Destination rank -> link index.
+    let mut link_of = vec![usize::MAX; eps.iter().map(|e| e.peer + 1).max().unwrap_or(0)];
+    for (i, ep) in eps.iter().enumerate() {
+        link_of[ep.peer] = i;
+    }
+    let mut run = RankRun {
+        steps: Vec::new(),
+        exit: ExitKind::Done,
+        keep_alive: Vec::new(),
+        slowed: live.as_ref().is_some_and(|l| l.slowed),
+        sim_adv_total: 0.0,
+        integ: IntegrityStats::default(),
+    };
+    let mut prev_adv = 0.0f64;
+    let mut base_times: Option<Vec<f64>> = None;
+    let mut consec_slow = 0u32;
+
+    for step in steps {
+        if solo && config.cancelled() {
+            break;
+        }
+        beat();
+        if let (Some(_), Some(inj)) = (&live, &config.fault_plan) {
+            if inj.fire(step as u64, FaultKind::CrashDevice, dev)
+                || inj.fire(step as u64, FaultKind::CrashRank(dev), 0)
+            {
+                // Fail-stop: returning drops every endpoint, so each
+                // peer's next exchange observes a dead channel.
+                run.exit = ExitKind::Crashed(step);
+                break;
+            }
+            if inj.fire(step as u64, FaultKind::HangDevice, dev) {
+                // Hang: the rank goes silent but its endpoints stay
+                // alive; only a deadline can tell this apart from "slow".
+                run.keep_alive = std::mem::take(&mut eps);
+                run.exit = ExitKind::Hung(step);
+                break;
+            }
+            if inj.fire(step as u64, FaultKind::SlowDevice, dev) {
+                run.slowed = true;
+            }
+        }
+        let t0 = Instant::now();
+        let _step_span = tracer.span(Phase::Superstep, step as u32);
+        let mut c = engine.begin_step();
+        // 1. Message generation (local messages straight into the CSB,
+        //    peer-bound ones into the remote buffer).
+        let remote = {
+            let _g = tracer.span(Phase::Generate, step as u32);
+            engine.generate(&mut c)
+        };
+        // Mid-superstep cancellation point: the partial step is abandoned
+        // (values still hold the last completed superstep's state).
+        if solo && config.cancelled() {
+            break;
+        }
+        beat();
+        // 2. Bucket and combine per destination link.
+        let outgoing = bucket_and_combine::<P>(remote, assign, &link_of, eps.len(), &mut c);
+
+        // 3. The implicit remote message exchange, one framed exchange per
+        //    link in ascending peer order. Frame integrity (when
+        //    configured) seals, verifies and heals corrupt frames with a
+        //    bounded verdict-synced re-exchange.
+        let my_any = c.msgs_total() > 0;
+        let mut peer_any = false;
+        let mut comm_time = 0.0f64;
+        let mut peer_times: Vec<(usize, f64)> = Vec::with_capacity(eps.len());
+        let mut incoming: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
+        if !solo {
+            let partitioned = arm_link_faults(&eps, config.fault_plan.as_ref(), step, dev);
+            let x0 = Instant::now();
+            let xspan = tracer.span(Phase::Exchange, step as u32);
+            let mut fail: Option<ExitKind> = None;
+            for (ep, out) in eps.iter().zip(outgoing) {
+                let bytes_out = wire_bytes::<P::Msg>(out.len());
+                let res = framed_exchange(
+                    ep,
+                    out,
+                    bytes_out,
+                    my_any,
+                    prev_adv,
+                    deadline,
+                    step as u64,
+                    dev,
+                    config.integrity,
+                    config.fault_plan.as_ref(),
+                    &mut run.integ,
+                );
+                match res {
+                    Ok((msgs, peer, x)) => {
+                        peer_any |= peer.any_active;
+                        peer_times.push((ep.peer, peer.step_time));
+                        c.comm_bytes += x.bytes_sent + x.bytes_recv;
+                        comm_time += x.sim_time;
+                        incoming.push(msgs);
+                    }
+                    Err(e) => {
+                        fail = Some(match e {
+                            ExchangeError::Dropped(_) if partitioned == Some(ep.peer) => {
+                                ExitKind::LinkPartitioned(step, dev, ep.peer as u8)
+                            }
+                            ExchangeError::Dropped(_) => ExitKind::ExchangeDrop(step),
+                            ExchangeError::Timeout(t) => ExitKind::PeerTimeout(step, t.waited_ms),
+                            ExchangeError::PeerDead => ExitKind::PeerDead(step),
+                        });
+                        break;
+                    }
+                }
+            }
+            drop(xspan);
+            config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
+            beat();
+            if let Some(f) = fail {
+                run.exit = f;
+                break;
+            }
+        }
+
+        // 4. Insert the received messages, then process and update.
+        close_step(engine, &incoming, &mut c, &tracer, step);
+        beat();
+        if live.is_some() {
+            c.heartbeats = BEATS_PER_STEP;
+        }
+        // The barrier after update is the consistency point: the hook
+        // snapshots the state step `step + 1` will start from.
+        if config.recovery.is_checkpoint_step(step as u64 + 1) {
+            if let Some(hook) = checkpoint.as_mut() {
+                let ck0 = Instant::now();
+                let _ck = tracer.span(Phase::Checkpoint, step as u32);
+                hook(engine, step, &mut c);
+                config.record_hist(
+                    HistKind::CheckpointWriteUs,
+                    ck0.elapsed().as_micros() as u64,
+                );
+            }
+        }
+        let report = step_report(engine, &cost, step, c, comm_time, t0);
+
+        // Advertised step time: the simulated compute time, inflated by the
+        // straggler model when a SlowDevice fault has latched.
+        let slow = live.as_ref().filter(|_| run.slowed);
+        let adv = report.times.total * slow.map_or(1.0, |l| l.fcfg.slow_time_factor);
+        run.sim_adv_total += adv;
+        // Symmetric straggler detection: at this barrier every rank saw the
+        // identical N-vector of previous-step times (its own plus each
+        // peer's piggybacked advertisement), so all ranks maintain the same
+        // consecutive-slow counter and leave at the same barrier when it
+        // trips. The devices are *naturally* asymmetric, so raw times are
+        // useless — the first fully-populated barrier calibrates the
+        // healthy per-rank baselines, and a straggler is a max/min drift of
+        // the normalized times beyond `slow_factor`. The N = 2 drift
+        // equals the pairwise `max(cur/base, base/cur)`.
+        let mut trip = false;
+        if let Some(l) = live
+            .as_ref()
+            .filter(|l| l.rebalance && l.fcfg.rebalance_after > 0)
+        {
+            let pos = |r: usize| l.membership.iter().position(|&m| m == r);
+            let mut t = vec![0.0f64; l.membership.len()];
+            t[pos(dev as usize).expect("rank not in its own membership")] = prev_adv;
+            for &(peer, pt) in &peer_times {
+                if let Some(i) = pos(peer) {
+                    t[i] = pt;
+                }
+            }
+            if t.iter().all(|&x| x > 0.0) {
+                match &base_times {
+                    None => base_times = Some(t),
+                    Some(base) => {
+                        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+                        for (x, b) in t.iter().zip(base) {
+                            lo = lo.min(x / b);
+                            hi = hi.max(x / b);
+                        }
+                        consec_slow = if hi / lo > l.fcfg.slow_factor {
+                            consec_slow + 1
+                        } else {
+                            0
+                        };
+                    }
+                }
+            }
+            trip = consec_slow >= l.fcfg.rebalance_after;
+        }
+        prev_adv = adv;
+        run.steps.push(report);
+
+        // Global termination: nobody generated messages this superstep.
+        if !my_any && !peer_any {
+            break;
+        }
+        if trip {
+            run.exit = ExitKind::Rebalance(step);
+            break;
+        }
+    }
+    run
+}
 
 /// Run `program` across `specs.len()` ranks. `specs`/`configs` are indexed
 /// by rank (0 = CPU, 1.. = accelerators); `partition` assigns vertices.
 ///
 /// # Panics
-/// Panics if a `DropExchange` fault fires — install the fault plan under
-/// [`run_ranks_recovering`] instead, which retries and degrades.
+/// Panics when a rank leaves the superstep loop early — a dropped or dead
+/// link, e.g. an injected `DropExchange` fault. Install the fault plan
+/// under [`run_ranks_failover`] instead, which rolls back and migrates.
+///
+/// [`run_ranks_failover`]: crate::engine::run_ranks_failover
 pub fn run_ranks<P: VertexProgram>(
     program: &P,
     graph: &Csr,
@@ -43,134 +520,28 @@ pub fn run_ranks<P: VertexProgram>(
     configs: &[EngineConfig],
     link: PcieLink,
 ) -> RunOutput<P::Value> {
-    attempt_ranks(program, graph, partition, specs, configs, link).unwrap_or_else(|step| {
-        panic!(
-            "remote message exchange dropped at superstep {step} with no \
-             recovery driver installed; use run_ranks_recovering"
-        )
-    })
-}
-
-/// Run `program` across both devices of the classic CPU+MIC pair — the
-/// `N = 2` case of [`run_ranks`].
-///
-/// # Panics
-/// Panics if a `DropExchange` fault fires — install the fault plan under
-/// [`run_hetero_recovering`] instead, which retries and degrades.
-pub fn run_hetero<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: [DeviceSpec; 2],
-    configs: [EngineConfig; 2],
-    link: PcieLink,
-) -> RunOutput<P::Value> {
-    run_ranks(program, graph, partition, &specs, &configs, link)
-}
-
-/// [`run_ranks`] with link-failure recovery: a dropped exchange aborts the
-/// superstep consistently on every rank (a dropped link cascades dead-peer
-/// errors over the survivors' links within one barrier), and the whole run
-/// is replayed — generation is deterministic per attempt, and injected
-/// faults fire once, so replay converges. After
-/// `configs[0].recovery.max_retries` failed attempts the run degrades to
-/// the sequential engine on rank 0. Recovery events are reported in the
-/// combined report's [`RunReport::recovery`].
-pub fn run_ranks_recovering<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: &[DeviceSpec],
-    configs: &[EngineConfig],
-    link: PcieLink,
-) -> RunOutput<P::Value> {
-    let policy = configs[0].recovery;
-    let mut stats = RecoveryStats::default();
-    let mut dropped_exchanges = 0u64;
-    let mut retry = 0u32;
-    loop {
-        match attempt_ranks(program, graph, partition, specs, configs, link) {
-            Ok(mut out) => {
-                stats.accumulate(&out.report.recovery);
-                out.report.recovery = stats;
-                out.report.failover.exchange_drops = dropped_exchanges;
-                return out;
-            }
-            Err(_step) => {
-                dropped_exchanges += 1;
-                stats.faults_injected += 1;
-                stats.rollbacks += 1;
-                if retry >= policy.max_retries {
-                    // Retry budget exhausted: degrade to one sequential
-                    // device. The hetero path keeps no checkpoints (all
-                    // ranks would need a coordinated snapshot), so the
-                    // degraded run restarts from scratch — slower, still
-                    // correct.
-                    stats.degraded = true;
-                    let mut out = run_seq(program, graph, specs[0].clone(), &configs[0]);
-                    out.report.recovery = stats;
-                    out.report.failover.exchange_drops = dropped_exchanges;
-                    return out;
-                }
-                retry += 1;
-                stats.retries += 1;
-                let backoff = policy.backoff_ms(retry - 1);
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
-        }
-    }
-}
-
-/// [`run_hetero`] with link-failure recovery — the `N = 2` case of
-/// [`run_ranks_recovering`].
-pub fn run_hetero_recovering<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: [DeviceSpec; 2],
-    configs: [EngineConfig; 2],
-    link: PcieLink,
-) -> RunOutput<P::Value> {
-    run_ranks_recovering(program, graph, partition, &specs, &configs, link)
-}
-
-/// One lock-step attempt over the full fabric. `Err(step)` is the earliest
-/// superstep whose exchange was dropped: the rank with the poisoned link
-/// fails at that barrier, and its peers observe dead links at the same or
-/// the following barrier — the minimum is the authoritative failure point.
-fn attempt_ranks<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: &[DeviceSpec],
-    configs: &[EngineConfig],
-    link: PcieLink,
-) -> Result<RunOutput<P::Value>, usize> {
     assert_eq!(partition.assign.len(), graph.num_vertices());
     assert!(specs.len() >= 2, "heterogeneous runs need at least 2 ranks");
     assert_eq!(specs.len(), configs.len(), "one config per rank");
-    let n_ranks = specs.len();
-    // All ranks must agree on the superstep cap or the lock-step exchange
-    // deadlocks.
-    let cap = run_cap(
-        program.max_supersteps(),
-        configs.iter().filter_map(|c| c.max_supersteps).min(),
-    );
-
-    let ranks: Vec<usize> = (0..n_ranks).collect();
+    let cap = fabric_cap(program.max_supersteps(), configs);
+    let ranks: Vec<usize> = (0..specs.len()).collect();
     let sides = mesh::<WireMsg<P::Msg>>(link, &ranks);
     let assign = &partition.assign;
 
-    let outs: Vec<(Vec<P::Value>, RunReport, Option<usize>)> = std::thread::scope(|s| {
+    let outs: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = sides
             .into_iter()
             .enumerate()
             .map(|(r, eps)| {
                 let spec = specs[r].clone();
                 let config = configs[r].clone();
-                s.spawn(move || device_loop(program, graph, assign, r, spec, config, eps, cap))
+                s.spawn(move || {
+                    let mut engine =
+                        DeviceEngine::new(program, graph, spec, config, r as u8, Some(assign));
+                    let wall_start = Instant::now();
+                    let run = rank_loop(&mut engine, eps, 0..cap, None, None);
+                    (engine.values, run, wall_start.elapsed().as_secs_f64())
+                })
             })
             .collect();
         handles
@@ -179,206 +550,41 @@ fn attempt_ranks<P: VertexProgram>(
             .collect()
     });
 
-    if let Some(step) = outs.iter().filter_map(|(_, _, f)| *f).min() {
-        return Err(step);
+    if let Some(exit) = outs
+        .iter()
+        .map(|(_, run, _)| run.exit)
+        .find(|e| *e != ExitKind::Done)
+    {
+        panic!(
+            "a rank left the superstep loop early ({exit:?}) with no recovery \
+             driver installed; use run_ranks_failover"
+        );
     }
-    // Merge values by ownership.
-    let mut iter = outs.into_iter();
-    let (mut values, report0, _) = iter.next().expect("rank 0 output");
-    let mut reports = vec![report0];
-    for (r, (vals, report, _)) in iter.enumerate() {
-        let r = (r + 1) as u8;
-        for (v, val) in vals.into_iter().enumerate() {
-            if assign[v] == r {
-                values[v] = val;
-            }
-        }
-        reports.push(report);
-    }
-    let report = combine_ranks(P::NAME, &reports);
-    Ok(RunOutput {
-        values,
-        report,
-        device_reports: reports,
-    })
-}
-
-/// One rank's superstep loop. The third return slot is `Some(step)` when a
-/// remote exchange for `step` was dropped (fault injection): the loop
-/// returns early, its peers observe dead links at the same (or next)
-/// barrier, and the caller decides whether to retry.
-#[allow(clippy::too_many_arguments)]
-fn device_loop<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    assign: &[u8],
-    rank: usize,
-    spec: DeviceSpec,
-    config: EngineConfig,
-    eps: Vec<Endpoint<WireMsg<P::Msg>>>,
-    cap: usize,
-) -> (Vec<P::Value>, RunReport, Option<usize>) {
-    let dev = rank as u8;
-    let cost = CostModel::new(spec.clone());
-    let mut engine = DeviceEngine::new(
-        program,
-        graph,
-        spec.clone(),
-        config.clone(),
-        dev,
-        Some(assign),
-    );
-    let tracer = config.tracer(&format!("dev{dev}"), dev as u32 * 1000);
-    // Destination rank → link position (eps are ascending by peer id).
-    let max_rank = eps.iter().map(|e| e.peer).max().unwrap_or(0).max(rank);
-    let mut bucket_of = vec![usize::MAX; max_rank + 1];
-    for (i, ep) in eps.iter().enumerate() {
-        bucket_of[ep.peer] = i;
-    }
-    let wall_start = Instant::now();
-    let mut steps: Vec<StepReport> = Vec::new();
-    let mut failed: Option<usize> = None;
-    let mut integ_stats = IntegrityStats::default();
-
-    for step in 0.. {
-        if step >= cap {
-            break;
-        }
-        let t0 = Instant::now();
-        let _step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c: StepCounters = engine.begin_step();
-
-        // 1. Message generation (local messages straight into the CSB,
-        //    peer-bound ones into the remote buffer).
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        c.remote_before_combine = remote.len() as u64;
-
-        // 2. Bucket the remote buffer by destination rank (generation
-        //    order preserved within each bucket) and combine each bucket
-        //    per destination ("the combination result is sent to the other
-        //    device as a single MPI message" — one such message per peer).
-        let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..eps.len()).map(|_| Vec::new()).collect();
-        for m in remote {
-            buckets[bucket_of[assign[m.dst as usize] as usize]].push(m);
-        }
-        let mut outgoing: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        for b in buckets {
-            let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-            c.remote_after_combine += combined.len() as u64;
-            outgoing.push(combined);
-        }
-
-        // 3. The implicit remote message exchange, one framed exchange per
-        //    link in ascending peer order. A `DropExchange` fault scheduled
-        //    for this (step, rank) arms a one-shot failure of the rank's
-        //    first link that both of its ends observe at this barrier.
-        if let Some(inj) = &config.fault_plan {
-            if inj.fire(step as u64, FaultKind::DropExchange, dev) {
-                eps[0].inject_fault();
-            }
-        }
-        let my_any = c.msgs_total() > 0;
-        let mut peer_any = false;
-        let mut comm_time = 0.0;
-        let mut incoming_all: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        let x0 = Instant::now();
-        let xspan = tracer.span(Phase::Exchange, step as u32);
-        // Frame integrity (when configured): seal, verify, and heal corrupt
-        // frames with a bounded verdict-synced re-exchange. With integrity
-        // off this is the plain lock-step exchange (and any injected wire
-        // corruption passes through silently).
-        for (ep, out_msgs) in eps.iter().zip(outgoing) {
-            let bytes_out = wire_bytes::<P::Msg>(out_msgs.len());
-            let exchanged = framed_exchange(
-                ep,
-                out_msgs,
-                bytes_out,
-                my_any,
-                0.0,
-                None,
-                step as u64,
-                dev,
-                config.integrity,
-                config.fault_plan.as_ref(),
-                &mut integ_stats,
-            );
-            match exchanged {
-                Ok((msgs, peer, x)) => {
-                    peer_any |= peer.any_active;
-                    c.comm_bytes += x.bytes_sent + x.bytes_recv;
-                    comm_time += x.sim_time;
-                    incoming_all.push(msgs);
-                }
-                Err(_dropped) => {
-                    failed = Some(step);
-                    break;
-                }
-            }
-        }
-        if failed.is_some() {
-            break;
-        }
-        drop(xspan);
-        config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
-
-        // 4. Insert received messages (per peer, ascending), then process
-        //    and update locally.
-        {
-            let _i = tracer.span(Phase::Insert, step as u32);
-            for incoming in &incoming_all {
-                engine.absorb_remote(incoming, &mut c);
-            }
-            engine.finalize_insertion_stats(&mut c);
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
-
-        let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-        let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
+    let mut parts = Vec::with_capacity(outs.len());
+    let mut reports = Vec::with_capacity(outs.len());
+    for (r, (values, run, wall)) in outs.into_iter().enumerate() {
+        parts.push((r, values));
+        reports.push(RunReport {
+            integrity: run.integ,
+            ..rank_report::<P>(&specs[r], run.steps, wall)
         });
-        // Global termination: nobody generated messages this superstep.
-        if !my_any && !peer_any {
-            break;
-        }
     }
-
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: "cpu-mic".to_string(),
-        steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        integrity: integ_stats,
-        ..Default::default()
-    };
-    (engine.values, report, failed)
+    RunOutput {
+        values: merge_by_owner(assign, parts),
+        report: combine_ranks(P::NAME, &reports),
+        device_reports: reports,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{GenContext, MsgSink};
-    use crate::engine::run_single;
+    use crate::engine::{run_ranks_failover, run_single};
     use phigraph_graph::generators::small::chain;
     use phigraph_graph::VertexId;
     use phigraph_partition::{partition, partition_n, PartitionScheme, Ratio, Shares};
+    use phigraph_recover::{CheckpointStore, FaultPlan, MemStore};
     use phigraph_simd::Min;
 
     struct Sssp;
@@ -410,16 +616,48 @@ mod tests {
         }
     }
 
+    fn rank_specs(n: usize) -> Vec<DeviceSpec> {
+        (0..n)
+            .map(|r| {
+                if r == 0 {
+                    DeviceSpec::xeon_e5_2680()
+                } else {
+                    DeviceSpec::xeon_phi_se10p()
+                }
+            })
+            .collect()
+    }
+
+    /// [`run_ranks_failover`] with fresh in-memory stores and checkpoints
+    /// every superstep.
+    fn failover_run(g: &Csr, p: &DevicePartition, configs: &[EngineConfig]) -> RunOutput<f32> {
+        let mut stores: Vec<MemStore> = configs.iter().map(|_| MemStore::new()).collect();
+        run_ranks_failover(
+            &Sssp,
+            g,
+            p,
+            &rank_specs(configs.len()),
+            configs,
+            PcieLink::gen2_x16(),
+            &FailoverConfig::default(),
+            stores
+                .iter_mut()
+                .map(|s| s as &mut dyn CheckpointStore)
+                .collect(),
+            false,
+        )
+    }
+
     #[test]
     fn hetero_matches_single_device_on_chain() {
         let g = chain(40);
         let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
-        let out = run_hetero(
+        let out = run_ranks(
             &Sssp,
             &g,
             &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [
+            &rank_specs(2),
+            &[
                 EngineConfig::locking(),
                 EngineConfig::pipelined().with_host_threads(4),
             ],
@@ -449,17 +687,15 @@ mod tests {
         );
         for n in [3usize, 4] {
             let p = partition_n(&g, PartitionScheme::RoundRobin, &Shares::even(n), 0);
-            let specs: Vec<DeviceSpec> = (0..n)
-                .map(|r| {
-                    if r == 0 {
-                        DeviceSpec::xeon_e5_2680()
-                    } else {
-                        DeviceSpec::xeon_phi_se10p()
-                    }
-                })
-                .collect();
             let configs = vec![EngineConfig::locking(); n];
-            let out = run_ranks(&Sssp, &g, &p, &specs, &configs, PcieLink::gen2_x16());
+            let out = run_ranks(
+                &Sssp,
+                &g,
+                &p,
+                &rank_specs(n),
+                &configs,
+                PcieLink::gen2_x16(),
+            );
             assert_eq!(out.values, single.values, "{n} ranks");
             assert_eq!(out.device_reports.len(), n);
             assert_eq!(out.report.device, format!("CPU-MICx{}", n - 1));
@@ -468,42 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn dropped_exchange_is_retried_and_matches_clean_run() {
-        use phigraph_recover::{FaultKind, FaultPlan};
-        let g = chain(30);
-        let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
-        let clean = run_single(
-            &Sssp,
-            &g,
-            DeviceSpec::xeon_e5_2680(),
-            &EngineConfig::locking(),
-        );
-        let plan = FaultPlan::single(2, FaultKind::DropExchange);
-        let inj = plan.injector();
-        let out = run_hetero_recovering(
-            &Sssp,
-            &g,
-            &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [
-                EngineConfig::locking()
-                    .with_backoff_ms(0)
-                    .with_fault_plan(inj.clone()),
-                EngineConfig::locking().with_fault_plan(inj),
-            ],
-            PcieLink::gen2_x16(),
-        );
-        assert_eq!(out.values, clean.values);
-        assert_eq!(out.report.recovery.rollbacks, 1);
-        assert_eq!(out.report.recovery.retries, 1);
-        assert_eq!(out.report.recovery.faults_injected, 1);
-        assert!(!out.report.recovery.degraded);
-        assert_eq!(out.report.device, "CPU-MIC");
-    }
-
-    #[test]
     fn three_rank_dropped_exchange_is_retried() {
-        use phigraph_recover::{FaultKind, FaultPlan};
         let g = chain(30);
         let p = partition_n(&g, PartitionScheme::RoundRobin, &Shares::even(3), 0);
         let clean = run_single(
@@ -513,30 +714,28 @@ mod tests {
             &EngineConfig::locking(),
         );
         // Rank 1 drops its first link (to rank 0) at superstep 2; ranks 0
-        // and 2 observe the dead fabric and all three retry consistently.
+        // and 2 observe the dead fabric and all three roll back together.
         let plan = FaultPlan::new().with(2, FaultKind::DropExchange, 1);
         let inj = plan.injector();
-        let specs = vec![
-            DeviceSpec::xeon_e5_2680(),
-            DeviceSpec::xeon_phi_se10p(),
-            DeviceSpec::xeon_phi_se10p(),
-        ];
         let configs = vec![
             EngineConfig::locking()
+                .with_checkpoint_every(1)
                 .with_backoff_ms(0)
                 .with_fault_plan(inj.clone());
             3
         ];
-        let out = run_ranks_recovering(&Sssp, &g, &p, &specs, &configs, PcieLink::gen2_x16());
+        let out = failover_run(&g, &p, &configs);
         assert_eq!(out.values, clean.values);
         assert_eq!(out.report.recovery.rollbacks, 1);
         assert_eq!(out.report.recovery.retries, 1);
         assert!(!out.report.recovery.degraded);
+        assert_eq!(out.report.failover.exchange_drops, 1);
+        assert_eq!(out.report.failover.migrations, 0, "a drop is no eviction");
+        assert_eq!(out.report.device, "CPU-MICx2");
     }
 
     #[test]
     fn exchange_faults_past_budget_degrade_to_sequential() {
-        use phigraph_recover::{FaultKind, FaultPlan};
         let g = chain(20);
         let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
         // Faults on both devices across attempts, budget of one retry.
@@ -546,57 +745,48 @@ mod tests {
             1,
         );
         let inj = plan.injector();
-        let out = run_hetero_recovering(
-            &Sssp,
-            &g,
-            &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [
-                EngineConfig::locking()
-                    .with_backoff_ms(0)
-                    .with_max_retries(1)
-                    .with_fault_plan(inj.clone()),
-                EngineConfig::locking().with_fault_plan(inj),
-            ],
-            PcieLink::gen2_x16(),
-        );
+        let config = EngineConfig::locking()
+            .with_checkpoint_every(1)
+            .with_backoff_ms(0)
+            .with_max_retries(1)
+            .with_fault_plan(inj);
+        let out = failover_run(&g, &p, &[config.clone(), config]);
         for v in 0..20 {
             assert_eq!(out.values[v], v as f32, "degraded run still correct");
         }
         assert!(out.report.recovery.degraded);
+        assert_eq!(out.report.failover.exchange_drops, 2);
         assert_eq!(out.report.mode, "seq");
         assert!(out.report.summary().contains("DEGRADED->seq"));
     }
 
     #[test]
-    fn recovering_driver_without_faults_is_plain_hetero() {
-        let g = chain(24);
-        let p = partition(&g, PartitionScheme::Continuous, Ratio::even(), 0);
-        let specs = [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()];
-        let configs = [EngineConfig::locking(), EngineConfig::locking()];
-        let plain = run_hetero(
+    #[should_panic(expected = "run_ranks_failover")]
+    fn plain_fabric_panics_on_a_dropped_exchange() {
+        let g = chain(20);
+        let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
+        let inj = FaultPlan::single(2, FaultKind::DropExchange).injector();
+        let config = EngineConfig::locking().with_fault_plan(inj);
+        run_ranks(
             &Sssp,
             &g,
             &p,
-            specs.clone(),
-            configs.clone(),
-            PcieLink::ideal(),
+            &rank_specs(2),
+            &[config.clone(), config],
+            PcieLink::gen2_x16(),
         );
-        let out = run_hetero_recovering(&Sssp, &g, &p, specs, configs, PcieLink::ideal());
-        assert_eq!(out.values, plain.values);
-        assert!(!out.report.recovery.any());
     }
 
     #[test]
     fn hetero_reports_per_device() {
         let g = chain(20);
         let p = partition(&g, PartitionScheme::Continuous, Ratio::even(), 0);
-        let out = run_hetero(
+        let out = run_ranks(
             &Sssp,
             &g,
             &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [EngineConfig::locking(), EngineConfig::locking()],
+            &rank_specs(2),
+            &[EngineConfig::locking(), EngineConfig::locking()],
             PcieLink::gen2_x16(),
         );
         assert_eq!(out.device_reports.len(), 2);

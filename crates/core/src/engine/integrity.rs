@@ -39,9 +39,9 @@ use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
 use phigraph_comm::exchange::{ExchangeDropped, ExchangeError, ExchangeStats, PeerInfo};
 use phigraph_comm::{Endpoint, FrameHeader, WireMsg};
+use phigraph_graph::hash::{fnv1a64_seeded, FNV_OFFSET};
 use phigraph_graph::state::PodState;
 use phigraph_graph::SplitMix64;
-use phigraph_recover::integrity::fnv1a64_seeded;
 use phigraph_recover::{FaultInjector, FaultKind, IntegrityMode, IntegrityStats};
 use phigraph_simd::MsgValue;
 use std::time::Duration;
@@ -139,7 +139,7 @@ where
     P::Value: PodState,
 {
     let layout = engine.layout();
-    let mut digests = vec![phigraph_recover::integrity::FNV_OFFSET; layout.num_groups()];
+    let mut digests = vec![FNV_OFFSET; layout.num_groups()];
     let mut buf = Vec::with_capacity(P::Value::STATE_SIZE);
     for pos in 0..layout.num_positions() {
         let g = layout.group_of(pos as u32);

@@ -1,5 +1,10 @@
-//! Execution engines: single-device drivers, the heterogeneous CPU-MIC
-//! driver, and the object-message path.
+//! Execution engines. Every `DeviceEngine` driver runs the one per-rank
+//! superstep loop in [`hetero`]: [`run_single`] (lock/pipe) as its `N = 1`
+//! case, [`run_ranks`] over a blocking link mesh, and [`run_ranks_failover`]
+//! with heartbeats, deadlines, straggler votes and barrier snapshots.
+//! [`run_recoverable`] (single-device rollback) and the failover driver's
+//! lockstep replay reuse the loop's helpers. Alongside sit the flat and
+//! sequential baselines and the object-message path ([`obj`]).
 
 pub mod config;
 pub mod device;
@@ -13,20 +18,19 @@ pub mod seq;
 
 pub use config::{EngineConfig, ExecMode};
 pub use device::DeviceEngine;
-pub use failover::{run_hetero_failover, run_ranks_failover};
+pub use failover::run_ranks_failover;
 pub use flat::run_flat;
-pub use hetero::{run_hetero, run_hetero_recovering, run_ranks, run_ranks_recovering};
+pub use hetero::run_ranks;
 pub use integrity::{framed_exchange, BarrierImage, IntegrityCtx};
 pub use recover::run_recoverable;
-pub use seq::{run_seq, run_seq_resume};
+pub use seq::run_seq;
 
 use crate::api::VertexProgram;
-use crate::metrics::{RunOutput, RunReport, StepReport};
+use crate::metrics::{RunOutput, RunReport};
 use flat::run_cap;
-use phigraph_device::{CostModel, DeviceSpec};
+use hetero::rank_loop;
+use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
-use phigraph_simd::MsgValue;
-use phigraph_trace::Phase;
 use std::time::Instant;
 
 /// Run `program` to completion on a single device with any execution mode.
@@ -56,85 +60,32 @@ pub fn run_single<P: VertexProgram>(
     match config.mode {
         ExecMode::Flat => run_flat(program, graph, spec, config),
         ExecMode::Sequential => run_seq(program, graph, spec, config),
-        ExecMode::Locking | ExecMode::Pipelined => run_csb_single(program, graph, spec, config),
+        ExecMode::Locking | ExecMode::Pipelined => run_device(DeviceEngine::new(
+            program,
+            graph,
+            spec,
+            config.clone(),
+            0,
+            None,
+        )),
     }
 }
 
-fn run_csb_single<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    spec: DeviceSpec,
-    config: &EngineConfig,
-) -> RunOutput<P::Value> {
-    let engine = DeviceEngine::new(program, graph, spec, config.clone(), 0, None);
-    run_device(engine, config)
-}
-
-/// The single-device superstep loop over an already built engine.
-pub(crate) fn run_device<P: VertexProgram>(
-    mut engine: DeviceEngine<'_, P>,
-    config: &EngineConfig,
-) -> RunOutput<P::Value> {
-    let (program, spec) = (engine.program, engine.spec.clone());
-    let cost = CostModel::new(spec.clone());
-    let cap = run_cap(program.max_supersteps(), config.max_supersteps);
-    let tracer = config.tracer("dev0", 0);
+/// A single device over an already built engine: the `N = 1` case of the
+/// rank loop — no links, no assignment, no heartbeat, on the caller's
+/// thread.
+pub(crate) fn run_device<P: VertexProgram>(mut engine: DeviceEngine<'_, P>) -> RunOutput<P::Value> {
+    let cap = run_cap(
+        engine.program.max_supersteps(),
+        engine.config.max_supersteps,
+    );
     let wall_start = Instant::now();
-    let mut steps: Vec<StepReport> = Vec::new();
-
-    for step in 0.. {
-        if step >= cap || config.cancelled() {
-            break;
-        }
-        let t0 = Instant::now();
-        let step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c = engine.begin_step();
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        debug_assert!(
-            remote.is_empty(),
-            "single-device run produced remote messages"
-        );
-        engine.finalize_insertion_stats(&mut c);
-        // Mid-superstep cancellation point: the partial step is abandoned
-        // (values still hold the last completed superstep's state).
-        if config.cancelled() {
-            break;
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
-        drop(step_span);
-
-        let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-        let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
-        let msgs = c.msgs_total();
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: 0.0,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-        if msgs == 0 {
-            break;
-        }
-    }
-
+    let run = rank_loop(&mut engine, Vec::new(), 0..cap, None, None);
     let report = RunReport {
         app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: config.mode.name().to_string(),
-        steps,
+        device: engine.spec.name.to_string(),
+        mode: engine.config.mode.name().to_string(),
+        steps: run.steps,
         wall: wall_start.elapsed().as_secs_f64(),
         ..Default::default()
     };

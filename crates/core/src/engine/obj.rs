@@ -11,7 +11,8 @@
 use crate::active::ActiveSet;
 use crate::engine::config::{EngineConfig, ExecMode};
 use crate::engine::flat::run_cap;
-use crate::metrics::{combine_hetero, RunOutput, RunReport, StepReport};
+use crate::engine::hetero::{fabric_cap, merge_by_owner};
+use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
 use crate::queues::QueueMatrix;
 use phigraph_comm::{duplex_pair, Endpoint, PcieLink};
 use phigraph_device::cost::GenMode;
@@ -489,13 +490,7 @@ pub fn run_obj_hetero<P: ObjVertexProgram>(
     configs: [EngineConfig; 2],
     link: PcieLink,
 ) -> RunOutput<P::Value> {
-    let cap = run_cap(
-        program.max_supersteps(),
-        match (configs[0].max_supersteps, configs[1].max_supersteps) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        },
-    );
+    let cap = fabric_cap(program.max_supersteps(), &configs);
     let (ep0, ep1) = duplex_pair::<(VertexId, P::Msg)>(link);
     let [spec0, spec1] = specs;
     let [config0, config1] = configs;
@@ -511,17 +506,11 @@ pub fn run_obj_hetero<P: ObjVertexProgram>(
     });
     let (values0, r0) = side0;
     let (values1, r1) = side1;
-    let mut values = values0;
-    for (v, val) in values1.into_iter().enumerate() {
-        if assign[v] == 1 {
-            values[v] = val;
-        }
-    }
-    let report = combine_hetero(P::NAME, &r0, &r1);
+    let device_reports = vec![r0, r1];
     RunOutput {
-        values,
-        report,
-        device_reports: vec![r0, r1],
+        values: merge_by_owner(assign, [(0, values0), (1, values1)]),
+        report: combine_ranks(P::NAME, &device_reports),
+        device_reports,
     }
 }
 

@@ -22,6 +22,7 @@ use crate::api::VertexProgram;
 use crate::engine::config::{EngineConfig, ExecMode};
 use crate::engine::device::DeviceEngine;
 use crate::engine::flat::run_cap;
+use crate::engine::hetero::step_report;
 use crate::engine::integrity::{BarrierImage, IntegrityCtx};
 use crate::engine::seq::run_seq_resume;
 use crate::metrics::{RunOutput, RunReport, StepReport};
@@ -32,19 +33,18 @@ use phigraph_recover::{
     latest_valid_snapshot, CheckpointStore, FaultInjector, FaultKind, RecoveryPolicy,
     RecoveryStats, Snapshot,
 };
-use phigraph_simd::MsgValue;
 use phigraph_trace::{HistKind, Phase, ThreadTracer};
 use std::time::Instant;
 
 /// A resume point decoded from a snapshot: next step, values, active flags.
-type ResumePoint<V> = (usize, Vec<V>, Vec<u8>);
+pub(crate) type ResumePoint<V> = (usize, Vec<V>, Vec<u8>);
 
-/// Validate a decoded snapshot against the program/graph and unpack it.
-/// Mismatches (wrong app, wrong value width, wrong vertex count) are
-/// counted as rejections, exactly like checksum failures: the snapshot
-/// cannot seed this run.
-fn decode_resume<P: VertexProgram>(
-    snap: &Snapshot,
+/// Validate a decoded snapshot against the program/graph and unpack it —
+/// the one snapshot validator every driver uses. Mismatches (wrong app,
+/// wrong value width, wrong vertex count) are counted as rejections,
+/// exactly like checksum failures: the snapshot cannot seed this run.
+pub(crate) fn validate_snapshot<P: VertexProgram>(
+    snap: Snapshot,
     n: usize,
     stats: &mut RecoveryStats,
 ) -> Option<ResumePoint<P::Value>>
@@ -59,10 +59,68 @@ where
         return None;
     }
     match decode_state_slice::<P::Value>(&snap.values, n) {
-        Some(values) => Some((snap.superstep as usize, values, snap.active.clone())),
+        Some(values) => Some((snap.superstep as usize, values, snap.active)),
         None => {
             stats.corrupt_snapshots_rejected += 1;
             None
+        }
+    }
+}
+
+/// Encode the barrier state `values`/`flags` as the snapshot step
+/// `next_step` starts from.
+pub(crate) fn encode_snapshot<P: VertexProgram>(
+    next_step: u64,
+    values: &[P::Value],
+    flags: &[u8],
+) -> Vec<u8>
+where
+    P::Value: PodState,
+{
+    Snapshot {
+        superstep: next_step,
+        app: P::NAME.to_string(),
+        value_size: P::Value::STATE_SIZE as u16,
+        values: encode_state_slice(values),
+        active: flags.to_vec(),
+    }
+    .encode()
+}
+
+/// Snapshot the engine's barrier state after superstep `step` into
+/// `store` — the one snapshot writer every driver uses — and count it into
+/// `c`. Bounded storage: the oldest snapshots past the keep window are
+/// dropped. The `CorruptCheckpoint` fault flips payload bytes *after*
+/// encoding (the write path breaks, not the engine), so the damage is only
+/// discovered by the checksum when recovery later reads the snapshot back.
+/// A failed save is not fatal: the run continues, protected by the
+/// previous checkpoint.
+pub(crate) fn write_snapshot<P: VertexProgram>(
+    engine: &DeviceEngine<'_, P>,
+    step: usize,
+    store: &mut dyn CheckpointStore,
+    policy: &RecoveryPolicy,
+    injector: Option<&FaultInjector>,
+    c: &mut StepCounters,
+) where
+    P::Value: PodState,
+{
+    let next_step = step as u64 + 1;
+    let mut bytes = encode_snapshot::<P>(next_step, &engine.values, engine.active_flags());
+    if injector.is_some_and(|i| i.fire(step as u64, FaultKind::CorruptCheckpoint, engine.dev_id)) {
+        // Smear a couple of payload bytes; the trailing FNV checksum will
+        // reject the snapshot at recovery time.
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xAA;
+        c.faults_injected += 1;
+    }
+    if store.save(next_step, &bytes).is_ok() {
+        c.checkpoints_written += 1;
+        c.checkpoint_bytes += bytes.len() as u64;
+        if policy.keep_snapshots > 0 {
+            let _ = store.retain_newest(policy.keep_snapshots);
         }
     }
 }
@@ -77,7 +135,7 @@ where
     P::Value: PodState,
 {
     let snap = latest_valid_snapshot(store, stats)?;
-    decode_resume::<P>(&snap, n, stats)
+    validate_snapshot::<P>(snap, n, stats)
 }
 
 /// Execute one superstep's phases with the defined injection sites. A
@@ -193,55 +251,6 @@ where
         engine.update(c);
     }
     Ok(())
-}
-
-/// Encode and persist a barrier snapshot for `next_step`. The
-/// `CorruptCheckpoint` fault flips payload bytes *after* encoding (the
-/// write path breaks, not the engine), so the damage is only discovered by
-/// the checksum when recovery later tries to read the snapshot back.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint<P: VertexProgram>(
-    engine: &DeviceEngine<'_, P>,
-    next_step: u64,
-    step: u64,
-    store: &mut dyn CheckpointStore,
-    policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
-    stats: &mut RecoveryStats,
-    c: &mut StepCounters,
-) where
-    P::Value: PodState,
-{
-    let snap = Snapshot {
-        superstep: next_step,
-        app: P::NAME.to_string(),
-        value_size: P::Value::STATE_SIZE as u16,
-        values: encode_state_slice(&engine.values),
-        active: engine.active_flags().to_vec(),
-    };
-    let mut bytes = snap.encode();
-    if injector.is_some_and(|i| i.fire(step, FaultKind::CorruptCheckpoint, 0)) {
-        // Smear a couple of payload bytes; the trailing FNV checksum will
-        // reject the snapshot at recovery time.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xAA;
-        stats.faults_injected += 1;
-        c.faults_injected += 1;
-    }
-    if store.save(next_step, &bytes).is_ok() {
-        stats.checkpoints_written += 1;
-        stats.checkpoint_bytes += bytes.len() as u64;
-        c.checkpoints_written += 1;
-        c.checkpoint_bytes += bytes.len() as u64;
-        // Bounded storage: drop the oldest snapshots past the keep window.
-        if policy.keep_snapshots > 0 {
-            let _ = store.retain_newest(policy.keep_snapshots);
-        }
-    }
-    // A failed save is not fatal: the run continues, protected by the
-    // previous checkpoint.
 }
 
 /// Run `program` on a single device with checkpointing and recovery.
@@ -409,38 +418,23 @@ where
                 continue 'attempt;
             }
 
-            let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-            let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
             let msgs = c.msgs_total();
             // The barrier after `update` is the consistency point: snapshot
             // the state that step `step + 1` will start from.
             if policy.is_checkpoint_step(step as u64 + 1) {
                 let ck0 = Instant::now();
                 let _ck = tracer.span(Phase::Checkpoint, step as u32);
-                write_checkpoint(
-                    &engine,
-                    step as u64 + 1,
-                    step as u64,
-                    store,
-                    &policy,
-                    injector.as_ref(),
-                    &mut stats,
-                    &mut c,
-                );
+                let faults0 = c.faults_injected;
+                write_snapshot(&engine, step, store, &policy, injector.as_ref(), &mut c);
+                stats.checkpoints_written += c.checkpoints_written;
+                stats.checkpoint_bytes += c.checkpoint_bytes;
+                stats.faults_injected += c.faults_injected - faults0;
                 config.record_hist(
                     HistKind::CheckpointWriteUs,
                     ck0.elapsed().as_micros() as u64,
                 );
             }
-            c.gen_chunks.clear();
-            c.proc_chunks.clear();
-            steps.push(StepReport {
-                step,
-                times,
-                comm_time: 0.0,
-                wall: t0.elapsed().as_secs_f64(),
-                counters: c,
-            });
+            steps.push(step_report(&engine, &cost, step, c, 0.0, t0));
             // The barrier after update is the next step's reference state.
             if let Some(img) = image.as_mut() {
                 *img = BarrierImage::capture(&engine);

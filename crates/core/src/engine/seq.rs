@@ -50,7 +50,7 @@ pub fn run_seq<P: VertexProgram>(
 /// restart sequentially from the last valid checkpoint instead of from
 /// scratch. Step reports are numbered from `next_step` so spliced run
 /// reports stay monotone.
-pub fn run_seq_resume<P: VertexProgram>(
+pub(crate) fn run_seq_resume<P: VertexProgram>(
     program: &P,
     graph: &Csr,
     spec: DeviceSpec,

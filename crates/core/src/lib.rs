@@ -74,6 +74,6 @@ pub mod util;
 
 pub use api::{GenContext, MsgSink, VertexProgram};
 pub use engine::{
-    run_hetero, run_hetero_recovering, run_recoverable, run_single, EngineConfig, ExecMode,
+    run_ranks, run_ranks_failover, run_recoverable, run_single, EngineConfig, ExecMode,
 };
 pub use metrics::{RunReport, StepReport};

@@ -272,12 +272,6 @@ pub fn combine_ranks(app: &str, reports: &[RunReport]) -> RunReport {
     }
 }
 
-/// Combine two lock-stepped device reports into the heterogeneous view —
-/// the N=2 case of [`combine_ranks`].
-pub fn combine_hetero(app: &str, dev0: &RunReport, dev1: &RunReport) -> RunReport {
-    combine_ranks(app, &[dev0.clone(), dev1.clone()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,7 +317,7 @@ mod tests {
             steps: vec![step_at(0, 2.0, 0.1), step_at(1, 1.0, 0.1)],
             ..Default::default()
         };
-        let c = combine_hetero("x", &a, &b);
+        let c = combine_ranks("x", &[a, b]);
         assert!((c.sim_exec() - 7.0).abs() < 1e-12, "max(1,2) + max(5,1)");
         assert_eq!(c.device, "CPU-MIC");
     }
@@ -431,7 +425,7 @@ mod tests {
         a.recovery.rollbacks = 1;
         let mut b = RunReport::default();
         b.recovery.retries = 2;
-        let c = combine_hetero("x", &a, &b);
+        let c = combine_ranks("x", &[a, b]);
         assert_eq!(c.recovery.rollbacks, 1);
         assert_eq!(c.recovery.retries, 2);
     }

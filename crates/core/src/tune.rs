@@ -12,7 +12,7 @@
 //! and message volume.
 
 use crate::api::VertexProgram;
-use crate::engine::{run_hetero, run_single, EngineConfig};
+use crate::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_comm::PcieLink;
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
@@ -127,15 +127,7 @@ pub fn tune_ratio<P: VertexProgram>(
             configs[0].clone().with_max_supersteps(probe_steps.max(1)),
             configs[1].clone().with_max_supersteps(probe_steps.max(1)),
         ];
-        let report = run_hetero(
-            program,
-            graph,
-            &partition,
-            specs.clone(),
-            probe_configs,
-            link,
-        )
-        .report;
+        let report = run_ranks(program, graph, &partition, &specs, &probe_configs, link).report;
         let t = report.sim_total();
         if best.as_ref().is_none_or(|b| t < b.predicted) {
             best = Some(RatioTuning {

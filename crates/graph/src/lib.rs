@@ -22,6 +22,7 @@ pub mod degree;
 pub mod edge_list;
 pub mod error;
 pub mod generators;
+pub mod hash;
 pub mod io;
 pub mod state;
 pub mod subgraph;

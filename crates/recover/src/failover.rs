@@ -1,7 +1,7 @@
 //! Failover policy, configuration, and accounting for the hetero engine.
 //!
-//! PR 2's recovery treats any hetero fault as a whole-run retry. This module
-//! holds the data types for the finer-grained story: a watchdog detects a
+//! Rather than retrying a whole run on any fault, the failover driver
+//! recovers per rank. This module holds its data types: a watchdog detects a
 //! dead (crashed) or silent (hung) device via heartbeats and exchange
 //! deadlines, and the driver then either *migrates* the lost device's
 //! partition onto the survivor (replaying from the last barrier snapshot),

@@ -16,6 +16,7 @@
 //!   per-message hashes) because CSB insertion order is racy by design —
 //!   the audit must not depend on which mover drained first.
 
+use phigraph_graph::hash::{fnv1a64_seeded, FNV_OFFSET};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How much of the integrity lattice is armed.
@@ -111,25 +112,6 @@ impl IntegritySwitch {
     pub fn set(&self, mode: IntegrityMode) {
         self.0.store(mode as u8, Ordering::Relaxed);
     }
-}
-
-/// FNV-1a 64-bit — the same tiny hash the snapshot codec uses; duplicated
-/// as a `pub fn` here so the comm and core crates can fold the identical
-/// function without new dependency edges.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hash `bytes` with FNV-1a 64 starting from `seed` (pass [`FNV_OFFSET`]
-/// for a fresh hash; pass a previous result to chain fields).
-#[inline]
-pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// The order-independent per-message contribution to a group checksum:

@@ -28,21 +28,9 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 /// Magic prefix of every snapshot ("PHGS").
 pub const MAGIC: [u8; 4] = *b"PHGS";
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit hash of `bytes` — the snapshot checksum. Public so tests
-/// and tools can verify integrity independently.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// FNV-1a 64-bit hash of `bytes` — the snapshot checksum. Re-exported so
+/// tests and tools can verify integrity independently.
+pub use phigraph_graph::hash::fnv1a64;
 
 /// A decoded (or to-be-encoded) barrier snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

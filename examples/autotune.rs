@@ -10,7 +10,7 @@
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::PageRank;
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::{run_hetero, run_single, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_core::tune::{
     default_pipeline_candidates, default_ratio_candidates, suggest_ratio_from_throughput,
     tune_pipeline, tune_ratio,
@@ -81,12 +81,12 @@ fn main() {
     );
 
     // 4. Run the tuned configuration to completion.
-    let out = run_hetero(
+    let out = run_ranks(
         &pr,
         &graph,
         &tuned.partition,
-        [DeviceSpec::xeon_e5_2680(), mic],
-        configs,
+        &[DeviceSpec::xeon_e5_2680(), mic],
+        &configs,
         PcieLink::gen2_x16(),
     );
     println!(

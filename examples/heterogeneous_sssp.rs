@@ -9,7 +9,7 @@
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::Sssp;
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::{run_hetero, run_single, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_device::DeviceSpec;
 use phigraph_partition::{partition, PartitionScheme, PartitionStats, Ratio};
 
@@ -40,7 +40,7 @@ fn main() {
     let program = Sssp { source: 0 };
     let specs = [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()];
     let configs = [EngineConfig::locking(), EngineConfig::pipelined()];
-    let out = run_hetero(&program, &graph, &p, specs, configs, PcieLink::gen2_x16());
+    let out = run_ranks(&program, &graph, &p, &specs, &configs, PcieLink::gen2_x16());
 
     println!("\nper-superstep timeline (simulated seconds):");
     println!(

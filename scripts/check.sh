@@ -20,6 +20,12 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q (tier-1, offline)"
 cargo test -q --workspace --offline
 
+echo "==> cargo test --release -q (offline)"
+# rustc 1.95.0 can miscompile a pair of by-value builder calls in release
+# mode only (see the note in crates/core/src/engine/config.rs), so the
+# suite also runs optimized.
+cargo test --release -q --workspace --offline
+
 echo "==> cargo clippy -- -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

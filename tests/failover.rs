@@ -9,11 +9,9 @@
 //! within the configured deadline.
 
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::{
-    run_hetero, run_hetero_failover, run_ranks_failover, run_seq, EngineConfig,
-};
+use phigraph_core::engine::{run_ranks, run_ranks_failover, run_seq, EngineConfig};
 use phigraph_core::metrics::RunOutput;
-use phigraph_device::DeviceSpec;
+use phigraph_device::{DeviceSpec, StepCounters};
 use phigraph_graph::state::PodState;
 use phigraph_graph::{Csr, EdgeList, SplitMix64};
 use phigraph_partition::{partition, partition_n, DevicePartition, PartitionScheme, Ratio, Shares};
@@ -71,15 +69,15 @@ where
     };
     let mut s0 = MemStore::new();
     let mut s1 = MemStore::new();
-    run_hetero_failover(
+    run_ranks_failover(
         program,
         g,
         p,
-        specs(),
-        [c0, c1],
+        &specs(),
+        &[c0, c1],
         PcieLink::gen2_x16(),
         fcfg,
-        [&mut s0 as &mut dyn CheckpointStore, &mut s1],
+        vec![&mut s0 as &mut dyn CheckpointStore, &mut s1],
         false,
     )
 }
@@ -103,7 +101,14 @@ fn sssp_crash_or_hang_at_every_superstep_migrates_bit_identically() {
     let g = sweep_graph(11);
     let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
     let steps = baseline.report.steps.len() as u64;
     assert!(steps >= 8, "sweep graph too shallow: {steps} supersteps");
 
@@ -187,7 +192,7 @@ fn pagerank_crash_or_hang_sweep_is_bit_identical() {
                 .with_backoff_ms(0),
         ]
     };
-    let baseline = run_hetero(&app, &g, &p, specs(), configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(&app, &g, &p, &specs(), &configs(), PcieLink::gen2_x16());
     let bits = |o: &RunOutput<f32>| -> Vec<u32> { o.values.iter().map(|v| v.to_bits()).collect() };
     let steps = baseline.report.steps.len() as u64;
     assert!(steps >= 6);
@@ -251,7 +256,14 @@ fn straggler_rebalances_instead_of_migrating() {
     let g = sweep_graph(47);
     let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
     let fcfg = FailoverConfig::default()
         .with_rebalance_after(2)
         .with_slow_factor(3.0);
@@ -274,7 +286,14 @@ fn retry_policy_rolls_back_without_migration() {
     let g = sweep_graph(53);
     let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
     let fcfg = FailoverConfig::default()
         .with_watchdog_ms(150)
         .with_policy(FailoverPolicy::Retry);
@@ -297,7 +316,14 @@ fn off_policy_degrades_to_the_survivor() {
     let g = sweep_graph(59);
     let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
     let fcfg = FailoverConfig::default()
         .with_watchdog_ms(150)
         .with_policy(FailoverPolicy::Off);
@@ -310,22 +336,54 @@ fn off_policy_degrades_to_the_survivor() {
     assert_eq!(out.report.mode, "seq");
 }
 
-/// Without faults the failover driver computes exactly what the plain
-/// hetero driver computes, and reports no failover activity.
+/// Without faults the failover driver runs the very rank loop the plain
+/// fabric driver runs: the same values, the same per-step counters (apart
+/// from the checkpoint and heartbeat tallies only it keeps) and the same
+/// simulated time, with no failover activity.
 #[test]
 fn fault_free_failover_run_matches_plain_hetero() {
     let g = sweep_graph(61);
-    let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let plain = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
-    let fcfg = FailoverConfig::default();
-    let out = run_failover(&app, &g, &p, sssp_configs(), &fcfg, None);
-    assert_eq!(out.values, plain.values);
-    assert_eq!(out.report.steps.len(), plain.report.steps.len());
-    assert!(!out.report.failover.any());
-    assert_eq!(out.report.recovery.rollbacks, 0);
-    assert!(out.report.recovery.checkpoints_written > 0);
-    assert_eq!(out.report.mode, "cpu-mic");
+    let shared = |mut c: StepCounters| {
+        c.checkpoints_written = 0;
+        c.checkpoint_bytes = 0;
+        c.heartbeats = 0;
+        c
+    };
+    for n in [2usize, 3] {
+        let p = n_partition(&g, n);
+        let plain = run_ranks(
+            &app,
+            &g,
+            &p,
+            &n_specs(n),
+            &n_configs(n, None),
+            PcieLink::gen2_x16(),
+        );
+        let out = run_n_failover(&app, &g, &p, n, &FailoverConfig::default(), None);
+        assert_eq!(out.values, plain.values, "n={n}");
+        let reports = out.device_reports.iter().chain([&out.report]);
+        let plain_reports = plain.device_reports.iter().chain([&plain.report]);
+        for (fo, pl) in reports.zip(plain_reports) {
+            let fo_steps: Vec<StepCounters> = fo
+                .steps
+                .iter()
+                .map(|s| shared(s.counters.clone()))
+                .collect();
+            let pl_steps: Vec<StepCounters> = pl.steps.iter().map(|s| s.counters.clone()).collect();
+            assert_eq!(fo_steps, pl_steps, "n={n} {}", fo.device);
+            assert_eq!(
+                fo.sim_total().to_bits(),
+                pl.sim_total().to_bits(),
+                "n={n} {}",
+                fo.device
+            );
+        }
+        assert!(!out.report.failover.any(), "n={n}");
+        assert_eq!(out.report.recovery.rollbacks, 0, "n={n}");
+        assert!(out.report.recovery.checkpoints_written > 0, "n={n}");
+        assert_eq!(out.report.mode, "cpu-mic");
+    }
 }
 
 /// A dropped exchange under the failover driver is a bounded rollback to
@@ -336,7 +394,14 @@ fn dropped_exchange_rolls_back_to_snapshot_not_step_zero() {
     let g = sweep_graph(67);
     let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
     let fcfg = FailoverConfig::default();
     let plan = FaultPlan::new().with(4, FaultKind::DropExchange, 1);
     let out = run_failover(&app, &g, &p, sssp_configs(), &fcfg, Some(plan.injector()));
@@ -354,6 +419,35 @@ fn n_partition(g: &Csr, n: usize) -> DevicePartition {
     partition_n(g, PartitionScheme::RoundRobin, &Shares::even(n), 0)
 }
 
+/// Rank 0 is the CPU, the rest MICs.
+fn n_specs(n: usize) -> Vec<DeviceSpec> {
+    (0..n)
+        .map(|r| {
+            if r == 0 {
+                DeviceSpec::xeon_e5_2680()
+            } else {
+                DeviceSpec::xeon_phi_se10p()
+            }
+        })
+        .collect()
+}
+
+/// All-lock rank configs checkpointing every superstep, sharing one
+/// injector so each planned fault fires once.
+fn n_configs(n: usize, injector: Option<FaultInjector>) -> Vec<EngineConfig> {
+    (0..n)
+        .map(|_| {
+            let c = EngineConfig::locking()
+                .with_checkpoint_every(1)
+                .with_backoff_ms(0);
+            match &injector {
+                Some(inj) => c.with_fault_plan(inj.clone()),
+                None => c,
+            }
+        })
+        .collect()
+}
+
 /// Run the N-rank failover driver with fresh in-memory stores.
 fn run_n_failover<P: VertexProgram>(
     program: &P,
@@ -366,26 +460,6 @@ fn run_n_failover<P: VertexProgram>(
 where
     P::Value: PodState,
 {
-    let configs: Vec<EngineConfig> = (0..n)
-        .map(|_| {
-            let c = EngineConfig::locking()
-                .with_checkpoint_every(1)
-                .with_backoff_ms(0);
-            match &injector {
-                Some(inj) => c.with_fault_plan(inj.clone()),
-                None => c,
-            }
-        })
-        .collect();
-    let specs: Vec<DeviceSpec> = (0..n)
-        .map(|r| {
-            if r == 0 {
-                DeviceSpec::xeon_e5_2680()
-            } else {
-                DeviceSpec::xeon_phi_se10p()
-            }
-        })
-        .collect();
     let mut stores: Vec<MemStore> = (0..n).map(|_| MemStore::new()).collect();
     let store_refs: Vec<&mut dyn CheckpointStore> = stores
         .iter_mut()
@@ -395,8 +469,8 @@ where
         program,
         g,
         p,
-        &specs,
-        &configs,
+        &n_specs(n),
+        &n_configs(n, injector),
         PcieLink::gen2_x16(),
         fcfg,
         store_refs,
@@ -500,7 +574,14 @@ fn losing_both_devices_degrades_but_stays_correct() {
     let g = sweep_graph(71);
     let p = even_partition(&g);
     let app = Sssp { source: 0 };
-    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
     let fcfg = FailoverConfig::default().with_watchdog_ms(150);
     let plan =
         FaultPlan::new()

@@ -240,35 +240,48 @@ fn in_engine_checkpoint_corruption_rolls_back_further() {
     }
 }
 
-/// Dropped remote exchanges are not silent: the hetero recovery driver
-/// counts them into [`RunReport::failover`] and the one-line summary
-/// surfaces them next to the recovery stats.
+/// Dropped remote exchanges are not silent: the failover driver counts
+/// them into [`RunReport::failover`] and the one-line summary surfaces them
+/// next to the recovery stats.
 #[test]
 fn dropped_exchanges_surface_in_the_run_summary() {
     use phigraph_comm::PcieLink;
-    use phigraph_core::engine::run_hetero_recovering;
+    use phigraph_core::engine::run_ranks_failover;
     use phigraph_partition::{partition, PartitionScheme, Ratio};
+    use phigraph_recover::FailoverConfig;
 
     let g = sweep_graph(61);
     let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
     let app = Sssp { source: 0 };
     let baseline = run_single(&app, &g, spec(), &EngineConfig::locking());
+    let run = |configs: [EngineConfig; 2]| {
+        let mut stores = [MemStore::new(), MemStore::new()];
+        run_ranks_failover(
+            &app,
+            &g,
+            &p,
+            &[DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
+            &configs,
+            PcieLink::gen2_x16(),
+            &FailoverConfig::default(),
+            stores
+                .iter_mut()
+                .map(|s| s as &mut dyn CheckpointStore)
+                .collect(),
+            false,
+        )
+    };
+    let config = EngineConfig::locking()
+        .with_checkpoint_every(1)
+        .with_backoff_ms(0);
 
-    let plan = FaultPlan::new().with(3, FaultKind::DropExchange, 1);
-    let inj = plan.injector();
-    let out = run_hetero_recovering(
-        &app,
-        &g,
-        &p,
-        [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-        [
-            EngineConfig::locking()
-                .with_backoff_ms(0)
-                .with_fault_plan(inj.clone()),
-            EngineConfig::locking().with_fault_plan(inj),
-        ],
-        PcieLink::gen2_x16(),
-    );
+    let inj = FaultPlan::new()
+        .with(3, FaultKind::DropExchange, 1)
+        .injector();
+    let out = run([
+        config.clone().with_fault_plan(inj.clone()),
+        config.clone().with_fault_plan(inj),
+    ]);
     assert_eq!(out.values, baseline.values);
     assert_eq!(out.report.failover.exchange_drops, 1);
     assert_eq!(out.report.total_exchange_drops(), 1);
@@ -278,14 +291,8 @@ fn dropped_exchanges_surface_in_the_run_summary() {
         out.report.summary()
     );
     // A clean run keeps the summary free of exchange noise.
-    let clean = run_hetero_recovering(
-        &app,
-        &g,
-        &p,
-        [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-        [EngineConfig::locking(), EngineConfig::locking()],
-        PcieLink::gen2_x16(),
-    );
+    let clean = run([config.clone(), config]);
+    assert_eq!(clean.values, baseline.values);
     assert_eq!(clean.report.total_exchange_drops(), 0);
     assert!(!clean.report.summary().contains("xchg drops"));
 }

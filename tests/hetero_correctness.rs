@@ -6,7 +6,7 @@
 use phigraph_apps::{workloads, Bfs, PageRank, SemiClustering, Sssp, TopoSort};
 use phigraph_comm::PcieLink;
 use phigraph_core::engine::obj::{run_obj_hetero, run_obj_single};
-use phigraph_core::engine::{run_hetero, run_single, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
 use phigraph_partition::{partition, PartitionScheme, Ratio};
@@ -46,12 +46,12 @@ where
     for scheme in schemes() {
         for ratio in [Ratio::even(), Ratio::new(3, 5), Ratio::new(4, 1)] {
             let p = partition(graph, scheme, ratio, 7);
-            let out = run_hetero(
+            let out = run_ranks(
                 program,
                 graph,
                 &p,
-                specs(),
-                hetero_configs(),
+                &specs(),
+                &hetero_configs(),
                 PcieLink::gen2_x16(),
             );
             assert_eq!(
@@ -82,7 +82,14 @@ fn pagerank_hetero_correct() {
     for scheme in schemes() {
         for ratio in [Ratio::even(), Ratio::new(3, 5)] {
             let p = partition(&g, scheme, ratio, 7);
-            let out = run_hetero(&pr, &g, &p, specs(), hetero_configs(), PcieLink::gen2_x16());
+            let out = run_ranks(
+                &pr,
+                &g,
+                &p,
+                &specs(),
+                &hetero_configs(),
+                PcieLink::gen2_x16(),
+            );
             for v in 0..g.num_vertices() {
                 assert!(
                     (out.values[v] - single.values[v]).abs() < 1e-3,
@@ -163,9 +170,16 @@ fn hybrid_partitioning_moves_fewer_bytes_than_round_robin() {
     let ratio = Ratio::even();
     let run = |scheme| {
         let p = partition(&g, scheme, ratio, 7);
-        run_hetero(&pr, &g, &p, specs(), hetero_configs(), PcieLink::gen2_x16())
-            .report
-            .total_comm_bytes()
+        run_ranks(
+            &pr,
+            &g,
+            &p,
+            &specs(),
+            &hetero_configs(),
+            PcieLink::gen2_x16(),
+        )
+        .report
+        .total_comm_bytes()
     };
     let rr = run(PartitionScheme::RoundRobin);
     let hy = run(PartitionScheme::Hybrid { blocks: 32 });
@@ -185,7 +199,14 @@ fn remote_combining_reduces_message_count() {
         iterations: 3,
     };
     let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 1);
-    let out = run_hetero(&pr, &g, &p, specs(), hetero_configs(), PcieLink::gen2_x16());
+    let out = run_ranks(
+        &pr,
+        &g,
+        &p,
+        &specs(),
+        &hetero_configs(),
+        PcieLink::gen2_x16(),
+    );
     let before: u64 = out
         .device_reports
         .iter()
@@ -209,12 +230,12 @@ fn remote_combining_reduces_message_count() {
 fn one_sided_partition_degenerates_to_single_device() {
     let g = workloads::pokec_like_weighted(workloads::Scale::Tiny, 28);
     let p = partition(&g, PartitionScheme::Continuous, Ratio::new(1, 0), 0);
-    let out = run_hetero(
+    let out = run_ranks(
         &Sssp { source: 0 },
         &g,
         &p,
-        specs(),
-        hetero_configs(),
+        &specs(),
+        &hetero_configs(),
         PcieLink::gen2_x16(),
     );
     let single = run_single(

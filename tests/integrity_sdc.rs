@@ -13,7 +13,7 @@
 
 use phigraph_apps::{PageRank, Sssp, Wcc};
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::{run_hetero, run_recoverable, run_single, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_recoverable, run_single, EngineConfig};
 use phigraph_core::metrics::RunOutput;
 use phigraph_device::DeviceSpec;
 use phigraph_graph::{Csr, EdgeList, SplitMix64};
@@ -267,12 +267,12 @@ fn hetero_frame_corruption_heals_by_reexchange() {
             cfg.with_integrity(IntegrityMode::Frames)
                 .with_fault_plan(inj.clone())
         };
-        let out = run_hetero(
+        let out = run_ranks(
             &app,
             &g,
             &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [mk(EngineConfig::locking()), mk(EngineConfig::locking())],
+            &[DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
+            &[mk(EngineConfig::locking()), mk(EngineConfig::locking())],
             PcieLink::gen2_x16(),
         );
         assert_eq!(out.values, baseline.values, "{} not healed", kind.name());

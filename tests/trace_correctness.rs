@@ -12,7 +12,7 @@
 
 use phigraph_apps::{workloads, PageRank, Sssp};
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::{run_hetero, run_single, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_device::DeviceSpec;
 use phigraph_partition::{partition, PartitionScheme, Ratio};
 use phigraph_trace::json::Json;
@@ -246,12 +246,12 @@ fn hetero_trace_has_exchange_spans_and_both_devices() {
     let g = graph();
     let p = partition(&g, PartitionScheme::hybrid_default(), Ratio::new(1, 1), 7);
     let trace = Trace::new(TraceLevel::Phase);
-    let out = run_hetero(
+    let out = run_ranks(
         &Sssp { source: 3 },
         &g,
         &p,
-        [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-        [
+        &[DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
+        &[
             EngineConfig::locking().with_trace(trace.clone()),
             EngineConfig::pipelined().with_trace(trace.clone()),
         ],

@@ -368,8 +368,23 @@ where
         );
     }
     let cfg = attach(apply_recovery_flags(engine_config(args)?, args)?, trace);
-    let out = if args.has("hetero") || args.has("partition") || args.has("devices") {
-        let n = device_count(args)?;
+    let fabric = args.has("hetero") || args.has("partition") || args.has("devices");
+    let n = if fabric { device_count(args)? } else { 1 };
+    // A fault or flag that can never take effect is an error, not a no-op.
+    if let Some(spec) = args.flag("faults") {
+        parse_fault_plan(spec)?
+            .check_ranks(n)
+            .map_err(|e| format!("--faults: {e}"))?;
+    }
+    if let Some(flag) = ["failover", "watchdog-ms", "rebalance-after"]
+        .into_iter()
+        .find(|f| !fabric && args.has(f))
+    {
+        return Err(format!(
+            "--{flag} needs peers to watch: it applies to --devices N runs only"
+        ));
+    }
+    let out = if fabric {
         let p = load_or_build_partition(g, args, n)?;
         let fcfg = failover_config(args)?;
         let mic_cfg = match cfg.mode {

@@ -305,6 +305,96 @@ fn integrity_run_heals_injected_sdc_and_matches_clean_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fault or liveness flag that can never take effect on the run exits 2
+/// with an error naming what does apply; a fabric fail-stop that can fire
+/// rolls back once and lands on the clean checksum.
+#[test]
+fn faults_and_flags_that_cannot_fire_exit_2() {
+    let dir = tmpdir("nofire");
+    let graph = dir.join("g.bin");
+    let graph_s = graph.to_str().unwrap();
+    let ckpt = dir.join("ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+    let o = phigraph(&["generate", "gnm", graph_s, "--scale", "tiny", "--seed", "7"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let one_device = "no injection site on one device (kinds that apply: worker|mover|insert";
+    let cases: &[(&[&str], &str)] = &[
+        (&["--faults", "2:exchange"], one_device),
+        (&["--faults", "2:crash"], one_device),
+        (&["--faults", "2:hang"], one_device),
+        (&["--faults", "2:slow"], one_device),
+        (&["--faults", "2:crash-rank:1"], one_device),
+        (&["--faults", "2:partition-link:0-1"], one_device),
+        (&["--faults", "2:truncate-frame"], one_device),
+        (&["--faults", "2:daemon-kill"], one_device),
+        (&["--faults", "2:malformed-line"], one_device),
+        (&["--faults", "3:worker:1"], "names rank 1"),
+        (&["--failover", "retry"], "--failover needs peers"),
+        (&["--watchdog-ms", "100"], "--watchdog-ms needs peers"),
+        (&["--rebalance-after", "2"], "--rebalance-after needs peers"),
+        (
+            &["--devices", "3", "--faults", "2:bitflip-state"],
+            "no injection site on 3 ranks (kinds that apply: worker|",
+        ),
+        (
+            &["--devices", "2", "--faults", "2:worker-hang"],
+            "no injection site on 2 ranks",
+        ),
+        (
+            &["--devices", "2", "--faults", "2:slow-client"],
+            "no injection site on 2 ranks",
+        ),
+        (
+            &["--devices", "3", "--faults", "2:exchange:3"],
+            "names rank 3",
+        ),
+        (
+            &["--devices", "3", "--faults", "4:crash-rank:3"],
+            "names rank 3",
+        ),
+        (
+            &["--devices", "3", "--faults", "3:partition-link:1-3"],
+            "names rank 3",
+        ),
+    ];
+    for (extra, want) in cases {
+        let mut argv = vec!["run", "sssp", graph_s, "--checkpoint-dir", ckpt_s];
+        argv.extend_from_slice(extra);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "{extra:?} must exit 2");
+        assert!(stderr(&o).contains(want), "{extra:?}: {}", stderr(&o));
+    }
+
+    let o = phigraph(&["run", "sssp", graph_s, "--devices", "2", "--checksum"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let clean = stdout(&o).lines().next().unwrap().to_string();
+    assert!(clean.starts_with("checksum="), "{clean}");
+    let o = phigraph(&[
+        "run",
+        "sssp",
+        graph_s,
+        "--devices",
+        "2",
+        "--checkpoint-every",
+        "2",
+        "--backoff-ms",
+        "0",
+        "--faults",
+        "3:worker:1",
+        "--checkpoint-dir",
+        ckpt_s,
+        "--checksum",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let out = stdout(&o);
+    assert!(out.contains(&clean), "{out}");
+    assert!(
+        out.contains("rollbacks=1") && out.contains("faults=1"),
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn recover_tolerates_torn_run_report() {
     let dir = tmpdir("torn");

@@ -1366,8 +1366,12 @@ mod tests {
         let g = pokec_small(8);
         for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
             for program in [Rank { source: None }, Rank { source: Some(5) }] {
-                let seq =
-                    crate::engine::run_seq(&program, &g, spec.clone(), &EngineConfig::sequential());
+                let seq = crate::engine::seq::run_seq(
+                    &program,
+                    &g,
+                    spec.clone(),
+                    &EngineConfig::sequential(),
+                );
                 let seq: Vec<u32> = seq.values.iter().map(|v| v.to_bits()).collect();
                 let (lock, _) = lock_forced(&program, &g, spec.clone(), 3);
                 assert!(

@@ -1,10 +1,17 @@
-//! Live rank failover for the N-device fabric.
+//! The recovery machine: checkpoints, rollback, degradation and live rank
+//! failover, for one device ([`run_recoverable`], the `N = 1` case) or an
+//! N-rank fabric ([`run_ranks_failover`]).
 //!
-//! The plain rank driver assumes every device survives the whole run. Real
-//! heterogeneous deployments lose or stall *one* rank far more often than
-//! all of them, so this driver runs the same per-rank superstep loop as
-//! `run_ranks` (the `rank_loop` in [`hetero`]) with liveness switched on, and
-//! maintains a live membership around it:
+//! Every rank runs the same per-rank superstep loop as `run_ranks` (the
+//! `rank_loop` in [`hetero`]) and writes barrier snapshots into its own
+//! store. A fail-stop on any rank (a dead worker or mover, a poisoned
+//! insert, an SDC the integrity rungs could not heal) or a dropped exchange
+//! (all parties observe it at the same barrier) rolls every rank back to
+//! the newest common valid snapshot and replays — bounded by the retry
+//! budget, with exponential backoff — instead of restarting the whole run;
+//! past the budget the run finishes on the sequential engine. A lone rank
+//! has no peers, so it runs without liveness and gets the integrity rungs
+//! instead; fabric ranks keep the frames layer and a live membership:
 //!
 //! * **Liveness**: each rank ticks a [`Heartbeat`] at every phase
 //!   boundary, a watchdog thread polls those beacons against the configured
@@ -35,26 +42,26 @@
 //!   lopsided barriers all ranks leave the loop at the same barrier and the
 //!   live ranks' shares are re-derived proportionally to the observed
 //!   throughputs.
-//! * **Rollback**: a dropped exchange (all parties observe it at the same
-//!   barrier) rolls every rank back to the newest common snapshot and
-//!   replays — bounded by the retry budget — instead of restarting the
-//!   whole run.
 //!
-//! Each rank loop receives its heartbeat, the deadline, the straggler vote
-//! and a barrier hook that writes its snapshot, so the loop itself needs no
-//! `PodState` bound. The driver thread owns everything else: the watchdog,
-//! the eviction verdicts, and the lockstep replay, which reuses the loop's
-//! bucket-and-combine, close and report helpers.
+//! Each rank loop receives its snapshot write as a barrier hook (and, on a
+//! lone rank, the integrity rungs as a step hook), so the loop itself needs
+//! no `PodState` bound. The driver thread owns everything else: the
+//! watchdog, the verdicts, the one snapshot loader, and the lockstep
+//! replay, which reuses the loop's bucket-and-combine, insert, process and
+//! report helpers. Checkpoints and faults are counted when they happen, so
+//! neither a rollback nor a degradation erases them.
 //!
 //! [`hetero`]: crate::engine::hetero
+//! [`run_recoverable`]: crate::engine::run_recoverable
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
 use crate::engine::hetero::{
-    bucket_and_combine, close_step, fabric_cap, merge_by_owner, rank_loop, rank_report,
-    step_report, ExitKind, Liveness, BEATS_PER_STEP,
+    bucket_and_combine, fabric_cap, insert_step, merge_by_owner, process_update, rank_loop,
+    rank_report, step_report, ExitKind, Liveness, Verdict, BEATS_PER_STEP,
 };
+use crate::engine::integrity::Rungs;
 use crate::engine::recover::{encode_snapshot, validate_snapshot, write_snapshot};
 use crate::engine::seq::run_seq_resume;
 use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
@@ -80,7 +87,6 @@ const REBALANCE_SEED: u64 = 7;
 const UNDETECTED: u64 = u64::MAX;
 
 type ResumePair<V> = Option<(Vec<V>, Vec<u8>)>;
-type MergedState<V> = (usize, Vec<V>, Vec<u8>);
 /// Merged values, merged active flags, and per-rank step reports keyed by
 /// original rank id — what a lockstep replay hands back.
 type ReplayOut<V> = (Vec<V>, Vec<u8>, Vec<(usize, Vec<StepReport>)>);
@@ -96,14 +102,15 @@ fn merge_state<V>(assign: &[u8], parts: Vec<(usize, Vec<V>, Vec<u8>)>) -> (Vec<V
 }
 
 /// Load the newest barrier state valid in *every* `membership` rank's
-/// store, merged by `assign`. Corrupt or mismatched snapshots are skipped
-/// (counted into `rstats`) in favor of an older common barrier.
+/// store, merged by `assign` — the one snapshot loader. Corrupt or
+/// mismatched snapshots are skipped (counted into `rstats`) in favor of an
+/// older common barrier; with none left the run starts at superstep 0.
 fn load_merged<P: VertexProgram>(
     stores: &[Mutex<&mut dyn CheckpointStore>],
     membership: &[usize],
     assign: &[u8],
     rstats: &mut RecoveryStats,
-) -> Option<MergedState<P::Value>>
+) -> (usize, ResumePair<P::Value>)
 where
     P::Value: PodState,
 {
@@ -137,37 +144,58 @@ where
             };
             parts.push((r, values, flags));
         }
-        let (values, flags) = merge_state(assign, parts);
-        return Some((k as usize, values, flags));
+        return (k as usize, Some(merge_state(assign, parts)));
     }
-    None
+    (0, None)
 }
 
-/// Clear the `membership` ranks' stores and save `state` as the single
-/// barrier snapshot in each (used after a rebalance or an eviction, when
-/// older snapshots were written under a now-stale assignment).
+/// Clear the `membership` ranks' stores and save `state` (if any) as the
+/// single barrier snapshot in each (used after a rebalance or an eviction,
+/// when older snapshots were written under a now-stale assignment).
 fn reset_stores_with<P: VertexProgram>(
     stores: &[Mutex<&mut dyn CheckpointStore>],
     membership: &[usize],
     step: usize,
-    values: &[P::Value],
-    flags: &[u8],
+    state: &ResumePair<P::Value>,
 ) where
     P::Value: PodState,
 {
-    let bytes = encode_snapshot::<P>(step as u64, values, flags);
+    let bytes = state
+        .as_ref()
+        .map(|(values, flags)| encode_snapshot::<P>(step as u64, values, flags));
     for &r in membership {
         let mut s = stores[r].lock().expect("checkpoint store poisoned");
         for k in s.list() {
             let _ = s.remove(k);
         }
-        let _ = s.save(step as u64, &bytes);
+        if let Some(bytes) = &bytes {
+            let _ = s.save(step as u64, bytes);
+        }
     }
+}
+
+/// Splice a rank's freshly completed steps over its reports from `from`
+/// on. Their checkpoints and step-level faults are counted here, when they
+/// happen, so a later rollback or degradation cannot erase them.
+fn splice(
+    steps: &mut Vec<StepReport>,
+    rstats: &mut RecoveryStats,
+    from: usize,
+    fresh: Vec<StepReport>,
+) {
+    for s in &fresh {
+        rstats.checkpoints_written += s.counters.checkpoints_written;
+        rstats.checkpoint_bytes += s.counters.checkpoint_bytes;
+        rstats.faults_injected += s.counters.faults_injected;
+    }
+    steps.retain(|s| s.step < from);
+    steps.extend(fresh);
 }
 
 /// The watchdog: polls every rank's heartbeat against the deadline and
 /// records the detection latency (milliseconds past the deadline) for any
-/// rank that goes silent without reporting itself finished.
+/// rank that goes silent without reporting itself finished. It parks
+/// between polls, so the driver can wake it once `stop` is set.
 fn watchdog_loop(
     hb: &[Heartbeat],
     finished: &[AtomicBool],
@@ -201,7 +229,7 @@ fn watchdog_loop(
                 }
             }
         }
-        std::thread::sleep(poll);
+        std::thread::park_timeout(poll);
     }
 }
 
@@ -306,12 +334,12 @@ where
                 .map(|j| std::mem::take(&mut out[j][i]))
                 .collect();
             c.comm_bytes = comm[i].0;
-            close_step(&mut engines[i], &incoming, &mut c, &untraced, step);
+            insert_step(&mut engines[i], &incoming, &mut c, &untraced, step);
+            process_update(&mut engines[i], &mut c, &untraced, step);
             // Report parity with the live loop's phase-boundary ticks.
             c.heartbeats = BEATS_PER_STEP;
             if policy.is_checkpoint_step(step as u64 + 1) {
-                let mut store = stores[r].lock().expect("checkpoint store poisoned");
-                write_snapshot(&engines[i], step, &mut **store, &policy, None, &mut c);
+                write_snapshot(&engines[i], step, &stores[r], None, &mut c);
             }
             steps[i].push(step_report(&engines[i], &cost[i], step, c, comm[i].1, t0));
         }
@@ -336,26 +364,30 @@ where
     )
 }
 
-/// Run `program` across an N-rank device fabric with live failover.
+/// Run `program` across an N-rank device fabric with live failover — or,
+/// with one device, as single-device recovery (what [`run_recoverable`]
+/// runs).
 ///
 /// Behaves exactly like [`run_ranks`] when nothing fails. Each rank writes
 /// barrier snapshots into its own `stores` slot at the
-/// `configs[0].recovery.checkpoint_every` cadence. On a detected rank loss
-/// the driver applies `fcfg.policy`: under `Migrate` the dead ranks are
-/// evicted and their partition re-split over the survivors (a lone
-/// survivor replays everything in lockstep; two or more survivors
-/// reconstruct the failure barrier and continue live, so later failures
-/// cascade onto any survivor subset). A severed link evicts its higher
-/// end. A dropped exchange rolls every rank back to the newest common
-/// snapshot, and a detected straggler rebalances the live shares once.
-/// With `resume = true` the run starts from the newest snapshot common to
-/// all stores.
+/// `configs[0].recovery.checkpoint_every` cadence. A fail-stop on any rank
+/// or a dropped exchange rolls every rank back to the newest common valid
+/// snapshot; past the retry budget the run degrades to the sequential
+/// engine. On a detected rank loss the driver applies `fcfg.policy`: under
+/// `Migrate` the dead ranks are evicted and their partition re-split over
+/// the survivors (a lone survivor replays everything in lockstep; two or
+/// more survivors reconstruct the failure barrier and continue live, so
+/// later failures cascade onto any survivor subset). A severed link evicts
+/// its higher end, and a detected straggler rebalances the live shares
+/// once. With `resume = true` the run starts from the newest snapshot
+/// common to all stores.
 ///
 /// All liveness events land in the combined report's
 /// [`RunReport::failover`] and per-step counters; rollback/degradation
 /// accounting stays in [`RunReport::recovery`].
 ///
 /// [`run_ranks`]: crate::engine::run_ranks
+/// [`run_recoverable`]: crate::engine::run_recoverable
 #[allow(clippy::too_many_arguments)]
 pub fn run_ranks_failover<P: VertexProgram>(
     program: &P,
@@ -372,7 +404,6 @@ where
     P::Value: PodState,
 {
     let n = specs.len();
-    assert!(n >= 2, "a rank fabric needs at least two devices");
     assert_eq!(configs.len(), n, "one config per rank");
     assert_eq!(stores.len(), n, "one checkpoint store per rank");
     assert_eq!(partition_in.assign.len(), graph.num_vertices());
@@ -403,54 +434,26 @@ where
     let wall_start = Instant::now();
 
     if resume {
-        if let Some((k, vals, flags)) = load_merged::<P>(&stores, &live, &part.assign, &mut rstats)
-        {
-            start_step = k;
-            resume_state = Some((vals, flags));
-        }
+        (start_step, resume_state) = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
     }
 
-    // Assemble the final combined output from per-rank step report vecs
-    // (ragged after evictions: an evicted rank's reports simply stop at
-    // its eviction barrier).
-    let finish = |dev_steps: Vec<Vec<StepReport>>,
-                  values: Vec<P::Value>,
-                  mut rstats: RecoveryStats,
-                  mut fstats: FailoverStats,
-                  istats: IntegrityStats,
-                  last_resume: Option<usize>,
-                  wall: f64|
-     -> RunOutput<P::Value> {
-        let total = dev_steps
-            .iter()
-            .filter_map(|s| s.last())
-            .map(|s| s.step as u64 + 1)
-            .max()
-            .unwrap_or(0);
-        fstats.supersteps_total = total;
-        if let Some(k) = last_resume {
-            fstats.resume_step = k as u64;
-            fstats.supersteps_replayed = total.saturating_sub(k as u64);
-        }
-        rstats.checkpoints_written += dev_steps
-            .iter()
-            .flatten()
-            .map(|s| s.counters.checkpoints_written)
-            .sum::<u64>();
-        rstats.checkpoint_bytes += dev_steps
-            .iter()
-            .flatten()
-            .map(|s| s.counters.checkpoint_bytes)
-            .sum::<u64>();
+    // Assemble the output from per-rank step report vecs (ragged after
+    // evictions: an evicted rank's reports simply stop at its eviction
+    // barrier). A lone rank reports as the single device it is.
+    let assemble = |dev_steps: Vec<Vec<StepReport>>, values: Vec<P::Value>| {
+        let wall = wall_start.elapsed().as_secs_f64();
         let reports: Vec<RunReport> = dev_steps
             .into_iter()
             .enumerate()
-            .map(|(r, steps)| rank_report::<P>(&specs[r], steps, wall))
+            .map(|(r, steps)| rank_report::<P>(&specs[r], "cpu-mic", steps, wall))
             .collect();
-        let mut report = combine_ranks(P::NAME, &reports);
-        report.recovery = rstats;
-        report.failover = fstats;
-        report.integrity = istats;
+        let report = match reports.as_slice() {
+            [one] => RunReport {
+                mode: configs[0].mode.name().to_string(),
+                ..one.clone()
+            },
+            _ => combine_ranks(P::NAME, &reports),
+        };
         RunOutput {
             values,
             report,
@@ -458,26 +461,43 @@ where
         }
     };
 
+    // Stamp the run-wide stats on the final output and return it.
+    macro_rules! finish {
+        ($out:expr) => {{
+            let mut out: RunOutput<P::Value> = $out;
+            let total = out.report.steps.last().map_or(0, |s| s.step as u64 + 1);
+            fstats.supersteps_total = total;
+            if let Some(k) = last_resume {
+                fstats.resume_step = k as u64;
+                fstats.supersteps_replayed = total.saturating_sub(k as u64);
+            }
+            out.report.recovery = rstats;
+            out.report.failover = fstats;
+            out.report.integrity.accumulate(&istats);
+            if n == 1 {
+                // A lone rank's device report is the run report.
+                out.device_reports = vec![out.report.clone()];
+            }
+            return out;
+        }};
+    }
+
     // Degrade to the sequential engine on one rank from the last barrier.
     macro_rules! degrade_seq {
         ($survivor:expr) => {{
             rstats.degraded = true;
             fstats.degraded_single = true;
-            let merged = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
-            if let Some((k, _, _)) = &merged {
-                last_resume = Some(*k);
-            }
+            let (k, state) = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
+            last_resume = Some(k);
+            let merged = state.map(|(vals, flags)| (k, vals, flags));
             let sd: usize = $survivor;
-            let mut out = run_seq_resume(program, graph, specs[sd].clone(), &configs[sd], merged);
-            fstats.supersteps_total = out.report.steps.last().map_or(0, |s| s.step as u64 + 1);
-            if let Some(k) = last_resume {
-                fstats.resume_step = k as u64;
-                fstats.supersteps_replayed = fstats.supersteps_total.saturating_sub(k as u64);
-            }
-            out.report.recovery = rstats;
-            out.report.failover = fstats;
-            out.report.integrity.accumulate(&istats);
-            return out;
+            finish!(run_seq_resume(
+                program,
+                graph,
+                specs[sd].clone(),
+                &configs[sd],
+                merged
+            ));
         }};
     }
 
@@ -496,13 +516,9 @@ where
             if backoff > 0 {
                 std::thread::sleep(Duration::from_millis(backoff));
             }
-            let (k, state) = match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
-                Some((k, vals, flags)) => (k, Some((vals, flags))),
-                None => (0, None),
-            };
-            start_step = k;
-            resume_state = state;
-            last_resume = Some(k);
+            (start_step, resume_state) =
+                load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
+            last_resume = Some(start_step);
             continue;
         }};
     }
@@ -518,72 +534,81 @@ where
         let mut resume_now = resume_state.take();
 
         let outs = std::thread::scope(|s| {
-            let assign = &assign_now;
-            let membership = &live;
-            let stores_ref = &stores;
-            let finished_ref = &finished;
+            // A lone rank owns every vertex and has no peers to watch or
+            // outrun; it gets the integrity rungs instead.
+            let assign = (m > 1).then_some(assign_now.as_slice());
+            let (membership, slowed, hb, finished) = (&live, &slowed, &hb, &finished);
+            let stores = &stores;
+            // One rank's attempt: its engine at the resume barrier, run
+            // through the guarded loop.
+            let rank = move |i: usize, eps, resume: ResumePair<P::Value>| {
+                let r = membership[i];
+                let live = (m > 1).then(|| Liveness {
+                    hb: hb[i].clone(),
+                    fcfg,
+                    membership,
+                    slowed: slowed[r],
+                    rebalance: rebalance_enabled,
+                });
+                let (spec, config) = (specs[r].clone(), configs[r].clone());
+                let mut engine = DeviceEngine::new(program, graph, spec, config, r as u8, assign);
+                if let Some((vals, flags)) = resume {
+                    engine.restore(vals, &flags);
+                }
+                let injector = engine.config.fault_plan.clone();
+                let mut write_own = |e: &DeviceEngine<'_, P>, step, c: &mut StepCounters| {
+                    write_snapshot(e, step, &stores[r], injector.as_ref(), c)
+                };
+                let mut rungs = (m == 1).then(|| Rungs::arm(&engine));
+                let mut audit = |site, e: &mut DeviceEngine<'_, P>, step, c: &mut _| {
+                    rungs
+                        .as_mut()
+                        .map_or(Verdict::Go, |a| a.at(site, e, step, c))
+                };
+                let mut run = rank_loop(
+                    &mut engine,
+                    eps,
+                    start_step..cap,
+                    live,
+                    Some(&mut write_own),
+                    (m == 1).then_some(&mut audit as _),
+                );
+                if let Some(a) = &rungs {
+                    run.integ.accumulate(&a.stats);
+                }
+                // A rank that crashed or hung never reports itself
+                // finished — that is exactly the silence the watchdog is
+                // built to notice.
+                if !run.exit.lost() {
+                    finished[i].store(true, Ordering::Release);
+                }
+                let flags = engine.active_flags().to_vec();
+                (engine.values, flags, run)
+            };
+            if m == 1 {
+                // Like `run_single`, a lone rank runs on the caller's
+                // thread.
+                return sides
+                    .into_iter()
+                    .map(|eps| rank(0, eps, resume_now.take()))
+                    .collect();
+            }
             let handles: Vec<_> = sides
                 .into_iter()
                 .enumerate()
                 .map(|(i, eps)| {
-                    let r = membership[i];
-                    let spec = specs[r].clone();
-                    let config = configs[r].clone();
                     let resume_i = if i + 1 == m {
                         resume_now.take()
                     } else {
                         resume_now.clone()
                     };
-                    let live = Liveness {
-                        hb: hb[i].clone(),
-                        fcfg,
-                        membership,
-                        slowed: slowed[r],
-                        rebalance: rebalance_enabled,
-                    };
-                    s.spawn(move || {
-                        let mut engine =
-                            DeviceEngine::new(program, graph, spec, config, r as u8, Some(assign));
-                        if let Some((vals, flags)) = resume_i {
-                            engine.restore(vals, &flags);
-                        }
-                        let (policy, injector) =
-                            (engine.config.recovery, engine.config.fault_plan.clone());
-                        let mut write_own =
-                            |e: &DeviceEngine<'_, P>, step, c: &mut StepCounters| {
-                                let mut store =
-                                    stores_ref[r].lock().expect("checkpoint store poisoned");
-                                write_snapshot(
-                                    e,
-                                    step,
-                                    &mut **store,
-                                    &policy,
-                                    injector.as_ref(),
-                                    c,
-                                );
-                            };
-                        let run = rank_loop(
-                            &mut engine,
-                            eps,
-                            start_step..cap,
-                            Some(live),
-                            Some(&mut write_own),
-                        );
-                        // A rank that crashed or hung never reports itself
-                        // finished — that is exactly the silence the
-                        // watchdog is built to notice.
-                        if !run.exit.lost() {
-                            finished_ref[i].store(true, Ordering::Release);
-                        }
-                        let flags = engine.active_flags().to_vec();
-                        (engine.values, flags, run)
-                    })
+                    s.spawn(move || rank(i, eps, resume_i))
                 })
                 .collect();
             let w = s.spawn(|| {
                 watchdog_loop(
-                    &hb,
-                    &finished,
+                    hb,
+                    finished,
                     &stop,
                     deadline,
                     &detected,
@@ -596,6 +621,8 @@ where
                 .map(|h| h.join().expect("rank loop panicked"))
                 .collect();
             stop.store(true, Ordering::Release);
+            // Wake the watchdog from its poll rather than wait it out.
+            w.thread().unpark();
             w.join().expect("watchdog panicked");
             outs
         });
@@ -612,8 +639,7 @@ where
             slowed[r] = run.slowed;
             istats.accumulate(&run.integ);
             sim_adv.push(run.sim_adv_total);
-            dev_steps[r].retain(|s| s.step < start_step);
-            dev_steps[r].extend(run.steps);
+            splice(&mut dev_steps[r], &mut rstats, start_step, run.steps);
             state_out.push((r, values, flags));
         }
 
@@ -690,11 +716,7 @@ where
                     for &r in &evict_set {
                         fstats.evicted_ranks |= 1u64 << r;
                     }
-                    let merged = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
-                    let (k, pair) = match merged {
-                        Some((k, vals, flags)) => (k, Some((vals, flags))),
-                        None => (0, None),
-                    };
+                    let (k, pair) = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
                     last_resume = Some(k);
                     if survivors.len() == 1 {
                         // Terminal: the lone survivor hosts every current
@@ -720,18 +742,9 @@ where
                             &drv_tracer,
                         );
                         for (r, rs) in replay {
-                            dev_steps[r].retain(|s| s.step < k);
-                            dev_steps[r].extend(rs);
+                            splice(&mut dev_steps[r], &mut rstats, k, rs);
                         }
-                        return finish(
-                            dev_steps,
-                            values,
-                            rstats,
-                            fstats,
-                            istats,
-                            last_resume,
-                            wall_start.elapsed().as_secs_f64(),
-                        );
+                        finish!(assemble(dev_steps, values));
                     }
                     // Elastic: two or more survivors. Reconstruct the exact
                     // barrier state at the failure step s* (catch-up replay
@@ -757,8 +770,7 @@ where
                             &drv_tracer,
                         );
                         for (r, rs) in replay {
-                            dev_steps[r].retain(|s| s.step < k);
-                            dev_steps[r].extend(rs);
+                            splice(&mut dev_steps[r], &mut rstats, k, rs);
                         }
                         Some((v, f))
                     } else {
@@ -767,26 +779,12 @@ where
                     part = part.redistribute(&evict_set, &survivors);
                     live = survivors;
                     start_step = s_star;
-                    match caught_up {
-                        Some((vals, flags)) => {
-                            // Older snapshots were written under the stale
-                            // assignment: replace them with the barrier
-                            // state the survivors resume from.
-                            reset_stores_with::<P>(&stores, &live, s_star, &vals, &flags);
-                            resume_state = Some((vals, flags));
-                        }
-                        None => {
-                            // Failure at step 0 before any snapshot:
-                            // restart fresh on the survivor subset.
-                            for &r in &live {
-                                let mut st = stores[r].lock().expect("checkpoint store poisoned");
-                                for key in st.list() {
-                                    let _ = st.remove(key);
-                                }
-                            }
-                            resume_state = None;
-                        }
-                    }
+                    // Older snapshots were written under the stale
+                    // assignment: replace them with the barrier state the
+                    // survivors resume from (none after a failure at step 0
+                    // before any snapshot: a fresh restart on the subset).
+                    reset_stores_with::<P>(&stores, &live, s_star, &caught_up);
+                    resume_state = caught_up;
                     continue;
                 }
                 // Transient-fault model: membership unchanged.
@@ -798,15 +796,7 @@ where
         if exits.iter().all(|e| matches!(e, ExitKind::Done)) {
             let parts = state_out.into_iter().map(|(r, values, _)| (r, values));
             let values = merge_by_owner(&assign_now, parts);
-            return finish(
-                dev_steps,
-                values,
-                rstats,
-                fstats,
-                istats,
-                last_resume,
-                wall_start.elapsed().as_secs_f64(),
-            );
+            finish!(assemble(dev_steps, values));
         }
 
         if exits.iter().all(|e| matches!(e, ExitKind::Rebalance(_))) {
@@ -823,7 +813,7 @@ where
             let _rb = drv_tracer.span(Phase::Rebalance, sr as u32);
             fstats.rebalances += 1;
             // Merge live state at the barrier under the old assignment.
-            let (vals, flags) = merge_state(&assign_now, state_out);
+            let merged = Some(merge_state(&assign_now, state_out));
             // New shares proportional to the live ranks' observed
             // throughputs (dead ranks keep a zero share); re-derive the
             // partition with the same scheme.
@@ -838,18 +828,24 @@ where
             // Older snapshots were written under the stale assignment:
             // replace them with the merged barrier state.
             start_step = sr + 1;
-            reset_stores_with::<P>(&stores, &live, start_step, &vals, &flags);
-            resume_state = Some((vals, flags));
+            reset_stores_with::<P>(&stores, &live, start_step, &merged);
+            resume_state = merged;
             rebalance_enabled = false; // one rebalance per run
             continue;
         }
 
-        if exits.iter().any(|e| matches!(e, ExitKind::ExchangeDrop(_))) {
+        let dropped = exits.iter().any(|e| matches!(e, ExitKind::ExchangeDrop(_)));
+        let fail_stops = exits
+            .iter()
+            .filter(|e| matches!(e, ExitKind::FailStop(_)))
+            .count() as u64;
+        if dropped || fail_stops > 0 {
             // A dropped exchange is observed by both ends of the faulted
-            // link at the same barrier; other ranks see dead links as the
-            // pair tears down. Roll everyone back together.
-            fstats.exchange_drops += 1;
-            rstats.faults_injected += 1;
+            // link at the same barrier, a fail-stop by its own rank; other
+            // ranks see dead links as the failed ones tear down. Roll
+            // everyone back together.
+            fstats.exchange_drops += dropped as u64;
+            rstats.faults_injected += dropped as u64 + fail_stops;
             roll_back!(live[0]);
         }
 

@@ -58,7 +58,7 @@ impl<'a, T: MsgValue> MsgSink<T> for FlatSink<'a, T> {
 }
 
 /// Run a program to completion with the flat engine on one device.
-pub fn run_flat<P: VertexProgram>(
+pub(crate) fn run_flat<P: VertexProgram>(
     program: &P,
     graph: &Csr,
     spec: DeviceSpec,

@@ -12,24 +12,26 @@
 //! each rank sees its own flag plus every peer's, so all ranks reach the
 //! identical decision at the same barrier.
 //!
-//! Three drivers run on the loop and pass in only what they need:
+//! Every driver runs on the loop and passes in only what it needs:
 //!
 //! * [`run_single`] (lock/pipe) is the `N = 1` case: no links, no
-//!   assignment, no heartbeat, on the caller's thread. It is the only
-//!   caller that polls cancellation (at the step start and after
-//!   generation).
+//!   assignment, no heartbeat, on the caller's thread.
 //! * [`run_ranks`] runs one thread per rank over a link mesh with a
 //!   blocking exchange and no checkpoint hook; any early exit panics.
-//! * [`run_ranks_failover`] adds heartbeats, the exchange deadline, the
-//!   straggler vote, and its per-rank snapshot write as a barrier hook.
+//! * The recovery machine behind [`run_ranks_failover`] and
+//!   [`run_recoverable`] passes its per-rank snapshot write as a barrier
+//!   hook, which arms the fail-stop sites. A lone rank also gets the
+//!   integrity rungs as an `AuditHook`; fabric ranks get heartbeats, the
+//!   exchange deadline and the straggler vote.
 //!
-//! The failover driver's lockstep replay and the recovering single-device
-//! driver call the loop's pieces: the per-link bucket and combine, the
-//! absorb→process→update close, the step report, and the merge of values
-//! by owner.
+//! A lone rank polls cancellation at the step start and after generation.
+//! The failover driver's lockstep replay calls the loop's pieces: the
+//! per-link bucket and combine, the insert, the process and update, the
+//! step report, and the merge of values by owner.
 //!
 //! [`run_single`]: crate::engine::run_single
 //! [`run_ranks_failover`]: crate::engine::run_ranks_failover
+//! [`run_recoverable`]: crate::engine::run_recoverable
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
@@ -72,6 +74,9 @@ pub(crate) enum ExitKind {
     LinkPartitioned(usize, u8, u8),
     /// Straggler threshold reached; all ranks leave at the same barrier.
     Rebalance(usize),
+    /// A guarded rank hit a fail-stop site (a dead worker or mover, a
+    /// poisoned insert), or its integrity rungs could not heal the step.
+    FailStop(usize),
 }
 
 impl ExitKind {
@@ -105,6 +110,36 @@ pub(crate) const BEATS_PER_STEP: u64 = 4;
 /// superstep (`policy.is_checkpoint_step(step + 1)`).
 pub(crate) type BarrierHook<'h, 'g, P> =
     &'h mut dyn FnMut(&DeviceEngine<'g, P>, usize, &mut StepCounters);
+
+/// Where in a superstep the integrity hook runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Site {
+    /// After `begin_step`, before generation.
+    Start,
+    /// After generation.
+    Generated,
+    /// After the insertion stats, before processing.
+    Inserted,
+    /// After update: the barrier the next step starts from.
+    Updated,
+}
+
+/// What the integrity hook asks of the loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Carry on.
+    Go,
+    /// Run the step body again (the hook restored its starting barrier).
+    Replay,
+    /// The step cannot be healed in place: end the rank with a fail-stop.
+    Fail,
+}
+
+/// A lone guarded rank's integrity hook: the silent-corruption sites and
+/// rungs of [`Rungs`](crate::engine::integrity::Rungs), called at every
+/// [`Site`] of every step.
+pub(crate) type AuditHook<'h, 'g, P> =
+    &'h mut dyn FnMut(Site, &mut DeviceEngine<'g, P>, usize, &mut StepCounters) -> Verdict;
 
 /// What one rank loop hands back besides the engine's own state.
 pub(crate) struct RankRun<M: Send> {
@@ -160,31 +195,35 @@ pub(crate) fn bucket_and_combine<P: VertexProgram>(
         .collect()
 }
 
-/// Close a superstep on one engine: insert the peers' combined messages
-/// (ascending peer order), then process and update locally. A single
-/// device has no insert barrier to trace.
-pub(crate) fn close_step<P: VertexProgram>(
+/// Insert the peers' combined messages (ascending peer order) and finalize
+/// the insertion stats. A single device has no insert barrier to trace.
+pub(crate) fn insert_step<P: VertexProgram>(
     engine: &mut DeviceEngine<'_, P>,
     incoming: &[Vec<WireMsg<P::Msg>>],
     c: &mut StepCounters,
     tracer: &ThreadTracer,
     step: usize,
 ) {
-    {
-        let _i = (!incoming.is_empty()).then(|| tracer.span(Phase::Insert, step as u32));
-        for msgs in incoming {
-            engine.absorb_remote(msgs, c);
-        }
-        engine.finalize_insertion_stats(c);
+    let _i = (!incoming.is_empty()).then(|| tracer.span(Phase::Insert, step as u32));
+    for msgs in incoming {
+        engine.absorb_remote(msgs, c);
     }
+    engine.finalize_insertion_stats(c);
+}
+
+/// Close a superstep on one engine: process, then update.
+pub(crate) fn process_update<P: VertexProgram>(
+    engine: &mut DeviceEngine<'_, P>,
+    c: &mut StepCounters,
+    tracer: &ThreadTracer,
+    step: usize,
+) {
     {
         let _p = tracer.span(Phase::Process, step as u32);
         engine.process(c);
     }
-    {
-        let _u = tracer.span(Phase::Update, step as u32);
-        engine.update(c);
-    }
+    let _u = tracer.span(Phase::Update, step as u32);
+    engine.update(c);
 }
 
 /// Cost a closed superstep into its report. Per-chunk records are dropped
@@ -230,16 +269,18 @@ pub(crate) fn merge_by_owner<T>(
     merged
 }
 
-/// The per-rank report of a fabric run.
+/// The per-rank report of a run: `mode` is the engine's on a single
+/// device and `cpu-mic` on a fabric rank.
 pub(crate) fn rank_report<P: VertexProgram>(
     spec: &DeviceSpec,
+    mode: &str,
     steps: Vec<StepReport>,
     wall: f64,
 ) -> RunReport {
     RunReport {
         app: P::NAME.to_string(),
         device: spec.name.to_string(),
-        mode: "cpu-mic".to_string(),
+        mode: mode.to_string(),
         steps,
         wall,
         ..Default::default()
@@ -282,13 +323,16 @@ fn arm_link_faults<M: Send>(
 /// ticks at phase boundaries, the step-start crash/hang/slow injection
 /// sites, a deadline on every exchange, and symmetric straggler detection
 /// from the step times every rank piggybacks on its exchanges.
-/// `checkpoint` runs at the barrier after update on checkpoint supersteps.
+/// `checkpoint` runs at the barrier after update on checkpoint supersteps;
+/// the recovery machine passes one, which also arms the fail-stop sites.
+/// `audit` runs at every [`Site`] and may ask for a step's body again.
 pub(crate) fn rank_loop<'g, P: VertexProgram>(
     engine: &mut DeviceEngine<'g, P>,
     mut eps: Vec<Endpoint<WireMsg<P::Msg>>>,
     steps: Range<usize>,
     live: Option<Liveness<'_>>,
     mut checkpoint: Option<BarrierHook<'_, 'g, P>>,
+    mut audit: Option<AuditHook<'_, 'g, P>>,
 ) -> RankRun<P::Msg> {
     let config = engine.config.clone();
     let cost = CostModel::new(engine.spec.clone());
@@ -297,6 +341,9 @@ pub(crate) fn rank_loop<'g, P: VertexProgram>(
     let solo = eps.is_empty();
     let assign = engine.assign.unwrap_or_default();
     let deadline = live.as_ref().map(|l| l.fcfg.deadline());
+    // A guarded rank's fail-stop sites: the partial step is dirty, so the
+    // rank leaves for the driver to roll back.
+    let fail_stops = config.fault_plan.as_ref().filter(|_| checkpoint.is_some());
     let beat = || {
         if let Some(l) = &live {
             l.hb.tick();
@@ -344,85 +391,120 @@ pub(crate) fn rank_loop<'g, P: VertexProgram>(
                 run.slowed = true;
             }
         }
+        let fails = |k: FaultKind| fail_stops.is_some_and(|i| i.fire(step as u64, k, dev));
+        let mut hook = |site, e: &mut DeviceEngine<'g, P>, c: &mut StepCounters| {
+            audit.as_mut().map_or(Verdict::Go, |a| a(site, e, step, c))
+        };
         let t0 = Instant::now();
         let _step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c = engine.begin_step();
-        // 1. Message generation (local messages straight into the CSB,
-        //    peer-bound ones into the remote buffer).
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        // Mid-superstep cancellation point: the partial step is abandoned
-        // (values still hold the last completed superstep's state).
-        if solo && config.cancelled() {
-            break;
-        }
-        beat();
-        // 2. Bucket and combine per destination link.
-        let outgoing = bucket_and_combine::<P>(remote, assign, &link_of, eps.len(), &mut c);
-
-        // 3. The implicit remote message exchange, one framed exchange per
-        //    link in ascending peer order. Frame integrity (when
-        //    configured) seals, verifies and heals corrupt frames with a
-        //    bounded verdict-synced re-exchange.
-        let my_any = c.msgs_total() > 0;
-        let mut peer_any = false;
-        let mut comm_time = 0.0f64;
+        let mut c = StepCounters::default();
+        let (mut my_any, mut peer_any, mut comm_time) = (false, false, 0.0f64);
         let mut peer_times: Vec<(usize, f64)> = Vec::with_capacity(eps.len());
-        let mut incoming: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        if !solo {
-            let partitioned = arm_link_faults(&eps, config.fault_plan.as_ref(), step, dev);
-            let x0 = Instant::now();
-            let xspan = tracer.span(Phase::Exchange, step as u32);
-            let mut fail: Option<ExitKind> = None;
-            for (ep, out) in eps.iter().zip(outgoing) {
-                let bytes_out = wire_bytes::<P::Msg>(out.len());
-                let res = framed_exchange(
-                    ep,
-                    out,
-                    bytes_out,
-                    my_any,
-                    prev_adv,
-                    deadline,
-                    step as u64,
-                    dev,
-                    config.integrity,
-                    config.fault_plan.as_ref(),
-                    &mut run.integ,
-                );
-                match res {
-                    Ok((msgs, peer, x)) => {
-                        peer_any |= peer.any_active;
-                        peer_times.push((ep.peer, peer.step_time));
-                        c.comm_bytes += x.bytes_sent + x.bytes_recv;
-                        comm_time += x.sim_time;
-                        incoming.push(msgs);
-                    }
-                    Err(e) => {
-                        fail = Some(match e {
-                            ExchangeError::Dropped(_) if partitioned == Some(ep.peer) => {
-                                ExitKind::LinkPartitioned(step, dev, ep.peer as u8)
-                            }
-                            ExchangeError::Dropped(_) => ExitKind::ExchangeDrop(step),
-                            ExchangeError::Timeout(t) => ExitKind::PeerTimeout(step, t.waited_ms),
-                            ExchangeError::PeerDead => ExitKind::PeerDead(step),
-                        });
-                        break;
+        // The step body. A rung-2 replay runs it once more from the
+        // barrier, keeping the count of the faults that already fired.
+        let body = loop {
+            c = StepCounters {
+                faults_injected: c.faults_injected,
+                ..engine.begin_step()
+            };
+            if hook(Site::Start, engine, &mut c) == Verdict::Fail || fails(FaultKind::KillWorker) {
+                break Err(ExitKind::FailStop(step));
+            }
+            // 1. Message generation (local messages straight into the CSB,
+            //    peer-bound ones into the remote buffer).
+            let remote = {
+                let _g = tracer.span(Phase::Generate, step as u32);
+                engine.generate(&mut c)
+            };
+            hook(Site::Generated, engine, &mut c);
+            if fails(FaultKind::KillMover) {
+                break Err(ExitKind::FailStop(step));
+            }
+            // Mid-superstep cancellation point: the partial step is
+            // abandoned (values still hold the last completed superstep's
+            // state).
+            if solo && config.cancelled() {
+                break Err(ExitKind::Done);
+            }
+            beat();
+            // 2. Bucket and combine per destination link.
+            let outgoing = bucket_and_combine::<P>(remote, assign, &link_of, eps.len(), &mut c);
+
+            // 3. The implicit remote message exchange, one framed exchange
+            //    per link in ascending peer order. Frame integrity (when
+            //    configured) seals, verifies and heals corrupt frames with
+            //    a bounded verdict-synced re-exchange.
+            my_any = c.msgs_total() > 0;
+            let mut incoming: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
+            if !solo {
+                let partitioned = arm_link_faults(&eps, config.fault_plan.as_ref(), step, dev);
+                let x0 = Instant::now();
+                let xspan = tracer.span(Phase::Exchange, step as u32);
+                let mut fail: Option<ExitKind> = None;
+                for (ep, out) in eps.iter().zip(outgoing) {
+                    let bytes_out = wire_bytes::<P::Msg>(out.len());
+                    let res = framed_exchange(
+                        ep,
+                        out,
+                        bytes_out,
+                        my_any,
+                        prev_adv,
+                        deadline,
+                        step as u64,
+                        dev,
+                        config.integrity,
+                        config.fault_plan.as_ref(),
+                        &mut run.integ,
+                    );
+                    match res {
+                        Ok((msgs, peer, x)) => {
+                            peer_any |= peer.any_active;
+                            peer_times.push((ep.peer, peer.step_time));
+                            c.comm_bytes += x.bytes_sent + x.bytes_recv;
+                            comm_time += x.sim_time;
+                            incoming.push(msgs);
+                        }
+                        Err(e) => {
+                            fail = Some(match e {
+                                ExchangeError::Dropped(_) if partitioned == Some(ep.peer) => {
+                                    ExitKind::LinkPartitioned(step, dev, ep.peer as u8)
+                                }
+                                ExchangeError::Dropped(_) => ExitKind::ExchangeDrop(step),
+                                ExchangeError::Timeout(t) => {
+                                    ExitKind::PeerTimeout(step, t.waited_ms)
+                                }
+                                ExchangeError::PeerDead => ExitKind::PeerDead(step),
+                            });
+                            break;
+                        }
                     }
                 }
+                drop(xspan);
+                config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
+                beat();
+                if let Some(f) = fail {
+                    break Err(f);
+                }
             }
-            drop(xspan);
-            config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
-            beat();
-            if let Some(f) = fail {
-                run.exit = f;
-                break;
-            }
-        }
 
-        // 4. Insert the received messages, then process and update.
-        close_step(engine, &incoming, &mut c, &tracer, step);
+            // 4. Insert the received messages, then process and update.
+            insert_step(engine, &incoming, &mut c, &tracer, step);
+            if fails(FaultKind::PoisonInsert)
+                || hook(Site::Inserted, engine, &mut c) == Verdict::Fail
+            {
+                break Err(ExitKind::FailStop(step));
+            }
+            process_update(engine, &mut c, &tracer, step);
+            match hook(Site::Updated, engine, &mut c) {
+                Verdict::Go => break Ok(()),
+                Verdict::Replay => {}
+                Verdict::Fail => break Err(ExitKind::FailStop(step)),
+            }
+        };
+        if let Err(exit) = body {
+            run.exit = exit;
+            break;
+        }
         beat();
         if live.is_some() {
             c.heartbeats = BEATS_PER_STEP;
@@ -539,7 +621,7 @@ pub fn run_ranks<P: VertexProgram>(
                     let mut engine =
                         DeviceEngine::new(program, graph, spec, config, r as u8, Some(assign));
                     let wall_start = Instant::now();
-                    let run = rank_loop(&mut engine, eps, 0..cap, None, None);
+                    let run = rank_loop(&mut engine, eps, 0..cap, None, None, None);
                     (engine.values, run, wall_start.elapsed().as_secs_f64())
                 })
             })
@@ -566,7 +648,7 @@ pub fn run_ranks<P: VertexProgram>(
         parts.push((r, values));
         reports.push(RunReport {
             integrity: run.integ,
-            ..rank_report::<P>(&specs[r], run.steps, wall)
+            ..rank_report::<P>(&specs[r], "cpu-mic", run.steps, wall)
         });
     }
     RunOutput {

@@ -35,12 +35,13 @@
 //! [`RunReport::integrity`]: crate::metrics::RunReport
 
 use crate::api::VertexProgram;
-use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
+use crate::engine::hetero::{Site, Verdict};
 use phigraph_comm::exchange::{ExchangeDropped, ExchangeError, ExchangeStats, PeerInfo};
 use phigraph_comm::{Endpoint, FrameHeader, WireMsg};
+use phigraph_device::StepCounters;
 use phigraph_graph::hash::{fnv1a64_seeded, FNV_OFFSET};
-use phigraph_graph::state::PodState;
+use phigraph_graph::state::{encode_state_slice, PodState};
 use phigraph_graph::SplitMix64;
 use phigraph_recover::{FaultInjector, FaultKind, IntegrityMode, IntegrityStats};
 use phigraph_simd::MsgValue;
@@ -53,67 +54,6 @@ pub const MAX_FRAME_RETRIES: u32 = 2;
 /// Sampling stride for app invariant audits on scrub passes (full mode
 /// audits every vertex; scrubs sample to stay cheap).
 const SCRUB_AUDIT_STRIDE: usize = 4;
-
-/// Per-run integrity context: the configured mode, the scrub cadence, and
-/// the accumulated statistics.
-#[derive(Clone, Debug, Default)]
-pub struct IntegrityCtx {
-    /// Configured detection level.
-    pub mode: IntegrityMode,
-    /// Scrub cadence in supersteps (0 = no scrubbing).
-    pub scrub_every: usize,
-    /// Everything observed so far.
-    pub stats: IntegrityStats,
-}
-
-impl IntegrityCtx {
-    /// Build the context from an engine configuration.
-    pub fn new(config: &EngineConfig) -> Self {
-        IntegrityCtx {
-            mode: config.integrity,
-            scrub_every: config.scrub_every,
-            stats: IntegrityStats::default(),
-        }
-    }
-
-    /// Whether `step` is a background scrub boundary.
-    pub fn is_scrub_step(&self, step: usize) -> bool {
-        self.scrub_every > 0 && step > 0 && step.is_multiple_of(self.scrub_every)
-    }
-
-    /// Whether the barrier state digest is audited at `step` (every step in
-    /// full mode; scrub boundaries otherwise).
-    pub fn audits_state(&self, step: usize) -> bool {
-        self.mode.full() || self.is_scrub_step(step)
-    }
-
-    /// Whether the per-group message checksums are audited (full mode only
-    /// — the fold must have been armed for the whole generation).
-    pub fn audits_messages(&self) -> bool {
-        self.mode.full()
-    }
-
-    /// Whether the app invariant auditor runs at `step`.
-    pub fn audits_app(&self, step: usize) -> bool {
-        self.mode.full() || self.is_scrub_step(step)
-    }
-
-    /// Sampling stride for the app auditor at `step`.
-    pub fn app_stride(&self, step: usize) -> usize {
-        if self.mode.full() {
-            1
-        } else if self.is_scrub_step(step) {
-            SCRUB_AUDIT_STRIDE
-        } else {
-            usize::MAX
-        }
-    }
-
-    /// Whether the driver must maintain a [`BarrierImage`] at all.
-    pub fn needs_image(&self) -> bool {
-        self.mode.full() || self.scrub_every > 0
-    }
-}
 
 /// The state a superstep started from: a clone of the barrier values and
 /// active flags plus a per-vertex-group digest of both. The image is what
@@ -184,6 +124,174 @@ impl<V: Copy> BarrierImage<V> {
             .filter(|(_, (a, b))| a != b)
             .map(|(g, _)| g)
             .collect()
+    }
+}
+
+/// The single-rank silent-corruption sites and integrity rungs: the rank
+/// loop's audit hook, armed per attempt on a lone rank. The sites
+/// fire whether or not checking is on — with it off the damage propagates
+/// undetected, which is exactly the failure mode the lattice exists to
+/// close. A rung that cannot heal fails the step, and the recovery machine
+/// rolls it back (rung 3).
+pub(crate) struct Rungs<V> {
+    /// Configured detection level.
+    mode: IntegrityMode,
+    /// Scrub cadence in supersteps (0 = no scrubbing).
+    scrub_every: usize,
+    /// Everything observed so far.
+    pub(crate) stats: IntegrityStats,
+    injector: Option<FaultInjector>,
+    /// The barrier the current step started from (full mode or scrubbing).
+    image: Option<BarrierImage<V>>,
+    /// The state a flagged step produced, while its replay runs.
+    suspect: Option<Vec<u8>>,
+}
+
+impl<V: PodState> Rungs<V> {
+    /// Arm the rungs on `engine` at the barrier it starts from: the CSB
+    /// group checksums (full mode) and the first image.
+    pub(crate) fn arm<P: VertexProgram<Value = V>>(engine: &DeviceEngine<'_, P>) -> Self {
+        let (mode, scrub_every) = (engine.config.integrity, engine.config.scrub_every);
+        engine.set_integrity_audit(mode.full());
+        Rungs {
+            mode,
+            scrub_every,
+            stats: IntegrityStats::default(),
+            injector: engine.config.fault_plan.clone(),
+            image: (mode.full() || scrub_every > 0).then(|| BarrierImage::capture(engine)),
+            suspect: None,
+        }
+    }
+
+    /// Run the sites and rungs of `site` (the rank loop's
+    /// [`AuditHook`](crate::engine::hetero::AuditHook)).
+    pub(crate) fn at<P: VertexProgram<Value = V>>(
+        &mut self,
+        site: Site,
+        engine: &mut DeviceEngine<'_, P>,
+        step: usize,
+        c: &mut StepCounters,
+    ) -> Verdict {
+        let dev = engine.dev_id;
+        let fires = |k: FaultKind| {
+            self.injector
+                .as_ref()
+                .is_some_and(|i| i.fire(step as u64, k, dev))
+        };
+        // Full mode audits every step; below it, a background scrub
+        // boundary audits the state digests and samples the app auditor.
+        let scrub = self.scrub_every > 0 && step > 0 && step.is_multiple_of(self.scrub_every);
+        let audits = self.mode.full() || scrub;
+        match site {
+            Site::Start => {
+                // SDC site A: a bit of barrier state rots silently between
+                // barriers.
+                if fires(FaultKind::BitFlipState)
+                    && engine.flip_state_bit(step as u64 ^ 0x5DC1_57A7).is_some()
+                {
+                    c.faults_injected += 1;
+                }
+                // State digest audit. Rung 1: heal rotted groups straight
+                // from the image.
+                let Some(img) = self.image.as_ref().filter(|_| audits) else {
+                    return Verdict::Go;
+                };
+                self.stats.state_checks += 1;
+                if scrub {
+                    self.stats.scrub_passes += 1;
+                }
+                let bad = img.audit_state(engine);
+                if !bad.is_empty() {
+                    self.stats.state_detections += bad.len() as u64;
+                    self.stats.quarantined_groups += bad.len() as u64;
+                    engine.heal_state_groups(&bad, &img.values, &img.flags);
+                    if !img.audit_state(engine).is_empty() {
+                        // The image itself cannot reproduce its own digest:
+                        // escalate to rollback.
+                        return Verdict::Fail;
+                    }
+                    self.stats.group_heals += bad.len() as u64;
+                }
+            }
+            Site::Generated => {
+                // SDC site B: a buffered message bit flips inside the CSB.
+                if fires(FaultKind::BitFlipMessage)
+                    && engine
+                        .corrupt_message_cell(step as u64 ^ 0x0B17_F117)
+                        .is_some()
+                {
+                    c.faults_injected += 1;
+                }
+            }
+            Site::Inserted => {
+                // Group checksum audit between the insert barrier and
+                // processing (full mode only — the fold must have been
+                // armed for the whole generation). Rung 1: quarantine
+                // mismatched groups and regenerate only them.
+                let Some(img) = self.image.as_ref().filter(|_| self.mode.full()) else {
+                    return Verdict::Go;
+                };
+                self.stats.group_checks += 1;
+                let bad = engine.audit_message_groups();
+                if !bad.is_empty() {
+                    self.stats.group_detections += bad.len() as u64;
+                    self.stats.quarantined_groups += bad.len() as u64;
+                    engine.reset_message_groups(&bad);
+                    engine.regenerate_groups(&bad, &img.values, &img.flags);
+                    engine.finalize_insertion_stats(c);
+                    if !engine.audit_message_groups().is_empty() {
+                        // Regeneration could not reproduce the checksums:
+                        // escalate to rollback.
+                        return Verdict::Fail;
+                    }
+                    self.stats.group_heals += bad.len() as u64;
+                }
+            }
+            Site::Updated => {
+                let Some(img) = &self.image else {
+                    return Verdict::Go;
+                };
+                // App invariant audit (the semantic safety net; scrubs
+                // sample every `SCRUB_AUDIT_STRIDE`th vertex). A violation
+                // is rung 2: restore the barrier image and replay the whole
+                // step once through the loop's step body. A bit-identical
+                // replay means the invariant fired on clean data (false
+                // positive) and the result is accepted; a persistent
+                // violation after a differing replay escalates to rollback.
+                let stride = if self.mode.full() {
+                    1
+                } else {
+                    SCRUB_AUDIT_STRIDE
+                };
+                let flagged = |e: &DeviceEngine<'_, P>| {
+                    e.program
+                        .audit_step(step, &img.values, &e.values, stride)
+                        .is_some()
+                };
+                match self.suspect.take() {
+                    Some(suspect) if encode_state_slice(&engine.values) == suspect => {
+                        self.stats.false_positive_audits += 1;
+                    }
+                    Some(_) if flagged(engine) => return Verdict::Fail,
+                    Some(_) => {}
+                    None if audits => {
+                        self.stats.audits_run += 1;
+                        if flagged(engine) {
+                            self.stats.audit_violations += 1;
+                            self.stats.step_replays += 1;
+                            self.suspect = Some(encode_state_slice(&engine.values));
+                            engine.restore(img.values.clone(), &img.flags);
+                            return Verdict::Replay;
+                        }
+                    }
+                    None => {}
+                }
+                // The barrier after update is the next step's reference
+                // state.
+                self.image = Some(BarrierImage::capture(engine));
+            }
+        }
+        Verdict::Go
     }
 }
 

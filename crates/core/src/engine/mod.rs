@@ -1,10 +1,12 @@
 //! Execution engines. Every `DeviceEngine` driver runs the one per-rank
 //! superstep loop in [`hetero`]: [`run_single`] (lock/pipe) as its `N = 1`
-//! case, [`run_ranks`] over a blocking link mesh, and [`run_ranks_failover`]
-//! with heartbeats, deadlines, straggler votes and barrier snapshots.
-//! [`run_recoverable`] (single-device rollback) and the failover driver's
-//! lockstep replay reuse the loop's helpers. Alongside sit the flat and
-//! sequential baselines and the object-message path ([`obj`]).
+//! case and [`run_ranks`] over a blocking link mesh. The one recovery
+//! machine in [`failover`] guards the same loop with barrier snapshots,
+//! rollback and degradation: [`run_recoverable`] is its single-device
+//! `N = 1` case, and [`run_ranks_failover`] adds heartbeats, deadlines,
+//! straggler votes and live migration on a fabric. `run_single` also
+//! dispatches the flat and sequential baselines; the object-message path
+//! ([`obj`]) sits alongside.
 
 pub mod config;
 pub mod device;
@@ -19,18 +21,17 @@ pub mod seq;
 pub use config::{EngineConfig, ExecMode};
 pub use device::DeviceEngine;
 pub use failover::run_ranks_failover;
-pub use flat::run_flat;
 pub use hetero::run_ranks;
-pub use integrity::{framed_exchange, BarrierImage, IntegrityCtx};
+pub use integrity::{framed_exchange, BarrierImage};
 pub use recover::run_recoverable;
-pub use seq::run_seq;
 
 use crate::api::VertexProgram;
-use crate::metrics::{RunOutput, RunReport};
-use flat::run_cap;
-use hetero::rank_loop;
+use crate::metrics::RunOutput;
+use flat::{run_cap, run_flat};
+use hetero::{rank_loop, rank_report};
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
+use seq::run_seq;
 use std::time::Instant;
 
 /// Run `program` to completion on a single device with any execution mode.
@@ -80,15 +81,9 @@ pub(crate) fn run_device<P: VertexProgram>(mut engine: DeviceEngine<'_, P>) -> R
         engine.config.max_supersteps,
     );
     let wall_start = Instant::now();
-    let run = rank_loop(&mut engine, Vec::new(), 0..cap, None, None);
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: engine.spec.name.to_string(),
-        mode: engine.config.mode.name().to_string(),
-        steps: run.steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
+    let run = rank_loop(&mut engine, Vec::new(), 0..cap, None, None, None);
+    let wall = wall_start.elapsed().as_secs_f64();
+    let report = rank_report::<P>(&engine.spec, engine.config.mode.name(), run.steps, wall);
     RunOutput {
         values: engine.values,
         device_reports: vec![report.clone()],

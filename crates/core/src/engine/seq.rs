@@ -35,7 +35,7 @@ impl<'a, T: MsgValue> MsgSink<T> for SeqSink<'a, T> {
 }
 
 /// Run a program to completion on one simulated core.
-pub fn run_seq<P: VertexProgram>(
+pub(crate) fn run_seq<P: VertexProgram>(
     program: &P,
     graph: &Csr,
     spec: DeviceSpec,

@@ -81,6 +81,34 @@ pub enum FaultKind {
     PartitionLink(u8, u8),
 }
 
+/// Where the batch engines have an injection site for a fault kind — the
+/// one list that `phigraph run` checks a plan against and that the fault
+/// table in `docs/fault_tolerance.md` mirrors in its "fires on" column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Sites {
+    /// A single device only (the integrity rungs of a lone rank).
+    OneDevice,
+    /// A rank fabric only (links, liveness, frames).
+    Ranks,
+    /// A single device and a rank fabric alike.
+    Both,
+    /// No batch site: a serving-chaos kind.
+    ServeOnly,
+}
+
+impl Sites {
+    /// The label of the docs table's "fires on" column.
+    #[cfg(test)]
+    fn label(&self) -> &'static str {
+        match self {
+            Sites::OneDevice => "one device",
+            Sites::Ranks => "N ranks",
+            Sites::Both => "both",
+            Sites::ServeOnly => "serve only",
+        }
+    }
+}
+
 impl FaultKind {
     /// All *fieldless* kinds, for seeded sampling. The parameterized
     /// multi-rank kinds ([`CrashRank`](FaultKind::CrashRank),
@@ -121,6 +149,40 @@ impl FaultKind {
         FaultKind::BitFlipState,
         FaultKind::TruncateFrame,
     ];
+
+    /// Where this kind has an injection site (see [`Sites`]).
+    pub(crate) fn sites(&self) -> Sites {
+        match self {
+            FaultKind::KillWorker
+            | FaultKind::KillMover
+            | FaultKind::PoisonInsert
+            | FaultKind::CorruptCheckpoint
+            | FaultKind::BitFlipMessage => Sites::Both,
+            FaultKind::BitFlipState => Sites::OneDevice,
+            FaultKind::DropExchange
+            | FaultKind::CrashDevice
+            | FaultKind::HangDevice
+            | FaultKind::SlowDevice
+            | FaultKind::TruncateFrame
+            | FaultKind::CrashRank(_)
+            | FaultKind::PartitionLink(_, _) => Sites::Ranks,
+            FaultKind::KillDaemon
+            | FaultKind::HangWorkerJob
+            | FaultKind::SlowClient
+            | FaultKind::MalformedLine => Sites::ServeOnly,
+        }
+    }
+
+    /// Whether this kind has an injection site on a batch run of `ranks`
+    /// ranks (1 = a single device).
+    pub(crate) fn fires_on(&self, ranks: usize) -> bool {
+        match self.sites() {
+            Sites::OneDevice => ranks == 1,
+            Sites::Ranks => ranks > 1,
+            Sites::Both => true,
+            Sites::ServeOnly => false,
+        }
+    }
 
     /// Build a normalized link-partition kind (`i < j` always).
     pub fn partition_link(a: u8, b: u8) -> Self {
@@ -304,6 +366,52 @@ impl std::str::FromStr for FaultPlan {
 }
 
 impl FaultPlan {
+    /// Check that every planned fault can take effect on a batch run of
+    /// `ranks` ranks (1 = a single device): its kind has an injection site
+    /// there, and every rank it names exists. The parameterized kinds name
+    /// their ranks in the kind, so they take no device suffix. The error
+    /// names the kinds that do apply.
+    pub fn check_ranks(&self, ranks: usize) -> Result<(), String> {
+        let run = if ranks == 1 {
+            "one device".to_string()
+        } else {
+            format!("{ranks} ranks")
+        };
+        for f in &self.faults {
+            if !f.kind.fires_on(ranks) {
+                let mut apply: Vec<&str> = FaultKind::ALL
+                    .iter()
+                    .filter(|k| k.fires_on(ranks))
+                    .map(|k| k.name())
+                    .collect();
+                if ranks > 1 {
+                    apply.extend(["crash-rank:k", "partition-link:i-j"]);
+                }
+                return Err(format!(
+                    "fault {f} has no injection site on {run} (kinds that apply: {})",
+                    apply.join("|")
+                ));
+            }
+            let named = match f.kind {
+                FaultKind::CrashRank(_) | FaultKind::PartitionLink(_, _) if f.device != 0 => {
+                    return Err(format!(
+                        "fault {f}: {} names its ranks in the kind and takes no device",
+                        f.kind.name()
+                    ));
+                }
+                FaultKind::CrashRank(r) | FaultKind::PartitionLink(_, r) => r,
+                _ => f.device,
+            };
+            if named as usize >= ranks {
+                return Err(format!(
+                    "fault {f} names rank {named}, but the run's ranks are 0..={}",
+                    ranks - 1
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Empty plan.
     pub fn new() -> Self {
         Self::default()
@@ -610,6 +718,85 @@ mod tests {
         assert!(e.contains("bad device"), "got {e:?}");
         let e = "1".parse::<FaultPlan>().unwrap_err();
         assert!(e.contains("bad fault spec"), "got {e:?}");
+    }
+
+    #[test]
+    fn plans_are_checked_against_the_rank_count() {
+        let check = |s: &str, ranks| s.parse::<FaultPlan>().unwrap().check_ranks(ranks);
+        for ok in [
+            "3:worker",
+            "3:mover,5:checkpoint",
+            "1:bitflip-msg,2:bitflip-state",
+        ] {
+            assert!(check(ok, 1).is_ok(), "{ok}");
+        }
+        for ok in [
+            "3:worker:1",
+            "2:exchange:2",
+            "4:crash-rank:2",
+            "3:partition-link:0-2",
+        ] {
+            assert!(check(ok, 3).is_ok(), "{ok}");
+        }
+        for kind in [
+            "exchange",
+            "crash",
+            "hang",
+            "slow",
+            "truncate-frame",
+            "crash-rank:1",
+        ] {
+            let err = check(&format!("2:{kind}"), 1).unwrap_err();
+            assert!(err.contains("no injection site on one device"), "{err}");
+            assert!(
+                err.contains("worker|mover|insert"),
+                "names what applies: {err}"
+            );
+        }
+        assert!(check("3:partition-link:0-1", 1).is_err());
+        assert!(check("2:bitflip-state:1", 2).is_err());
+        for serve in [
+            "daemon-kill",
+            "worker-hang",
+            "slow-client",
+            "malformed-line",
+        ] {
+            assert!(check(&format!("2:{serve}"), 1).is_err(), "{serve}");
+            assert!(check(&format!("2:{serve}"), 3).is_err(), "{serve}");
+        }
+        // Ranks past the fabric, in the device field or in the kind.
+        assert!(check("3:worker:1", 1).is_err());
+        assert!(check("3:exchange:3", 3).is_err());
+        assert!(check("4:crash-rank:3", 3).is_err());
+        assert!(check("3:partition-link:1-3", 3).is_err());
+        assert!(
+            check("4:crash-rank:1:1", 3).is_err(),
+            "the kind names the rank"
+        );
+    }
+
+    /// The fault table of docs/fault_tolerance.md lists every kind, and its
+    /// "fires on" column matches [`FaultKind::sites`].
+    #[test]
+    fn docs_fault_table_mirrors_the_site_list() {
+        let doc = include_str!("../../../docs/fault_tolerance.md");
+        let header = "| kind (CLI name) | fires on |";
+        let table = &doc[doc.find(header).expect("fault table header")..];
+        let rows: Vec<&str> = table.lines().take_while(|l| l.starts_with('|')).collect();
+        let kinds = FaultKind::ALL
+            .iter()
+            .copied()
+            .chain([FaultKind::CrashRank(0), FaultKind::partition_link(0, 1)]);
+        for k in kinds {
+            // `(`name`)`, or `(`name:params`)` for the parameterized kinds.
+            let cells = [format!("(`{}`", k.name()), format!("(`{}:", k.name())];
+            let row = rows
+                .iter()
+                .find(|r| cells.iter().any(|c| r.contains(c.as_str())))
+                .unwrap_or_else(|| panic!("no row for {}", k.name()));
+            let fires_on = row.split('|').nth(2).unwrap().trim();
+            assert_eq!(fires_on, k.sites().label(), "{}", k.name());
+        }
     }
 
     #[test]

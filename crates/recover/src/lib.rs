@@ -16,7 +16,9 @@
 //! * [`fault`] — a deterministic, seeded [`FaultPlan`] compiled into a
 //!   fire-once [`FaultInjector`] that the engines consult at well-defined
 //!   injection sites (worker/mover death, poisoned CSB insert, corrupted
-//!   checkpoint, dropped hetero exchange).
+//!   checkpoint, dropped hetero exchange), with the one list of which
+//!   kinds can fire on a single device and which on a rank fabric
+//!   ([`FaultPlan::check_ranks`]).
 //! * [`policy`] — [`RecoveryPolicy`] (checkpoint interval, retry budget,
 //!   exponential backoff) and [`RecoveryStats`] (checkpoints written/bytes,
 //!   rollbacks, retries, corrupt-snapshot rejections, degradation).
@@ -28,10 +30,11 @@
 //!   checksum primitive, and [`IntegrityStats`] for silent-data-corruption
 //!   detection and targeted self-healing.
 //!
-//! The engine integration lives in `phigraph_core::engine::recover` (and
-//! `engine::failover` for the hetero liveness layer); this crate is
-//! deliberately engine-agnostic so the CLI `recover` subcommand can inspect
-//! snapshot files without dragging in the runtime.
+//! The engine integration lives in `phigraph_core::engine::failover` (the
+//! one recovery machine, single-device and fabric alike) and
+//! `engine::recover` (the snapshot encoder, writer and validator); this
+//! crate is deliberately engine-agnostic so the CLI `recover` subcommand
+//! can inspect snapshot files without dragging in the runtime.
 
 pub mod failover;
 pub mod fault;

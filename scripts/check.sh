@@ -60,6 +60,33 @@ echo "==> integrity smoke: seeded SDC chaos run heals bit-identically"
 cmp "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/healed.txt"
 "$PHIGRAPH" recover "$SMOKE_DIR/sdc" | grep -q "integrity:"
 
+echo "==> one-machine smoke: a dead worker rolls back once, on one device and on a fabric rank"
+# Single-device recovery is the N = 1 case of the failover driver: the
+# same fail-stop site fires on one device and on rank 1 of a 2-rank
+# fabric, each run rolls back once to its newest barrier and prints the
+# clean run's checksum.
+one_machine() { # <checkpoint dir> <fault> <run flags...>
+    CK="$SMOKE_DIR/$1"
+    FAULT="$2"
+    shift 2
+    WANT1="$("$PHIGRAPH" run sssp "$SMOKE_DIR/g.bin" "$@" --checksum \
+        | sed -n 's/^checksum=//p')"
+    test -n "$WANT1"
+    "$PHIGRAPH" run sssp "$SMOKE_DIR/g.bin" "$@" --checkpoint-every 2 \
+        --checkpoint-dir "$CK" --faults "$FAULT" --checksum > "$CK.txt"
+    grep -q "checksum=$WANT1" "$CK.txt"
+    "$PHIGRAPH" recover "$CK" > "$CK.recover.txt"
+    grep -q "rollbacks=1" "$CK.recover.txt"
+}
+one_machine one-ckpt 3:worker --engine lock
+one_machine one-fabric-ckpt 3:worker:1 --devices 2
+# A fault kind with no injection site on one device is an error, not a no-op.
+CODE=0
+"$PHIGRAPH" run sssp "$SMOKE_DIR/g.bin" --faults 2:exchange \
+    --checkpoint-dir "$SMOKE_DIR/one-none" >/dev/null 2>&1 || CODE=$?
+test "$CODE" -eq 2 || { echo "one-device exchange fault exited $CODE, expected 2" >&2; exit 1; }
+echo "    (worker fault at step 3: one device and rank 1 of 2 roll back once, checksum parity: ok)"
+
 echo "==> fabric smoke: N=3 rank crash mid-run, survivors recover bit-identically"
 # A clean 3-rank run fixes the expected checksum; the chaos run kills
 # rank 1 at superstep 4, so the survivors must migrate its partition,

@@ -9,9 +9,10 @@
 //! within the configured deadline.
 
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::{run_ranks, run_ranks_failover, run_seq, EngineConfig};
+use phigraph_core::engine::{run_ranks, run_ranks_failover, run_single, EngineConfig};
 use phigraph_core::metrics::RunOutput;
 use phigraph_device::{DeviceSpec, StepCounters};
+use phigraph_graph::generators::small::chain;
 use phigraph_graph::state::PodState;
 use phigraph_graph::{Csr, EdgeList, SplitMix64};
 use phigraph_partition::{partition, partition_n, DevicePartition, PartitionScheme, Ratio, Shares};
@@ -460,6 +461,22 @@ fn run_n_failover<P: VertexProgram>(
 where
     P::Value: PodState,
 {
+    run_configs(program, g, p, &n_configs(n, injector), fcfg)
+}
+
+/// Run the failover driver over one config per rank with fresh in-memory
+/// stores.
+fn run_configs<P: VertexProgram>(
+    program: &P,
+    g: &Csr,
+    p: &DevicePartition,
+    configs: &[EngineConfig],
+    fcfg: &FailoverConfig,
+) -> RunOutput<P::Value>
+where
+    P::Value: PodState,
+{
+    let n = configs.len();
     let mut stores: Vec<MemStore> = (0..n).map(|_| MemStore::new()).collect();
     let store_refs: Vec<&mut dyn CheckpointStore> = stores
         .iter_mut()
@@ -470,7 +487,7 @@ where
         g,
         p,
         &n_specs(n),
-        &n_configs(n, injector),
+        configs,
         PcieLink::gen2_x16(),
         fcfg,
         store_refs,
@@ -486,7 +503,7 @@ where
 fn kill_one_then_a_second_rank_at_every_superstep_n3_n4() {
     let g = sweep_graph(83);
     let app = Sssp { source: 0 };
-    let seq = run_seq(
+    let seq = run_single(
         &app,
         &g,
         DeviceSpec::xeon_e5_2680(),
@@ -540,7 +557,7 @@ fn kill_one_then_a_second_rank_at_every_superstep_n3_n4() {
 fn link_partition_evicts_the_higher_endpoint_and_fabric_survives() {
     let g = sweep_graph(89);
     let app = Sssp { source: 0 };
-    let seq = run_seq(
+    let seq = run_single(
         &app,
         &g,
         DeviceSpec::xeon_e5_2680(),
@@ -591,4 +608,90 @@ fn losing_both_devices_degrades_but_stays_correct() {
     assert_eq!(out.values, baseline.values);
     assert!(out.report.failover.degraded_single);
     assert_eq!(out.report.failover.crash_detections, 2);
+}
+
+/// The fail-stop sites fire on every rank under the recovery machine, not
+/// only on a single device: a dead worker, a dead mover or a poisoned insert
+/// on rank 1 rolls every rank back once — no eviction, no dropped exchange.
+#[test]
+fn fail_stop_on_a_fabric_rank_rolls_every_rank_back_once() {
+    let g = sweep_graph(97);
+    let app = Sssp { source: 0 };
+    for n in [2usize, 3] {
+        let p = n_partition(&g, n);
+        let clean = run_ranks(
+            &app,
+            &g,
+            &p,
+            &n_specs(n),
+            &n_configs(n, None),
+            PcieLink::gen2_x16(),
+        );
+        for kind in [
+            FaultKind::KillWorker,
+            FaultKind::KillMover,
+            FaultKind::PoisonInsert,
+        ] {
+            let plan = FaultPlan::new().with(3, kind, 1);
+            let fcfg = FailoverConfig::default();
+            let out = run_n_failover(&app, &g, &p, n, &fcfg, Some(plan.injector()));
+            assert_eq!(out.values, clean.values, "n={n} {kind:?}");
+            let (r, f) = (out.report.recovery, out.report.failover);
+            assert_eq!(r.rollbacks, 1, "n={n} {kind:?}");
+            assert_eq!(r.faults_injected, 1, "n={n} {kind:?}");
+            assert!(!r.degraded, "n={n} {kind:?}");
+            assert_eq!(f.migrations, 0, "n={n} {kind:?}");
+            assert_eq!(f.exchange_drops, 0, "n={n} {kind:?}");
+        }
+    }
+}
+
+/// Checkpoints are counted when they are written: a 3-rank run that
+/// degrades after two dropped exchanges still reports the snapshots every
+/// rank wrote before it degraded.
+#[test]
+fn degraded_fabric_run_reports_the_checkpoints_it_wrote() {
+    let g = sweep_graph(101);
+    let app = Sssp { source: 0 };
+    let n = 3;
+    let p = n_partition(&g, n);
+    let plan =
+        FaultPlan::new()
+            .with(2, FaultKind::DropExchange, 1)
+            .with(4, FaultKind::DropExchange, 1);
+    let configs: Vec<EngineConfig> = n_configs(n, Some(plan.injector()))
+        .into_iter()
+        .map(|c| c.with_max_retries(1))
+        .collect();
+    let out = run_configs(&app, &g, &p, &configs, &FailoverConfig::default());
+    let r = out.report.recovery;
+    assert!(r.degraded);
+    assert_eq!(out.report.failover.exchange_drops, 2);
+    // Steps 0-1, then 2-3 after the rollback, completed on all three ranks,
+    // each checkpointing every superstep.
+    assert_eq!(r.checkpoints_written, 12);
+    assert!(r.checkpoint_bytes > 0);
+}
+
+/// The driver wakes the watchdog when the ranks finish instead of waiting
+/// out its poll (25 ms at the default 2 s deadline), so a short fault-free
+/// run takes less than one poll. One host thread per rank keeps the run
+/// itself far below that.
+#[test]
+fn fault_free_run_does_not_wait_out_the_watchdog_poll() {
+    let g = chain(20);
+    let p = n_partition(&g, 2);
+    let app = Sssp { source: 0 };
+    let configs: Vec<EngineConfig> = n_configs(2, None)
+        .into_iter()
+        .map(|c| c.with_host_threads(1))
+        .collect();
+    let fastest = (0..3)
+        .map(|_| {
+            run_configs(&app, &g, &p, &configs, &FailoverConfig::default())
+                .report
+                .wall
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(fastest < 0.025, "fastest of 3 runs took {fastest:.4} s");
 }

@@ -38,6 +38,7 @@ impl VertexProgram for Bfs {
         }
     }
 
+    #[inline]
     fn generate<S: MsgSink<i32>>(&self, v: VertexId, ctx: &mut GenContext<'_, i32, S>) {
         let next = *ctx.value(v) + 1;
         let g = ctx.graph;

@@ -77,6 +77,7 @@ impl VertexProgram for KCore {
         )
     }
 
+    #[inline]
     fn generate<S: MsgSink<i32>>(&self, v: VertexId, ctx: &mut GenContext<'_, KCoreValue, S>) {
         // Only freshly removed vertices are ever active.
         if !ctx.value(v).alive {

@@ -38,6 +38,7 @@ impl VertexProgram for PageRank {
         (1.0, true)
     }
 
+    #[inline]
     fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
         let deg = ctx.graph.out_degree(v);
         if deg == 0 {
@@ -161,6 +162,7 @@ impl VertexProgram for PageRankDelta {
         )
     }
 
+    #[inline]
     fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, PrDelta, S>) {
         let deg = ctx.graph.out_degree(v);
         if deg == 0 {

@@ -54,6 +54,7 @@ impl VertexProgram for PersonalizedPageRank {
         (if v == self.source { 1.0 } else { 0.0 }, true)
     }
 
+    #[inline]
     fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
         let deg = ctx.graph.out_degree(v);
         if deg == 0 {

@@ -29,6 +29,7 @@ impl VertexProgram for Sssp {
         }
     }
 
+    #[inline]
     fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
         // Listing 1: send my_dist + edge weight along every out-edge.
         let my_dist = *ctx.value(v);

@@ -87,6 +87,7 @@ impl VertexProgram for TopoSort {
         )
     }
 
+    #[inline]
     fn generate<S: MsgSink<i64>>(&self, v: VertexId, ctx: &mut GenContext<'_, TopoValue, S>) {
         let msg = pack(1, ctx.value(v).level + 1);
         let g = ctx.graph;

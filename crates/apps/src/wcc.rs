@@ -38,6 +38,7 @@ impl VertexProgram for Wcc {
         (v as i32, true)
     }
 
+    #[inline]
     fn generate<S: MsgSink<i32>>(&self, v: VertexId, ctx: &mut GenContext<'_, i32, S>) {
         let label = *ctx.value(v);
         let g = ctx.graph;

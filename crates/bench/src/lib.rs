@@ -20,7 +20,7 @@ pub mod tab2;
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::{Bfs, PageRank, SemiClustering, Sssp, TopoSort};
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::obj::{run_obj_hetero, run_obj_single};
+use phigraph_core::engine::obj::{run_obj_ranks, run_obj_single};
 use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_core::metrics::RunReport;
 use phigraph_device::DeviceSpec;
@@ -271,7 +271,7 @@ impl Workbench {
             AppId::Sssp => run_ranks(&Sssp { source: 0 }, g, p, &specs, &configs, link).report,
             AppId::TopoSort => run_ranks(&TopoSort::new(g), g, p, &specs, &configs, link).report,
             AppId::SemiCluster => {
-                run_obj_hetero(&SemiClustering::default(), g, p, specs, configs, link).report
+                run_obj_ranks(&SemiClustering::default(), g, p, &specs, &configs, link).report
             }
         }
     }

@@ -7,7 +7,7 @@ use phigraph_apps::{
 };
 use phigraph_comm::PcieLink;
 use phigraph_core::api::VertexProgram;
-use phigraph_core::engine::obj::{run_obj_hetero, run_obj_single};
+use phigraph_core::engine::obj::{run_obj_ranks, run_obj_single};
 use phigraph_core::engine::{
     run_ranks, run_ranks_failover, run_recoverable, run_single, EngineConfig, ExecMode,
 };
@@ -241,6 +241,29 @@ fn device_count(args: &Args) -> Result<usize, String> {
     Ok(n)
 }
 
+/// `--devices N` runs `--engine` on ranks 1..N-1 (rank 0 always runs
+/// `lock`); `seq` has no rank form.
+fn fabric_engine(cfg: EngineConfig) -> Result<EngineConfig, String> {
+    if cfg.mode == ExecMode::Sequential {
+        return Err(
+            "--engine seq runs on one device; --devices takes --engine lock|pipe|omp".to_string(),
+        );
+    }
+    Ok(cfg)
+}
+
+/// Per-rank configs of a run on `--devices N` without recovery flags.
+fn fabric_configs(
+    args: &Args,
+    n: usize,
+    trace: Option<&Trace>,
+) -> Result<Vec<EngineConfig>, String> {
+    let mic_cfg = fabric_engine(engine_config(args)?)?;
+    let mut configs = vec![attach(EngineConfig::locking(), trace)];
+    configs.resize(n, attach(mic_cfg, trace));
+    Ok(configs)
+}
+
 /// Device specs for an N-rank fabric: rank 0 is the CPU, the rest MICs.
 fn fabric_specs(n: usize) -> Vec<DeviceSpec> {
     (0..n)
@@ -387,21 +410,13 @@ where
     let out = if fabric {
         let p = load_or_build_partition(g, args, n)?;
         let fcfg = failover_config(args)?;
-        let mic_cfg = match cfg.mode {
-            ExecMode::Locking => cfg.clone(),
-            _ => attach(
-                apply_recovery_flags(EngineConfig::pipelined(), args)?,
-                trace,
-            ),
-        };
+        let mic_cfg = fabric_engine(cfg.clone())?;
         let cpu_cfg = attach(apply_recovery_flags(EngineConfig::locking(), args)?, trace);
-        // All ranks share one injector so each planned fault fires once.
-        let (cpu_cfg, mic_cfg) = match &cfg.fault_plan {
-            Some(inj) => (
-                cpu_cfg.with_fault_plan(inj.clone()),
-                mic_cfg.with_fault_plan(inj.clone()),
-            ),
-            None => (cpu_cfg, mic_cfg),
+        // All ranks share the `--engine` config's injector so each planned
+        // fault fires once.
+        let cpu_cfg = match &cfg.fault_plan {
+            Some(inj) => cpu_cfg.with_fault_plan(inj.clone()),
+            None => cpu_cfg,
         };
         let mut configs = vec![cpu_cfg];
         configs.resize(n, mic_cfg);
@@ -440,9 +455,9 @@ where
         persist_run_report(dir, &out.report, &out.device_reports)?;
         out
     } else {
-        if !matches!(cfg.mode, ExecMode::Locking | ExecMode::Pipelined) {
+        if cfg.mode == ExecMode::Sequential {
             return Err(
-                "--checkpoint-every/--resume/--faults require --engine lock|pipe".to_string(),
+                "--checkpoint-every/--resume/--faults require --engine lock|pipe|omp".to_string(),
             );
         }
         let dir = args.flag_or("checkpoint-dir", "phigraph-ckpt");
@@ -483,25 +498,19 @@ fn drive<P: VertexProgram>(
     if recovery_requested(args) {
         return Err(
             "checkpoint/fault flags are unsupported for this app's value type \
-             (supported: pagerank, bfs, sssp, wcc)"
+             (supported: pagerank, ppr, bfs, sssp, wcc)"
                 .to_string(),
         );
     }
     let out = if args.has("hetero") || args.has("partition") || args.has("devices") {
         let n = device_count(args)?;
         let p = load_or_build_partition(g, args, n)?;
-        let mic_cfg = match engine_config(args)?.mode {
-            ExecMode::Locking => EngineConfig::locking(),
-            _ => EngineConfig::pipelined(),
-        };
-        let mut configs = vec![attach(EngineConfig::locking(), trace)];
-        configs.resize(n, attach(mic_cfg, trace));
         run_ranks(
             program,
             g,
             &p,
             &fabric_specs(n),
-            &configs,
+            &fabric_configs(args, n, trace)?,
             PcieLink::gen2_x16(),
         )
     } else {
@@ -523,23 +532,14 @@ fn drive_semicluster(g: &Csr, args: &Args, iters: usize, trace: Option<&Trace>) 
         ..Default::default()
     };
     let out = if args.has("hetero") || args.has("partition") || args.has("devices") {
-        if device_count(args)? > 2 {
-            return Err(
-                "semicluster runs on at most 2 devices (object messages are not \
-                 yet rank-fabric aware); drop --devices or set it to 2"
-                    .to_string(),
-            );
-        }
-        let p = load_or_build_partition(g, args, 2)?;
-        run_obj_hetero(
+        let n = device_count(args)?;
+        let p = load_or_build_partition(g, args, n)?;
+        run_obj_ranks(
             &sc,
             g,
             &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [
-                attach(EngineConfig::locking(), trace),
-                attach(EngineConfig::pipelined(), trace),
-            ],
+            &fabric_specs(n),
+            &fabric_configs(args, n, trace)?,
             PcieLink::gen2_x16(),
         )
     } else {

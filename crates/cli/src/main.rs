@@ -105,10 +105,11 @@ commands:
                     |crash-rank:K|partition-link:I-J
                     |bitflip-msg|bitflip-state|truncate-frame
                     |daemon-kill|worker-hang|slow-client|malformed-line;
-       --devices N runs an N-rank fabric (rank 0 = CPU, ranks 1.. = MIC);
-       --ratio then takes N colon-separated shares and snapshots live under
-       <dir>/rank0..rankN-1; checkpoint/resume/integrity: pagerank|bfs|sssp|wcc
-       with --engine lock|pipe; chrome traces load in Perfetto / chrome://tracing)
+       --devices N runs an N-rank fabric (rank 0 = CPU on lock, ranks 1.. = MIC
+       on --engine lock|pipe|omp); --ratio then takes N colon-separated shares
+       and snapshots live under <dir>/rank0..rankN-1; checkpoint/resume/integrity:
+       pagerank|ppr|bfs|sssp|wcc with --engine lock|pipe|omp; chrome traces load
+       in Perfetto / chrome://tracing)
   serve <graph> [--workers N] [--queue-cap N] [--engine lock|pipe|omp|seq] [--device cpu|mic]
         [--socket PATH] [--tenants name:weight:cap,...] [--default-weight N] [--default-cap N]
         [--deadline-ms N] [--report-out FILE] [--prom-out FILE] [--trace-level off|phase|fine]

@@ -477,3 +477,151 @@ fn check_command_reports_clean_programs() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `--trace-format json` run report with the fields that vary from run to
+/// run (`wall`, the pipelined engine's idle polls and full-queue spins)
+/// masked. `rank = Some(r)` keeps only rank `r`'s device report.
+fn masked_report(path: &std::path::Path, rank: Option<usize>) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    let text = match rank {
+        Some(r) => {
+            let devices = &text[text.find("\"devices\":").expect("device reports")..];
+            devices
+                .split("{\"app\":")
+                .nth(r + 1)
+                .expect("rank report")
+                .to_string()
+        }
+        None => text,
+    };
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text.as_str();
+    while let Some(at) = [
+        "\"wall\":",
+        "\"mover_idle_polls\":",
+        "\"queue_full_spins\":",
+    ]
+    .iter()
+    .filter_map(|k| rest.find(k).map(|i| i + k.len()))
+    .min()
+    {
+        out.push_str(&rest[..at]);
+        out.push('X');
+        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit() || ".eE+-".contains(c));
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Tiny `gnm` and `dblp` graphs in a fresh directory.
+fn fabric_graphs(name: &str) -> (PathBuf, String, String) {
+    let dir = tmpdir(name);
+    let paths: Vec<String> = ["gnm", "dblp"]
+        .iter()
+        .map(|kind| {
+            let path = dir.join(format!("{kind}.bin"));
+            let path_s = path.to_str().unwrap().to_string();
+            let o = phigraph(&["generate", kind, &path_s, "--scale", "tiny", "--seed", "7"]);
+            assert!(o.status.success(), "{}", stderr(&o));
+            path_s
+        })
+        .collect();
+    (dir, paths[0].clone(), paths[1].clone())
+}
+
+/// Run `app` on `graph` with `extra` flags; returns the masked report
+/// (see [`masked_report`]).
+fn run_report(
+    dir: &std::path::Path,
+    app: &str,
+    graph: &str,
+    extra: &[&str],
+    rank: Option<usize>,
+) -> String {
+    let out = dir.join(format!("{app}{}.json", extra.join("")));
+    let out_s = out.to_str().unwrap();
+    let mut argv = vec![
+        "run",
+        app,
+        graph,
+        "--trace-out",
+        out_s,
+        "--trace-format",
+        "json",
+    ];
+    argv.extend_from_slice(extra);
+    let o = phigraph(&argv);
+    assert!(o.status.success(), "{extra:?}: {}", stderr(&o));
+    masked_report(&out, rank)
+}
+
+/// `seq` has no rank form: `--devices N --engine seq` exits 2 and names
+/// the engines a fabric rank runs. On one device the checkpoint flags
+/// take `omp` and still refuse `seq`.
+#[test]
+fn seq_on_a_fabric_exits_2_and_omp_takes_checkpoint_flags() {
+    let (dir, gnm, _) = fabric_graphs("fabric-seq");
+    let ckpt = dir.join("ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+    for extra in [
+        &["--devices", "2", "--engine", "seq"][..],
+        &["--engine", "seq", "--checkpoint-dir", ckpt_s],
+    ] {
+        let mut argv = vec!["run", "sssp", &gnm];
+        argv.extend_from_slice(extra);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "{extra:?} must exit 2");
+        assert!(stderr(&o).contains("lock|pipe|omp"), "{}", stderr(&o));
+    }
+    let o = phigraph(&[
+        "run",
+        "sssp",
+        &gnm,
+        "--engine",
+        "omp",
+        "--checkpoint-every",
+        "2",
+        "--checkpoint-dir",
+        ckpt_s,
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--devices 2 --engine omp` runs `omp` on rank 1, not `pipe` or `lock`.
+#[test]
+fn omp_on_a_fabric_runs_omp_on_the_ranks() {
+    let (dir, gnm, _) = fabric_graphs("fabric-omp");
+    let rank1 = |engine: &str| {
+        let extra = ["--devices", "2", "--engine", engine];
+        run_report(&dir, "pagerank", &gnm, &extra, Some(1))
+    };
+    let omp = rank1("omp");
+    assert_ne!(omp, rank1("pipe"), "rank 1 runs omp, not pipe");
+    assert_ne!(omp, rank1("lock"), "rank 1 runs omp, not lock");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Semi-Clustering's ranks 1.. follow `--engine` like every other app:
+/// only a `pipe` rank counts its messages per mover class.
+#[test]
+fn semicluster_ranks_follow_the_engine_flag() {
+    let (dir, _, dblp) = fabric_graphs("fabric-sc");
+    let empty_mover_lists = |engine: &str| {
+        let extra = ["--devices", "2", "--engine", engine];
+        run_report(&dir, "semicluster", &dblp, &extra, Some(1))
+            .matches("\"mover_msgs\":[]")
+            .count()
+    };
+    assert_eq!(empty_mover_lists("pipe"), 0, "rank 1 runs pipe");
+    assert!(empty_mover_lists("lock") > 0, "rank 1 runs lock");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Semi-Clustering runs on fabrics past two ranks.
+#[test]
+fn semicluster_runs_on_three_devices() {
+    let (dir, _, dblp) = fabric_graphs("fabric-sc3");
+    run_report(&dir, "semicluster", &dblp, &["--devices", "3"], None);
+    std::fs::remove_dir_all(&dir).ok();
+}

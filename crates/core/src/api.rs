@@ -108,7 +108,9 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// Initial value and active flag for vertex `v`.
     fn init(&self, v: VertexId, g: &Csr) -> (Self::Value, bool);
 
-    /// Generate messages for active vertex `v`.
+    /// Generate messages for active vertex `v`. Mark implementations
+    /// `#[inline]`: without it, an edit elsewhere can move an engine's
+    /// instance to another codegen unit and leave a call per message.
     fn generate<S: MsgSink<Self::Msg>>(
         &self,
         v: VertexId,

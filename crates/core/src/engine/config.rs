@@ -15,8 +15,10 @@ pub enum ExecMode {
     /// Framework engine with worker/mover pipelined message generation
     /// (the paper's "Pipe" bars).
     Pipelined,
-    /// Flat OpenMP-style baseline: direct concurrent vertex update under
-    /// per-destination locks, no CSB, no SIMD (the "OMP" bars).
+    /// Flat OpenMP-style baseline (the "OMP" bars): direct concurrent
+    /// vertex update under per-destination locks, no SIMD. The host runs
+    /// the locking engine's path with scalar processing; the cost model
+    /// charges a per-message OpenMP lock and no processing phase.
     Flat,
     /// Single-threaded reference execution (Table II's "Seq" rows).
     Sequential,
@@ -367,17 +369,6 @@ impl EngineConfig {
             }
             ExecMode::Flat => GenMode::Flat,
             ExecMode::Sequential => GenMode::Sequential,
-        }
-    }
-
-    /// Resolved generation chunk size: explicit value, or an auto size
-    /// giving each simulated thread ~8 grabs (bounded so the per-grab
-    /// scheduling cost stays negligible).
-    pub fn resolved_gen_chunk(&self, owned: usize, spec: &DeviceSpec) -> usize {
-        if self.gen_chunk > 0 {
-            self.gen_chunk
-        } else {
-            (owned / (spec.threads() * 8).max(1)).clamp(8, 2048)
         }
     }
 

@@ -310,7 +310,7 @@ where
         for e in engines.iter_mut() {
             let mut c = e.begin_step();
             let remote = e.generate(&mut c);
-            out.push(bucket_and_combine::<P>(remote, assign, &pos_of, m, &mut c));
+            out.push(bucket_and_combine(&*e, remote, &pos_of, m, &mut c));
             counters.push(c);
         }
         let all_quiet = counters.iter().all(|c| c.msgs_total() == 0);
@@ -334,7 +334,7 @@ where
                 .map(|j| std::mem::take(&mut out[j][i]))
                 .collect();
             c.comm_bytes = comm[i].0;
-            insert_step(&mut engines[i], &incoming, &mut c, &untraced, step);
+            insert_step(&mut engines[i], incoming, &mut c, &untraced, step);
             process_update(&mut engines[i], &mut c, &untraced, step);
             // Report parity with the live loop's phase-boundary ticks.
             c.heartbeats = BEATS_PER_STEP;
@@ -445,7 +445,7 @@ where
         let reports: Vec<RunReport> = dev_steps
             .into_iter()
             .enumerate()
-            .map(|(r, steps)| rank_report::<P>(&specs[r], "cpu-mic", steps, wall))
+            .map(|(r, steps)| rank_report(P::NAME, &specs[r], "cpu-mic", steps, wall))
             .collect();
         let report = match reports.as_slice() {
             [one] => RunReport {

@@ -12,12 +12,17 @@
 //! each rank sees its own flag plus every peer's, so all ranks reach the
 //! identical decision at the same barrier.
 //!
+//! The loop is generic over [`RankEngine`], the seam between the superstep
+//! and its message store: [`DeviceEngine`] (`lock`, `pipe` and `omp`) keeps
+//! POD messages in the CSB and exchanges them framed; the object engine
+//! (`engine::obj`) keeps per-vertex mailboxes and exchanges them plain.
 //! Every driver runs on the loop and passes in only what it needs:
 //!
-//! * [`run_single`] (lock/pipe) is the `N = 1` case: no links, no
-//!   assignment, no heartbeat, on the caller's thread.
-//! * [`run_ranks`] runs one thread per rank over a link mesh with a
-//!   blocking exchange and no checkpoint hook; any early exit panics.
+//! * [`run_single`] and [`run_obj_single`] are the `N = 1` case: no links,
+//!   no assignment, no heartbeat, on the caller's thread.
+//! * [`run_ranks`] and [`run_obj_ranks`] run one thread per rank over a
+//!   link mesh with a blocking exchange and no checkpoint hook; any early
+//!   exit panics.
 //! * The recovery machine behind [`run_ranks_failover`] and
 //!   [`run_recoverable`] passes its per-rank snapshot write as a barrier
 //!   hook, which arms the fail-stop sites. A lone rank also gets the
@@ -30,25 +35,79 @@
 //! step report, and the merge of values by owner.
 //!
 //! [`run_single`]: crate::engine::run_single
+//! [`run_obj_single`]: crate::engine::obj::run_obj_single
+//! [`run_obj_ranks`]: crate::engine::obj::run_obj_ranks
 //! [`run_ranks_failover`]: crate::engine::run_ranks_failover
 //! [`run_recoverable`]: crate::engine::run_recoverable
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
-use crate::engine::flat::run_cap;
-use crate::engine::integrity::framed_exchange;
 use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
-use phigraph_comm::message::wire_bytes;
-use phigraph_comm::{combine_messages, mesh, Endpoint, ExchangeError, PcieLink, WireMsg};
+use phigraph_comm::{mesh, Endpoint, ExchangeError, ExchangeStats, PcieLink, PeerInfo, WireMsg};
+use phigraph_device::cost::PhaseTimes;
 use phigraph_device::{CostModel, DeviceSpec, Heartbeat, StepCounters};
 use phigraph_graph::Csr;
 use phigraph_partition::DevicePartition;
 use phigraph_recover::{FailoverConfig, FaultInjector, FaultKind, IntegrityStats};
-use phigraph_simd::MsgValue;
 use phigraph_trace::{HistKind, Phase, ThreadTracer};
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// One link's exchange: the peer's messages, what it advertised alongside
+/// them, and the transfer's stats.
+pub(crate) type Exchanged<M> = Result<(Vec<WireMsg<M>>, PeerInfo, ExchangeStats), ExchangeError>;
+
+/// What the rank loop asks of one rank's engine: the phases of a superstep
+/// and the wire format of its remote messages.
+pub(crate) trait RankEngine {
+    /// The value a remote message carries.
+    type Msg: Send;
+    /// Per-vertex state.
+    type Value: Send;
+    /// Application name for reports.
+    const NAME: &'static str;
+
+    /// The program's own superstep cap.
+    fn program_cap(&self) -> Option<usize>;
+    /// The engine configuration.
+    fn config(&self) -> &EngineConfig;
+    /// The simulated device.
+    fn spec(&self) -> &DeviceSpec;
+    /// This rank's id and the vertex→rank map (`None`: it owns every
+    /// vertex).
+    fn placement(&self) -> (u8, Option<&[u8]>);
+    /// Reset per-step state; returns fresh counters.
+    fn begin_step(&mut self) -> StepCounters;
+    /// Message generation: keeps the local messages and returns the
+    /// peer-bound ones, uncombined. Deactivates every vertex afterwards.
+    fn generate(&mut self, c: &mut StepCounters) -> Vec<WireMsg<Self::Msg>>;
+    /// Combine one link's bucket per destination.
+    fn combine(&self, bucket: Vec<WireMsg<Self::Msg>>) -> Vec<WireMsg<Self::Msg>>;
+    /// Exchange one link's combined bucket for the peer's, advertising
+    /// `mine` alongside it.
+    fn exchange(
+        &self,
+        ep: &Endpoint<WireMsg<Self::Msg>>,
+        out: Vec<WireMsg<Self::Msg>>,
+        mine: PeerInfo,
+        deadline: Option<Duration>,
+        step: usize,
+        integ: &mut IntegrityStats,
+    ) -> Exchanged<Self::Msg>;
+    /// Insert one peer's received messages.
+    fn absorb(&mut self, incoming: Vec<WireMsg<Self::Msg>>, c: &mut StepCounters);
+    /// Collect the insertion statistics once every message is in.
+    fn insertion_stats(&self, c: &mut StepCounters);
+    /// Message processing.
+    fn process(&mut self, c: &mut StepCounters);
+    /// Vertex updating: apply the processed messages, set next-step flags.
+    fn update(&mut self, c: &mut StepCounters);
+    /// The simulated phase times of a closed superstep.
+    fn step_times(&self, cost: &CostModel, c: &StepCounters) -> PhaseTimes;
+    /// The vertex values (full-length; only owned entries are meaningful).
+    fn into_values(self) -> Vec<Self::Value>;
+}
 
 /// How one rank loop ended. Every early exit carries the superstep it left
 /// at.
@@ -108,8 +167,7 @@ pub(crate) const BEATS_PER_STEP: u64 = 4;
 
 /// A driver's barrier hook: runs after update at every checkpoint
 /// superstep (`policy.is_checkpoint_step(step + 1)`).
-pub(crate) type BarrierHook<'h, 'g, P> =
-    &'h mut dyn FnMut(&DeviceEngine<'g, P>, usize, &mut StepCounters);
+pub(crate) type BarrierHook<'h, E> = &'h mut dyn FnMut(&E, usize, &mut StepCounters);
 
 /// Where in a superstep the integrity hook runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,8 +196,8 @@ pub(crate) enum Verdict {
 /// A lone guarded rank's integrity hook: the silent-corruption sites and
 /// rungs of [`Rungs`](crate::engine::integrity::Rungs), called at every
 /// [`Site`] of every step.
-pub(crate) type AuditHook<'h, 'g, P> =
-    &'h mut dyn FnMut(Site, &mut DeviceEngine<'g, P>, usize, &mut StepCounters) -> Verdict;
+pub(crate) type AuditHook<'h, E> =
+    &'h mut dyn FnMut(Site, &mut E, usize, &mut StepCounters) -> Verdict;
 
 /// What one rank loop hands back besides the engine's own state.
 pub(crate) struct RankRun<M: Send> {
@@ -159,6 +217,17 @@ pub(crate) struct RankRun<M: Send> {
     pub integ: IntegrityStats,
 }
 
+/// A run's superstep cap: the lower of the program's and the
+/// configuration's, if any.
+pub(crate) fn run_cap(program_cap: Option<usize>, config_cap: Option<usize>) -> usize {
+    match (program_cap, config_cap) {
+        (Some(a), Some(b)) => a.min(b),
+        (Some(a), None) => a,
+        (None, Some(b)) => b,
+        (None, None) => usize::MAX,
+    }
+}
+
 /// The superstep cap every rank agrees on — they must, or the lockstep
 /// exchange deadlocks.
 pub(crate) fn fabric_cap(program_cap: Option<usize>, configs: &[EngineConfig]) -> usize {
@@ -173,22 +242,23 @@ pub(crate) fn fabric_cap(program_cap: Option<usize>, configs: &[EngineConfig]) -
 /// "the combination result is sent to the other device as a single MPI
 /// message", one such message per peer. `link_of` maps a rank id to its
 /// bucket.
-pub(crate) fn bucket_and_combine<P: VertexProgram>(
-    remote: Vec<WireMsg<P::Msg>>,
-    assign: &[u8],
+pub(crate) fn bucket_and_combine<E: RankEngine>(
+    engine: &E,
+    remote: Vec<WireMsg<E::Msg>>,
     link_of: &[usize],
     links: usize,
     c: &mut StepCounters,
-) -> Vec<Vec<WireMsg<P::Msg>>> {
+) -> Vec<Vec<WireMsg<E::Msg>>> {
     c.remote_before_combine = remote.len() as u64;
-    let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..links).map(|_| Vec::new()).collect();
+    let assign = engine.placement().1.unwrap_or_default();
+    let mut buckets: Vec<Vec<WireMsg<E::Msg>>> = (0..links).map(|_| Vec::new()).collect();
     for msg in remote {
         buckets[link_of[assign[msg.dst as usize] as usize]].push(msg);
     }
     buckets
         .into_iter()
         .map(|b| {
-            let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
+            let combined = engine.combine(b);
             c.remote_after_combine += combined.len() as u64;
             combined
         })
@@ -197,23 +267,23 @@ pub(crate) fn bucket_and_combine<P: VertexProgram>(
 
 /// Insert the peers' combined messages (ascending peer order) and finalize
 /// the insertion stats. A single device has no insert barrier to trace.
-pub(crate) fn insert_step<P: VertexProgram>(
-    engine: &mut DeviceEngine<'_, P>,
-    incoming: &[Vec<WireMsg<P::Msg>>],
+pub(crate) fn insert_step<E: RankEngine>(
+    engine: &mut E,
+    incoming: Vec<Vec<WireMsg<E::Msg>>>,
     c: &mut StepCounters,
     tracer: &ThreadTracer,
     step: usize,
 ) {
     let _i = (!incoming.is_empty()).then(|| tracer.span(Phase::Insert, step as u32));
     for msgs in incoming {
-        engine.absorb_remote(msgs, c);
+        engine.absorb(msgs, c);
     }
-    engine.finalize_insertion_stats(c);
+    engine.insertion_stats(c);
 }
 
 /// Close a superstep on one engine: process, then update.
-pub(crate) fn process_update<P: VertexProgram>(
-    engine: &mut DeviceEngine<'_, P>,
+pub(crate) fn process_update<E: RankEngine>(
+    engine: &mut E,
     c: &mut StepCounters,
     tracer: &ThreadTracer,
     step: usize,
@@ -228,17 +298,15 @@ pub(crate) fn process_update<P: VertexProgram>(
 
 /// Cost a closed superstep into its report. Per-chunk records are dropped
 /// once costed to keep reports small.
-pub(crate) fn step_report<P: VertexProgram>(
-    engine: &DeviceEngine<'_, P>,
+pub(crate) fn step_report<E: RankEngine>(
+    engine: &E,
     cost: &CostModel,
     step: usize,
     mut c: StepCounters,
     comm_time: f64,
     t0: Instant,
 ) -> StepReport {
-    let vectorized = engine.config.vectorized && P::SIMD_REDUCIBLE;
-    let gen_mode = engine.config.gen_mode(&engine.spec);
-    let times = cost.step_times(&c, gen_mode, P::Msg::SIZE, vectorized);
+    let times = engine.step_times(cost, &c);
     c.gen_chunks.clear();
     c.proc_chunks.clear();
     StepReport {
@@ -269,16 +337,17 @@ pub(crate) fn merge_by_owner<T>(
     merged
 }
 
-/// The per-rank report of a run: `mode` is the engine's on a single
-/// device and `cpu-mic` on a fabric rank.
-pub(crate) fn rank_report<P: VertexProgram>(
+/// The per-rank report of a run of `app`: `mode` is the engine's on a
+/// single device and `cpu-mic` on a fabric rank.
+pub(crate) fn rank_report(
+    app: &str,
     spec: &DeviceSpec,
     mode: &str,
     steps: Vec<StepReport>,
     wall: f64,
 ) -> RunReport {
     RunReport {
-        app: P::NAME.to_string(),
+        app: app.to_string(),
         device: spec.name.to_string(),
         mode: mode.to_string(),
         steps,
@@ -326,20 +395,19 @@ fn arm_link_faults<M: Send>(
 /// `checkpoint` runs at the barrier after update on checkpoint supersteps;
 /// the recovery machine passes one, which also arms the fail-stop sites.
 /// `audit` runs at every [`Site`] and may ask for a step's body again.
-pub(crate) fn rank_loop<'g, P: VertexProgram>(
-    engine: &mut DeviceEngine<'g, P>,
-    mut eps: Vec<Endpoint<WireMsg<P::Msg>>>,
+pub(crate) fn rank_loop<E: RankEngine>(
+    engine: &mut E,
+    mut eps: Vec<Endpoint<WireMsg<E::Msg>>>,
     steps: Range<usize>,
     live: Option<Liveness<'_>>,
-    mut checkpoint: Option<BarrierHook<'_, 'g, P>>,
-    mut audit: Option<AuditHook<'_, 'g, P>>,
-) -> RankRun<P::Msg> {
-    let config = engine.config.clone();
-    let cost = CostModel::new(engine.spec.clone());
-    let dev = engine.dev_id;
+    mut checkpoint: Option<BarrierHook<'_, E>>,
+    mut audit: Option<AuditHook<'_, E>>,
+) -> RankRun<E::Msg> {
+    let config = engine.config().clone();
+    let cost = CostModel::new(engine.spec().clone());
+    let (dev, _) = engine.placement();
     let tracer = config.tracer(&format!("dev{dev}"), dev as u32 * 1000);
     let solo = eps.is_empty();
-    let assign = engine.assign.unwrap_or_default();
     let deadline = live.as_ref().map(|l| l.fcfg.deadline());
     // A guarded rank's fail-stop sites: the partial step is dirty, so the
     // rank leaves for the driver to roll back.
@@ -392,7 +460,7 @@ pub(crate) fn rank_loop<'g, P: VertexProgram>(
             }
         }
         let fails = |k: FaultKind| fail_stops.is_some_and(|i| i.fire(step as u64, k, dev));
-        let mut hook = |site, e: &mut DeviceEngine<'g, P>, c: &mut StepCounters| {
+        let mut hook = |site, e: &mut E, c: &mut StepCounters| {
             audit.as_mut().map_or(Verdict::Go, |a| a(site, e, step, c))
         };
         let t0 = Instant::now();
@@ -410,8 +478,8 @@ pub(crate) fn rank_loop<'g, P: VertexProgram>(
             if hook(Site::Start, engine, &mut c) == Verdict::Fail || fails(FaultKind::KillWorker) {
                 break Err(ExitKind::FailStop(step));
             }
-            // 1. Message generation (local messages straight into the CSB,
-            //    peer-bound ones into the remote buffer).
+            // 1. Message generation (local messages straight into the
+            //    engine's store, peer-bound ones into the remote buffer).
             let remote = {
                 let _g = tracer.span(Phase::Generate, step as u32);
                 engine.generate(&mut c)
@@ -428,35 +496,23 @@ pub(crate) fn rank_loop<'g, P: VertexProgram>(
             }
             beat();
             // 2. Bucket and combine per destination link.
-            let outgoing = bucket_and_combine::<P>(remote, assign, &link_of, eps.len(), &mut c);
+            let outgoing = bucket_and_combine(engine, remote, &link_of, eps.len(), &mut c);
 
-            // 3. The implicit remote message exchange, one framed exchange
-            //    per link in ascending peer order. Frame integrity (when
-            //    configured) seals, verifies and heals corrupt frames with
-            //    a bounded verdict-synced re-exchange.
+            // 3. The implicit remote message exchange, one exchange per
+            //    link in ascending peer order.
             my_any = c.msgs_total() > 0;
-            let mut incoming: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
+            let mut incoming: Vec<Vec<WireMsg<E::Msg>>> = Vec::with_capacity(eps.len());
             if !solo {
                 let partitioned = arm_link_faults(&eps, config.fault_plan.as_ref(), step, dev);
                 let x0 = Instant::now();
                 let xspan = tracer.span(Phase::Exchange, step as u32);
                 let mut fail: Option<ExitKind> = None;
+                let mine = PeerInfo {
+                    any_active: my_any,
+                    step_time: prev_adv,
+                };
                 for (ep, out) in eps.iter().zip(outgoing) {
-                    let bytes_out = wire_bytes::<P::Msg>(out.len());
-                    let res = framed_exchange(
-                        ep,
-                        out,
-                        bytes_out,
-                        my_any,
-                        prev_adv,
-                        deadline,
-                        step as u64,
-                        dev,
-                        config.integrity,
-                        config.fault_plan.as_ref(),
-                        &mut run.integ,
-                    );
-                    match res {
+                    match engine.exchange(ep, out, mine, deadline, step, &mut run.integ) {
                         Ok((msgs, peer, x)) => {
                             peer_any |= peer.any_active;
                             peer_times.push((ep.peer, peer.step_time));
@@ -488,7 +544,7 @@ pub(crate) fn rank_loop<'g, P: VertexProgram>(
             }
 
             // 4. Insert the received messages, then process and update.
-            insert_step(engine, &incoming, &mut c, &tracer, step);
+            insert_step(engine, incoming, &mut c, &tracer, step);
             if fails(FaultKind::PoisonInsert)
                 || hook(Site::Inserted, engine, &mut c) == Verdict::Fail
             {
@@ -603,26 +659,47 @@ pub fn run_ranks<P: VertexProgram>(
     link: PcieLink,
 ) -> RunOutput<P::Value> {
     assert_eq!(partition.assign.len(), graph.num_vertices());
+    let assign = &partition.assign;
+    run_fabric(specs, configs, assign, link, |r| {
+        let (spec, config) = (specs[r].clone(), configs[r].clone());
+        DeviceEngine::new(program, graph, spec, config, r as u8, Some(assign))
+    })
+}
+
+/// The fabric code of [`run_ranks`] and `run_obj_ranks`: the engine that
+/// `build` makes for each rank runs the rank loop on its own thread over
+/// a link mesh; the ranks' values merge by owner.
+///
+/// # Panics
+/// Panics when a rank leaves the superstep loop early.
+pub(crate) fn run_fabric<E: RankEngine>(
+    specs: &[DeviceSpec],
+    configs: &[EngineConfig],
+    assign: &[u8],
+    link: PcieLink,
+    build: impl Fn(usize) -> E + Sync,
+) -> RunOutput<E::Value> {
     assert!(specs.len() >= 2, "heterogeneous runs need at least 2 ranks");
     assert_eq!(specs.len(), configs.len(), "one config per rank");
-    let cap = fabric_cap(program.max_supersteps(), configs);
     let ranks: Vec<usize> = (0..specs.len()).collect();
-    let sides = mesh::<WireMsg<P::Msg>>(link, &ranks);
-    let assign = &partition.assign;
+    let sides = mesh::<WireMsg<E::Msg>>(link, &ranks);
 
     let outs: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = sides
             .into_iter()
             .enumerate()
             .map(|(r, eps)| {
-                let spec = specs[r].clone();
-                let config = configs[r].clone();
+                let build = &build;
                 s.spawn(move || {
-                    let mut engine =
-                        DeviceEngine::new(program, graph, spec, config, r as u8, Some(assign));
+                    let mut engine = build(r);
+                    let cap = fabric_cap(engine.program_cap(), configs);
                     let wall_start = Instant::now();
                     let run = rank_loop(&mut engine, eps, 0..cap, None, None, None);
-                    (engine.values, run, wall_start.elapsed().as_secs_f64())
+                    (
+                        engine.into_values(),
+                        run,
+                        wall_start.elapsed().as_secs_f64(),
+                    )
                 })
             })
             .collect();
@@ -648,12 +725,12 @@ pub fn run_ranks<P: VertexProgram>(
         parts.push((r, values));
         reports.push(RunReport {
             integrity: run.integ,
-            ..rank_report::<P>(&specs[r], "cpu-mic", run.steps, wall)
+            ..rank_report(E::NAME, &specs[r], "cpu-mic", run.steps, wall)
         });
     }
     RunOutput {
         values: merge_by_owner(assign, parts),
-        report: combine_ranks(P::NAME, &reports),
+        report: combine_ranks(E::NAME, &reports),
         device_reports: reports,
     }
 }
@@ -881,5 +958,13 @@ mod tests {
             .map(|s| s.counters.remote_after_combine)
             .sum();
         assert_eq!(total_remote, 1);
+    }
+
+    #[test]
+    fn run_cap_combines_limits() {
+        assert_eq!(run_cap(Some(5), Some(3)), 3);
+        assert_eq!(run_cap(None, Some(7)), 7);
+        assert_eq!(run_cap(Some(2), None), 2);
+        assert_eq!(run_cap(None, None), usize::MAX);
     }
 }

@@ -375,8 +375,6 @@ pub fn framed_exchange<M: MsgValue>(
     let clean = outgoing.clone();
     let mut payload = outgoing;
     let mut acc = ExchangeStats::default();
-    let mut peer_info = PeerInfo::default();
-    let mut incoming: Vec<WireMsg<M>> = Vec::new();
     for attempt in 0..=MAX_FRAME_RETRIES {
         // Seal over the clean payload, then let the wire fault damage the
         // transmitted copy (first attempt only: injected faults fire once).
@@ -415,17 +413,14 @@ pub fn framed_exchange<M: MsgValue>(
             ep.try_exchange_framed(Vec::new(), None, 0, my_ok, 0.0, deadline)?;
         accumulate(&mut acc, vx);
         if my_ok && verdict.any_active {
-            incoming = msgs;
-            peer_info = peer;
             if attempt > 0 {
                 stats.frame_reexchanges += 1;
             }
-            return Ok((incoming, peer_info, acc));
+            return Ok((msgs, peer, acc));
         }
         // Someone saw a bad frame: re-exchange the retained clean payload.
         payload = clean.clone();
     }
-    let _ = (incoming, peer_info);
     Err(ExchangeError::Dropped(ExchangeDropped {
         dropped_by: dev as usize,
     }))

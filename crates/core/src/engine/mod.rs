@@ -1,17 +1,18 @@
-//! Execution engines. Every `DeviceEngine` driver runs the one per-rank
-//! superstep loop in [`hetero`]: [`run_single`] (lock/pipe) as its `N = 1`
-//! case and [`run_ranks`] over a blocking link mesh. The one recovery
-//! machine in [`failover`] guards the same loop with barrier snapshots,
-//! rollback and degradation: [`run_recoverable`] is its single-device
-//! `N = 1` case, and [`run_ranks_failover`] adds heartbeats, deadlines,
-//! straggler votes and live migration on a fabric. `run_single` also
-//! dispatches the flat and sequential baselines; the object-message path
-//! ([`obj`]) sits alongside.
+//! Execution engines. Every driver runs the one per-rank superstep loop in
+//! [`hetero`], generic over the rank's message store: [`run_single`]
+//! (lock/pipe/omp on a [`DeviceEngine`]) and [`obj::run_obj_single`]
+//! (object messages in per-vertex mailboxes) as its `N = 1` case, and
+//! [`run_ranks`] and [`obj::run_obj_ranks`] over a blocking link mesh. The
+//! one recovery machine in [`failover`] guards the same loop with barrier
+//! snapshots, rollback and degradation: [`run_recoverable`] is its
+//! single-device `N = 1` case, and [`run_ranks_failover`] adds heartbeats,
+//! deadlines, straggler votes and live migration on a fabric. Only the
+//! sequential reference ([`seq`]), which `run_single` also dispatches and
+//! the recovery machine degrades to, keeps a loop of its own.
 
 pub mod config;
 pub mod device;
 pub mod failover;
-pub mod flat;
 pub mod hetero;
 pub mod integrity;
 pub mod obj;
@@ -27,8 +28,7 @@ pub use recover::run_recoverable;
 
 use crate::api::VertexProgram;
 use crate::metrics::RunOutput;
-use flat::{run_cap, run_flat};
-use hetero::{rank_loop, rank_report};
+use hetero::{rank_loop, rank_report, run_cap, RankEngine};
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
 use seq::run_seq;
@@ -59,9 +59,8 @@ pub fn run_single<P: VertexProgram>(
     config: &EngineConfig,
 ) -> RunOutput<P::Value> {
     match config.mode {
-        ExecMode::Flat => run_flat(program, graph, spec, config),
         ExecMode::Sequential => run_seq(program, graph, spec, config),
-        ExecMode::Locking | ExecMode::Pipelined => run_device(DeviceEngine::new(
+        _ => run_device(DeviceEngine::new(
             program,
             graph,
             spec,
@@ -75,17 +74,15 @@ pub fn run_single<P: VertexProgram>(
 /// A single device over an already built engine: the `N = 1` case of the
 /// rank loop — no links, no assignment, no heartbeat, on the caller's
 /// thread.
-pub(crate) fn run_device<P: VertexProgram>(mut engine: DeviceEngine<'_, P>) -> RunOutput<P::Value> {
-    let cap = run_cap(
-        engine.program.max_supersteps(),
-        engine.config.max_supersteps,
-    );
+pub(crate) fn run_device<E: RankEngine>(mut engine: E) -> RunOutput<E::Value> {
+    let cap = run_cap(engine.program_cap(), engine.config().max_supersteps);
     let wall_start = Instant::now();
     let run = rank_loop(&mut engine, Vec::new(), 0..cap, None, None, None);
     let wall = wall_start.elapsed().as_secs_f64();
-    let report = rank_report::<P>(&engine.spec, engine.config.mode.name(), run.steps, wall);
+    let mode = engine.config().mode.name();
+    let report = rank_report(E::NAME, engine.spec(), mode, run.steps, wall);
     RunOutput {
-        values: engine.values,
+        values: engine.into_values(),
         device_reports: vec![report.clone()],
         report,
     }

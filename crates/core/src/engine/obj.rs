@@ -5,22 +5,26 @@
 //! Semi-Clustering violates both (its messages are cluster lists, its
 //! processing is a sort), so the paper routes it through scalar message
 //! processing. This module is that path: per-vertex mailboxes instead of
-//! the CSB, a fused scalar process+update step, and the same four execution
-//! strategies and heterogeneous driver as the POD path.
+//! the CSB and a fused scalar process+update step, under the same rank
+//! loop as the POD path. [`run_obj_single`] is its `N = 1` case and
+//! [`run_obj_ranks`] its N-rank fabric; every execution strategy runs on
+//! both.
 
 use crate::active::ActiveSet;
 use crate::engine::config::{EngineConfig, ExecMode};
-use crate::engine::flat::run_cap;
-use crate::engine::hetero::{fabric_cap, merge_by_owner};
-use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
-use crate::queues::QueueMatrix;
-use phigraph_comm::{duplex_pair, Endpoint, PcieLink};
-use phigraph_device::cost::GenMode;
+use crate::engine::device::{edge_balanced_ranges, in_chunk_order};
+use crate::engine::hetero::{run_fabric, Exchanged, RankEngine};
+use crate::engine::run_device;
+use crate::metrics::RunOutput;
+use phigraph_comm::{Endpoint, PcieLink, PeerInfo, WireMsg};
+use phigraph_device::cost::PhaseTimes;
 use phigraph_device::counters::{GenChunk, InsertProfile, ProcChunk};
 use phigraph_device::pool::run_parallel_collect;
 use phigraph_device::{ChunkScheduler, CostModel, DeviceSpec, StepCounters};
 use phigraph_graph::{Csr, VertexId};
-use std::time::Instant;
+use phigraph_partition::DevicePartition;
+use phigraph_recover::IntegrityStats;
+use std::time::Duration;
 
 /// A vertex program whose messages are arbitrary (cloneable) objects.
 pub trait ObjVertexProgram: Send + Sync + 'static {
@@ -107,12 +111,7 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
             active.set(v, act);
         }
         let host_threads = config.resolve_host_threads();
-        let gen_ranges = crate::engine::device::edge_balanced_ranges(
-            &owned,
-            graph,
-            config.gen_chunk,
-            spec.threads(),
-        );
+        let gen_ranges = edge_balanced_ranges(&owned, graph, config.gen_chunk, spec.threads());
         ObjEngine {
             program,
             graph,
@@ -128,35 +127,54 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
             gen_ranges,
         }
     }
+}
 
-    /// Generation. Returns peer-bound `(dst, msg)` pairs.
-    fn generate(&mut self, c: &mut StepCounters) -> Vec<(VertexId, P::Msg)> {
-        let remote = match self.config.mode {
-            ExecMode::Pipelined => self.generate_pipelined(c),
-            _ => self.generate_locking(c),
-        };
-        c.msgs_remote = remote.len() as u64;
-        self.active.clear();
-        remote
+/// The rank loop's view of the object engine: mailboxes, the program's
+/// own remote combine, a plain (unframed) exchange, and processing
+/// recosted as merge/sort code.
+impl<'g, P: ObjVertexProgram> RankEngine for ObjEngine<'g, P> {
+    type Msg = P::Msg;
+    type Value = P::Value;
+    const NAME: &'static str = P::NAME;
+
+    fn program_cap(&self) -> Option<usize> {
+        self.program.max_supersteps()
+    }
+    fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+    fn spec(&self) -> &DeviceSpec {
+        &self.spec
+    }
+    fn placement(&self) -> (u8, Option<&[u8]>) {
+        (self.dev, self.assign)
+    }
+    fn begin_step(&mut self) -> StepCounters {
+        StepCounters::default()
     }
 
-    fn generate_locking(&mut self, c: &mut StepCounters) -> Vec<(VertexId, P::Msg)> {
+    /// Message generation. Every strategy runs the host's locking path:
+    /// each message goes straight into its mailbox or the remote buffer.
+    /// Under `pipe` it also counts the messages of each simulated mover
+    /// class (`dst mod movers`), the workload the pipelined cost model
+    /// reads.
+    fn generate(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
         let sched = ChunkScheduler::new(self.gen_ranges.len(), 1);
         let ranges = &self.gen_ranges;
         let (program, graph) = (self.program, self.graph);
         let (owned, values, active) = (&self.owned, &self.values, &self.active);
         let mailboxes = &self.mailboxes;
         let (assign, dev) = (self.assign, self.dev);
-        let threads = if self.config.mode == ExecMode::Sequential {
-            1
-        } else {
-            self.host_threads
+        let movers = match self.config.mode {
+            ExecMode::Pipelined => self.config.pipeline_split(&self.spec).1,
+            _ => 0,
         };
-        let results = run_parallel_collect(threads, |_| {
-            let mut chunks: Vec<GenChunk> = Vec::new();
-            let mut remote: Vec<(VertexId, P::Msg)> = Vec::new();
+        let results = run_parallel_collect(self.host_threads, |_| {
+            let mut chunks: Vec<(usize, GenChunk)> = Vec::new();
+            let mut remote: Vec<WireMsg<P::Msg>> = Vec::new();
             let mut local = 0u64;
             let mut bytes = 0u64;
+            let mut classes = vec![0u64; movers];
             while let Some(batch) = sched.next_batch() {
                 for ri in batch {
                     let mut ch = GenChunk::default();
@@ -170,161 +188,81 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
                         let mut send = |dst: VertexId, msg: P::Msg| {
                             ch.msgs += 1;
                             bytes += 4 + P::msg_bytes(&msg);
+                            if movers > 0 {
+                                classes[dst as usize % movers] += 1;
+                            }
                             let is_local = assign.is_none_or(|a| a[dst as usize] == dev);
                             if is_local {
                                 mailboxes[dst as usize].lock().unwrap().push(msg);
                                 local += 1;
                             } else {
-                                remote.push((dst, msg));
+                                remote.push(WireMsg { dst, value: msg });
                             }
                         };
                         program.generate(v, graph, values, &mut send);
                     }
-                    chunks.push(ch);
+                    chunks.push((ri, ch));
                 }
             }
-            (chunks, remote, local, bytes)
+            (chunks, remote, local, bytes, classes)
         });
         let mut remote = Vec::new();
-        for (chunks, r, local, bytes) in results {
-            for ch in &chunks {
-                c.active_vertices += ch.vertices;
-                c.gen_edges += ch.edges;
-            }
-            c.gen_chunks.extend(chunks);
+        let mut chunks = Vec::new();
+        if movers > 0 {
+            c.mover_msgs = vec![0u64; movers];
+        }
+        for (ch, r, local, bytes, classes) in results {
+            chunks.push(ch);
             c.msgs_local += local;
             c.bytes_gen += bytes;
             remote.extend(r);
-        }
-        c.bytes_gen += c.gen_edges * 8;
-        remote
-    }
-
-    fn generate_pipelined(&mut self, c: &mut StepCounters) -> Vec<(VertexId, P::Msg)> {
-        let host = self.host_threads;
-        let real_movers = (host / 4).max(1);
-        let real_workers = host.saturating_sub(real_movers).max(1);
-        let (_, sim_movers) = self.config.pipeline_split(&self.spec);
-        let queues = QueueMatrix::<(VertexId, P::Msg)>::new(real_workers, real_movers, 1024);
-        let sched = ChunkScheduler::new(self.gen_ranges.len(), 1);
-        let ranges = &self.gen_ranges;
-        let (program, graph) = (self.program, self.graph);
-        let (owned, values, active) = (&self.owned, &self.values, &self.active);
-        let mailboxes = &self.mailboxes;
-        let (assign, dev) = (self.assign, self.dev);
-        let queues_ref = &queues;
-        let sched = &sched;
-
-        type MoverOut<M> = (Vec<(VertexId, M)>, u64, Vec<u64>, u64);
-        let (worker_out, mover_out): (Vec<Vec<GenChunk>>, Vec<MoverOut<P::Msg>>) =
-            std::thread::scope(|s| {
-                let workers: Vec<_> = (0..real_workers)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let mut chunks = Vec::new();
-                            while let Some(batch) = sched.next_batch() {
-                                for ri in batch {
-                                    let mut ch = GenChunk::default();
-                                    for i in ranges[ri].clone() {
-                                        let v = owned[i];
-                                        if !active.is_active(v) {
-                                            continue;
-                                        }
-                                        ch.vertices += 1;
-                                        ch.edges += graph.out_degree(v) as u64;
-                                        let mut send = |dst: VertexId, msg: P::Msg| {
-                                            ch.msgs += 1;
-                                            let m = dst as usize % queues_ref.movers;
-                                            // SAFETY: worker w is queue
-                                            // (w, m)'s only producer.
-                                            unsafe { queues_ref.queue(w, m).push((dst, msg)) };
-                                        };
-                                        program.generate(v, graph, values, &mut send);
-                                    }
-                                    chunks.push(ch);
-                                }
-                            }
-                            queues_ref.close_worker(w);
-                            chunks
-                        })
-                    })
-                    .collect();
-                let movers: Vec<_> = (0..real_movers)
-                    .map(|m| {
-                        s.spawn(move || {
-                            let mut remote: Vec<(VertexId, P::Msg)> = Vec::new();
-                            let mut local = 0u64;
-                            let mut bytes = 0u64;
-                            let mut classes = vec![0u64; sim_movers];
-                            let mut buf: Vec<(VertexId, P::Msg)> = Vec::with_capacity(128);
-                            loop {
-                                let mut moved = false;
-                                for w in 0..real_workers {
-                                    buf.clear();
-                                    // SAFETY: mover m is the only consumer.
-                                    let n =
-                                        unsafe { queues_ref.queue(w, m).pop_batch(&mut buf, 128) };
-                                    if n > 0 {
-                                        moved = true;
-                                        for (dst, msg) in buf.drain(..) {
-                                            classes[dst as usize % sim_movers] += 1;
-                                            bytes += 4 + P::msg_bytes(&msg);
-                                            let is_local =
-                                                assign.is_none_or(|a| a[dst as usize] == dev);
-                                            if is_local {
-                                                mailboxes[dst as usize].lock().unwrap().push(msg);
-                                                local += 1;
-                                            } else {
-                                                remote.push((dst, msg));
-                                            }
-                                        }
-                                    }
-                                }
-                                if !moved {
-                                    if queues_ref.mover_done(m) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                            (remote, local, classes, bytes)
-                        })
-                    })
-                    .collect();
-                (
-                    workers
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect(),
-                    movers
-                        .into_iter()
-                        .map(|h| h.join().expect("mover panicked"))
-                        .collect(),
-                )
-            });
-
-        let mut remote = Vec::new();
-        c.mover_msgs = vec![0u64; sim_movers];
-        for chunks in worker_out {
-            for ch in &chunks {
-                c.active_vertices += ch.vertices;
-                c.gen_edges += ch.edges;
-            }
-            c.gen_chunks.extend(chunks);
-        }
-        for (r, local, classes, bytes) in mover_out {
-            remote.extend(r);
-            c.msgs_local += local;
-            c.bytes_gen += bytes;
             for (a, b) in c.mover_msgs.iter_mut().zip(classes) {
                 *a += b;
             }
         }
+        for ch in in_chunk_order(chunks) {
+            c.active_vertices += ch.vertices;
+            c.gen_edges += ch.edges;
+            c.gen_chunks.push(ch);
+        }
         c.bytes_gen += c.gen_edges * 8;
+        c.msgs_remote = remote.len() as u64;
+        self.active.clear();
         remote
     }
 
-    fn absorb_remote(&mut self, incoming: Vec<(VertexId, P::Msg)>, c: &mut StepCounters) {
+    /// Per-destination combine via the program hook.
+    fn combine(&self, mut bucket: Vec<WireMsg<P::Msg>>) -> Vec<WireMsg<P::Msg>> {
+        bucket.sort_by_key(|m| m.dst);
+        let mut combined = Vec::with_capacity(bucket.len());
+        let mut msgs = bucket.into_iter().peekable();
+        while let Some(first) = msgs.next() {
+            let dst = first.dst;
+            let mut group = vec![first.value];
+            while let Some(m) = msgs.next_if(|m| m.dst == dst) {
+                group.push(m.value);
+            }
+            for value in self.program.combine_remote(dst, group) {
+                combined.push(WireMsg { dst, value });
+            }
+        }
+        combined
+    }
+
+    fn exchange(
+        &self,
+        ep: &Endpoint<WireMsg<P::Msg>>,
+        out: Vec<WireMsg<P::Msg>>,
+        mine: PeerInfo,
+        deadline: Option<Duration>,
+        _step: usize,
+        _integ: &mut IntegrityStats,
+    ) -> Exchanged<P::Msg> {
+        let bytes_out = out.iter().map(|m| 4 + P::msg_bytes(&m.value)).sum();
+        ep.try_exchange_deadline(out, bytes_out, mine.any_active, mine.step_time, deadline)
+    }
+
+    fn absorb(&mut self, incoming: Vec<WireMsg<P::Msg>>, c: &mut StepCounters) {
         let grain = (incoming.len() / (self.spec.threads() * 8).max(1)).clamp(8, 512) as u64;
         let mut left = incoming.len() as u64;
         while left > 0 {
@@ -336,15 +274,14 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
             });
             left -= batch;
         }
-        for (dst, msg) in incoming {
-            c.bytes_gen += 4 + P::msg_bytes(&msg);
-            self.mailboxes[dst as usize].lock().unwrap().push(msg);
+        for m in incoming {
+            c.bytes_gen += 4 + P::msg_bytes(&m.value);
+            self.mailboxes[m.dst as usize].lock().unwrap().push(m.value);
         }
     }
 
-    /// Fused process + update over non-empty mailboxes.
-    fn process_update(&mut self, c: &mut StepCounters) {
-        // Contention profile from mailbox sizes.
+    /// Contention profile from mailbox sizes.
+    fn insertion_stats(&self, c: &mut StepCounters) {
         let mut profile = InsertProfile::default();
         for &v in &self.owned {
             let len = self.mailboxes[v as usize].lock().unwrap().len() as u64;
@@ -354,7 +291,10 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
             }
         }
         c.insert_profile = profile;
+    }
 
+    /// Fused process + update over non-empty mailboxes.
+    fn process(&mut self, c: &mut StepCounters) {
         let sched = ChunkScheduler::new(self.gen_ranges.len(), 1);
         let ranges = &self.gen_ranges;
         let (program, graph) = (self.program, self.graph);
@@ -362,13 +302,8 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
         let mailboxes = &self.mailboxes;
         let vslice = crate::util::SharedSlice::new(&mut self.values);
         let fslice = crate::util::SharedSlice::new(self.active.flags_mut());
-        let threads = if self.config.mode == ExecMode::Sequential {
-            1
-        } else {
-            self.host_threads
-        };
-        let results = run_parallel_collect(threads, |_| {
-            let mut out: Vec<ProcChunk> = Vec::new();
+        let results = run_parallel_collect(self.host_threads, |_| {
+            let mut out: Vec<(usize, ProcChunk)> = Vec::new();
             let mut updated = 0u64;
             while let Some(batch) = sched.next_batch() {
                 for ri in batch {
@@ -390,214 +325,97 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
                         unsafe { fslice.write(v as usize, u8::from(act)) };
                         updated += 1;
                     }
-                    out.push(chunk);
+                    out.push((ri, chunk));
                 }
             }
             (out, updated)
         });
-        for (chunks, updated) in results {
-            for chunk in &chunks {
-                c.proc_msgs += chunk.msgs;
-                c.proc_rows += chunk.rows;
-            }
+        let mut chunks = Vec::new();
+        for (out, updated) in results {
+            chunks.push(out);
             c.updated_vertices += updated;
-            c.proc_chunks.extend(chunks);
         }
+        for chunk in in_chunk_order(chunks) {
+            c.proc_msgs += chunk.msgs;
+            c.proc_rows += chunk.rows;
+            c.proc_chunks.push(chunk);
+        }
+        c.bytes_proc = c.proc_msgs * OBJ_MSG_SIZE as u64;
+    }
+
+    /// The fused step already applied the messages; collect the next
+    /// step's active set.
+    fn update(&mut self, c: &mut StepCounters) {
         self.active.recount();
         c.next_active = self.active.count();
-        c.bytes_proc = c.proc_msgs * OBJ_MSG_SIZE as u64;
         c.bytes_update = c.updated_vertices * std::mem::size_of::<P::Value>() as u64;
     }
 
-    fn gen_mode(&self) -> GenMode {
-        match self.config.mode {
-            ExecMode::Sequential => GenMode::Sequential,
-            ExecMode::Flat => GenMode::Flat,
-            ExecMode::Locking => GenMode::Locking,
-            ExecMode::Pipelined => {
-                let (w, m) = self.config.pipeline_split(&self.spec);
-                GenMode::Pipelined {
-                    workers: w,
-                    movers: m,
-                }
-            }
-        }
+    fn step_times(&self, cost: &CostModel, c: &StepCounters) -> PhaseTimes {
+        let gen_mode = self.config.gen_mode(&self.spec);
+        let mut times = cost.step_times(c, gen_mode, OBJ_MSG_SIZE, false);
+        // Object messages are processed by branch-heavy merge/sort code,
+        // not lane reductions — recost that phase.
+        times.total -= times.process;
+        times.process = cost.obj_process_time(c);
+        times.total += times.process;
+        times
+    }
+
+    fn into_values(self) -> Vec<P::Value> {
+        self.values
     }
 }
 
-/// Run an object-message program on a single device.
+/// Run an object-message program on a single device: the `N = 1` case of
+/// the rank loop, as [`run_single`] runs it.
+///
+/// [`run_single`]: crate::engine::run_single
 pub fn run_obj_single<P: ObjVertexProgram>(
     program: &P,
     graph: &Csr,
     spec: DeviceSpec,
     config: &EngineConfig,
 ) -> RunOutput<P::Value> {
-    let cost = CostModel::new(spec.clone());
-    let mut engine = ObjEngine::new(program, graph, spec.clone(), config.clone(), 0, None);
-    let cap = run_cap(program.max_supersteps(), config.max_supersteps);
-    let wall_start = Instant::now();
-    let mut steps = Vec::new();
-    for step in 0.. {
-        if step >= cap {
-            break;
-        }
-        let t0 = Instant::now();
-        let mut c = StepCounters::default();
-        let remote = engine.generate(&mut c);
-        debug_assert!(remote.is_empty());
-        engine.process_update(&mut c);
-        let mut times = cost.step_times(&c, engine.gen_mode(), OBJ_MSG_SIZE, false);
-        // Object messages are processed by branch-heavy merge/sort code,
-        // not lane reductions — recost that phase.
-        times.total -= times.process;
-        times.process = cost.obj_process_time(&c);
-        times.total += times.process;
-        let msgs = c.msgs_total();
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: 0.0,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-        if msgs == 0 {
-            break;
-        }
-    }
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: config.mode.name().to_string(),
-        steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
-    RunOutput {
-        values: engine.values,
-        device_reports: vec![report.clone()],
-        report,
-    }
-}
-
-/// Run an object-message program across both devices.
-pub fn run_obj_hetero<P: ObjVertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &phigraph_partition::DevicePartition,
-    specs: [DeviceSpec; 2],
-    configs: [EngineConfig; 2],
-    link: PcieLink,
-) -> RunOutput<P::Value> {
-    let cap = fabric_cap(program.max_supersteps(), &configs);
-    let (ep0, ep1) = duplex_pair::<(VertexId, P::Msg)>(link);
-    let [spec0, spec1] = specs;
-    let [config0, config1] = configs;
-    let assign = &partition.assign;
-
-    let (side0, side1) = std::thread::scope(|s| {
-        let h0 = s.spawn(|| obj_device_loop(program, graph, assign, 0, spec0, config0, ep0, cap));
-        let h1 = s.spawn(|| obj_device_loop(program, graph, assign, 1, spec1, config1, ep1, cap));
-        (
-            h0.join().expect("dev0 panicked"),
-            h1.join().expect("dev1 panicked"),
-        )
-    });
-    let (values0, r0) = side0;
-    let (values1, r1) = side1;
-    let device_reports = vec![r0, r1];
-    RunOutput {
-        values: merge_by_owner(assign, [(0, values0), (1, values1)]),
-        report: combine_ranks(P::NAME, &device_reports),
-        device_reports,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn obj_device_loop<P: ObjVertexProgram>(
-    program: &P,
-    graph: &Csr,
-    assign: &[u8],
-    dev: u8,
-    spec: DeviceSpec,
-    config: EngineConfig,
-    ep: Endpoint<(VertexId, P::Msg)>,
-    cap: usize,
-) -> (Vec<P::Value>, RunReport) {
-    let cost = CostModel::new(spec.clone());
-    let mut engine = ObjEngine::new(
+    run_device(ObjEngine::new(
         program,
         graph,
-        spec.clone(),
+        spec,
         config.clone(),
-        dev,
-        Some(assign),
-    );
-    let wall_start = Instant::now();
-    let mut steps = Vec::new();
-    for step in 0.. {
-        if step >= cap {
-            break;
-        }
-        let t0 = Instant::now();
-        let mut c = StepCounters::default();
-        let mut remote = engine.generate(&mut c);
-        c.remote_before_combine = remote.len() as u64;
-        // Per-destination combine via the program hook.
-        remote.sort_by_key(|&(d, _)| d);
-        let mut combined: Vec<(VertexId, P::Msg)> = Vec::with_capacity(remote.len());
-        let mut i = 0;
-        while i < remote.len() {
-            let dst = remote[i].0;
-            let mut group = Vec::new();
-            while i < remote.len() && remote[i].0 == dst {
-                group.push(remote[i].1.clone());
-                i += 1;
-            }
-            for m in program.combine_remote(dst, group) {
-                combined.push((dst, m));
-            }
-        }
-        c.remote_after_combine = combined.len() as u64;
-        let bytes_out: u64 = combined.iter().map(|(_, m)| 4 + P::msg_bytes(m)).sum();
-        let my_any = c.msgs_total() > 0;
-        let (incoming, peer_any, xstats) = ep.exchange(combined, bytes_out, my_any);
-        c.comm_bytes = xstats.bytes_sent + xstats.bytes_recv;
-        engine.absorb_remote(incoming, &mut c);
-        engine.process_update(&mut c);
-        let mut times = cost.step_times(&c, engine.gen_mode(), OBJ_MSG_SIZE, false);
-        times.total -= times.process;
-        times.process = cost.obj_process_time(&c);
-        times.total += times.process;
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: xstats.sim_time,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-        if !my_any && !peer_any {
-            break;
-        }
-    }
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: "cpu-mic".to_string(),
-        steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
-    (engine.values, report)
+        0,
+        None,
+    ))
+}
+
+/// Run an object-message program across `specs.len()` ranks on the fabric
+/// of [`run_ranks`]. `specs`/`configs` are indexed by rank (0 = CPU, 1.. =
+/// accelerators); `partition` assigns vertices.
+///
+/// # Panics
+/// Panics when a rank leaves the superstep loop early.
+///
+/// [`run_ranks`]: crate::engine::run_ranks
+pub fn run_obj_ranks<P: ObjVertexProgram>(
+    program: &P,
+    graph: &Csr,
+    partition: &DevicePartition,
+    specs: &[DeviceSpec],
+    configs: &[EngineConfig],
+    link: PcieLink,
+) -> RunOutput<P::Value> {
+    assert_eq!(partition.assign.len(), graph.num_vertices());
+    let assign = &partition.assign;
+    run_fabric(specs, configs, assign, link, |r| {
+        let (spec, config) = (specs[r].clone(), configs[r].clone());
+        ObjEngine::new(program, graph, spec, config, r as u8, Some(assign))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use phigraph_graph::generators::small::chain;
+    use phigraph_graph::generators::{rmat, RmatConfig};
     use phigraph_partition::{partition, PartitionScheme, Ratio};
 
     /// A toy object-message program: each vertex forwards a growing path
@@ -666,15 +484,119 @@ mod tests {
             DeviceSpec::xeon_e5_2680(),
             &EngineConfig::locking(),
         );
-        let hetero = run_obj_hetero(
+        let hetero = run_obj_ranks(
             &PathRelay,
             &g,
             &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [EngineConfig::locking(), EngineConfig::locking()],
+            &[DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
+            &[EngineConfig::locking(), EngineConfig::locking()],
             PcieLink::gen2_x16(),
         );
         assert_eq!(single.values, hetero.values);
         assert!(hetero.report.sim_comm() > 0.0);
+    }
+
+    /// Each vertex keeps the four smallest vertex ids it has heard of — an
+    /// update that does not depend on the order of its mailbox.
+    struct Smallest;
+    impl ObjVertexProgram for Smallest {
+        type Msg = Vec<u32>;
+        type Value = Vec<u32>;
+        const NAME: &'static str = "smallest";
+        fn init(&self, v: VertexId, _g: &Csr) -> (Vec<u32>, bool) {
+            (vec![v], true)
+        }
+        fn generate(
+            &self,
+            v: VertexId,
+            g: &Csr,
+            values: &[Vec<u32>],
+            send: &mut dyn FnMut(VertexId, Vec<u32>),
+        ) {
+            // Yield now and then, so the engine's threads take chunks in
+            // interleaved order even on a one-core runner.
+            if v.is_multiple_of(16) {
+                std::thread::yield_now();
+            }
+            for &d in g.neighbors(v) {
+                send(d, values[v as usize].clone());
+            }
+        }
+        fn update(
+            &self,
+            _v: VertexId,
+            msgs: Vec<Vec<u32>>,
+            value: &mut Vec<u32>,
+            _g: &Csr,
+        ) -> bool {
+            let mut ids: Vec<u32> = value.iter().copied().chain(msgs.concat()).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.truncate(4);
+            let changed = ids != *value;
+            *value = ids;
+            changed
+        }
+        fn msg_bytes(msg: &Vec<u32>) -> u64 {
+            4 * msg.len() as u64
+        }
+        fn max_supersteps(&self) -> Option<usize> {
+            Some(6)
+        }
+    }
+
+    #[test]
+    fn obj_is_identical_on_any_host_thread_count() {
+        let g = rmat(&RmatConfig {
+            scale: 11,
+            edge_factor: 8,
+            seed: 7,
+            ..Default::default()
+        });
+        let spec = DeviceSpec::xeon_phi_se10p();
+        let cost = CostModel::new(spec.clone());
+        // The values, and every superstep's full counters (chunk records
+        // included) and simulated seconds, with the host thread count
+        // forced to `threads`.
+        let run = |config: &EngineConfig, threads: usize| {
+            let mut eng = ObjEngine::new(&Smallest, &g, spec.clone(), config.clone(), 0, None);
+            eng.host_threads = threads;
+            let mut steps = Vec::new();
+            for _ in 0..6 {
+                let mut c = eng.begin_step();
+                assert!(eng.generate(&mut c).is_empty());
+                eng.insertion_stats(&mut c);
+                eng.process(&mut c);
+                eng.update(&mut c);
+                let sim = eng.step_times(&cost, &c).total;
+                steps.push((c, sim));
+            }
+            (eng.values, steps)
+        };
+        for config in [
+            EngineConfig::locking(),
+            EngineConfig::pipelined(),
+            EngineConfig::flat(),
+        ] {
+            let name = config.mode.name();
+            let (values, steps) = run(&config, 1);
+            assert!(steps[1].0.msgs_local > 0, "{name}: the run sends messages");
+            for threads in [2, 3, 8] {
+                let (v, s) = run(&config, threads);
+                assert!(v == values, "{name}: values differ at {threads} threads");
+                for (i, ((a, sim_a), (b, sim_b))) in s.iter().zip(&steps).enumerate() {
+                    assert!(
+                        a.gen_chunks == b.gen_chunks && a.proc_chunks == b.proc_chunks,
+                        "{name} step {i}: chunk records at {threads} threads"
+                    );
+                    assert!(a == b, "{name} step {i}: counters at {threads} threads");
+                    assert_eq!(
+                        sim_a.to_bits(),
+                        sim_b.to_bits(),
+                        "{name} step {i}: simulated seconds at {threads} threads"
+                    );
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! [`failover`]: crate::engine::failover
 
 use crate::api::VertexProgram;
-use crate::engine::config::{EngineConfig, ExecMode};
+use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
 use crate::engine::failover::run_ranks_failover;
 use crate::metrics::RunOutput;
@@ -126,7 +126,7 @@ pub(crate) fn write_snapshot<P: VertexProgram>(
 /// rank with its one store and no links, so no heartbeat, no watchdog and
 /// no straggler vote.
 ///
-/// Behaves like [`run_single`] for the framework modes, plus:
+/// Behaves like [`run_single`] for `lock`, `pipe` and `omp`, plus:
 ///
 /// * every `checkpoint_every` supersteps of [`EngineConfig::recovery`] the
 ///   barrier state is snapshotted into `store`;
@@ -156,10 +156,6 @@ pub fn run_recoverable<P: VertexProgram>(
 where
     P::Value: PodState,
 {
-    assert!(
-        matches!(config.mode, ExecMode::Locking | ExecMode::Pipelined),
-        "the recovering driver runs the framework modes; use run_single for flat/seq"
-    );
     let one = DevicePartition {
         assign: vec![0; graph.num_vertices()],
         shares: Shares::even(1),

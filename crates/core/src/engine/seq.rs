@@ -10,25 +10,28 @@ use phigraph_device::{CostModel, DeviceSpec, StepCounters};
 use phigraph_graph::{Csr, VertexId};
 use phigraph_simd::{MsgValue, ReduceOp};
 use phigraph_trace::Phase;
+use std::marker::PhantomData;
 use std::time::Instant;
 
 use super::config::EngineConfig;
-use super::flat::run_cap;
+use super::hetero::run_cap;
 
-struct SeqSink<'a, T: MsgValue> {
+/// The mailbox sink. The reduction is a type parameter, not a stored
+/// function pointer, so it inlines into every program's `generate`.
+struct SeqSink<'a, T: MsgValue, R> {
     acc: &'a mut [T],
     counts: &'a mut [u32],
-    combine: fn(T, T) -> T,
+    reduce: PhantomData<R>,
 }
 
-impl<'a, T: MsgValue> MsgSink<T> for SeqSink<'a, T> {
+impl<'a, T: MsgValue, R: ReduceOp<T>> MsgSink<T> for SeqSink<'a, T, R> {
     #[inline]
     fn send(&mut self, dst: VertexId, msg: T) {
         let d = dst as usize;
         self.acc[d] = if self.counts[d] == 0 {
             msg
         } else {
-            (self.combine)(self.acc[d], msg)
+            R::apply(self.acc[d], msg)
         };
         self.counts[d] += 1;
     }
@@ -104,10 +107,10 @@ pub(crate) fn run_seq_resume<P: VertexProgram>(
         // Generation into the mailbox (reduction applied on arrival).
         {
             let _g = tracer.span(Phase::Generate, step as u32);
-            let mut sink = SeqSink {
+            let mut sink = SeqSink::<P::Msg, P::Reduce> {
                 acc: &mut acc,
                 counts: &mut counts,
-                combine: P::Reduce::apply,
+                reduce: PhantomData,
             };
             let mut ctx = GenContext::new(graph, &values, &mut sink);
             for v in 0..n as VertexId {

@@ -46,8 +46,8 @@ pub struct RunReport {
     /// Device name.
     pub device: String,
     /// Execution mode name. Matches [`ExecMode::name`]: `lock`, `pipe`,
-    /// `omp` (the flat engine's report name, after the paper's "OMP" bars),
-    /// or `seq` — plus `cpu-mic` for combined heterogeneous reports.
+    /// `omp` (the flat baseline's report name, after the paper's "OMP"
+    /// bars), or `seq` — plus `cpu-mic` for combined heterogeneous reports.
     ///
     /// [`ExecMode::name`]: crate::engine::ExecMode::name
     pub mode: String,

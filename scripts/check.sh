@@ -102,23 +102,36 @@ grep -q "rank2: " "$SMOKE_DIR/fabric-recover.txt"
 grep -q "migrations=1" "$SMOKE_DIR/fabric-recover.txt"
 echo "    (rank 1 killed at step 4 of 3-rank SSSP: checksum parity after migration: ok)"
 
-echo "==> determinism smoke: lock PageRank prints seq's checksum on every run"
+echo "==> determinism smoke: lock and omp PageRank print seq's checksum on every run"
 # f32 sums follow their association order. The locking engine drains each
-# column in source order, so on any host thread count three lock runs and
+# column in source order, and the flat (omp) engine runs the same host
+# path, so on any host thread count three lock runs, three omp runs and
 # one seq run must print the same checksum.
 "$PHIGRAPH" generate gnm "$SMOKE_DIR/gnm-small.bin" --scale small --seed 7 >/dev/null
 WANT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine seq --checksum \
     | sed -n 's/^checksum=//p')"
 test -n "$WANT_PR"
-for i in 1 2 3; do
-    GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine lock --checksum \
-        | sed -n 's/^checksum=//p')"
-    if [ "$GOT_PR" != "$WANT_PR" ]; then
-        echo "lock run $i printed checksum $GOT_PR, seq printed $WANT_PR" >&2
-        exit 1
-    fi
+for engine in lock omp; do
+    for i in 1 2 3; do
+        GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine "$engine" \
+            --checksum | sed -n 's/^checksum=//p')"
+        if [ "$GOT_PR" != "$WANT_PR" ]; then
+            echo "$engine run $i printed checksum $GOT_PR, seq printed $WANT_PR" >&2
+            exit 1
+        fi
+    done
 done
-echo "    (lock x3 and seq: checksum=$WANT_PR)"
+echo "    (lock x3, omp x3 and seq: checksum=$WANT_PR)"
+
+echo "==> object-fabric smoke: semicluster on 3 ranks writes the one-device values"
+# Object messages run on the same rank loop as POD ones: a 3-rank
+# Semi-Clustering run must write exactly what one device writes.
+"$PHIGRAPH" generate dblp "$SMOKE_DIR/dblp.bin" --scale tiny --seed 7 >/dev/null
+"$PHIGRAPH" run semicluster "$SMOKE_DIR/dblp.bin" --out "$SMOKE_DIR/sc1.txt" >/dev/null
+"$PHIGRAPH" run semicluster "$SMOKE_DIR/dblp.bin" --devices 3 \
+    --out "$SMOKE_DIR/sc3.txt" >/dev/null
+cmp "$SMOKE_DIR/sc1.txt" "$SMOKE_DIR/sc3.txt"
+echo "    (semicluster --devices 3 == one device: ok)"
 
 echo "==> bench smoke: BENCH_*.json emission + regression gate"
 # Smoke-measure every area into the repo root (the per-PR perf artifacts),

@@ -88,8 +88,9 @@ fn pagerank_equivalence() {
     // PageRank reduces with f32 sums, whose result depends on association
     // order. The locking engine stages and drains its insertions so every
     // column holds its messages in source order, the sequential order: its
-    // configs must match `seq` bit for bit. The pipelined and flat engines
-    // accumulate in thread-arrival order, so they match numerically.
+    // configs, and the flat engine that runs on the same host path, must
+    // match `seq` bit for bit. The pipelined engine accumulates in
+    // thread-arrival order, so it matches numerically.
     let g = workloads::pokec_like(workloads::Scale::Tiny, 11);
     let pr = PageRank {
         damping: 0.85,
@@ -104,7 +105,7 @@ fn pagerank_equivalence() {
     for spec in devices() {
         for (name, config) in all_configs() {
             let out = run_single(&pr, &g, spec.clone(), &config);
-            if name.starts_with("lock") {
+            if name.starts_with("lock") || name == "omp" {
                 let bits = |vals: &[f32]| vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert!(
                     bits(&out.values) == bits(&baseline.values),

@@ -132,6 +132,27 @@ fn pagerank_crash_at_every_superstep_is_bit_identical() {
     }
 }
 
+/// The flat engine (`omp`) runs under the recovery machine like `lock`: a
+/// dead worker at superstep 3 rolls back once and lands on the clean bits.
+#[test]
+fn omp_dead_worker_rolls_back_once_to_the_clean_values() {
+    let g = sweep_graph(17);
+    let app = Sssp { source: 0 };
+    let cfg = EngineConfig::flat()
+        .with_checkpoint_every(2)
+        .with_backoff_ms(0);
+    let clean = run_single(&app, &g, spec(), &cfg);
+    assert_eq!(clean.report.mode, "omp");
+    let mut store = MemStore::new();
+    let cfg = cfg.with_fault_plan(FaultPlan::single(3, FaultKind::KillWorker).injector());
+    let out = run_recoverable(&app, &g, spec(), &cfg, &mut store, false);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out.values), bits(&clean.values));
+    assert_eq!(out.report.recovery.rollbacks, 1);
+    assert_eq!(out.report.recovery.faults_injected, 1);
+    assert_eq!(out.report.mode, "omp");
+}
+
 /// Kill the run partway (superstep cap), then `resume = true` from the
 /// surviving store — the true "process died" path, at every cut point.
 #[test]

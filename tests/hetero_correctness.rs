@@ -5,11 +5,11 @@
 
 use phigraph_apps::{workloads, Bfs, PageRank, SemiClustering, Sssp, TopoSort};
 use phigraph_comm::PcieLink;
-use phigraph_core::engine::obj::{run_obj_hetero, run_obj_single};
+use phigraph_core::engine::obj::{run_obj_ranks, run_obj_single};
 use phigraph_core::engine::{run_ranks, run_single, EngineConfig};
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
-use phigraph_partition::{partition, PartitionScheme, Ratio};
+use phigraph_partition::{partition, partition_n, PartitionScheme, Ratio, Shares};
 
 fn specs() -> [DeviceSpec; 2] {
     [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()]
@@ -147,16 +147,81 @@ fn semicluster_hetero_correct() {
     );
     for scheme in schemes() {
         let p = partition(&g, scheme, Ratio::new(2, 1), 3);
-        let out = run_obj_hetero(
+        let out = run_obj_ranks(
             &sc,
             &g,
             &p,
-            specs(),
-            [EngineConfig::locking(), EngineConfig::locking()],
+            &specs(),
+            &[EngineConfig::locking(), EngineConfig::locking()],
             PcieLink::gen2_x16(),
         );
         assert_eq!(out.values, single.values, "{}", scheme.name());
     }
+}
+
+#[test]
+fn semicluster_three_and_four_rank_fabrics_correct() {
+    // Object messages run on any fabric size: rank 0 locks, ranks 1..
+    // pipeline, and every rank combines per destination link.
+    let (g, _) = workloads::dblp_like(workloads::Scale::Tiny, 25);
+    let sc = SemiClustering::default();
+    let single = run_obj_single(
+        &sc,
+        &g,
+        DeviceSpec::xeon_e5_2680(),
+        &EngineConfig::locking(),
+    );
+    for n in [3usize, 4] {
+        for scheme in [
+            PartitionScheme::RoundRobin,
+            PartitionScheme::Hybrid { blocks: 32 },
+        ] {
+            let p = partition_n(&g, scheme, &Shares::even(n), 3);
+            let mut configs = vec![EngineConfig::pipelined().with_host_threads(2); n];
+            configs[0] = EngineConfig::locking();
+            let specs: Vec<DeviceSpec> = (0..n).map(|r| specs()[r.min(1)].clone()).collect();
+            let out = run_obj_ranks(&sc, &g, &p, &specs, &configs, PcieLink::gen2_x16());
+            assert_eq!(out.values, single.values, "{n} ranks, {}", scheme.name());
+            assert_eq!(out.device_reports.len(), n);
+            assert!(out.report.total_comm_bytes() > 0, "{n} ranks");
+        }
+    }
+}
+
+/// `omp` runs on a fabric like any other `DeviceEngine` mode: ranks 1..
+/// on the flat engine compute what the all-`lock` fabric computes.
+#[test]
+fn omp_ranks_match_the_lock_fabric() {
+    use phigraph_apps::Wcc;
+    fn check<P>(program: &P, graph: &Csr)
+    where
+        P: phigraph_core::api::VertexProgram,
+        P::Value: PartialEq + std::fmt::Debug,
+    {
+        for n in [2usize, 3] {
+            let p = partition_n(graph, PartitionScheme::RoundRobin, &Shares::even(n), 7);
+            let specs: Vec<DeviceSpec> = (0..n).map(|r| specs()[r.min(1)].clone()).collect();
+            let run = |mic: EngineConfig| {
+                let mut configs = vec![mic; n];
+                configs[0] = EngineConfig::locking();
+                run_ranks(program, graph, &p, &specs, &configs, PcieLink::gen2_x16())
+            };
+            let lock = run(EngineConfig::locking());
+            let omp = run(EngineConfig::flat());
+            assert_eq!(omp.values, lock.values, "{} on {n} ranks", P::NAME);
+            assert!(omp.report.sim_total() > 0.0);
+        }
+    }
+    check(
+        &Sssp { source: 0 },
+        &workloads::pokec_like_weighted(workloads::Scale::Tiny, 31),
+    );
+    check(
+        &Bfs { source: 0 },
+        &workloads::pokec_like(workloads::Scale::Tiny, 32),
+    );
+    let g = workloads::pokec_like(workloads::Scale::Tiny, 33);
+    check(&Wcc::new(&g), &g);
 }
 
 #[test]

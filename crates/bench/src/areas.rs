@@ -11,7 +11,7 @@
 //! |-------------|-----------------------------------------------------------|
 //! | `spsc`      | worker→mover `push_slice`/`pop_slices` pipeline transport |
 //! | `csb`       | `Csb::insert_slice` mover drains (both column modes)      |
-//! | `superstep` | a full run per engine mode (per-superstep mean derivable) |
+//! | `superstep` | full SSSP and PageRank runs per engine mode               |
 //! | `exchange`  | hetero frame-exchange loopback, unframed vs framed        |
 //! | `integrity` | the `off`/`frames`/`full` switch on the recovering driver |
 //! | `partition` | the three §IV.E device-partitioning schemes               |
@@ -27,7 +27,7 @@
 
 use crate::harness::{BenchmarkId, Criterion, Throughput};
 use phigraph_apps::workloads::{self, Scale};
-use phigraph_apps::{SemiClustering, Sssp};
+use phigraph_apps::{PageRank, SemiClustering, Sssp};
 use phigraph_comm::{loopback_all_to_all, loopback_rounds, PcieLink};
 use phigraph_core::benchable::{csb_fixture, shuttle_msgs, spsc_shuttle, superstep_work};
 use phigraph_core::csb::ColumnMode;
@@ -152,10 +152,13 @@ fn bench_csb(c: &mut Criterion, opts: &AreaOpts) {
     g.finish();
 }
 
-/// A full SSSP run per engine mode on the seeded pokec-like graph. The
-/// declared elements are the run's total generated messages (measured by a
-/// priming run — deterministic for a fixed input), so the rate reads as
-/// end-to-end messages/second; divide mean by the superstep count for a
+/// A full SSSP run per engine mode on the seeded pokec-like graph, `seq`
+/// beside the framework engines so the gap to one plain thread stays in
+/// view, and a 10-iteration PageRank run on the same graph, whose every
+/// superstep is dense (every vertex active). The declared elements are the
+/// run's total generated messages (measured by a priming run —
+/// deterministic for a fixed input), so the rate reads as end-to-end
+/// messages/second; divide mean by the superstep count for a
 /// per-superstep figure.
 fn bench_superstep(c: &mut Criterion, opts: &AreaOpts) {
     let scale = if opts.smoke {
@@ -168,6 +171,7 @@ fn bench_superstep(c: &mut Criterion, opts: &AreaOpts) {
     let mut g = c.benchmark_group("superstep/sssp");
     tune(&mut g, opts);
     for (name, config) in [
+        ("seq", EngineConfig::sequential()),
         ("lock", EngineConfig::locking()),
         ("pipe", EngineConfig::pipelined()),
         ("flat", EngineConfig::flat()),
@@ -222,6 +226,24 @@ fn bench_superstep(c: &mut Criterion, opts: &AreaOpts) {
                 })
             },
         );
+    }
+    g.finish();
+    let pagerank = PageRank {
+        iterations: 10,
+        ..PageRank::default()
+    };
+    let mut g = c.benchmark_group("superstep/pagerank");
+    tune(&mut g, opts);
+    for (name, config) in [
+        ("seq", EngineConfig::sequential()),
+        ("lock", EngineConfig::locking()),
+        ("flat", EngineConfig::flat()),
+    ] {
+        let work = superstep_work(&pagerank, &graph, spec.clone(), &config);
+        g.throughput(Throughput::Elements(work.total_msgs));
+        g.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
+            b.iter(|| run_single(&pagerank, &graph, spec.clone(), config))
+        });
     }
     g.finish();
 }

@@ -16,6 +16,7 @@
 //! ```
 
 use std::fmt::Display;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Prevent the optimizer from deleting a computed value (stable-Rust
@@ -77,7 +78,8 @@ impl BenchResult {
             Some(eps) => format!("  ({} elem/s)", human_rate(eps)),
             None => String::new(),
         };
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "{:<44} mean {:>10}  min {:>10}  p99 {:>10}{}",
             self.label,
             human_time(self.mean),

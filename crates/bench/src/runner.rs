@@ -13,6 +13,7 @@ use crate::harness::Criterion;
 use crate::perf::{
     compare_reports, default_threshold, file_name, BenchReport, EnvFingerprint, AREAS,
 };
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Usage text shared by both front ends.
@@ -42,7 +43,8 @@ pub fn main(argv: &[String]) -> Result<(), String> {
         "perturb" => cmd_perturb(rest),
         "list" => {
             for area in AREAS {
-                println!(
+                let _ = writeln!(
+                    std::io::stdout(),
                     "{area:<12} {:<22} threshold {:.2}x",
                     file_name(area),
                     default_threshold(area)
@@ -51,7 +53,7 @@ pub fn main(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            let _ = writeln!(std::io::stdout(), "{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown bench command {other:?}\n{USAGE}")),
@@ -182,7 +184,7 @@ fn cmd_run(argv: &[String]) -> Result<(), String> {
         let path = out_dir.join(file_name(&report.area));
         std::fs::write(&path, report.emit())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
+        let _ = writeln!(std::io::stdout(), "wrote {}", path.display());
     }
     Ok(())
 }
@@ -250,12 +252,13 @@ fn cmd_compare(argv: &[String]) -> Result<(), String> {
         };
         let threshold = threshold_override.unwrap_or_else(|| default_threshold(area));
         let outcome = compare_reports(&base, &cur, threshold);
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "== {area} (threshold {threshold:.2}x, baseline {}{}) ==",
             base.env.arch,
             if base.env.smoke { ", smoke" } else { "" }
         );
-        print!("{}", outcome.render());
+        let _ = write!(std::io::stdout(), "{}", outcome.render());
         regressions += outcome.regressions();
         compared += 1;
     }
@@ -269,7 +272,10 @@ fn cmd_compare(argv: &[String]) -> Result<(), String> {
             if regressions == 1 { "y" } else { "ies" }
         ));
     }
-    println!("bench compare: no regressions across {compared} area(s)");
+    let _ = writeln!(
+        std::io::stdout(),
+        "bench compare: no regressions across {compared} area(s)"
+    );
     Ok(())
 }
 
@@ -290,7 +296,7 @@ fn cmd_perturb(argv: &[String]) -> Result<(), String> {
     let report = BenchReport::parse(&text)?;
     std::fs::write(output, report.perturbed(factor).emit())
         .map_err(|e| format!("cannot write {output}: {e}"))?;
-    println!("wrote {output} (timings x{factor})");
+    let _ = writeln!(std::io::stdout(), "wrote {output} (timings x{factor})");
     Ok(())
 }
 

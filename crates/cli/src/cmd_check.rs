@@ -4,6 +4,7 @@
 
 use crate::args::Args;
 use crate::cmd_generate::load_graph;
+use crate::out::outln;
 use phigraph_apps::{Bfs, KCore, PageRank, Sssp, TopoSort, Wcc};
 use phigraph_core::api::VertexProgram;
 use phigraph_core::check::{check_program, CheckReport};
@@ -41,16 +42,17 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         other => return Err(format!("cannot check app {other:?}")),
     };
 
-    println!(
+    outln!(
         "checked {} supersteps, {} messages",
-        report.supersteps, report.messages
+        report.supersteps,
+        report.messages
     );
     if report.is_clean() {
-        println!("contract check: CLEAN");
+        outln!("contract check: CLEAN");
         Ok(())
     } else {
         for v in &report.violations {
-            println!("violation: {v:?}");
+            outln!("violation: {v:?}");
         }
         Err(format!("{} contract violations", report.violations.len()))
     }

@@ -1,6 +1,7 @@
 //! `phigraph generate` — write workload graphs to disk.
 
 use crate::args::Args;
+use crate::out::outln;
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_graph::generators::erdos_renyi::gnm;
 use phigraph_graph::{io, Csr};
@@ -31,7 +32,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown workload kind {other:?}")),
     };
     write_graph(&graph, &out)?;
-    println!(
+    outln!(
         "wrote {kind} graph: {} vertices, {} edges -> {out}",
         graph.num_vertices(),
         graph.num_edges()

@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use crate::cmd_generate::load_graph;
+use crate::out::outln;
 use phigraph_graph::analysis::{degree_assortativity, diameter_estimate, reciprocity};
 use phigraph_graph::degree::{log2_histogram, top_k};
 use phigraph_graph::validation::{self, weakly_connected_components};
@@ -16,17 +17,17 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let g = load_graph(path)?;
     g.validate().map_err(|e| format!("invalid graph: {e}"))?;
 
-    println!("graph      {path}");
-    println!("vertices   {}", g.num_vertices());
-    println!("edges      {}", g.num_edges());
-    println!("weighted   {}", g.weights.is_some());
-    println!("self-loops {}", validation::self_loops(&g));
-    println!("components {}", weakly_connected_components(&g));
-    println!(
+    outln!("graph      {path}");
+    outln!("vertices   {}", g.num_vertices());
+    outln!("edges      {}", g.num_edges());
+    outln!("weighted   {}", g.weights.is_some());
+    outln!("self-loops {}", validation::self_loops(&g));
+    outln!("components {}", weakly_connected_components(&g));
+    outln!(
         "diameter   ≥{} (double-sweep estimate)",
         diameter_estimate(&g, 0)
     );
-    println!(
+    outln!(
         "assortativity {:.3}   reciprocity {:.3}",
         degree_assortativity(&g),
         reciprocity(&g)
@@ -34,7 +35,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
     let out = DegreeStats::out_degrees(&g);
     let ind = DegreeStats::in_degrees(&g);
-    println!(
+    outln!(
         "out-degree min {} max {} mean {:.2} cv {:.2} gini {:.2} top1% {:.1}%",
         out.min,
         out.max,
@@ -43,7 +44,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         out.gini,
         out.top1pct_share * 100.0
     );
-    println!(
+    outln!(
         "in-degree  min {} max {} mean {:.2} cv {:.2} gini {:.2} top1% {:.1}%",
         ind.min,
         ind.max,
@@ -53,19 +54,19 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         ind.top1pct_share * 100.0
     );
 
-    println!("\nout-degree histogram (log2 buckets):");
+    outln!("\nout-degree histogram (log2 buckets):");
     let hist = log2_histogram(&g.out_degrees());
     let max = hist.iter().copied().max().unwrap_or(1).max(1);
     for (b, &count) in hist.iter().enumerate() {
         let lo = if b == 0 { 0 } else { 1usize << (b - 1) };
         let hi = (1usize << b).saturating_sub(1);
         let bar = "#".repeat((count * 40).div_ceil(max));
-        println!("  [{lo:>6}-{hi:>6}] {count:>8} {bar}");
+        outln!("  [{lo:>6}-{hi:>6}] {count:>8} {bar}");
     }
 
-    println!("\ntop-5 out-degree hubs:");
+    outln!("\ntop-5 out-degree hubs:");
     for (v, d) in top_k(&g.out_degrees(), 5) {
-        println!("  vertex {v:>8}  degree {d}");
+        outln!("  vertex {v:>8}  degree {d}");
     }
     Ok(())
 }

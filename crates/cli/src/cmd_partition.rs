@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use crate::cmd_generate::load_graph;
+use crate::out::outln;
 use phigraph_partition::file::write_partition;
 use phigraph_partition::{partition, PartitionScheme, PartitionStats, Ratio};
 use std::fs::File;
@@ -30,16 +31,19 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     write_partition(&p, f).map_err(|e| format!("write {out}: {e}"))?;
 
     let stats = PartitionStats::compute(&g, &p);
-    println!(
+    outln!(
         "partitioned {} vertices with {} @ {ratio} -> {out}",
         g.num_vertices(),
         scheme.name()
     );
-    println!(
+    outln!(
         "  CPU: {} vertices / {} edges   MIC: {} vertices / {} edges",
-        stats.vertices[0], stats.edges[0], stats.vertices[1], stats.edges[1]
+        stats.vertices[0],
+        stats.edges[0],
+        stats.vertices[1],
+        stats.edges[1]
     );
-    println!(
+    outln!(
         "  cross edges {} ({:.1}%), edge-balance error {:.3}",
         stats.cross_edges,
         stats.cross_fraction() * 100.0,

@@ -14,6 +14,7 @@
 //! the snapshots are shown alongside them.
 
 use crate::args::Args;
+use crate::out::outln;
 use phigraph_recover::{CheckpointStore, DirStore, Snapshot};
 use phigraph_trace::json::Json;
 
@@ -46,7 +47,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
     }
     if !stores.is_empty() && !legacy.is_empty() {
-        println!(
+        outln!(
             "warning: {dir} mixes per-rank (rank*) and legacy (dev*) stores; \
              listing both, but --resume would only read the rank* layout"
         );
@@ -79,9 +80,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
     let total: usize = stores.iter().map(|(_, s)| s.list().len()).sum();
     if total == 0 {
-        println!("no snapshots in {dir}");
+        outln!("no snapshots in {dir}");
     } else {
-        println!("{total} snapshot(s) in {dir}:");
+        outln!("{total} snapshot(s) in {dir}:");
         for (label, store) in &stores {
             list(label, store);
         }
@@ -95,13 +96,13 @@ fn inspect(label: &str, store: &DirStore, step: u64) -> Result<(), String> {
     let snap = Snapshot::decode(&bytes).map_err(|e| format!("snapshot {step} invalid: {e}"))?;
     let n = snap.num_vertices();
     let active = snap.active.iter().filter(|&&f| f != 0).count();
-    println!("{label}snapshot {}", store.path_for(step).display());
-    println!("  resumes at superstep : {}", snap.superstep);
-    println!("  application          : {}", snap.app);
-    println!("  vertices             : {n}");
-    println!("  value width          : {} bytes", snap.value_size);
-    println!("  active vertices      : {active}");
-    println!(
+    outln!("{label}snapshot {}", store.path_for(step).display());
+    outln!("  resumes at superstep : {}", snap.superstep);
+    outln!("  application          : {}", snap.app);
+    outln!("  vertices             : {n}");
+    outln!("  value width          : {} bytes", snap.value_size);
+    outln!("  active vertices      : {active}");
+    outln!(
         "  encoded size         : {} bytes (checksum OK)",
         bytes.len()
     );
@@ -117,7 +118,7 @@ fn list(label: &str, store: &DirStore) {
         }) {
             Ok((snap, len)) => {
                 let active = snap.active.iter().filter(|&&f| f != 0).count();
-                println!(
+                outln!(
                     "  {label}step {:>6}  app={:<10} vertices={:<9} active={:<9} {} bytes  OK",
                     snap.superstep,
                     snap.app,
@@ -126,7 +127,7 @@ fn list(label: &str, store: &DirStore) {
                     len,
                 );
             }
-            Err(e) => println!("  {label}step {step:>6}  INVALID: {e}"),
+            Err(e) => outln!("  {label}step {step:>6}  INVALID: {e}"),
         }
     }
 }
@@ -145,7 +146,7 @@ fn print_run_report(dir: &str) {
         Ok(bytes) => match String::from_utf8(bytes) {
             Ok(t) => t,
             Err(_) => {
-                println!("warning: {path}: not valid UTF-8 (torn write?); ignoring report");
+                outln!("warning: {path}: not valid UTF-8 (torn write?); ignoring report");
                 return;
             }
         },
@@ -153,23 +154,23 @@ fn print_run_report(dir: &str) {
     let doc = match Json::parse(&text) {
         Ok(doc) => doc,
         Err(e) => {
-            println!("warning: {path}: {e} (torn write?); ignoring report");
+            outln!("warning: {path}: {e} (torn write?); ignoring report");
             return;
         }
     };
     if doc.get("schema").and_then(|s| s.as_str()) != Some(phigraph_core::export::REPORT_SCHEMA) {
-        println!("warning: {path}: not a phigraph run report; ignoring");
+        outln!("warning: {path}: not a phigraph run report; ignoring");
         return;
     }
     let Some(combined) = doc.get("combined") else {
-        println!("warning: {path}: missing \"combined\" section; ignoring report");
+        outln!("warning: {path}: missing \"combined\" section; ignoring report");
         return;
     };
     let app = combined.get("app").and_then(|a| a.as_str()).unwrap_or("?");
     let mode = combined.get("mode").and_then(|m| m.as_str()).unwrap_or("?");
-    println!("\nlast run ({path}): {app}, engine {mode}");
+    outln!("\nlast run ({path}): {app}, engine {mode}");
     if let Some(r) = combined.get("recovery") {
-        println!(
+        outln!(
             "  recovery : checkpoints={} ({} bytes), rollbacks={}, retries={}, \
              corrupt_rejected={}, faults_injected={}, degraded={}",
             r.u64_or_0("checkpoints_written"),
@@ -182,7 +183,7 @@ fn print_run_report(dir: &str) {
         );
     }
     if let Some(f) = combined.get("failover") {
-        println!(
+        outln!(
             "  failover : crashes={} hangs={} migrations={} rebalances={} \
              drops={} timeouts={} watchdog_latency_ms={} resume_step={} \
              replayed={}/{} degraded_single={}",
@@ -205,7 +206,7 @@ fn print_run_report(dir: &str) {
         let detections = i.u64_or_0("frame_detections")
             + i.u64_or_0("group_detections")
             + i.u64_or_0("state_detections");
-        println!(
+        outln!(
             "  integrity: checks={} detections={} quarantined={} heals={} \
              replays={} reexch={} audits={} violations={} false_pos={} scrubs={}",
             checks,

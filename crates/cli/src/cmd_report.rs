@@ -12,6 +12,7 @@
 //! torn one from a crash mid-write — gets a postmortem summary.
 
 use crate::args::Args;
+use crate::out::{out, outln};
 use phigraph_serve::FLIGHT_SCHEMA;
 use phigraph_trace::json::Json;
 
@@ -30,7 +31,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             // carries its schema marker (warn, don't fail the run).
             if looks_like_event_log(&text) {
                 eprintln!("report: warning: {path}: partial/in-progress event log; summarizing the lines that parse");
-                emit(&summarize_event_log(&text));
+                out!("{}", summarize_event_log(&text));
                 return Ok(());
             }
             if text.contains(FLIGHT_SCHEMA) {
@@ -49,7 +50,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         // A one-line event log parses as a single event object.
         if doc.get("ev").and_then(|v| v.as_str()).is_some() {
             eprintln!("report: warning: {path}: single-event log; summarizing");
-            emit(&summarize_event_log(&text));
+            out!("{}", summarize_event_log(&text));
             return Ok(());
         }
         return Err(format!(
@@ -107,13 +108,13 @@ fn counter_sum(j: &Json, name: &str) -> u64 {
 }
 
 fn print_header(combined: &Json) {
-    println!(
+    outln!(
         "run: {} on {} (engine {})",
         str_or(combined, "app", "?"),
         str_or(combined, "device", "?"),
         str_or(combined, "mode", "?"),
     );
-    println!(
+    outln!(
         "supersteps: {}   wall {:.3} s   simulated {:.4} s (exec {:.4} + comm {:.4})",
         steps(combined).len(),
         combined.f64_or_0("wall"),
@@ -125,10 +126,14 @@ fn print_header(combined: &Json) {
 
 /// The Fig. 5 decomposition: simulated seconds per sub-step, per device.
 fn print_decomposition(combined: &Json, devices: &[Json]) {
-    println!("\nphase decomposition (simulated seconds, share of exec):");
-    println!(
+    outln!("\nphase decomposition (simulated seconds, share of exec):");
+    outln!(
         "  {:<22} {:>14} {:>14} {:>14} {:>10}",
-        "device", "generate", "process", "update", "comm"
+        "device",
+        "generate",
+        "process",
+        "update",
+        "comm"
     );
     let mut rows: Vec<(String, &Json)> = vec![("combined".to_string(), combined)];
     for (i, d) in devices.iter().enumerate() {
@@ -149,7 +154,7 @@ fn print_decomposition(combined: &Json, devices: &[Json]) {
         );
         let exec = (gen + proc_t + upd).max(f64::MIN_POSITIVE);
         let comm: f64 = steps(r).iter().map(|s| s.f64_or_0("comm_time")).sum();
-        println!(
+        outln!(
             "  {:<22} {:>8.4} {:>4.0}% {:>8.4} {:>4.0}% {:>8.4} {:>4.0}% {:>10.4}",
             truncate(&label, 22),
             gen,
@@ -164,7 +169,7 @@ fn print_decomposition(combined: &Json, devices: &[Json]) {
 }
 
 fn print_messages(combined: &Json) {
-    println!("\nmessage totals:");
+    outln!("\nmessage totals:");
     let rows = [
         ("active vertices scanned", "active_vertices"),
         ("edges traversed", "gen_edges"),
@@ -177,7 +182,7 @@ fn print_messages(combined: &Json) {
     for (label, key) in rows {
         let v = counter_sum(combined, key);
         if v > 0 {
-            println!("  {label:<28} {v}");
+            outln!("  {label:<28} {v}");
         }
     }
 }
@@ -198,11 +203,11 @@ fn print_recovery(combined: &Json) {
     if fields.iter().all(|f| rec.u64_or_0(f) == 0) {
         return;
     }
-    println!("\nrecovery:");
+    outln!("\nrecovery:");
     for f in fields {
         let v = rec.u64_or_0(f);
         if v > 0 {
-            println!("  {:<28} {v}", f.replace('_', " "));
+            outln!("  {:<28} {v}", f.replace('_', " "));
         }
     }
 }
@@ -226,11 +231,11 @@ fn print_failover(combined: &Json) {
     if fields.iter().all(|k| f.u64_or_0(k) == 0) {
         return;
     }
-    println!("\nfailover:");
+    outln!("\nfailover:");
     for k in fields {
         let v = f.u64_or_0(k);
         if v > 0 {
-            println!("  {:<28} {v}", k.replace('_', " "));
+            outln!("  {:<28} {v}", k.replace('_', " "));
         }
     }
 }
@@ -258,25 +263,25 @@ fn print_integrity(combined: &Json) {
     if fields.iter().all(|k| i.u64_or_0(k) == 0) {
         return;
     }
-    println!("\nintegrity:");
+    outln!("\nintegrity:");
     for k in fields {
         let v = i.u64_or_0(k);
         if v > 0 {
-            println!("  {:<28} {v}", k.replace('_', " "));
+            outln!("  {:<28} {v}", k.replace('_', " "));
         }
     }
 }
 
 /// Tenant decomposition of a serving run (`phigraph serve` reports).
 fn print_serve(serve: &Json) {
-    println!(
+    outln!(
         "\nserving pool: {} workers, queue cap {} ({} queued, {} running at shutdown)",
         serve.u64_or_0("workers"),
         serve.u64_or_0("queue_cap"),
         serve.u64_or_0("queued"),
         serve.u64_or_0("running"),
     );
-    println!(
+    outln!(
         "jobs: {} completed, {} rejected",
         serve.u64_or_0("completed"),
         serve.u64_or_0("rejected"),
@@ -285,13 +290,23 @@ fn print_serve(serve: &Json) {
     if tenants.is_empty() {
         return;
     }
-    println!("\nper-tenant decomposition:");
-    println!(
+    outln!("\nper-tenant decomposition:");
+    outln!(
         "  {:<16} {:>3} {:>3} {:>6} {:>6} {:>5} {:>5} {:>5} {:>10} {:>10} {:>8}",
-        "tenant", "w", "cap", "sub", "done", "rej", "canc", "exp", "wait ms", "exec ms", "steps"
+        "tenant",
+        "w",
+        "cap",
+        "sub",
+        "done",
+        "rej",
+        "canc",
+        "exp",
+        "wait ms",
+        "exec ms",
+        "steps"
     );
     for t in tenants {
-        println!(
+        outln!(
             "  {:<16} {:>3} {:>3} {:>6} {:>6} {:>5} {:>5} {:>5} {:>10.1} {:>10.1} {:>8}",
             truncate(str_or(t, "tenant", "?"), 16),
             t.u64_or_0("weight"),
@@ -309,15 +324,21 @@ fn print_serve(serve: &Json) {
 }
 
 fn print_steps(combined: &Json, top: usize) {
-    println!("\nper-superstep breakdown (simulated seconds):");
-    println!(
+    outln!("\nper-superstep breakdown (simulated seconds):");
+    outln!(
         "  {:>5} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "step", "generate", "process", "update", "comm", "msgs", "active"
+        "step",
+        "generate",
+        "process",
+        "update",
+        "comm",
+        "msgs",
+        "active"
     );
     for s in steps(combined).iter().take(top) {
         let t = s.get("times");
         let c = s.get("counters");
-        println!(
+        outln!(
             "  {:>5} {:>10.5} {:>10.5} {:>10.5} {:>10.5} {:>12} {:>12}",
             s.u64_or_0("step"),
             t.map_or(0.0, |t| t.f64_or_0("gen")),
@@ -403,14 +424,6 @@ fn summarize_event_log(text: &str) -> String {
     out
 }
 
-/// Write to stdout ignoring errors: postmortem output is routinely
-/// piped into `grep -q`/`head`, which close the pipe early — that must
-/// not turn into a panic.
-fn emit(s: &str) {
-    use std::io::Write;
-    let _ = std::io::stdout().write_all(s.as_bytes());
-}
-
 /// Postmortem summary of a flight recording (`flight.json`).
 fn print_flight(doc: &Json) {
     let mut out = format!(
@@ -436,7 +449,7 @@ fn print_flight(doc: &Json) {
             e.get("tenant").and_then(|v| v.as_str()).unwrap_or("-"),
         ));
     }
-    emit(&out);
+    out!("{}", out);
 }
 
 fn truncate(s: &str, n: usize) -> String {

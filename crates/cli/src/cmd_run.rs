@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use crate::cmd_generate::load_graph;
+use crate::out::outln;
 use phigraph_apps::{
     Bfs, KCore, PageRank, PersonalizedPageRank, SemiClustering, Sssp, TopoSort, Wcc,
 };
@@ -113,7 +114,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 drive(&KCore::new(&g, k), &g, &args, trace.as_ref(), None, |v| {
                     format!("alive={} live_degree={}", v.alive, v.live_degree)
                 })?;
-            println!(
+            outln!(
                 "k-core(k={k}): {} of {} vertices survive",
                 lines.iter().filter(|l| l.contains("alive=true")).count(),
                 g.num_vertices()
@@ -128,7 +129,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         match checksum {
             // The same fingerprint the serving daemon reports: FNV-1a
             // over the little-endian value encoding.
-            Some(c) => println!("checksum={c:#018x}"),
+            Some(c) => outln!("checksum={c:#018x}"),
             None => {
                 return Err(format!(
                     "--checksum is unsupported for app {app:?} (needs a plain-old-data value type)"
@@ -136,7 +137,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
         }
     }
-    println!("{}", report.summary());
+    outln!("{}", report.summary());
     write_trace_output(&args, trace.as_ref(), &report, &device_reports)?;
     if let Some(out) = args.flag("out") {
         let mut f = std::io::BufWriter::new(
@@ -146,7 +147,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             writeln!(f, "{v}\t{line}").map_err(|e| format!("write {out}: {e}"))?;
         }
         f.flush().map_err(|e| e.to_string())?;
-        println!("wrote {} vertex values -> {out}", lines.len());
+        outln!("wrote {} vertex values -> {out}", lines.len());
     }
     Ok(())
 }
@@ -199,14 +200,14 @@ fn write_trace_output(
     std::fs::write(path, text.as_bytes()).map_err(|e| format!("write {path}: {e}"))?;
     if let Some(t) = trace {
         let snap = t.snapshot();
-        println!(
+        outln!(
             "wrote {format} trace -> {path} ({} spans on {} threads, {} dropped)",
             snap.total_spans(),
             snap.threads.len(),
             snap.total_dropped()
         );
     } else {
-        println!("wrote {format} trace -> {path}");
+        outln!("wrote {format} trace -> {path}");
     }
     Ok(())
 }

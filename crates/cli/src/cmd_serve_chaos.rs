@@ -10,6 +10,7 @@
 //! single-job execution.
 
 use crate::args::Args;
+use crate::out::outln;
 use phigraph_core::engine::ExecMode;
 use phigraph_serve::{run_chaos, ChaosConfig};
 use std::path::PathBuf;
@@ -53,7 +54,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         cfg.cycles, cfg.seed, cfg.workers, cfg.queue_cap, cfg.journal_dir
     );
     let report = run_chaos(&cfg)?;
-    println!("{}", report.to_line());
+    outln!("{}", report.to_line());
     if report.ok() {
         Ok(())
     } else {

@@ -9,6 +9,7 @@
 //! rate/quantile columns read (`1s`, `10s`, or `60s`).
 
 use crate::args::Args;
+use crate::out::out;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::os::unix::net::UnixStream;
@@ -28,17 +29,15 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut frame = 0u64;
     loop {
         let text = scrape(sock)?;
-        if raw {
-            print!("{text}");
+        let shown = if raw {
+            out!("{text}")
         } else {
-            if frame > 0 {
-                // Refresh in place between frames.
-                print!("\x1b[2J\x1b[H");
-            }
-            print!("{}", render_table(&text, &window));
-        }
+            // Refresh in place between frames.
+            (frame == 0 || out!("\x1b[2J\x1b[H")) && out!("{}", render_table(&text, &window))
+        };
         frame += 1;
-        if count != 0 && frame >= count {
+        // A reader that went away ends the polling, like `--count`.
+        if !shown || (count != 0 && frame >= count) {
             return Ok(());
         }
         std::thread::sleep(Duration::from_secs(interval.max(1)));

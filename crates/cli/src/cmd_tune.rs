@@ -3,6 +3,7 @@
 
 use crate::args::Args;
 use crate::cmd_generate::load_graph;
+use crate::out::outln;
 use phigraph_apps::{Bfs, PageRank, Sssp, TopoSort, Wcc};
 use phigraph_comm::PcieLink;
 use phigraph_core::api::VertexProgram;
@@ -55,9 +56,12 @@ fn tune_app<P: VertexProgram>(
     let mic = DeviceSpec::xeon_phi_se10p();
     let candidates = default_pipeline_candidates(&mic);
     let split = tune_pipeline(program, g, &mic, &candidates, probe);
-    println!(
+    outln!(
         "pipeline split: {} workers + {} movers (probe {:.6}s; candidates {:?})",
-        split.workers, split.movers, split.predicted, candidates
+        split.workers,
+        split.movers,
+        split.predicted,
+        candidates
     );
 
     let mut mic_cfg = EngineConfig::pipelined();
@@ -73,11 +77,12 @@ fn tune_app<P: VertexProgram>(
         blocks,
         probe,
     );
-    println!(
+    outln!(
         "partitioning ratio: {} (probe {:.6}s over {blocks} hybrid blocks)",
-        tuned.ratio, tuned.predicted
+        tuned.ratio,
+        tuned.predicted
     );
-    println!(
+    outln!(
         "re-run with: run {} <graph> --hetero --ratio {}",
         P::NAME,
         tuned.ratio

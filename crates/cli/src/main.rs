@@ -48,6 +48,9 @@ mod cmd_serve;
 mod cmd_serve_chaos;
 mod cmd_top;
 mod cmd_tune;
+mod out;
+
+use out::outln;
 
 use std::process::ExitCode;
 
@@ -71,7 +74,7 @@ fn main() -> ExitCode {
         "check" => cmd_check::run(rest),
         "bench" => cmd_bench::run(rest),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{}", usage())),

@@ -2,7 +2,7 @@
 //! generate → info → partition → run, over real files.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn phigraph(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_phigraph"))
@@ -475,6 +475,38 @@ fn check_command_reports_clean_programs() {
         assert!(o.status.success(), "{app}: {}", stderr(&o));
         assert!(stdout(&o).contains("contract check: CLEAN"), "{app}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn run_with_its_stdout_closed_still_writes_out_and_exits_0() {
+    // `phigraph run … | grep -q` closes the pipe as soon as grep matches:
+    // printing stops there, the `--out` file is still written in full and
+    // the exit status stays 0.
+    let dir = tmpdir("closed-stdout");
+    let graph = dir.join("g.bin");
+    let graph_s = graph.to_str().unwrap();
+    let o = phigraph(&["generate", "gnm", graph_s, "--scale", "tiny", "--seed", "7"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let info = stdout(&phigraph(&["info", graph_s]));
+    let vertices: usize = info
+        .lines()
+        .find_map(|l| l.strip_prefix("vertices"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("info prints the vertex count");
+    let out = dir.join("dist.txt");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_phigraph"))
+        .args(["run", "sssp", graph_s, "--out", out.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let o = child.wait_with_output().expect("binary exits");
+    assert!(o.status.success(), "exit {:?}: {}", o.status, stderr(&o));
+    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
+    let written = std::fs::read_to_string(&out).expect("--out file written");
+    assert_eq!(written.lines().count(), vertices, "one line per vertex");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -19,7 +19,11 @@
 //! concurrent path ([`Csb::insert`], [`Csb::insert_slice`]) serves the
 //! pipelined movers. The locking engine stages its messages and drains each
 //! run of groups from one owning thread through `Csb::insert_owned`, which
-//! needs neither the cursor RMW nor the allocation lock.
+//! needs neither the cursor RMW nor the allocation lock. On a dense
+//! superstep it skips even that: each message goes into a cell claimed in
+//! advance (`Csb::claim_owned`, `Csb::write_cell`), and the column metadata
+//! those claims left (`Csb::column_state`) is installed afterwards
+//! (`Csb::install`).
 
 use super::layout::{CsbLayout, NOT_OWNED};
 use phigraph_device::counters::InsertProfile;
@@ -91,6 +95,17 @@ pub enum ColumnMode {
 
 /// Sentinel: column not yet bound to a position.
 const COL_EMPTY: u32 = u32::MAX;
+
+/// A snapshot of a buffer's column metadata ([`Csb::column_state`]).
+#[derive(Debug, Default)]
+pub(crate) struct ColumnState {
+    /// `(global column, count, bound position)` of each column the
+    /// snapshot covers, in column order.
+    cols: Vec<(u32, u32, u32)>,
+    /// `(group, column offset)` of each group with bound columns (dynamic
+    /// mode only).
+    group_next: Vec<(u32, u32)>,
+}
 
 /// The condensed static buffer for message type `T`.
 pub struct Csb<T: MsgValue> {
@@ -317,42 +332,15 @@ impl<T: MsgValue> Csb<T> {
     /// process any group those positions fall in.
     pub(crate) unsafe fn insert_owned(&self, staged: &[(u32, T)]) -> Result<(), CsbInsertError> {
         let audit = self.audit.load(Ordering::Relaxed);
-        let width = self.layout.width;
         for &(pos, value) in staged {
-            let group = self.layout.group_of(pos);
-            let col_in_group = match self.mode {
-                ColumnMode::OneToOne => pos as usize % width,
-                ColumnMode::Dynamic => {
-                    let cached = self.index[pos as usize].load(Ordering::Relaxed);
-                    if cached >= 0 {
-                        cached as usize
-                    } else {
-                        let col = self.group_next[group].load(Ordering::Relaxed);
-                        debug_assert!((col as usize) < width);
-                        self.group_next[group].store(col + 1, Ordering::Relaxed);
-                        self.col_pos[self.global_col(group, col as usize)]
-                            .store(pos, Ordering::Relaxed);
-                        self.index[pos as usize].store(col as i32, Ordering::Relaxed);
-                        col as usize
-                    }
-                }
-            };
-            let cursor = &self.col_count[self.global_col(group, col_in_group)];
-            let row = cursor.load(Ordering::Relaxed);
-            let info = &self.layout.groups[group];
-            if row >= info.rows {
-                return Err(CsbInsertError::OverCapacity {
-                    dst: self.layout.order[pos as usize],
-                    capacity: info.rows,
-                });
-            }
-            cursor.store(row + 1, Ordering::Relaxed);
-            let cell = info.cell_offset + row as usize * width + col_in_group;
-            debug_assert!(cell < self.layout.total_cells);
-            // SAFETY: the caller owns this group exclusively, so row `row`
-            // of the column is written once; row < rows keeps it in bounds.
+            // SAFETY: the caller passes owned positions and keeps every
+            // other thread out of their groups.
+            let cell = unsafe { self.claim_owned(pos)? };
+            // SAFETY: the caller owns this group exclusively, so the cell
+            // is claimed once; `claim_owned` keeps it in bounds.
             unsafe { *self.data.base_ptr().add(cell) = value };
             if audit {
+                let group = self.layout.group_of(pos);
                 let dst = self.layout.order[pos as usize];
                 let sum = &self.group_sums[group];
                 sum.store(
@@ -363,6 +351,102 @@ impl<T: MsgValue> Csb<T> {
             }
         }
         Ok(())
+    }
+
+    /// Claim the next cell of `pos`'s column as its group's only writer,
+    /// binding the column first in dynamic mode: the cell a one-thread
+    /// [`Csb::insert`] would write. Plain loads and stores, as in
+    /// [`Csb::insert_owned`].
+    ///
+    /// # Safety
+    /// `pos` must be an owned position, and no other thread may touch its
+    /// group for the call.
+    #[inline(always)]
+    pub(crate) unsafe fn claim_owned(&self, pos: u32) -> Result<usize, CsbInsertError> {
+        let width = self.layout.width;
+        let group = self.layout.group_of(pos);
+        let col_in_group = match self.mode {
+            ColumnMode::OneToOne => pos as usize % width,
+            ColumnMode::Dynamic => {
+                let cached = self.index[pos as usize].load(Ordering::Relaxed);
+                if cached >= 0 {
+                    cached as usize
+                } else {
+                    let col = self.group_next[group].load(Ordering::Relaxed);
+                    debug_assert!((col as usize) < width);
+                    self.group_next[group].store(col + 1, Ordering::Relaxed);
+                    self.col_pos[self.global_col(group, col as usize)]
+                        .store(pos, Ordering::Relaxed);
+                    self.index[pos as usize].store(col as i32, Ordering::Relaxed);
+                    col as usize
+                }
+            }
+        };
+        let cursor = &self.col_count[self.global_col(group, col_in_group)];
+        let row = cursor.load(Ordering::Relaxed);
+        let info = &self.layout.groups[group];
+        if row >= info.rows {
+            return Err(CsbInsertError::OverCapacity {
+                dst: self.layout.order[pos as usize],
+                capacity: info.rows,
+            });
+        }
+        cursor.store(row + 1, Ordering::Relaxed);
+        let cell = info.cell_offset + row as usize * width + col_in_group;
+        debug_assert!(cell < self.layout.total_cells);
+        Ok(cell)
+    }
+
+    /// Write `value` into cell `cell` — the dense path's store into a
+    /// precomputed slot. Touches no column metadata and no checksum.
+    ///
+    /// # Safety
+    /// `cell < total_cells`, and no other thread may access that cell for
+    /// the phase.
+    #[inline(always)]
+    pub(crate) unsafe fn write_cell(&self, cell: usize, value: T) {
+        debug_assert!(cell < self.layout.total_cells);
+        unsafe { *self.data.base_ptr().add(cell) = value };
+    }
+
+    /// The column metadata the buffer holds now: every column holding
+    /// messages (every bound column in dynamic mode) and every group's
+    /// column offset. [`Csb::install`] puts it back.
+    pub(crate) fn column_state(&self) -> ColumnState {
+        let mut state = ColumnState::default();
+        for g in 0..self.layout.num_groups() {
+            let used = self.used_columns(g);
+            if self.mode == ColumnMode::Dynamic && used > 0 {
+                state.group_next.push((g as u32, used as u32));
+            }
+            for c in 0..used {
+                let gcol = self.global_col(g, c);
+                let count = self.col_count[gcol].load(Ordering::Relaxed);
+                if count > 0 || self.mode == ColumnMode::Dynamic {
+                    let pos = self.col_pos[gcol].load(Ordering::Relaxed);
+                    state.cols.push((gcol as u32, count, pos));
+                }
+            }
+        }
+        state
+    }
+
+    /// Install `state` (taken by [`Csb::column_state`] from this buffer's
+    /// layout and mode) into a freshly reset buffer: its cursors, column
+    /// bindings, index entries and column offsets, as the insertions that
+    /// left it would have. Cells and checksums are untouched.
+    pub(crate) fn install(&self, state: &ColumnState) {
+        for &(gcol, count, pos) in &state.cols {
+            self.col_count[gcol as usize].store(count, Ordering::Relaxed);
+            if self.mode == ColumnMode::Dynamic {
+                self.col_pos[gcol as usize].store(pos, Ordering::Relaxed);
+                let col = gcol as usize % self.layout.width;
+                self.index[pos as usize].store(col as i32, Ordering::Relaxed);
+            }
+        }
+        for &(g, next) in &state.group_next {
+            self.group_next[g as usize].store(next, Ordering::Relaxed);
+        }
     }
 
     /// The per-message checksum contribution (see
@@ -512,16 +596,19 @@ impl<T: MsgValue> Csb<T> {
 
     /// Reset per-iteration state (index arrays to −1, column offsets and
     /// cursors to 0). Returns the number of cells touched, for the cost
-    /// model's reset accounting.
+    /// model's reset accounting. Call between phases: plain loads and
+    /// stores, no read-modify-write, so no insertion may run meanwhile.
     pub fn reset(&self) -> u64 {
         let mut touched = 0u64;
         match self.mode {
             ColumnMode::Dynamic => {
                 for g in 0..self.layout.num_groups() {
-                    let used = self.group_next[g].swap(0, Ordering::Relaxed) as usize;
+                    let used = self.group_next[g].load(Ordering::Relaxed) as usize;
+                    self.group_next[g].store(0, Ordering::Relaxed);
                     for c in 0..used.min(self.layout.width) {
                         let gcol = self.global_col(g, c);
-                        let pos = self.col_pos[gcol].swap(COL_EMPTY, Ordering::Relaxed);
+                        let pos = self.col_pos[gcol].load(Ordering::Relaxed);
+                        self.col_pos[gcol].store(COL_EMPTY, Ordering::Relaxed);
                         if pos != COL_EMPTY {
                             self.index[pos as usize].store(-1, Ordering::Relaxed);
                         }
@@ -532,7 +619,8 @@ impl<T: MsgValue> Csb<T> {
             }
             ColumnMode::OneToOne => {
                 for c in &self.col_count {
-                    if c.swap(0, Ordering::Relaxed) != 0 {
+                    if c.load(Ordering::Relaxed) != 0 {
+                        c.store(0, Ordering::Relaxed);
                         touched += 1;
                     }
                 }

@@ -18,13 +18,25 @@
 //!    with the program's operator, lane-parallel, after filling bubble
 //!    cells with the operator identity.
 //!
-//! The locking engine fills the buffer by stage-and-drain (`stage`):
-//! threads stage messages per run of groups while generating, and each run
-//! is then drained by one owning thread, in source order.
+//! The locking engine (and the flat baseline on its host path) fills the
+//! buffer one of two ways, both leaving exactly the buffer a one-thread
+//! run of [`Csb::insert`] calls in source order leaves:
+//!
+//! * on a dense superstep, one where every owned vertex is active, through
+//!   static slots (`slots`): each message is written straight into the
+//!   cell fixed for its out-edge at the engine's first dense step, and the
+//!   column metadata that step's replay computed is installed after the
+//!   generation barrier;
+//! * on every other superstep, for the remote absorb, under the message
+//!   audit and once a vertex has left its out-edge order, by
+//!   stage-and-drain (`stage`): threads stage messages per run of groups
+//!   while generating, and each run is then drained by one owning thread,
+//!   in source order.
 
 pub mod buffer;
 pub mod layout;
 pub mod process;
+pub(crate) mod slots;
 pub(crate) mod stage;
 
 pub use buffer::{ColumnMode, Csb, CsbInsertError};

@@ -5,21 +5,25 @@
 //! One `DeviceEngine` instance runs the paper's superstep on one device. It
 //! executes with real host threads (results are genuinely computed) and
 //! records the event counters the cost model converts into simulated device
-//! time. The locking engine's host execution stages and drains its
-//! insertions ([`crate::csb::stage`]) rather than taking per-column locks,
-//! so its buffer, counters and results do not depend on the host thread
-//! count; the cost model still charges the paper's locked insertion. The
-//! flat baseline (`omp`) runs the same host path with scalar processing;
-//! the drain leaves exactly the per-destination counts its cost model
-//! reads, which charges a per-message OpenMP lock and no processing phase
-//! ("OpenMP directives on sequential code, with proper use of
-//! synchronization (OpenMP locks)"). The phase methods are public so the
-//! heterogeneous driver can interleave the remote exchange between
+//! time. The locking engine's host execution takes no per-column lock. On a
+//! dense superstep (every owned vertex active, message audit off) each
+//! message goes straight into the cell fixed for its out-edge
+//! ([`crate::csb::slots`]); every other superstep stages and drains its
+//! insertions ([`crate::csb::stage`]). Both leave the same buffer, so the
+//! engine's counters and results depend on neither the host thread count
+//! nor the path; the cost model still charges the paper's locked
+//! insertion. The flat baseline (`omp`) runs the same host path with scalar
+//! processing; either insertion path leaves exactly the per-destination
+//! counts its cost model reads, which charges a per-message OpenMP lock and
+//! no processing phase ("OpenMP directives on sequential code, with proper
+//! use of synchronization (OpenMP locks)"). The phase methods are public so
+//! the heterogeneous driver can interleave the remote exchange between
 //! generation and processing, exactly where the paper's workflow places
 //! it.
 
 use crate::active::ActiveSet;
 use crate::api::{GenContext, MsgSink, VertexProgram};
+use crate::csb::slots::DenseSlots;
 use crate::csb::stage::{Stager, Staging};
 use crate::csb::{Csb, CsbLayout};
 use crate::engine::config::{EngineConfig, ExecMode};
@@ -32,11 +36,12 @@ use phigraph_comm::{combine_messages, Endpoint, PeerInfo, WireMsg};
 use phigraph_device::cost::PhaseTimes;
 use phigraph_device::counters::GenChunk;
 use phigraph_device::pool::{run_parallel, run_parallel_collect};
-use phigraph_device::{ChunkScheduler, CostModel, DeviceSpec, StepCounters};
+use phigraph_device::{ChunkScheduler, CostModel, DeviceSpec, RunScheduler, StepCounters};
 use phigraph_graph::{Csr, VertexId};
 use phigraph_recover::IntegrityStats;
 use phigraph_simd::MsgValue;
 use phigraph_trace::{HistKind, Phase, ThreadTracer, Trace};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Bytes read per traversed edge during generation (target id + weight).
@@ -171,6 +176,18 @@ impl<'a, T: MsgValue> MsgSink<T> for BatchedPipeSink<'a, T> {
     }
 }
 
+/// The locking host path's dense-step state.
+enum Dense {
+    /// No dense superstep yet: the slots are built at the first one.
+    Unbuilt,
+    /// Dense supersteps write through these slots.
+    Ready(DenseSlots),
+    /// Every superstep stages and drains: the slots could not be built (a
+    /// column too small for its in-edges, or too many cells), or a vertex
+    /// left its out-edge order.
+    Off,
+}
+
 /// The per-device runtime for a [`VertexProgram`].
 pub struct DeviceEngine<'g, P: VertexProgram> {
     /// The user program.
@@ -202,6 +219,8 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     /// Supersteps started so far; attributes worker/mover spans to their
     /// superstep (counts executed attempts — replays re-number).
     cur_step: u32,
+    /// Static slots for the locking host path's dense supersteps.
+    dense: Dense,
 }
 
 /// Split `owned` into ranges of roughly equal out-edge mass. With
@@ -241,6 +260,26 @@ pub(crate) fn edge_balanced_ranges(
         ranges.push(start..owned.len());
     }
     ranges
+}
+
+/// Fold generation chunks' work records and peer-bound messages, given in
+/// chunk order, into `c`; returns the remote batch. Chunk order keeps the
+/// makespan replay and the remote batch independent of which thread ran
+/// which chunk.
+fn record_chunks<'a, T: MsgValue>(
+    c: &mut StepCounters,
+    chunks: impl Iterator<Item = (GenChunk, &'a [WireMsg<T>])>,
+) -> Vec<WireMsg<T>> {
+    let (mut remote, mut sent) = (Vec::new(), 0);
+    for (ch, msgs) in chunks {
+        remote.extend_from_slice(msgs);
+        c.active_vertices += ch.vertices;
+        c.gen_edges += ch.edges;
+        sent += ch.msgs;
+        c.gen_chunks.push(ch);
+    }
+    c.msgs_local += sent - remote.len() as u64;
+    remote
 }
 
 /// Per-thread `(chunk index, record)` lists merged into chunk order (a
@@ -348,6 +387,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             host_threads,
             gen_ranges,
             cur_step: 0,
+            dense: Dense::Unbuilt,
         }
     }
 
@@ -577,7 +617,115 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         });
     }
 
+    /// The locking host path: static slots on a dense superstep,
+    /// stage-and-drain otherwise.
     fn generate_locking(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
+        if self.dense_step() {
+            if let Some(remote) = self.generate_dense(c) {
+                return remote;
+            }
+            // A vertex left its out-edge order. Generation is pure, so the
+            // step re-runs through stage-and-drain, and so does every later
+            // one.
+            self.dense = Dense::Off;
+        }
+        self.generate_staged(c)
+    }
+
+    /// Whether this superstep takes the static slots: every owned vertex
+    /// is active, the message audit is off and the slots exist (built here
+    /// at the first such step).
+    fn dense_step(&mut self) -> bool {
+        if matches!(self.dense, Dense::Off)
+            || self.csb.audit_enabled()
+            || (self.active.count() as usize) < self.owned.len()
+            || !self.owned.iter().all(|&v| self.active.is_active(v))
+        {
+            return false;
+        }
+        if matches!(self.dense, Dense::Unbuilt) {
+            let (assign, dev) = (self.assign, self.dev_id);
+            let is_local = |v: VertexId| assign.is_none_or(|a| a[v as usize] == dev);
+            self.dense = match DenseSlots::build(
+                &self.csb,
+                self.graph,
+                &self.owned,
+                &self.gen_ranges,
+                is_local,
+            ) {
+                Some(slots) => Dense::Ready(slots),
+                None => Dense::Off,
+            };
+        }
+        matches!(self.dense, Dense::Ready(_))
+    }
+
+    /// Dense-step generation: each thread generates one contiguous run of
+    /// the chunks (taking from the far end of another's run once its own is
+    /// done), writing every message straight into its out-edge's cell; the
+    /// slots' column state is installed after the barrier. Returns `None`,
+    /// with nothing recorded in `c`, when a vertex left its out-edge order.
+    fn generate_dense(&self, c: &mut StepCounters) -> Option<Vec<WireMsg<P::Msg>>> {
+        let Dense::Ready(slots) = &self.dense else {
+            return None;
+        };
+        let chunks = self.gen_ranges.len();
+        let threads = self.host_threads.min(chunks).max(1);
+        let sched = RunScheduler::new(chunks, threads);
+        let deviated = AtomicBool::new(false);
+        let (program, graph, csb) = (self.program, self.graph, &self.csb);
+        let (owned, values, ranges) = (&self.owned, &self.values, &self.gen_ranges);
+        let (trace, dev, step) = (self.config.trace.as_ref(), self.dev_id, self.trace_step());
+
+        // Per thread: `(chunk, (thread, work record, its remote messages))`
+        // for each chunk it generated, and those remote messages.
+        let out = run_parallel_collect(threads, |tid| {
+            let tracer = worker_tracer(trace, dev, tid);
+            let _g = tracer.span(Phase::Generate, step);
+            // SAFETY: the slots were built on this engine's buffer, the
+            // scheduler hands each chunk to one thread, the loop below
+            // starts the sink on each of the chunk's vertices in order, and
+            // the buffer's cells see no other access until the threads
+            // join.
+            let mut sink = unsafe { slots.sink(csb, graph) };
+            let mut done = Vec::new();
+            'chunks: while let Some(ri) = sched.next(tid) {
+                if deviated.load(Ordering::Relaxed) {
+                    break;
+                }
+                sink.open(ri);
+                let (mut ch, start) = (GenChunk::default(), sink.remote.len());
+                for &v in &owned[ranges[ri].clone()] {
+                    sink.start(graph.edge_range(v));
+                    let mut ctx = GenContext::new(graph, values, &mut sink);
+                    program.generate(v, &mut ctx);
+                    ch.msgs += ctx.sent;
+                    if !sink.finished() {
+                        deviated.store(true, Ordering::Relaxed);
+                        break 'chunks;
+                    }
+                    ch.vertices += 1;
+                    ch.edges += graph.out_degree(v) as u64;
+                }
+                done.push((ri, (tid, ch, start..sink.remote.len())));
+            }
+            (done, sink.remote)
+        });
+        if deviated.into_inner() {
+            return None;
+        }
+        let (done, remote): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+        let remote = record_chunks(
+            c,
+            in_chunk_order(done).map(|(t, ch, run)| (ch, &remote[t][run])),
+        );
+        self.csb.install(slots.columns());
+        Some(remote)
+    }
+
+    /// Stage-and-drain generation: threads take chunks dynamically and
+    /// stage their messages, then the drain inserts them in chunk order.
+    fn generate_staged(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
         let chunks = self.gen_ranges.len();
         let sched = ChunkScheduler::new(chunks, 1);
         let (program, graph) = (self.program, self.graph);
@@ -623,22 +771,14 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
                 (done, remote)
             });
 
-        // Work records and peer-bound messages in chunk order, so the
-        // makespan replay and the remote batch do not depend on which
-        // thread ran which chunk.
-        let mut remote = Vec::new();
-        let mut sent = 0;
-        for (t, i) in self.staging.chunk_order() {
-            let (done, thread_remote) = &staged[t];
-            let (ch, end) = done[i];
-            let start = if i == 0 { 0 } else { done[i - 1].1 };
-            remote.extend_from_slice(&thread_remote[start..end]);
-            c.active_vertices += ch.vertices;
-            c.gen_edges += ch.edges;
-            sent += ch.msgs;
-            c.gen_chunks.push(ch);
-        }
-        c.msgs_local += sent - remote.len() as u64;
+        let remote = record_chunks(
+            c,
+            self.staging.chunk_order().map(|(t, i)| {
+                let (done, thread_remote) = &staged[t];
+                let start = if i == 0 { 0 } else { done[i - 1].1 };
+                (done[i].0, &thread_remote[start..done[i].1])
+            }),
+        );
         self.staging.drain(
             &self.csb,
             self.host_threads,
@@ -1032,6 +1172,7 @@ impl<'g, P: VertexProgram> RankEngine for DeviceEngine<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csb::ColumnMode;
     use crate::engine::config::EngineConfig;
     use phigraph_graph::generators::small::{chain, weighted_diamond};
     use phigraph_graph::generators::{rmat, RmatConfig};
@@ -1353,50 +1494,76 @@ mod tests {
         Csr::from_edge_list(&el)
     }
 
+    /// A forced run: the values' bits, every superstep's full counters
+    /// (chunk records included) and the simulated seconds.
+    struct Forced {
+        values: Vec<u32>,
+        steps: Vec<StepCounters>,
+        sim: f64,
+        /// Whether the dense-step slots were live after each step.
+        dense: Vec<bool>,
+    }
+
     /// Run `program` under `config` (the locking engine or the flat one
     /// on its host path) with its host thread count forced to `threads` —
     /// past the `available_parallelism` clamp, so the threads really
-    /// interleave even on a one-core runner. Returns the values' bits and
-    /// every superstep's full counters (chunk records included).
+    /// interleave even on a one-core runner — and, when `staged`, with the
+    /// dense path off, so every superstep stages and drains.
     fn lock_forced<P>(
         program: &P,
         g: &Csr,
         spec: DeviceSpec,
         config: &EngineConfig,
         threads: usize,
-    ) -> (Vec<u32>, Vec<StepCounters>)
+        staged: bool,
+    ) -> Forced
     where
         P: VertexProgram<Value = f32>,
     {
         let mut eng = DeviceEngine::new(program, g, spec, config.clone(), 0, None);
         eng.host_threads = threads;
-        let mut steps = Vec::new();
+        if staged {
+            eng.dense = Dense::Off;
+        }
+        let cost = CostModel::new(eng.spec.clone());
+        let (mut steps, mut sim, mut dense) = (Vec::new(), 0.0, Vec::new());
         while steps.len() < program.max_supersteps().unwrap_or(usize::MAX) {
             let mut c = eng.begin_step();
             assert!(eng.generate(&mut c).is_empty());
             eng.finalize_insertion_stats(&mut c);
             eng.process(&mut c);
             eng.update(&mut c);
+            sim += RankEngine::step_times(&eng, &cost, &c).total;
+            dense.push(matches!(eng.dense, Dense::Ready(_)));
             let done = c.msgs_total() == 0;
             steps.push(c);
             if done {
                 break;
             }
         }
-        (eng.values.iter().map(|v| v.to_bits()).collect(), steps)
+        Forced {
+            values: eng.values.iter().map(|v| v.to_bits()).collect(),
+            steps,
+            sim,
+            dense,
+        }
     }
 
     #[test]
     fn lock_is_identical_on_any_host_thread_count() {
         let g = pokec_small(7);
-        let check = |name: &str, run: &dyn Fn(usize) -> (Vec<u32>, Vec<StepCounters>)| {
-            let (values, steps) = run(1);
+        let check = |name: &str, run: &dyn Fn(usize) -> Forced| {
+            let Forced { values, steps, .. } = run(1);
             assert!(
                 steps.len() > 1 && steps[0].msgs_local > 0,
                 "{name}: the run sends messages"
             );
             for threads in [2, 3, 8] {
-                let (v, s) = run(threads);
+                let Forced {
+                    values: v,
+                    steps: s,
+                    ..
+                } = run(threads);
                 assert!(v == values, "{name}: values differ at {threads} threads");
                 assert_eq!(
                     s.len(),
@@ -1440,13 +1607,13 @@ mod tests {
                 let pr = Rank { source: None };
                 let ppr = Rank { source: Some(3) };
                 check(&format!("pagerank/{mode}"), &|t| {
-                    lock_forced(&pr, &g, spec.clone(), &config, t)
+                    lock_forced(&pr, &g, spec.clone(), &config, t, false)
                 });
                 check(&format!("ppr/{mode}"), &|t| {
-                    lock_forced(&ppr, &g, spec.clone(), &config, t)
+                    lock_forced(&ppr, &g, spec.clone(), &config, t, false)
                 });
                 check(&format!("sssp/{mode}"), &|t| {
-                    lock_forced(&Sssp, &g, spec.clone(), &config, t)
+                    lock_forced(&Sssp, &g, spec.clone(), &config, t, false)
                 });
             }
         }
@@ -1467,9 +1634,9 @@ mod tests {
                 );
                 let seq: Vec<u32> = seq.values.iter().map(|v| v.to_bits()).collect();
                 for config in [EngineConfig::locking(), EngineConfig::flat()] {
-                    let (lock, _) = lock_forced(&program, &g, spec.clone(), &config, 3);
+                    let lock = lock_forced(&program, &g, spec.clone(), &config, 3, false);
                     assert!(
-                        lock == seq,
+                        lock.values == seq,
                         "{:?} on {}: {} differs from seq",
                         program.source,
                         spec.name,
@@ -1506,6 +1673,214 @@ mod tests {
                 spec.name
             );
         }
+    }
+
+    /// Each group's column offset and, for each of its bound columns, the
+    /// count, position and cell bits.
+    type Buffer = Vec<(usize, Vec<(u32, Option<u32>, Vec<u32>)>)>;
+
+    fn buffer_of(csb: &Csb<f32>) -> Buffer {
+        (0..csb.layout.num_groups())
+            .map(|g| {
+                let used = csb.used_columns(g);
+                let cols = (0..used)
+                    .map(|c| {
+                        let count = csb.column_count(g, c);
+                        let cells = (0..count as usize)
+                            .map(|r| csb.cell(g, r, c).to_bits())
+                            .collect();
+                        (count, csb.column_position(g, c), cells)
+                    })
+                    .collect();
+                (used, cols)
+            })
+            .collect()
+    }
+
+    /// One superstep of `eng` observed between its phases: the remote
+    /// batch, the buffer after generation, the buffer after absorbing
+    /// `incoming`, and the step's counters.
+    type Observed = (Vec<(VertexId, u32)>, Buffer, Buffer, StepCounters);
+
+    fn observe_step(eng: &mut DeviceEngine<'_, Rank>, incoming: &[WireMsg<f32>]) -> Observed {
+        let mut c = eng.begin_step();
+        let remote = eng.generate(&mut c);
+        let remote = remote.iter().map(|m| (m.dst, m.value.to_bits())).collect();
+        let generated = buffer_of(&eng.csb);
+        eng.absorb_remote(incoming, &mut c);
+        let absorbed = buffer_of(&eng.csb);
+        eng.finalize_insertion_stats(&mut c);
+        eng.process(&mut c);
+        eng.update(&mut c);
+        (remote, generated, absorbed, c)
+    }
+
+    #[test]
+    fn dense_steps_leave_what_stage_and_drain_leaves() {
+        let g = pokec_small(7);
+        let pr = Rank { source: None };
+        // Rank 0 of a 2-rank assignment; its peer's combined first batch
+        // is what it absorbs.
+        let assign: Vec<u8> = (0..g.num_vertices())
+            .map(|v| u8::from(v % 3 == 1))
+            .collect();
+        for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
+            for base in [EngineConfig::locking(), EngineConfig::flat()] {
+                for column_mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
+                    for k in [1, 4] {
+                        let config = base.clone().with_column_mode(column_mode).with_k(k);
+                        let name =
+                            format!("{}/{column_mode:?}/k{k}/{}", config.mode.name(), spec.name);
+                        let rank = |dev: u8, threads: usize, staged: bool| {
+                            let mut eng = DeviceEngine::new(
+                                &pr,
+                                &g,
+                                spec.clone(),
+                                config.clone(),
+                                dev,
+                                Some(&assign),
+                            );
+                            eng.host_threads = threads;
+                            if staged {
+                                eng.dense = Dense::Off;
+                            }
+                            eng
+                        };
+                        let mut peer = rank(1, 1, true);
+                        let mut c = peer.begin_step();
+                        let incoming = combine_messages::<f32, Sum>(peer.generate(&mut c)).0;
+                        assert!(!incoming.is_empty(), "{name}: the peer sends to rank 0");
+                        let mut staged_rank = rank(0, 2, true);
+                        let staged_steps: Vec<Observed> = (0..2)
+                            .map(|_| observe_step(&mut staged_rank, &incoming))
+                            .collect();
+                        assert!(!staged_steps[0].0.is_empty(), "{name}: rank 0 sends remote");
+                        let staged = lock_forced(&pr, &g, spec.clone(), &config, 2, true);
+                        for threads in [1, 2, 3, 8] {
+                            let at = format!("{name} at {threads} threads");
+                            let dense = lock_forced(&pr, &g, spec.clone(), &config, threads, false);
+                            assert!(
+                                dense.dense.iter().all(|&d| d),
+                                "{at}: every step takes the slots"
+                            );
+                            assert!(dense.values == staged.values, "{at}: values differ");
+                            assert_eq!(dense.steps.len(), staged.steps.len(), "{at}");
+                            for (i, (a, b)) in dense.steps.iter().zip(&staged.steps).enumerate() {
+                                assert!(a == b, "{at}: counters of step {i}");
+                            }
+                            assert_eq!(dense.sim.to_bits(), staged.sim.to_bits(), "{at}: sim");
+
+                            let mut one =
+                                DeviceEngine::new(&pr, &g, spec.clone(), config.clone(), 0, None);
+                            one.host_threads = threads;
+                            let mut staged_one =
+                                DeviceEngine::new(&pr, &g, spec.clone(), config.clone(), 0, None);
+                            staged_one.dense = Dense::Off;
+                            let (dense_step, staged_step) = (
+                                observe_step(&mut one, &[]),
+                                observe_step(&mut staged_one, &[]),
+                            );
+                            assert!(dense_step.1 == staged_step.1, "{at}: single-device buffer");
+
+                            let mut dense_rank = rank(0, threads, false);
+                            for (i, staged_step) in staged_steps.iter().enumerate() {
+                                let (remote, generated, absorbed, c) =
+                                    observe_step(&mut dense_rank, &incoming);
+                                assert!(remote == staged_step.0, "{at}: rank 0 remote, step {i}");
+                                assert!(
+                                    generated == staged_step.1,
+                                    "{at}: rank 0 buffer, step {i}"
+                                );
+                                assert!(
+                                    absorbed == staged_step.2,
+                                    "{at}: rank 0 buffer after absorb, step {i}"
+                                );
+                                assert!(c == staged_step.3, "{at}: rank 0 counters, step {i}");
+                            }
+                            assert!(matches!(dense_rank.dense, Dense::Ready(_)), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every vertex active in every step: it sends its out-edges in reverse
+    /// CSR order, or in order followed by one message to itself (not a
+    /// neighbour: the generator drops self-loops), which its capacity
+    /// declares.
+    struct Deviant {
+        extra: bool,
+        indeg: Vec<u32>,
+    }
+    impl VertexProgram for Deviant {
+        type Msg = f32;
+        type Reduce = Sum;
+        type Value = f32;
+        const NAME: &'static str = "deviant";
+        const ALWAYS_ACTIVE: bool = true;
+        fn init(&self, _v: VertexId, _g: &Csr) -> (f32, bool) {
+            (1.0, true)
+        }
+        fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
+            interleave(v);
+            let share = *ctx.value(v) / (ctx.graph.out_degree(v) + 1) as f32;
+            if self.extra {
+                for e in ctx.graph.edge_range(v) {
+                    ctx.send(ctx.graph.targets[e], share);
+                }
+                ctx.send(v, share);
+            } else {
+                for e in ctx.graph.edge_range(v).rev() {
+                    ctx.send(ctx.graph.targets[e], share);
+                }
+            }
+        }
+        fn update(&self, _v: VertexId, sum: f32, value: &mut f32, _g: &Csr) -> bool {
+            *value = 0.15 + 0.85 * sum;
+            true
+        }
+        fn max_supersteps(&self) -> Option<usize> {
+            Some(4)
+        }
+        fn capacity_hint(&self, v: VertexId, _g: &Csr) -> Option<u32> {
+            self.extra.then(|| self.indeg[v as usize] + 1)
+        }
+    }
+
+    #[test]
+    fn a_vertex_off_its_out_edge_order_falls_back_to_stage_and_drain() {
+        fn check<P: VertexProgram<Value = f32>>(name: &str, program: &P, g: &Csr) {
+            let spec = DeviceSpec::xeon_e5_2680();
+            let seq =
+                crate::engine::seq::run_seq(program, g, spec.clone(), &EngineConfig::sequential());
+            let seq: Vec<u32> = seq.values.iter().map(|v| v.to_bits()).collect();
+            for config in [EngineConfig::locking(), EngineConfig::flat()] {
+                let staged = lock_forced(program, g, spec.clone(), &config, 2, true);
+                for threads in [1, 3] {
+                    let at = format!("{name}/{} at {threads} threads", config.mode.name());
+                    let run = lock_forced(program, g, spec.clone(), &config, threads, false);
+                    assert!(run.values == seq, "{at}: differs from seq");
+                    assert!(run.values == staged.values, "{at}: differs from staged");
+                    // The aborted attempt left nothing in the first step's
+                    // counters, and no later step tried the slots again.
+                    assert_eq!(run.steps.len(), staged.steps.len(), "{at}");
+                    for (i, (a, b)) in run.steps.iter().zip(&staged.steps).enumerate() {
+                        assert!(a == b, "{at}: counters of step {i}");
+                    }
+                    assert!(run.dense.iter().all(|&d| !d), "{at}: the slots are gone");
+                }
+            }
+        }
+        let g = pokec_small(7);
+        let indeg = g.in_degrees();
+        check("zero shares", &Rank { source: Some(3) }, &g);
+        let reversed = Deviant {
+            extra: false,
+            indeg: indeg.clone(),
+        };
+        check("reversed", &reversed, &g);
+        check("extra", &Deviant { extra: true, indeg }, &g);
     }
 
     /// Every vertex sends one message to vertex 0, whose declared capacity

@@ -33,5 +33,5 @@ pub mod spec;
 
 pub use cost::CostModel;
 pub use counters::{CancelReason, CancelToken, Heartbeat, InsertProfile, StepCounters};
-pub use sched::{makespan, ChunkScheduler, MakespanReport};
+pub use sched::{makespan, ChunkScheduler, MakespanReport, RunScheduler};
 pub use spec::DeviceSpec;

@@ -8,11 +8,13 @@
 //! [`makespan`] replays a recorded list of chunk costs through the same
 //! earliest-available-worker discipline to predict the phase's parallel
 //! running time on a device with a different thread count than the host.
+//! [`RunScheduler`] hands each host thread a contiguous run of tasks
+//! instead, for phases whose writes follow task order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A dynamic self-scheduling counter over `0..total` in grabs of `grab`.
 #[derive(Debug)]
@@ -51,6 +53,73 @@ impl ChunkScheduler {
     /// Reset for reuse in the next superstep.
     pub fn reset(&self) {
         self.next.store(0, Ordering::Relaxed);
+    }
+}
+
+/// One thread's run of a [`RunScheduler`]: the items `front..back` it has
+/// not handed out yet, packed into one word (`front` low, `back` high) so
+/// its owner and a thief claim items with one compare-and-swap.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Run(AtomicU64);
+
+/// Contiguous runs over `0..total`, one per thread: a thread takes items
+/// from the front of its own run, and once that is empty, from the back of
+/// the others' runs. Neighbouring items then mostly go to one thread, which
+/// keeps writes that follow item order (a column's rows in source order)
+/// on one core's cache lines.
+#[derive(Debug)]
+pub struct RunScheduler {
+    runs: Vec<Run>,
+}
+
+impl RunScheduler {
+    /// Split `0..total` into `threads` (≥1) runs of near-equal length.
+    ///
+    /// # Panics
+    /// Panics if `total` does not fit in 32 bits.
+    pub fn new(total: usize, threads: usize) -> Self {
+        let threads = threads.max(1);
+        assert!(
+            u32::try_from(total).is_ok(),
+            "RunScheduler over {total} items"
+        );
+        let bound = |t: usize| (total * t / threads) as u64;
+        RunScheduler {
+            runs: (0..threads)
+                .map(|t| Run(AtomicU64::new(bound(t) | bound(t + 1) << 32)))
+                .collect(),
+        }
+    }
+
+    /// The next item for thread `tid`; `None` once every run is empty.
+    #[inline]
+    pub fn next(&self, tid: usize) -> Option<usize> {
+        let n = self.runs.len();
+        let own = tid % n;
+        (0..n).find_map(|i| self.take(own, (own + i) % n))
+    }
+
+    /// Take one item from `run`: its front when `run` is the caller's own,
+    /// its back otherwise.
+    fn take(&self, own: usize, run: usize) -> Option<usize> {
+        let cell = &self.runs[run].0;
+        let mut cur = cell.load(Ordering::Relaxed);
+        loop {
+            let (front, back) = (cur & u64::from(u32::MAX), cur >> 32);
+            if front >= back {
+                return None;
+            }
+            let (next, item) = if run == own {
+                (cur + 1, front)
+            } else {
+                (cur - (1 << 32), back - 1)
+            };
+            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Some(item as usize),
+                Err(seen) => cur = seen,
+            }
+        }
     }
 }
 
@@ -131,7 +200,6 @@ pub fn makespan(chunks: &[f64], workers: usize) -> MakespanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn scheduler_covers_range_exactly_once() {
@@ -159,6 +227,46 @@ mod tests {
         assert_eq!(n, s.num_batches());
         s.reset();
         assert_eq!(s.next_batch(), Some(0..4));
+    }
+
+    #[test]
+    fn run_scheduler_hands_out_every_item_once() {
+        for (total, threads) in [(0, 3), (1, 4), (10, 3), (1000, 8), (7, 1)] {
+            let s = RunScheduler::new(total, threads);
+            let seen: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+            std::thread::scope(|scope| {
+                for tid in 0..threads {
+                    let (s, seen) = (&s, &seen);
+                    scope.spawn(move || {
+                        while let Some(i) = s.next(tid) {
+                            seen[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            assert!(
+                seen.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                "{total} items on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn run_scheduler_owner_takes_its_front_and_thieves_the_back() {
+        let s = RunScheduler::new(10, 2);
+        // Runs 0..5 and 5..10.
+        assert_eq!(s.next(0), Some(0));
+        assert_eq!(s.next(1), Some(5));
+        assert_eq!(s.next(1), Some(6));
+        for i in 1..5 {
+            assert_eq!(s.next(0), Some(i));
+        }
+        // Thread 0's run is empty: it steals from the far end of thread 1's.
+        assert_eq!(s.next(0), Some(9));
+        assert_eq!(s.next(1), Some(7));
+        assert_eq!(s.next(0), Some(8));
+        assert_eq!(s.next(1), None);
+        assert_eq!(s.next(0), None);
     }
 
     #[test]

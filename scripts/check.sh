@@ -102,8 +102,8 @@ grep -q "rank2: " "$SMOKE_DIR/fabric-recover.txt"
 grep -q "migrations=1" "$SMOKE_DIR/fabric-recover.txt"
 echo "    (rank 1 killed at step 4 of 3-rank SSSP: checksum parity after migration: ok)"
 
-echo "==> determinism smoke: lock and omp PageRank print seq's checksum on every run"
-# f32 sums follow their association order. The locking engine drains each
+echo "==> determinism smoke: lock and omp PageRank print seq's checksum on every run, two ranks one checksum"
+# f32 sums follow their association order. The locking engine fills each
 # column in source order, and the flat (omp) engine runs the same host
 # path, so on any host thread count three lock runs, three omp runs and
 # one seq run must print the same checksum.
@@ -122,6 +122,19 @@ for engine in lock omp; do
     done
 done
 echo "    (lock x3, omp x3 and seq: checksum=$WANT_PR)"
+# Two ranks: every PageRank step is dense, so both ranks write through their
+# static slots and then absorb the peer's combined batch; two runs must
+# print one checksum.
+FABRIC_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
+    | sed -n 's/^checksum=//p')"
+test -n "$FABRIC_PR"
+GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
+    | sed -n 's/^checksum=//p')"
+if [ "$GOT_PR" != "$FABRIC_PR" ]; then
+    echo "--devices 2 runs printed checksums $FABRIC_PR and $GOT_PR" >&2
+    exit 1
+fi
+echo "    (--devices 2 x2: checksum=$FABRIC_PR)"
 
 echo "==> object-fabric smoke: semicluster on 3 ranks writes the one-device values"
 # Object messages run on the same rank loop as POD ones: a 3-rank

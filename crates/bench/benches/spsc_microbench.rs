@@ -1,7 +1,7 @@
 //! SPSC pipeline transport microbenchmark: per-message vs batched.
 //!
-//! Reproduces the worker→mover message transport of the pipelined engine
-//! in isolation — a 4-worker × 2-mover queue matrix moving `(dst, value)`
+//! Reproduces the paper's worker→mover message transport in isolation (no
+//! engine runs it) — a 4-worker × 2-mover queue matrix moving `(dst, value)`
 //! pairs — and compares the per-message protocol (`push` + `pop_batch`,
 //! one Release publish per message) against the batched protocol
 //! (`push_slice` + `pop_slices`, one publish per batch). The reported rate

@@ -9,7 +9,7 @@
 //!
 //! | area        | hot path                                                  |
 //! |-------------|-----------------------------------------------------------|
-//! | `spsc`      | worker→mover `push_slice`/`pop_slices` pipeline transport |
+//! | `spsc`      | the paper's worker→mover `push_slice`/`pop_slices` transport (no engine runs it) |
 //! | `csb`       | `Csb::insert_slice` mover drains (both column modes)      |
 //! | `superstep` | full SSSP and PageRank runs per engine mode               |
 //! | `exchange`  | hetero frame-exchange loopback, unframed vs framed        |
@@ -103,8 +103,9 @@ pub fn run_area(area: &str, c: &mut Criterion, opts: &AreaOpts) -> Result<(), St
     Ok(())
 }
 
-/// Worker→mover batched SPSC transport across a queue matrix: the PR 1
-/// pipeline in isolation, at the batch sizes the engine actually uses.
+/// Worker→mover batched SPSC transport across a queue matrix: the paper's
+/// pipeline transport in isolation, at batch sizes 1, 64 and 512. No
+/// engine runs it (`pipe` fills the CSB on the locking host path).
 fn bench_spsc(c: &mut Criterion, opts: &AreaOpts) {
     let (workers, movers, n_msgs) = if opts.smoke {
         (2, 2, 40_000)

@@ -9,9 +9,9 @@
 //!
 //! * [`csb_fixture`] — a [`Csb`] sized exactly for a seeded message
 //!   stream, for steady-state `insert_slice` loops;
-//! * [`spsc_shuttle`] — the worker→mover batched transport of the
-//!   pipelined engine (`push_slice`/`pop_slices`) over a [`QueueMatrix`],
-//!   returning an order-independent checksum;
+//! * [`spsc_shuttle`] — the paper's worker→mover batched transport
+//!   (`push_slice`/`pop_slices`) over a [`QueueMatrix`], which no engine
+//!   runs, returning an order-independent checksum;
 //! * [`superstep_work`] — one priming run that sizes a workload (superstep
 //!   and message counts) so benches can declare element throughput.
 
@@ -67,7 +67,7 @@ pub fn shuttle_msgs(n_msgs: usize, n_dsts: u32, seed: u64) -> Vec<(u32, f32)> {
 }
 
 /// Move `msgs` through a `workers × movers` [`QueueMatrix`] with the
-/// pipelined engine's batched protocol: each worker takes a strided share
+/// paper's batched worker→mover protocol: each worker takes a strided share
 /// of the stream, stages per-mover batches of `batch`, flushes them with
 /// `push_slice`, and each mover drains with `pop_slices`. Returns the sum
 /// of all destination ids seen by the movers — order-independent, so it

@@ -16,10 +16,12 @@
 //! Within a column, slots are claimed by an atomic cursor (`fetch_add`),
 //! which plays the role of the paper's per-column lock: each message gets a
 //! unique `(row, column)` cell, making the raw write race-free. That
-//! concurrent path ([`Csb::insert`], [`Csb::insert_slice`]) serves the
-//! pipelined movers. The locking engine stages its messages and drains each
-//! run of groups from one owning thread through `Csb::insert_owned`, which
-//! needs neither the cursor RMW nor the allocation lock. On a dense
+//! concurrent path ([`Csb::insert`], [`Csb::insert_slice`]) serves
+//! quarantine regeneration and the `csb` bench area; no engine mode
+//! generates through it. The engine's host path, shared by every mode,
+//! stages its messages and drains each run of groups from one owning
+//! thread through `Csb::insert_owned`, which needs neither the cursor RMW
+//! nor the allocation lock. On a dense
 //! superstep it skips even that: each message goes into a cell claimed in
 //! advance (`Csb::claim_owned`, `Csb::write_cell`), and the column metadata
 //! those claims left (`Csb::column_state`) is installed afterwards
@@ -198,8 +200,7 @@ impl<T: MsgValue> Csb<T> {
     }
 
     /// Insert one message for `dst`. Thread-safe; callable concurrently
-    /// from any number of threads (the pipelined engine's movers, quarantine
-    /// regeneration).
+    /// from any number of threads (quarantine regeneration calls it).
     ///
     /// # Panics
     /// Panics if `dst` is not owned by this buffer's device, or if the
@@ -245,10 +246,9 @@ impl<T: MsgValue> Csb<T> {
         Ok(())
     }
 
-    /// Insert a drained queue slice of `(dst, value)` messages — the
-    /// pipelined movers' batched path. Runs of equal consecutive
-    /// destinations (common: a vertex's in-edges are generated together by
-    /// one worker) resolve the redirection map once and claim their rows
+    /// Insert a slice of `(dst, value)` messages, such as a drained queue
+    /// slice. Runs of equal consecutive destinations resolve the
+    /// redirection map once and claim their rows
     /// with a *single* `fetch_add` for the whole run instead of one per
     /// message. When the integrity audit is armed, the group checksum is
     /// likewise folded once per run (amortized — no per-message atomic).

@@ -13,7 +13,9 @@ pub enum ExecMode {
     /// (the paper's "Lock" bars).
     Locking,
     /// Framework engine with worker/mover pipelined message generation
-    /// (the paper's "Pipe" bars).
+    /// (the paper's "Pipe" bars). The host runs the locking engine's path
+    /// and tallies each simulated mover's messages; the cost model charges
+    /// the worker/mover pipeline.
     Pipelined,
     /// Flat OpenMP-style baseline (the "OMP" bars): direct concurrent
     /// vertex update under per-destination locks, no SIMD. The host runs
@@ -64,13 +66,6 @@ pub struct EngineConfig {
     pub gen_chunk: usize,
     /// Vertex groups per processing scheduling chunk; 0 = auto.
     pub proc_chunk: usize,
-    /// Messages a pipelined worker accumulates per (worker, mover) buffer
-    /// before flushing them into the SPSC queue as one batch (0 = auto: 64,
-    /// clamped to the queue capacity).
-    pub pipe_batch: usize,
-    /// Per-queue SPSC ring capacity for the pipelined engine (0 = auto:
-    /// 4096).
-    pub queue_cap: usize,
     /// Superstep cap applied on top of the program's own limit.
     pub max_supersteps: Option<usize>,
     /// Checkpoint interval, retry budget, and backoff for the recovering
@@ -119,8 +114,6 @@ impl EngineConfig {
             sim_movers: 0,
             gen_chunk: 0,
             proc_chunk: 0,
-            pipe_batch: 0,
-            queue_cap: 0,
             max_supersteps: None,
             recovery: RecoveryPolicy::default(),
             fault_plan: None,
@@ -199,22 +192,6 @@ impl EngineConfig {
     pub fn with_gen_chunk(self, n: usize) -> Self {
         EngineConfig {
             gen_chunk: n.max(1),
-            ..self
-        }
-    }
-
-    /// Set the worker-side flush batch size for the pipelined engine.
-    pub fn with_pipe_batch(self, n: usize) -> Self {
-        EngineConfig {
-            pipe_batch: n.max(1),
-            ..self
-        }
-    }
-
-    /// Set the SPSC ring capacity for the pipelined engine.
-    pub fn with_queue_cap(self, n: usize) -> Self {
-        EngineConfig {
-            queue_cap: n.max(2),
             ..self
         }
     }
@@ -317,26 +294,6 @@ impl EngineConfig {
     pub fn record_hist(&self, kind: phigraph_trace::HistKind, v: u64) {
         if let Some(t) = &self.trace {
             t.record_hist(kind, v);
-        }
-    }
-
-    /// Resolved SPSC ring capacity.
-    pub fn resolved_queue_cap(&self) -> usize {
-        if self.queue_cap > 0 {
-            self.queue_cap.max(2)
-        } else {
-            4096
-        }
-    }
-
-    /// Resolved worker flush batch, clamped so one batch always fits the
-    /// ring (a batch larger than the capacity would only ever chunk-spin).
-    pub fn resolved_pipe_batch(&self) -> usize {
-        let cap = self.resolved_queue_cap();
-        if self.pipe_batch > 0 {
-            self.pipe_batch.min(cap)
-        } else {
-            64.min(cap)
         }
     }
 
@@ -451,24 +408,5 @@ mod tests {
         assert_eq!(c.k, 2);
         assert_eq!(c.max_supersteps, Some(5));
         assert_eq!(c.gen_chunk, 64);
-    }
-
-    #[test]
-    fn pipe_batch_defaults_and_clamps() {
-        let auto = EngineConfig::pipelined();
-        assert_eq!(auto.resolved_queue_cap(), 4096);
-        assert_eq!(auto.resolved_pipe_batch(), 64);
-        // Explicit batch larger than the ring clamps to the ring.
-        let tight = EngineConfig::pipelined()
-            .with_queue_cap(16)
-            .with_pipe_batch(1000);
-        assert_eq!(tight.resolved_queue_cap(), 16);
-        assert_eq!(tight.resolved_pipe_batch(), 16);
-        // Tiny ring bounds the auto batch too.
-        let tiny = EngineConfig::pipelined().with_queue_cap(8);
-        assert_eq!(tiny.resolved_pipe_batch(), 8);
-        // Batch of one degenerates to the per-message protocol.
-        let per_msg = EngineConfig::pipelined().with_pipe_batch(1);
-        assert_eq!(per_msg.resolved_pipe_batch(), 1);
     }
 }

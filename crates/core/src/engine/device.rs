@@ -1,25 +1,26 @@
-//! The CSB-based device engine: locking and pipelined message generation,
-//! SIMD message processing, vertex updating (§IV.A–IV.D), and the flat
-//! OpenMP-style baseline (the paper's "OMP" bars).
+//! The CSB-based device engine: message generation, SIMD message
+//! processing and vertex updating (§IV.A–IV.D) for the locking and
+//! pipelined framework modes, and the flat OpenMP-style baseline (the
+//! paper's "OMP" bars).
 //!
 //! One `DeviceEngine` instance runs the paper's superstep on one device. It
 //! executes with real host threads (results are genuinely computed) and
 //! records the event counters the cost model converts into simulated device
-//! time. The locking engine's host execution takes no per-column lock. On a
-//! dense superstep (every owned vertex active, message audit off) each
-//! message goes straight into the cell fixed for its out-edge
-//! ([`crate::csb::slots`]); every other superstep stages and drains its
-//! insertions ([`crate::csb::stage`]). Both leave the same buffer, so the
-//! engine's counters and results depend on neither the host thread count
-//! nor the path; the cost model still charges the paper's locked
-//! insertion. The flat baseline (`omp`) runs the same host path with scalar
-//! processing; either insertion path leaves exactly the per-destination
-//! counts its cost model reads, which charges a per-message OpenMP lock and
-//! no processing phase ("OpenMP directives on sequential code, with proper
-//! use of synchronization (OpenMP locks)"). The phase methods are public so
-//! the heterogeneous driver can interleave the remote exchange between
-//! generation and processing, exactly where the paper's workflow places
-//! it.
+//! time. Every mode fills the buffer on one host path, which takes no
+//! per-column lock. On a dense superstep (every owned vertex active,
+//! message audit off) each message goes straight into the cell fixed for
+//! its out-edge ([`crate::csb::slots`]); every other superstep stages and
+//! drains its insertions ([`crate::csb::stage`]). Both leave the same
+//! buffer, so the engine's counters and results depend on neither the host
+//! thread count, nor the path, nor the mode. The modes differ in what the
+//! cost model charges for the counts: the paper's locked insertion
+//! (`lock`), its worker/mover pipeline (`pipe`, for which generation also
+//! tallies each simulated mover's messages), or a per-message OpenMP lock
+//! and no processing phase with scalar processing (`omp`, "OpenMP
+//! directives on sequential code, with proper use of synchronization
+//! (OpenMP locks)"). The phase methods are public so the heterogeneous
+//! driver can interleave the remote exchange between generation and
+//! processing, exactly where the paper's workflow places it.
 
 use crate::active::ActiveSet;
 use crate::api::{GenContext, MsgSink, VertexProgram};
@@ -29,7 +30,6 @@ use crate::csb::{Csb, CsbLayout};
 use crate::engine::config::{EngineConfig, ExecMode};
 use crate::engine::hetero::{Exchanged, RankEngine};
 use crate::engine::integrity::framed_exchange;
-use crate::queues::QueueMatrix;
 use crate::util::SharedSlice;
 use phigraph_comm::message::wire_bytes;
 use phigraph_comm::{combine_messages, Endpoint, PeerInfo, WireMsg};
@@ -40,7 +40,7 @@ use phigraph_device::{ChunkScheduler, CostModel, DeviceSpec, RunScheduler, StepC
 use phigraph_graph::{Csr, VertexId};
 use phigraph_recover::IntegrityStats;
 use phigraph_simd::MsgValue;
-use phigraph_trace::{HistKind, Phase, ThreadTracer, Trace};
+use phigraph_trace::{Phase, ThreadTracer, Trace};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -53,7 +53,7 @@ const MSG_LINE_BYTES: u64 = 64;
 /// [`DeviceEngine::absorb_remote`].
 const ABSORB_CHUNK: usize = 1024;
 
-/// Sink for the locking engine: stage local messages for the drain, collect
+/// Stage-and-drain sink: stage local messages for the drain, collect
 /// peer-bound ones (in the order the chunk sends them).
 struct StageSink<'s, 'a, T: MsgValue> {
     stager: &'s mut Stager<'a, T>,
@@ -81,98 +81,6 @@ fn worker_tracer(trace: Option<&Trace>, dev: u8, tid: usize) -> ThreadTracer {
             dev as u32 * 1000 + 10 + tid as u32,
         ),
         None => ThreadTracer::disabled(),
-    }
-}
-
-/// Sink for the pipelined engine's worker threads: messages are staged in
-/// per-mover thread-local buffers (routed by `dst mod movers`) and flushed
-/// into the corresponding SPSC queue as one [`push_slice`] batch when the
-/// buffer reaches `batch` — one Release publish and one consumer-head probe
-/// per batch instead of per message.
-///
-/// [`push_slice`]: crate::queues::SpscQueue::push_slice
-struct BatchedPipeSink<'a, T: MsgValue> {
-    queues: &'a QueueMatrix<(VertexId, T)>,
-    worker: usize,
-    /// Flush threshold per (worker, mover) buffer.
-    batch: usize,
-    /// One staging buffer per mover.
-    bufs: Vec<Vec<(VertexId, T)>>,
-    /// Full-queue spin iterations observed while flushing (backpressure).
-    spins: u64,
-    /// Batches flushed.
-    flushes: u64,
-    /// Messages carried inside those batches.
-    batched: u64,
-    /// Structured tracing sink (`None` skips every recording site).
-    trace: Option<&'a Trace>,
-    /// This worker's tracer ("devN/worker-W" track).
-    tracer: &'a ThreadTracer,
-    /// Superstep the spans/histograms attribute to.
-    step: u32,
-}
-
-impl<'a, T: MsgValue> BatchedPipeSink<'a, T> {
-    fn new(
-        queues: &'a QueueMatrix<(VertexId, T)>,
-        worker: usize,
-        batch: usize,
-        trace: Option<&'a Trace>,
-        tracer: &'a ThreadTracer,
-        step: u32,
-    ) -> Self {
-        let batch = batch.clamp(1, queues.cap);
-        BatchedPipeSink {
-            queues,
-            worker,
-            batch,
-            bufs: (0..queues.movers)
-                .map(|_| Vec::with_capacity(batch))
-                .collect(),
-            spins: 0,
-            flushes: 0,
-            batched: 0,
-            trace,
-            tracer,
-            step,
-        }
-    }
-
-    #[inline]
-    fn flush(&mut self, mover: usize) {
-        let buf = &mut self.bufs[mover];
-        if buf.is_empty() {
-            return;
-        }
-        let _f = self.tracer.span(Phase::Flush, self.step);
-        // SAFETY: queue (worker, mover) has this worker thread as its only
-        // producer.
-        self.spins += unsafe { self.queues.queue(self.worker, mover).push_slice(buf) };
-        self.flushes += 1;
-        self.batched += buf.len() as u64;
-        if let Some(t) = self.trace {
-            t.record_hist(HistKind::FlushBatch, buf.len() as u64);
-        }
-        buf.clear();
-    }
-
-    /// Flush every residual buffer (end of the worker's generation loop,
-    /// before closing its queues).
-    fn flush_all(&mut self) {
-        for m in 0..self.queues.movers {
-            self.flush(m);
-        }
-    }
-}
-
-impl<'a, T: MsgValue> MsgSink<T> for BatchedPipeSink<'a, T> {
-    #[inline(always)]
-    fn send(&mut self, dst: VertexId, msg: T) {
-        let mover = dst as usize % self.queues.movers;
-        self.bufs[mover].push((dst, msg));
-        if self.bufs[mover].len() >= self.batch {
-            self.flush(mover);
-        }
     }
 }
 
@@ -204,8 +112,8 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     pub(crate) assign: Option<&'g [u8]>,
     owned: Vec<VertexId>,
     csb: Csb<P::Msg>,
-    /// Per-thread staging of the locking engine's insertions (and of every
-    /// engine's received remote messages), reused every superstep.
+    /// Per-thread staging of the host path's insertions and received
+    /// remote messages, reused every superstep.
     staging: Staging<P::Msg>,
     /// Vertex values (full-length; only owned entries are meaningful).
     pub values: Vec<P::Value>,
@@ -216,7 +124,7 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     /// Static generation chunk boundaries over `owned` (edge-balanced, so
     /// hub vertices do not turn one chunk into the critical path).
     gen_ranges: Vec<std::ops::Range<usize>>,
-    /// Supersteps started so far; attributes worker/mover spans to their
+    /// Supersteps started so far; attributes worker spans to their
     /// superstep (counts executed attempts — replays re-number).
     cur_step: u32,
     /// Static slots for the locking host path's dense supersteps.
@@ -583,10 +491,10 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// uncombined. Deactivates all vertices afterwards (senders vote to
     /// halt; updates re-activate).
     pub fn generate(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
-        let remote = match self.config.mode {
-            ExecMode::Pipelined => self.generate_pipelined(c),
-            _ => self.generate_locking(c),
-        };
+        let remote = self.generate_locking(c);
+        if self.config.mode == ExecMode::Pipelined {
+            self.tally_movers(&remote, c);
+        }
         c.msgs_remote = remote.len() as u64;
         c.bytes_gen += c.gen_edges * EDGE_BYTES
             + c.msgs_local * MSG_LINE_BYTES
@@ -617,7 +525,31 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         });
     }
 
-    /// The locking host path: static slots on a dense superstep,
+    /// The pipelined cost model's mover workload: `mover_msgs[m]` counts
+    /// this step's messages, local and peer-bound, whose destination is
+    /// `≡ m (mod movers)`, the messages the paper's mover `m` inserts. Read
+    /// after the generation barrier from the buffer's column counts and the
+    /// remote batch, so it depends on neither the host thread count nor the
+    /// path.
+    fn tally_movers(&self, remote: &[WireMsg<P::Msg>], c: &mut StepCounters) {
+        let movers = self.config.pipeline_split(&self.spec).1;
+        let mut tally = vec![0u64; movers];
+        let csb = &self.csb;
+        for g in 0..csb.layout.num_groups() {
+            for col in 0..csb.used_columns(g) {
+                if let Some(pos) = csb.column_position(g, col) {
+                    let dst = csb.layout.order[pos as usize] as usize;
+                    tally[dst % movers] += u64::from(csb.column_count(g, col));
+                }
+            }
+        }
+        for m in remote {
+            tally[m.dst as usize % movers] += 1;
+        }
+        c.mover_msgs = tally;
+    }
+
+    /// The host path of every mode: static slots on a dense superstep,
     /// stage-and-drain otherwise.
     fn generate_locking(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
         if self.dense_step() {
@@ -785,179 +717,6 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             |tid| worker_tracer(trace, dev, tid),
             step,
         );
-        remote
-    }
-
-    fn generate_pipelined(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
-        let host = self.host_threads;
-        let real_movers = (host / 4).max(1);
-        let real_workers = host.saturating_sub(real_movers).max(1);
-        let (_, sim_movers) = self.config.pipeline_split(&self.spec);
-        let queue_cap = self.config.resolved_queue_cap();
-        let pipe_batch = self.config.resolved_pipe_batch();
-        let queues = QueueMatrix::<(VertexId, P::Msg)>::new(real_workers, real_movers, queue_cap);
-        let sched = ChunkScheduler::new(self.gen_ranges.len(), 1);
-        let ranges = &self.gen_ranges;
-
-        let (program, graph, csb) = (self.program, self.graph, &self.csb);
-        let (owned, values, active) = (&self.owned, &self.values, &self.active);
-        let (assign, dev) = (self.assign, self.dev_id);
-        let (trace, step) = (self.config.trace.as_ref(), self.trace_step());
-        let queues_ref = &queues;
-        let sched = &sched;
-
-        // Worker output: (gen chunks, full-queue spins, flushes, batched
-        // messages). Mover output: (remote msgs, local count, per-class
-        // counts, idle polls).
-        type WorkerOut = (Vec<GenChunk>, u64, u64, u64);
-        type MoverOut<T> = (Vec<WireMsg<T>>, u64, Vec<u64>, u64);
-        let (worker_out, mover_out): (Vec<WorkerOut>, Vec<MoverOut<P::Msg>>) =
-            std::thread::scope(|s| {
-                let workers: Vec<_> = (0..real_workers)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let tracer = worker_tracer(trace, dev, w);
-                            let _gen = tracer.span(Phase::Generate, step);
-                            let mut chunks = Vec::new();
-                            let mut sink = BatchedPipeSink::new(
-                                queues_ref, w, pipe_batch, trace, &tracer, step,
-                            );
-                            while let Some(batch) = sched.next_batch() {
-                                for ri in batch {
-                                    let mut ch = GenChunk::default();
-                                    let mut ctx = GenContext::new(graph, values, &mut sink);
-                                    for i in ranges[ri].clone() {
-                                        let v = owned[i];
-                                        if active.is_active(v) {
-                                            ch.vertices += 1;
-                                            ch.edges += graph.out_degree(v) as u64;
-                                            program.generate(v, &mut ctx);
-                                        }
-                                    }
-                                    ch.msgs = ctx.sent;
-                                    chunks.push(ch);
-                                }
-                            }
-                            sink.flush_all();
-                            queues_ref.close_worker(w);
-                            (chunks, sink.spins, sink.flushes, sink.batched)
-                        })
-                    })
-                    .collect();
-                let movers: Vec<_> = (0..real_movers)
-                    .map(|m| {
-                        s.spawn(move || {
-                            let tracer = match trace {
-                                Some(t) => t.thread(
-                                    &format!("dev{dev}/mover-{m}"),
-                                    dev as u32 * 1000 + 500 + m as u32,
-                                ),
-                                None => ThreadTracer::disabled(),
-                            };
-                            let _ins = tracer.span(Phase::Insert, step);
-                            let mut remote: Vec<WireMsg<P::Msg>> = Vec::new();
-                            let mut local = 0u64;
-                            let mut class_counts = vec![0u64; sim_movers];
-                            let mut idle_polls = 0u64;
-                            loop {
-                                let mut moved = false;
-                                for w in 0..real_workers {
-                                    let t0 = if tracer.enabled_fine() {
-                                        tracer.now_ns()
-                                    } else {
-                                        0
-                                    };
-                                    // SAFETY: mover m is the only consumer
-                                    // of queue (w, m). Slices are consumed
-                                    // fully inside the closure.
-                                    let n = unsafe {
-                                        queues_ref.queue(w, m).pop_slices(queue_cap, |slice| {
-                                            for &(dst, _) in slice {
-                                                class_counts[dst as usize % sim_movers] += 1;
-                                            }
-                                            if let Some(t) = trace {
-                                                t.record_hist(
-                                                    HistKind::InsertSlice,
-                                                    slice.len() as u64,
-                                                );
-                                            }
-                                            match assign {
-                                                // Single device: the whole
-                                                // slice drains straight into
-                                                // the CSB columns.
-                                                None => {
-                                                    csb.insert_slice(slice);
-                                                    local += slice.len() as u64;
-                                                }
-                                                Some(a) => {
-                                                    for &(dst, msg) in slice {
-                                                        if a[dst as usize] == dev {
-                                                            csb.insert(dst, msg);
-                                                            local += 1;
-                                                        } else {
-                                                            remote
-                                                                .push(WireMsg { dst, value: msg });
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        })
-                                    };
-                                    if n > 0 {
-                                        moved = true;
-                                        if let Some(t) = trace {
-                                            t.record_hist(HistKind::QueueOccupancy, n as u64);
-                                        }
-                                        if t0 != 0 {
-                                            tracer.record_closing(Phase::Drain, step, t0);
-                                        }
-                                    }
-                                }
-                                if !moved {
-                                    idle_polls += 1;
-                                    if queues_ref.mover_done(m) {
-                                        break;
-                                    }
-                                    std::hint::spin_loop();
-                                    std::thread::yield_now();
-                                }
-                            }
-                            (remote, local, class_counts, idle_polls)
-                        })
-                    })
-                    .collect();
-                (
-                    workers
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect(),
-                    movers
-                        .into_iter()
-                        .map(|h| h.join().expect("mover panicked"))
-                        .collect(),
-                )
-            });
-
-        let mut remote = Vec::new();
-        c.mover_msgs = vec![0u64; sim_movers];
-        for (chunks, spins, flushes, batched) in worker_out {
-            for ch in &chunks {
-                c.active_vertices += ch.vertices;
-                c.gen_edges += ch.edges;
-            }
-            c.gen_chunks.extend(chunks);
-            c.queue_full_spins += spins;
-            c.flush_batches += flushes;
-            c.batched_msgs += batched;
-        }
-        for (r, local, class_counts, idle_polls) in mover_out {
-            remote.extend(r);
-            c.msgs_local += local;
-            c.mover_idle_polls += idle_polls;
-            for (a, b) in c.mover_msgs.iter_mut().zip(class_counts) {
-                *a += b;
-            }
-        }
         remote
     }
 
@@ -1337,35 +1096,11 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_counters_record_batches() {
-        let g = chain(50);
-        let mut eng = DeviceEngine::new(
-            &Sssp,
-            &g,
-            DeviceSpec::xeon_e5_2680(),
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_pipe_batch(8),
-            0,
-            None,
-        );
-        let mut c = eng.begin_step();
-        eng.generate(&mut c);
-        // Every local message travelled inside a worker→mover batch.
-        assert_eq!(c.batched_msgs, c.msgs_local);
-        assert!(c.flush_batches >= 1, "at least one flush happened");
-        // A 1-message first wavefront fits in one batch.
-        assert_eq!(c.msgs_local, 1);
-        assert_eq!(c.flush_batches, 1);
-    }
-
-    #[test]
     fn pipelined_counters_sum_across_all_threads() {
         // Pin the documented aggregation contract of `StepReport::counters`:
-        // each worker and mover keeps thread-private counters and the engine
-        // folds them into one whole-device record. Every vertex starts
-        // active here, so the generation work spreads over all workers and
-        // the insertions over all movers.
+        // the engine folds every thread's work into one whole-device
+        // record. Every vertex starts active here, so the generation work
+        // spreads over all threads and the messages over all mover classes.
         struct AllActive;
         impl VertexProgram for AllActive {
             type Msg = f32;
@@ -1389,52 +1124,21 @@ mod tests {
             &AllActive,
             &g,
             DeviceSpec::xeon_e5_2680(),
-            EngineConfig::pipelined()
-                .with_host_threads(8)
-                .with_pipe_batch(4),
+            EngineConfig::pipelined(),
             0,
             None,
         );
+        eng.host_threads = 8;
         let mut c = eng.begin_step();
         eng.generate(&mut c);
         assert_eq!(c.msgs_local, 63);
-        // Sum over workers: every message travelled in exactly one batch.
-        assert_eq!(c.batched_msgs, c.msgs_local);
-        assert!(
-            c.flush_batches >= 63 / 4,
-            "63 msgs in ≤4-msg batches, got {} flushes",
-            c.flush_batches
-        );
-        // Sum over movers: the per-lane tallies partition the local total.
+        // Sum over mover classes: the tallies partition the local total.
         assert_eq!(c.mover_msgs.iter().sum::<u64>(), c.msgs_local);
         assert!(
             c.mover_msgs.iter().filter(|&&m| m > 0).count() >= 2,
             "chain targets spread over mover lanes: {:?}",
             c.mover_msgs
         );
-    }
-
-    #[test]
-    fn tiny_queue_batches_chunk_through() {
-        // 2-slot rings with batch 2 and a hub fanning out 64 messages: the
-        // protocol must chunk every batch through the tiny ring correctly.
-        let g = phigraph_graph::generators::small::star(65);
-        let mut eng = DeviceEngine::new(
-            &Sssp,
-            &g,
-            DeviceSpec::xeon_e5_2680(),
-            EngineConfig::pipelined()
-                .with_host_threads(2)
-                .with_queue_cap(2)
-                .with_pipe_batch(2),
-            0,
-            None,
-        );
-        let mut c = eng.begin_step();
-        eng.generate(&mut c);
-        assert_eq!(c.msgs_local, 64);
-        assert_eq!(c.batched_msgs, 64);
-        assert!(c.flush_batches >= 32, "64 msgs in ≤2-msg batches");
     }
 
     /// PageRank, or personalized PageRank from `source`: an f32 `Sum`
@@ -1504,11 +1208,20 @@ mod tests {
         dense: Vec<bool>,
     }
 
-    /// Run `program` under `config` (the locking engine or the flat one
-    /// on its host path) with its host thread count forced to `threads` —
-    /// past the `available_parallelism` clamp, so the threads really
-    /// interleave even on a one-core runner — and, when `staged`, with the
-    /// dense path off, so every superstep stages and drains.
+    /// The three modes that share the host path.
+    fn host_path_modes() -> [EngineConfig; 3] {
+        [
+            EngineConfig::locking(),
+            EngineConfig::pipelined(),
+            EngineConfig::flat(),
+        ]
+    }
+
+    /// Run `program` under `config` (any of [`host_path_modes`]) with its
+    /// host thread count forced to `threads` — past the
+    /// `available_parallelism` clamp, so the threads really interleave even
+    /// on a one-core runner — and, when `staged`, with the dense path off,
+    /// so every superstep stages and drains.
     fn lock_forced<P>(
         program: &P,
         g: &Csr,
@@ -1602,7 +1315,7 @@ mod tests {
             }
         };
         for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
-            for config in [EngineConfig::locking(), EngineConfig::flat()] {
+            for config in host_path_modes() {
                 let mode = config.mode.name();
                 let pr = Rank { source: None };
                 let ppr = Rank { source: Some(3) };
@@ -1633,7 +1346,7 @@ mod tests {
                     &EngineConfig::sequential(),
                 );
                 let seq: Vec<u32> = seq.values.iter().map(|v| v.to_bits()).collect();
-                for config in [EngineConfig::locking(), EngineConfig::flat()] {
+                for config in host_path_modes() {
                     let lock = lock_forced(&program, &g, spec.clone(), &config, 3, false);
                     assert!(
                         lock.values == seq,
@@ -1650,28 +1363,107 @@ mod tests {
     #[test]
     fn lock_simulated_seconds_do_not_depend_on_host_threads() {
         /// Simulated seconds of a whole run on `threads` forced host threads.
-        fn sim<P: VertexProgram>(program: &P, g: &Csr, spec: DeviceSpec, threads: usize) -> f64 {
-            let mut eng = DeviceEngine::new(program, g, spec, EngineConfig::locking(), 0, None);
+        fn sim<P: VertexProgram>(
+            program: &P,
+            g: &Csr,
+            spec: &DeviceSpec,
+            config: &EngineConfig,
+            threads: usize,
+        ) -> f64 {
+            let mut eng = DeviceEngine::new(program, g, spec.clone(), config.clone(), 0, None);
             eng.host_threads = threads;
             crate::engine::run_device(eng).report.sim_total()
         }
         let g = pokec_small(9);
+        let pr = Rank { source: None };
         for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
-            let sssp = sim(&Sssp, &g, spec.clone(), 1);
-            let pr = sim(&Rank { source: None }, &g, spec.clone(), 1);
-            assert!(sssp > 0.0 && pr > 0.0);
-            assert_eq!(
-                sim(&Sssp, &g, spec.clone(), 8).to_bits(),
-                sssp.to_bits(),
-                "sssp on {}",
-                spec.name
-            );
-            assert_eq!(
-                sim(&Rank { source: None }, &g, spec.clone(), 8).to_bits(),
-                pr.to_bits(),
-                "pagerank on {}",
-                spec.name
-            );
+            for config in host_path_modes() {
+                let at = format!("{} on {}", config.mode.name(), spec.name);
+                let sssp = sim(&Sssp, &g, &spec, &config, 1);
+                let rank = sim(&pr, &g, &spec, &config, 1);
+                assert!(sssp > 0.0 && rank > 0.0);
+                let sssp8 = sim(&Sssp, &g, &spec, &config, 8);
+                assert_eq!(sssp8.to_bits(), sssp.to_bits(), "sssp/{at}");
+                let rank8 = sim(&pr, &g, &spec, &config, 8);
+                assert_eq!(rank8.to_bits(), rank.to_bits(), "pagerank/{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn pipe_mover_msgs_count_each_destination_class_exactly() {
+        /// Each step's `(mover_msgs, messages sent)` on one device
+        /// (`assign` = `None`) or on rank 0, at `threads` forced threads.
+        fn tallies<P: VertexProgram>(
+            program: &P,
+            g: &Csr,
+            spec: &DeviceSpec,
+            config: &EngineConfig,
+            assign: Option<&[u8]>,
+            threads: usize,
+        ) -> Vec<(Vec<u64>, u64)> {
+            let mut eng = DeviceEngine::new(program, g, spec.clone(), config.clone(), 0, assign);
+            eng.host_threads = threads;
+            let mut steps = Vec::new();
+            while steps.len() < program.max_supersteps().unwrap_or(usize::MAX) {
+                let mut c = eng.begin_step();
+                eng.generate(&mut c);
+                eng.finalize_insertion_stats(&mut c);
+                eng.process(&mut c);
+                eng.update(&mut c);
+                let sent = c.msgs_total();
+                steps.push((c.mover_msgs, sent));
+                if sent == 0 {
+                    break;
+                }
+            }
+            steps
+        }
+        let g = pokec_small(7);
+        let two_ranks: Vec<u8> = (0..g.num_vertices())
+            .map(|v| u8::from(v % 3 == 1))
+            .collect();
+        let pr = Rank { source: None };
+        for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
+            let pipe = EngineConfig::pipelined();
+            let movers = pipe.pipeline_split(&spec).1;
+            for assign in [None, Some(&two_ranks[..])] {
+                let ranks = 1 + usize::from(assign.is_some());
+                let at = format!("{ranks} ranks on {}", spec.name);
+                // PageRank's first step sends along every out-edge of every
+                // owned source, local and peer-bound alike.
+                let mut first = vec![0u64; movers];
+                for s in 0..g.num_vertices() as VertexId {
+                    if assign.is_none_or(|a| a[s as usize] == 0) {
+                        for e in g.edge_range(s) {
+                            first[g.targets[e] as usize % movers] += 1;
+                        }
+                    }
+                }
+                let pr_one = tallies(&pr, &g, &spec, &pipe, assign, 1);
+                let sssp_one = tallies(&Sssp, &g, &spec, &pipe, assign, 1);
+                assert!(pr_one[0].0 == first, "pagerank, {at}: first step");
+                assert!(sssp_one.len() > 2, "sssp, {at}: sparse steps");
+                for (m, sent) in pr_one.iter().chain(&sssp_one) {
+                    assert_eq!(m.len(), movers, "{at}");
+                    assert_eq!(m.iter().sum::<u64>(), *sent, "{at}");
+                }
+                for threads in [2, 3, 8] {
+                    let pr_t = tallies(&pr, &g, &spec, &pipe, assign, threads);
+                    assert!(pr_t == pr_one, "pagerank, {at}: {threads} threads");
+                    let sssp_t = tallies(&Sssp, &g, &spec, &pipe, assign, threads);
+                    assert!(sssp_t == sssp_one, "sssp, {at}: {threads} threads");
+                }
+                for other in [EngineConfig::locking(), EngineConfig::flat()] {
+                    let pr_o = tallies(&pr, &g, &spec, &other, assign, 2);
+                    let sssp_o = tallies(&Sssp, &g, &spec, &other, assign, 2);
+                    assert!(
+                        pr_o.iter().chain(&sssp_o).all(|(m, _)| m.is_empty()),
+                        "{}, {at}: no mover tally",
+                        other.mode.name()
+                    );
+                }
+            }
         }
     }
 
@@ -1725,7 +1517,7 @@ mod tests {
             .map(|v| u8::from(v % 3 == 1))
             .collect();
         for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
-            for base in [EngineConfig::locking(), EngineConfig::flat()] {
+            for base in host_path_modes() {
                 for column_mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
                     for k in [1, 4] {
                         let config = base.clone().with_column_mode(column_mode).with_k(k);
@@ -1855,7 +1647,7 @@ mod tests {
             let seq =
                 crate::engine::seq::run_seq(program, g, spec.clone(), &EngineConfig::sequential());
             let seq: Vec<u32> = seq.values.iter().map(|v| v.to_bits()).collect();
-            for config in [EngineConfig::locking(), EngineConfig::flat()] {
+            for config in host_path_modes() {
                 let staged = lock_forced(program, g, spec.clone(), &config, 2, true);
                 for threads in [1, 3] {
                     let at = format!("{name}/{} at {threads} threads", config.mode.name());

@@ -39,7 +39,7 @@ use std::time::Instant;
 /// # Re-entrancy
 ///
 /// Every driver borrows the graph (`&Csr`) and allocates all mutable run
-/// state — values, CSB arenas, queues, counters — per call, so any number
+/// state — values, CSB arenas, staging, counters — per call, so any number
 /// of runs may execute concurrently against one shared CSR (e.g. behind an
 /// `Arc<Csr>`). The serving daemon in `phigraph-serve` relies on this:
 /// one loaded graph, many concurrent per-tenant jobs.

@@ -20,13 +20,11 @@ pub struct StepReport {
     /// Host wall-clock seconds for the superstep.
     pub wall: f64,
     /// Event counters for the superstep, **summed across every thread that
-    /// executed it**: in the pipelined engine each worker and mover keeps a
-    /// thread-private [`StepCounters`] and the engine folds them all into
-    /// this one record when the phase joins (so `flush_batches`,
-    /// `queue_full_spins`, `mover_idle_polls`, … are whole-device totals,
-    /// not any single thread's view, and `mover_msgs[i]` is the total
-    /// inserted by mover lane `i`). Per-chunk records are dropped after
-    /// folding to keep reports small; only their aggregates survive.
+    /// executed it**: the engine folds every thread's work into this one
+    /// record when the phase joins, so each count is a whole-device total,
+    /// not any single thread's view (and, under `pipe`, `mover_msgs[i]` is
+    /// the total for simulated mover `i`). Per-chunk records are dropped
+    /// after folding to keep reports small; only their aggregates survive.
     pub counters: StepCounters,
 }
 
@@ -103,17 +101,6 @@ impl RunReport {
         self.steps.len()
     }
 
-    /// Total full-queue spins workers burned on SPSC backpressure
-    /// (pipelined runs; 0 otherwise).
-    pub fn total_queue_full_spins(&self) -> u64 {
-        self.steps.iter().map(|s| s.counters.queue_full_spins).sum()
-    }
-
-    /// Total empty polling rounds movers made (pipelined runs).
-    pub fn total_mover_idle_polls(&self) -> u64 {
-        self.steps.iter().map(|s| s.counters.mover_idle_polls).sum()
-    }
-
     /// Total barrier checkpoints written during the run.
     pub fn total_checkpoints(&self) -> u64 {
         self.steps
@@ -152,17 +139,6 @@ impl RunReport {
             .map(|s| s.counters.exchange_timeouts)
             .sum::<u64>()
             + self.failover.exchange_timeouts
-    }
-
-    /// Mean messages per worker→mover flush batch over the run (`None`
-    /// when no batches were flushed, e.g. non-pipelined runs).
-    pub fn mean_batch_size(&self) -> Option<f64> {
-        let batches: u64 = self.steps.iter().map(|s| s.counters.flush_batches).sum();
-        if batches == 0 {
-            return None;
-        }
-        let msgs: u64 = self.steps.iter().map(|s| s.counters.batched_msgs).sum();
-        Some(msgs as f64 / batches as f64)
     }
 
     /// One-line summary for harness output. Appends the recovery event
@@ -320,28 +296,6 @@ mod tests {
         let c = combine_ranks("x", &[a, b]);
         assert!((c.sim_exec() - 7.0).abs() < 1e-12, "max(1,2) + max(5,1)");
         assert_eq!(c.device, "CPU-MIC");
-    }
-
-    #[test]
-    fn pipeline_helpers_aggregate_counters() {
-        let mut s0 = step(1.0, 0.0);
-        s0.counters.queue_full_spins = 5;
-        s0.counters.flush_batches = 2;
-        s0.counters.batched_msgs = 10;
-        s0.counters.mover_idle_polls = 3;
-        let mut s1 = step(1.0, 0.0);
-        s1.counters.flush_batches = 3;
-        s1.counters.batched_msgs = 30;
-        s1.counters.mover_idle_polls = 1;
-        let r = RunReport {
-            steps: vec![s0, s1],
-            ..Default::default()
-        };
-        assert_eq!(r.total_queue_full_spins(), 5);
-        assert_eq!(r.total_mover_idle_polls(), 4);
-        assert!((r.mean_batch_size().unwrap() - 8.0).abs() < 1e-12);
-        let empty = RunReport::default();
-        assert_eq!(empty.mean_batch_size(), None);
     }
 
     #[test]

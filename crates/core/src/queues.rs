@@ -1,9 +1,12 @@
-//! Single-producer single-consumer message queues for the pipelined engine.
+//! Single-producer single-consumer queues.
 //!
-//! "This strategy guarantees that each message queue is only written by only
-//! one thread, as well as read by only one thread." Each (worker, mover)
-//! pair owns one bounded ring: the worker pushes generated messages, the
-//! mover drains them into the condensed static buffer.
+//! [`SpscQueue`] is the serving pool's admission ring. [`QueueMatrix`] is
+//! the paper's worker→mover transport (§IV.C): "this strategy guarantees
+//! that each message queue is only written by only one thread, as well as
+//! read by only one thread", one bounded ring per (worker, mover) pair. No
+//! engine runs it: the pipelined mode fills its buffer on the locking
+//! engine's host path and the cost model charges the pipeline from counts.
+//! The `spsc` bench area and `tests/spsc_stress.rs` measure and check it.
 //!
 //! The ring follows the cached-index design of FastForward/MCRingBuffer
 //! (the lineage the paper's message pipeline descends from): the producer
@@ -312,8 +315,8 @@ impl<T> Drop for SpscQueue<T> {
     }
 }
 
-/// The queue matrix for one pipelined generation phase: `workers × movers`
-/// queues, indexed `[worker][mover]`.
+/// The paper's worker→mover queue matrix: `workers × movers` queues,
+/// indexed `[worker][mover]`.
 pub struct QueueMatrix<T> {
     queues: Vec<SpscQueue<T>>,
     /// Worker (producer) count.

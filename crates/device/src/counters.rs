@@ -104,8 +104,10 @@ pub struct StepCounters {
     /// Insertion contention profile (locking engine; also drives the flat
     /// engine's per-vertex lock contention).
     pub insert_profile: InsertProfile,
-    /// Messages routed through pipeline queues, per mover id (empty for
-    /// non-pipelined runs).
+    /// Messages per simulated mover, local and peer-bound: entry `m`
+    /// counts those whose destination is `≡ m (mod movers)`, the
+    /// pipelined cost model's mover workload (empty for non-pipelined
+    /// runs).
     pub mover_msgs: Vec<u64>,
     /// Columns newly allocated this step (each takes one group lock).
     pub column_allocs: u64,
@@ -113,16 +115,18 @@ pub struct StepCounters {
     pub reset_cells: u64,
 
     // -- pipeline backpressure / occupancy --
-    /// Full-queue spin iterations workers burned waiting for mover space
-    /// (backpressure: movers could not keep up with generation).
+    //
+    // No engine moves messages through worker→mover queues (the pipelined
+    // mode runs the locking engine's host path), so these four read 0.
+    // They stay for the report and metrics formats that name them.
+    /// Full-queue spin iterations workers burned waiting for mover space.
+    /// Always 0.
     pub queue_full_spins: u64,
-    /// Worker→mover batches flushed through the SPSC queues.
+    /// Worker→mover batches flushed through SPSC queues. Always 0.
     pub flush_batches: u64,
-    /// Messages that travelled inside those batches (equals `msgs_local +
-    /// msgs_remote` for a pipelined step; 0 otherwise).
+    /// Messages that travelled inside those batches. Always 0.
     pub batched_msgs: u64,
-    /// Empty polling rounds movers made over their queues (occupancy: high
-    /// values mean movers were starved, the inverse of backpressure).
+    /// Empty polling rounds movers made over their queues. Always 0.
     pub mover_idle_polls: u64,
 
     // -- message processing --

@@ -18,7 +18,9 @@ use std::sync::Arc;
 pub enum FaultKind {
     /// A worker thread dies before message generation completes.
     KillWorker,
-    /// A mover thread dies while draining its SPSC queues.
+    /// A mover dies after message generation, once the step's messages
+    /// are in the buffer (no engine drains worker→mover queues; the site
+    /// is the fail-stop after generation).
     KillMover,
     /// A CSB insert lands a corrupted cell (detected fail-stop at
     /// insertion-stat finalization).

@@ -17,11 +17,13 @@ pub const BUCKETS: usize = 33;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum HistKind {
-    /// SPSC queue occupancy (messages) observed at each mover drain pass.
+    /// SPSC queue occupancy (messages) observed at each mover drain pass
+    /// (no engine records it).
     QueueOccupancy = 0,
-    /// Messages per worker→mover flush batch.
+    /// Messages per worker→mover flush batch (no engine records it).
     FlushBatch = 1,
-    /// Slice length per CSB `insert_slice` call on the mover path.
+    /// Slice length per CSB `insert_slice` call on the mover path (no
+    /// engine records it).
     InsertSlice = 2,
     /// Remote exchange round-trip latency in microseconds.
     ExchangeRttUs = 3,

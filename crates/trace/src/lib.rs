@@ -89,9 +89,8 @@ pub enum Phase {
     Superstep = 0,
     /// Message generation (scanning active vertices, producing messages).
     Generate = 1,
-    /// Message insertion into the condensed static buffer (the mover side
-    /// of the pipeline; the drain after generation for the locking
-    /// engine).
+    /// Message insertion into the condensed static buffer (the drain after
+    /// generation, and the absorb of a peer's messages).
     Insert = 2,
     /// Message processing (lane reduction).
     Process = 3,
@@ -103,9 +102,10 @@ pub enum Phase {
     Checkpoint = 6,
     /// Partition migration onto the survivor after a device loss.
     Migrate = 7,
-    /// One worker→mover batch flush (fine level).
+    /// One worker→mover batch flush (fine level; no engine records it).
     Flush = 8,
-    /// One mover drain pass over a queue (fine level).
+    /// One mover drain pass over a queue (fine level; no engine records
+    /// it).
     Drain = 9,
     /// One watchdog poll round.
     Watchdog = 10,

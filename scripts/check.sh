@@ -102,16 +102,16 @@ grep -q "rank2: " "$SMOKE_DIR/fabric-recover.txt"
 grep -q "migrations=1" "$SMOKE_DIR/fabric-recover.txt"
 echo "    (rank 1 killed at step 4 of 3-rank SSSP: checksum parity after migration: ok)"
 
-echo "==> determinism smoke: lock and omp PageRank print seq's checksum on every run, two ranks one checksum"
-# f32 sums follow their association order. The locking engine fills each
-# column in source order, and the flat (omp) engine runs the same host
-# path, so on any host thread count three lock runs, three omp runs and
-# one seq run must print the same checksum.
+echo "==> determinism smoke: lock, pipe and omp PageRank print seq's checksum on every run, two ranks one checksum"
+# f32 sums follow their association order. Every framework mode fills each
+# column in source order on the locking engine's host path (pipe and omp
+# differ only in what the cost model charges), so on any host thread count
+# three runs of each and one seq run must print the same checksum.
 "$PHIGRAPH" generate gnm "$SMOKE_DIR/gnm-small.bin" --scale small --seed 7 >/dev/null
 WANT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine seq --checksum \
     | sed -n 's/^checksum=//p')"
 test -n "$WANT_PR"
-for engine in lock omp; do
+for engine in lock pipe omp; do
     for i in 1 2 3; do
         GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine "$engine" \
             --checksum | sed -n 's/^checksum=//p')"
@@ -121,20 +121,23 @@ for engine in lock omp; do
         fi
     done
 done
-echo "    (lock x3, omp x3 and seq: checksum=$WANT_PR)"
+echo "    (lock x3, pipe x3, omp x3 and seq: checksum=$WANT_PR)"
 # Two ranks: every PageRank step is dense, so both ranks write through their
-# static slots and then absorb the peer's combined batch; two runs must
-# print one checksum.
+# static slots and then absorb the peer's combined batch. Rank 1 runs the
+# same host path on lock and on pipe: two runs of each must print one
+# checksum.
 FABRIC_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
     | sed -n 's/^checksum=//p')"
 test -n "$FABRIC_PR"
-GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
-    | sed -n 's/^checksum=//p')"
-if [ "$GOT_PR" != "$FABRIC_PR" ]; then
-    echo "--devices 2 runs printed checksums $FABRIC_PR and $GOT_PR" >&2
-    exit 1
-fi
-echo "    (--devices 2 x2: checksum=$FABRIC_PR)"
+for engine in lock pipe pipe; do
+    GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 \
+        --engine "$engine" --checksum | sed -n 's/^checksum=//p')"
+    if [ "$GOT_PR" != "$FABRIC_PR" ]; then
+        echo "--devices 2 --engine $engine printed checksum $GOT_PR, the first run printed $FABRIC_PR" >&2
+        exit 1
+    fi
+done
+echo "    (--devices 2, lock x2 and pipe x2: checksum=$FABRIC_PR)"
 
 echo "==> object-fabric smoke: semicluster on 3 ranks writes the one-device values"
 # Object messages run on the same rank loop as POD ones: a 3-rank

@@ -29,28 +29,6 @@ fn all_configs() -> Vec<(&'static str, EngineConfig)> {
                 .with_host_threads(3)
                 .with_vectorized(false),
         ),
-        // Batched-transport corner cases: per-message degenerate batch,
-        // a ragged batch that never divides the ring, and a batch exactly
-        // equal to the ring capacity (every flush fills the whole ring).
-        (
-            "pipe-batch1",
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_pipe_batch(1),
-        ),
-        (
-            "pipe-batch7",
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_pipe_batch(7),
-        ),
-        (
-            "pipe-batchcap",
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_queue_cap(64)
-                .with_pipe_batch(64),
-        ),
         ("omp", EngineConfig::flat()),
         ("seq", EngineConfig::sequential()),
     ]
@@ -86,11 +64,9 @@ where
 #[test]
 fn pagerank_equivalence() {
     // PageRank reduces with f32 sums, whose result depends on association
-    // order. The locking engine stages and drains its insertions so every
-    // column holds its messages in source order, the sequential order: its
-    // configs, and the flat engine that runs on the same host path, must
-    // match `seq` bit for bit. The pipelined engine accumulates in
-    // thread-arrival order, so it matches numerically.
+    // order. Every framework mode fills the buffer on the locking engine's
+    // host path, so every column holds its messages in source order, the
+    // sequential order: every config must match `seq` bit for bit.
     let g = workloads::pokec_like(workloads::Scale::Tiny, 11);
     let pr = PageRank {
         damping: 0.85,
@@ -102,26 +78,15 @@ fn pagerank_equivalence() {
         DeviceSpec::xeon_e5_2680(),
         &EngineConfig::sequential(),
     );
+    let bits = |vals: &[f32]| vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for spec in devices() {
         for (name, config) in all_configs() {
             let out = run_single(&pr, &g, spec.clone(), &config);
-            if name.starts_with("lock") || name == "omp" {
-                let bits = |vals: &[f32]| vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert!(
-                    bits(&out.values) == bits(&baseline.values),
-                    "engine {name} on {} is not bit-identical to seq",
-                    spec.name
-                );
-            }
-            for v in 0..g.num_vertices() {
-                assert!(
-                    (out.values[v] - baseline.values[v]).abs() < 1e-3,
-                    "engine {name} on {} diverged at vertex {v}: {} vs {}",
-                    spec.name,
-                    out.values[v],
-                    baseline.values[v]
-                );
-            }
+            assert!(
+                bits(&out.values) == bits(&baseline.values),
+                "engine {name} on {} is not bit-identical to seq",
+                spec.name
+            );
         }
     }
 }
@@ -211,78 +176,6 @@ fn equivalence_is_thread_count_independent() {
             &EngineConfig::pipelined().with_host_threads(threads),
         );
         assert_eq!(pipe.values, base.values, "pipe threads={threads}");
-    }
-}
-
-/// The batched queue protocol is pure transport: for batch sizes 1 (the
-/// per-message degenerate case), 7 (ragged — never divides the ring or the
-/// wavefront), and exactly the ring capacity (every flush wraps the full
-/// ring), the pipelined engine must match the sequential and flat engines
-/// bit-for-bit on BFS and WCC, and numerically on PageRank (f32 sum order).
-#[test]
-fn pipe_batch_sizes_do_not_change_results() {
-    let batches: [(&str, EngineConfig); 3] = [
-        (
-            "batch=1",
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_pipe_batch(1),
-        ),
-        (
-            "batch=7",
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_pipe_batch(7),
-        ),
-        (
-            "batch=cap",
-            EngineConfig::pipelined()
-                .with_host_threads(4)
-                .with_queue_cap(32)
-                .with_pipe_batch(32),
-        ),
-    ];
-
-    // BFS and WCC: bitwise equality against sequential AND flat.
-    let g = workloads::pokec_like(workloads::Scale::Tiny, 21);
-    let spec = DeviceSpec::xeon_e5_2680();
-    {
-        let p = Bfs { source: 0 };
-        let seq = run_single(&p, &g, spec.clone(), &EngineConfig::sequential());
-        let flat = run_single(&p, &g, spec.clone(), &EngineConfig::flat());
-        assert_eq!(seq.values, flat.values, "bfs: flat vs seq");
-        for (name, cfg) in &batches {
-            let out = run_single(&p, &g, spec.clone(), cfg);
-            assert_eq!(out.values, seq.values, "bfs {name}");
-        }
-    }
-    {
-        use phigraph_apps::Wcc;
-        let p = Wcc::new(&g);
-        let seq = run_single(&p, &g, spec.clone(), &EngineConfig::sequential());
-        let flat = run_single(&p, &g, spec.clone(), &EngineConfig::flat());
-        assert_eq!(seq.values, flat.values, "wcc: flat vs seq");
-        for (name, cfg) in &batches {
-            let out = run_single(&p, &g, spec.clone(), cfg);
-            assert_eq!(out.values, seq.values, "wcc {name}");
-        }
-    }
-    // PageRank: numeric equality (f32 reduction order varies per engine).
-    {
-        let p = PageRank {
-            damping: 0.85,
-            iterations: 5,
-        };
-        let seq = run_single(&p, &g, spec.clone(), &EngineConfig::sequential());
-        for (name, cfg) in &batches {
-            let out = run_single(&p, &g, spec.clone(), cfg);
-            for v in 0..g.num_vertices() {
-                assert!(
-                    (out.values[v] - seq.values[v]).abs() < 1e-3,
-                    "pagerank {name} diverged at vertex {v}"
-                );
-            }
-        }
     }
 }
 

@@ -224,6 +224,64 @@ fn omp_ranks_match_the_lock_fabric() {
     check(&Wcc::new(&g), &g);
 }
 
+/// `pipe` ranks fill their buffers on the locking engine's host path too
+/// (only the cost model charges the worker/mover pipeline): ranks 1.. on
+/// the pipelined engine compute the all-`lock` fabric's bits, f32 sums
+/// included.
+#[test]
+fn pipe_ranks_match_the_lock_fabric_bit_for_bit() {
+    use phigraph_apps::Wcc;
+    use phigraph_graph::state::PodState;
+    fn check<P>(program: &P, graph: &Csr)
+    where
+        P: phigraph_core::api::VertexProgram,
+        P::Value: PodState,
+    {
+        let bits = |values: &[P::Value]| {
+            let mut out = Vec::new();
+            for v in values {
+                v.write_le(&mut out);
+            }
+            out
+        };
+        for n in [2usize, 3] {
+            let p = partition_n(graph, PartitionScheme::RoundRobin, &Shares::even(n), 7);
+            let specs: Vec<DeviceSpec> = (0..n).map(|r| specs()[r.min(1)].clone()).collect();
+            let run = |mic: EngineConfig| {
+                let mut configs = vec![mic; n];
+                configs[0] = EngineConfig::locking();
+                run_ranks(program, graph, &p, &specs, &configs, PcieLink::gen2_x16())
+            };
+            let lock = run(EngineConfig::locking());
+            let pipe = run(EngineConfig::pipelined());
+            assert!(
+                bits(&pipe.values) == bits(&lock.values),
+                "{} on {n} ranks",
+                P::NAME
+            );
+            assert!(pipe.report.sim_total() > 0.0);
+        }
+    }
+    let g = workloads::pokec_like(workloads::Scale::Tiny, 34);
+    check(
+        &PageRank {
+            damping: 0.85,
+            iterations: 5,
+        },
+        &g,
+    );
+    check(
+        &Sssp { source: 0 },
+        &workloads::pokec_like_weighted(workloads::Scale::Tiny, 31),
+    );
+    check(
+        &Bfs { source: 0 },
+        &workloads::pokec_like(workloads::Scale::Tiny, 32),
+    );
+    let g = workloads::pokec_like(workloads::Scale::Tiny, 33);
+    check(&Wcc::new(&g), &g);
+}
+
 #[test]
 fn hybrid_partitioning_moves_fewer_bytes_than_round_robin() {
     // The Fig. 6 communication story, end to end through the runtime.

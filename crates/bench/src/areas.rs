@@ -29,12 +29,15 @@ use crate::harness::{BenchmarkId, Criterion, Throughput};
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::{PageRank, SemiClustering, Sssp};
 use phigraph_comm::{loopback_all_to_all, loopback_rounds, PcieLink};
+use phigraph_core::api::VertexProgram;
 use phigraph_core::benchable::{csb_fixture, shuttle_msgs, spsc_shuttle, superstep_work};
 use phigraph_core::csb::ColumnMode;
 use phigraph_core::engine::obj::run_obj_single;
 use phigraph_core::engine::{run_ranks, run_recoverable, run_single, EngineConfig, ExecMode};
+use phigraph_core::metrics::RunOutput;
 use phigraph_device::DeviceSpec;
-use phigraph_partition::{partition, partition_n, PartitionScheme, Ratio, Shares};
+use phigraph_graph::Csr;
+use phigraph_partition::{partition, partition_n, DevicePartition, PartitionScheme, Ratio, Shares};
 use phigraph_recover::{IntegrityMode, MemStore};
 use phigraph_serve::{
     EventSink, JobKind, JobSpec, Journal, MetricsHub, ServeConfig, ServePool, ShedPolicy,
@@ -156,11 +159,11 @@ fn bench_csb(c: &mut Criterion, opts: &AreaOpts) {
 /// A full SSSP run per engine mode on the seeded pokec-like graph, `seq`
 /// beside the framework engines so the gap to one plain thread stays in
 /// view, and a 10-iteration PageRank run on the same graph, whose every
-/// superstep is dense (every vertex active). The declared elements are the
-/// run's total generated messages (measured by a priming run —
-/// deterministic for a fixed input), so the rate reads as end-to-end
-/// messages/second; divide mean by the superstep count for a
-/// per-superstep figure.
+/// superstep is dense (every vertex active), on one device and on two
+/// ranks. The declared elements are the run's total generated messages
+/// (measured by a priming run — deterministic for a fixed input), so the
+/// rate reads as end-to-end messages/second; divide mean by the superstep
+/// count for a per-superstep figure.
 fn bench_superstep(c: &mut Criterion, opts: &AreaOpts) {
     let scale = if opts.smoke {
         Scale::Tiny
@@ -193,39 +196,12 @@ fn bench_superstep(c: &mut Criterion, opts: &AreaOpts) {
         &EngineConfig::locking(),
     );
     for n in [2usize, 4] {
-        let p = partition_n(
-            &graph,
-            PartitionScheme::hybrid_default(),
-            &Shares::even(n),
-            opts.seed,
-        );
-        let specs: Vec<DeviceSpec> = (0..n)
-            .map(|r| {
-                if r == 0 {
-                    DeviceSpec::xeon_e5_2680()
-                } else {
-                    DeviceSpec::xeon_phi_se10p()
-                }
-            })
-            .collect();
-        let mut configs = vec![EngineConfig::locking()];
-        configs.resize(n, EngineConfig::pipelined());
+        let fabric = Fabric::new(&graph, n, opts.seed);
         g.throughput(Throughput::Elements(work.total_msgs));
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("fabric-n{n}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    run_ranks(
-                        &Sssp { source: 0 },
-                        &graph,
-                        p,
-                        &specs,
-                        &configs,
-                        PcieLink::gen2_x16(),
-                    )
-                })
-            },
+            &fabric,
+            |b, f| b.iter(|| f.run(&Sssp { source: 0 }, &graph)),
         );
     }
     g.finish();
@@ -246,7 +222,61 @@ fn bench_superstep(c: &mut Criterion, opts: &AreaOpts) {
             b.iter(|| run_single(&pagerank, &graph, spec.clone(), config))
         });
     }
+    // Dense steps on two ranks: each rank gathers its local rows and
+    // absorbs its peer's combined batch behind them.
+    let work = superstep_work(&pagerank, &graph, spec.clone(), &EngineConfig::locking());
+    let fabric = Fabric::new(&graph, 2, opts.seed);
+    g.throughput(Throughput::Elements(work.total_msgs));
+    g.bench_with_input(BenchmarkId::from_parameter("fabric-n2"), &fabric, |b, f| {
+        b.iter(|| f.run(&pagerank, &graph))
+    });
     g.finish();
+}
+
+/// An N-rank device fabric over the hybrid partition: rank 0 is the CPU on
+/// `lock`, ranks 1.. are MICs on `pipe`.
+struct Fabric {
+    partition: DevicePartition,
+    specs: Vec<DeviceSpec>,
+    configs: Vec<EngineConfig>,
+}
+
+impl Fabric {
+    fn new(graph: &Csr, n: usize, seed: u64) -> Self {
+        let partition = partition_n(
+            graph,
+            PartitionScheme::hybrid_default(),
+            &Shares::even(n),
+            seed,
+        );
+        let specs = (0..n)
+            .map(|r| {
+                if r == 0 {
+                    DeviceSpec::xeon_e5_2680()
+                } else {
+                    DeviceSpec::xeon_phi_se10p()
+                }
+            })
+            .collect();
+        let mut configs = vec![EngineConfig::locking()];
+        configs.resize(n, EngineConfig::pipelined());
+        Fabric {
+            partition,
+            specs,
+            configs,
+        }
+    }
+
+    fn run<P: VertexProgram>(&self, program: &P, graph: &Csr) -> RunOutput<P::Value> {
+        run_ranks(
+            program,
+            graph,
+            &self.partition,
+            &self.specs,
+            &self.configs,
+            PcieLink::gen2_x16(),
+        )
+    }
 }
 
 /// Hetero frame-exchange loopback: lock-step rounds over the modelled

@@ -61,9 +61,38 @@ const FLAGS: &[&str] = &[
     "watchdog-ms",
 ];
 
+/// The app-specific flags and the apps that read them.
+const APP_FLAGS: &[(&str, &[&str])] = &[
+    ("source", &["ppr", "bfs", "sssp"]),
+    ("iters", &["pagerank", "ppr", "semicluster"]),
+    ("k", &["kcore"]),
+];
+
+/// A flag the run would never read is an error, not a no-op.
+fn check_unread_flags(app: &str, args: &Args) -> Result<(), String> {
+    for &(flag, apps) in APP_FLAGS {
+        if args.has(flag) && !apps.contains(&app) {
+            return Err(format!(
+                "--{flag} does not apply to {app}: it is read by {} only",
+                apps.join(", ")
+            ));
+        }
+    }
+    let builds_partition = (args.has("hetero") || args.has("devices")) && !args.has("partition");
+    if args.has("ratio") && !builds_partition {
+        return Err(
+            "--ratio needs a partition to build: it applies to --hetero or \
+             --devices N runs without --partition"
+                .to_string(),
+        );
+    }
+    Ok(())
+}
+
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, FLAGS)?;
     let app = args.pos(0, "app")?.to_string();
+    check_unread_flags(&app, &args)?;
     let graph_path = args.pos(1, "graph")?;
     let g = load_graph(graph_path)?;
     let source: u32 = args.flag_parse("source", 0u32)?;

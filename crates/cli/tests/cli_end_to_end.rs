@@ -207,6 +207,53 @@ fn run_rejects_out_of_range_source() {
 }
 
 #[test]
+fn run_rejects_flags_the_app_never_reads() {
+    let dir = tmpdir("unread");
+    let graph = dir.join("g.bin");
+    let graph_s = graph.to_str().unwrap();
+    let o = phigraph(&[
+        "generate", "pokec", graph_s, "--scale", "small", "--seed", "7",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["pagerank", "--ratio", "garbage"],
+            "--ratio needs a partition to build",
+        ),
+        (&["wcc", "--source", "3"], "--source does not apply to wcc"),
+        (&["bfs", "--iters", "7"], "--iters does not apply to bfs"),
+        (&["pagerank", "--k", "9"], "--k does not apply to pagerank"),
+    ];
+    for (extra, want) in cases {
+        let mut argv = vec!["run", extra[0], graph_s];
+        argv.extend_from_slice(&extra[1..]);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "{extra:?} must exit 2");
+        assert!(stderr(&o).contains(want), "{extra:?}: {}", stderr(&o));
+    }
+    // The apps that read them still take them.
+    for argv in [
+        &["run", "ppr", graph_s, "--source", "3", "--iters", "2"][..],
+        &["run", "kcore", graph_s, "--k", "3"],
+        &[
+            "run",
+            "pagerank",
+            graph_s,
+            "--devices",
+            "2",
+            "--ratio",
+            "1:3",
+            "--iters",
+            "2",
+        ],
+    ] {
+        let o = phigraph(argv);
+        assert!(o.status.success(), "{argv:?}: {}", stderr(&o));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn tune_command_reports_split_and_ratio() {
     let dir = tmpdir("tune");
     let graph = dir.join("g.bin");

@@ -3,14 +3,14 @@
 //! "An inactive vertex may not participate in the message generation for
 //! [the] next step." The runtime keeps one byte per vertex (written in
 //! parallel by the update phase at disjoint indices) plus a cheap count.
+//! Every mutator takes `&mut self`, so the count is a plain integer.
 
 use phigraph_graph::VertexId;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-vertex active flags for one device.
 pub struct ActiveSet {
     flags: Vec<u8>,
-    count: AtomicU64,
+    count: u64,
 }
 
 impl ActiveSet {
@@ -18,7 +18,7 @@ impl ActiveSet {
     pub fn new(n: usize) -> Self {
         ActiveSet {
             flags: vec![0u8; n],
-            count: AtomicU64::new(0),
+            count: 0,
         }
     }
 
@@ -30,23 +30,13 @@ impl ActiveSet {
 
     /// Set `v`'s flag (single-threaded or disjoint-index phases only).
     pub fn set(&mut self, v: VertexId, active: bool) {
-        let prev = self.flags[v as usize];
-        let now = u8::from(active);
-        self.flags[v as usize] = now;
-        match (prev, now) {
-            (0, 1) => {
-                self.count.fetch_add(1, Ordering::Relaxed);
-            }
-            (1, 0) => {
-                self.count.fetch_sub(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
+        let was = std::mem::replace(&mut self.flags[v as usize], u8::from(active)) != 0;
+        self.count = self.count + u64::from(active) - u64::from(was);
     }
 
     /// Number of active vertices.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Whether no vertex is active.
@@ -58,7 +48,7 @@ impl ActiveSet {
     /// halt; updates re-activate).
     pub fn clear(&mut self) {
         self.flags.fill(0);
-        self.count.store(0, Ordering::Relaxed);
+        self.count = 0;
     }
 
     /// Activate every vertex in `vs`.
@@ -66,6 +56,12 @@ impl ActiveSet {
         for &v in vs {
             self.set(v, true);
         }
+    }
+
+    /// Activate every vertex of the set.
+    pub fn activate_every(&mut self) {
+        self.flags.fill(1);
+        self.count = self.flags.len() as u64;
     }
 
     /// Raw flags (for the disjoint-write update phase via `SharedSlice`).
@@ -90,8 +86,7 @@ impl ActiveSet {
 
     /// Recount after a raw-flags phase.
     pub fn recount(&mut self) {
-        let n = self.flags.iter().filter(|&&f| f != 0).count() as u64;
-        self.count.store(n, Ordering::Relaxed);
+        self.count = self.flags.iter().filter(|&&f| f != 0).count() as u64;
     }
 
     /// Iterate active vertex ids.
@@ -129,6 +124,10 @@ mod tests {
         assert_eq!(a.count(), 3);
         a.clear();
         assert!(a.is_empty());
+        a.set(1, true);
+        a.activate_every();
+        assert_eq!(a.count(), 5);
+        assert!(a.iter().eq(0..5));
     }
 
     #[test]

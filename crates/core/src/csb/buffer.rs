@@ -21,11 +21,13 @@
 //! generates through it. The engine's host path, shared by every mode,
 //! stages its messages and drains each run of groups from one owning
 //! thread through `Csb::insert_owned`, which needs neither the cursor RMW
-//! nor the allocation lock. On a dense
-//! superstep it skips even that: each message goes into a cell claimed in
-//! advance (`Csb::claim_owned`, `Csb::write_cell`), and the column metadata
-//! those claims left (`Csb::column_state`) is installed afterwards
-//! (`Csb::install`).
+//! nor the allocation lock. On a gather-form dense superstep no message is
+//! written at all: the cell each out-edge's message would take is claimed
+//! once, at the engine's first dense step (`Csb::claim_owned`), and turned
+//! into a table of each cell's sender; the column metadata those claims
+//! left (`Csb::column_state`) is installed after each such step's
+//! generation (`Csb::install`), or kept from the step before when nothing
+//! was appended behind it.
 
 use super::layout::{CsbLayout, NOT_OWNED};
 use phigraph_device::counters::InsertProfile;
@@ -395,18 +397,6 @@ impl<T: MsgValue> Csb<T> {
         let cell = info.cell_offset + row as usize * width + col_in_group;
         debug_assert!(cell < self.layout.total_cells);
         Ok(cell)
-    }
-
-    /// Write `value` into cell `cell` — the dense path's store into a
-    /// precomputed slot. Touches no column metadata and no checksum.
-    ///
-    /// # Safety
-    /// `cell < total_cells`, and no other thread may access that cell for
-    /// the phase.
-    #[inline(always)]
-    pub(crate) unsafe fn write_cell(&self, cell: usize, value: T) {
-        debug_assert!(cell < self.layout.total_cells);
-        unsafe { *self.data.base_ptr().add(cell) = value };
     }
 
     /// The column metadata the buffer holds now: every column holding

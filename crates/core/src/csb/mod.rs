@@ -18,25 +18,28 @@
 //!    with the program's operator, lane-parallel, after filling bubble
 //!    cells with the operator identity.
 //!
-//! The locking engine (and the flat baseline on its host path) fills the
-//! buffer one of two ways, both leaving exactly the buffer a one-thread
+//! The engine's host path, which every framework mode shares, fills the
+//! buffer one of two ways, both ending with the column state a one-thread
 //! run of [`Csb::insert`] calls in source order leaves:
 //!
-//! * on a dense superstep, one where every owned vertex is active, through
-//!   static slots (`slots`): each message is written straight into the
-//!   cell fixed for its out-edge at the engine's first dense step, and the
-//!   column metadata that step's replay computed is installed after the
-//!   generation barrier;
+//! * on a dense superstep, one where every owned vertex is active and
+//!   broadcasts one value along its out-edges, in gather form (`gather`):
+//!   at the engine's first dense step the cell each out-edge's message
+//!   would land in is replayed once and inverted into a table of each
+//!   cell's sender; generation then keeps one value per sender, the column
+//!   metadata that replay computed is installed after the generation
+//!   barrier, and processing gathers `sent[sender[cell]]` in the row order
+//!   it reduces the buffer in;
 //! * on every other superstep, for the remote absorb, under the message
-//!   audit and once a vertex has left its out-edge order, by
-//!   stage-and-drain (`stage`): threads stage messages per run of groups
-//!   while generating, and each run is then drained by one owning thread,
-//!   in source order.
+//!   audit, while a message bit-flip fault is pending and once a vertex has
+//!   not broadcast along its out-edge order, by stage-and-drain (`stage`):
+//!   threads stage messages per run of groups while generating, and each
+//!   run is then drained by one owning thread, in source order.
 
 pub mod buffer;
+pub(crate) mod gather;
 pub mod layout;
 pub mod process;
-pub(crate) mod slots;
 pub(crate) mod stage;
 
 pub use buffer::{ColumnMode, Csb, CsbInsertError};

@@ -8,6 +8,15 @@
 //! and delivers each occupied column's result to its vertex's slot for the
 //! update phase. The scalar path walks occupied columns one message at a
 //! time — the Fig. 5(f) comparison.
+//!
+//! On a gather-form dense step ([`super::gather`]) the buffer holds no
+//! local messages: each array is reduced by reading `sent[sender[cell]]`
+//! lane by lane instead, where a bubble's sender is the last entry of
+//! `sent`, the identity, and the rows the remote absorb appended are read
+//! from the buffer. The vectorized gather
+//! keeps `reduce_rows_strided`'s row order and the scalar one
+//! `reduce_column_scalar`'s, so every reduced message, and every work
+//! record, is the one the buffer would give.
 #![allow(clippy::needless_range_loop)] // lane loops over runtime widths
 
 use super::buffer::Csb;
@@ -15,6 +24,117 @@ use crate::util::SharedSlice;
 use phigraph_device::counters::ProcChunk;
 use phigraph_simd::{reduce_column_scalar, reduce_rows_strided, MsgValue, ReduceOp};
 use std::ops::Range;
+
+/// A gather-form dense step's local messages: per buffer cell the index of
+/// its sender, and each sender's one value. A bubble's index is the last
+/// one, whose value is the reduction's identity.
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a, T> {
+    pub(crate) senders: &'a [u32],
+    pub(crate) sent: &'a [T],
+    /// Whether the remote absorb appended messages behind the local rows.
+    pub(crate) appended: bool,
+}
+
+impl<'a, T: MsgValue> Gather<'a, T> {
+    /// The message in cell `cell`, row `row` of a column holding `count`.
+    /// Only a step with appended rows needs `count`: a row that has no
+    /// sender but lies below the count was appended by the absorb. The
+    /// message is picked by address, not by a branch, so the row where a
+    /// lane turns from local to appended rows costs no misprediction.
+    #[inline(always)]
+    fn message(&self, data: *const T, cell: usize, row: u32, count: u32) -> T {
+        let s = self.senders[cell] as usize;
+        let sent: *const T = &self.sent[s];
+        let appended = self.appended & (s == self.sent.len() - 1) & (row < count);
+        // SAFETY: `sent` is a reference into `self.sent`. `cell` lies in a
+        // vector array's rows below its group's row count, inside the
+        // buffer; an appended row also lies below its column's count, so
+        // the absorb wrote it before the processing barrier.
+        unsafe { *if appended { data.add(cell) } else { sent } }
+    }
+
+    /// Reduce the `rows` rows of the vector array whose first cell is
+    /// `first` into `out`, one value per lane: row 0, then each later row
+    /// folded in, `reduce_rows_strided`'s order. `counts` holds the lanes'
+    /// column counts.
+    fn reduce_rows<Op: ReduceOp<T>>(
+        &self,
+        data: *const T,
+        first: usize,
+        counts: &[u32],
+        rows: usize,
+        stride: usize,
+        out: &mut [T],
+    ) {
+        match counts.len() {
+            2 => self.reduce_rows_const::<Op, 2>(data, first, counts, rows, stride, out),
+            4 => self.reduce_rows_const::<Op, 4>(data, first, counts, rows, stride, out),
+            8 => self.reduce_rows_const::<Op, 8>(data, first, counts, rows, stride, out),
+            16 => self.reduce_rows_const::<Op, 16>(data, first, counts, rows, stride, out),
+            lanes => {
+                for c in 0..lanes {
+                    out[c] = self.message(data, first + c, 0, counts[c]);
+                }
+                for r in 1..rows {
+                    for c in 0..lanes {
+                        let m = self.message(data, first + r * stride + c, r as u32, counts[c]);
+                        out[c] = Op::apply(out[c], m);
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn reduce_rows_const<Op: ReduceOp<T>, const W: usize>(
+        &self,
+        data: *const T,
+        first: usize,
+        counts: &[u32],
+        rows: usize,
+        stride: usize,
+        out: &mut [T],
+    ) {
+        let counts: &[u32; W] = counts.try_into().expect("one count per lane");
+        let mut acc: [T; W] = std::array::from_fn(|c| self.message(data, first + c, 0, counts[c]));
+        for r in 1..rows {
+            let base = first + r * stride;
+            if self.appended {
+                for c in 0..W {
+                    let m = self.message(data, base + c, r as u32, counts[c]);
+                    acc[c] = Op::apply(acc[c], m);
+                }
+            } else {
+                let row: &[u32; W] = self.senders[base..base + W].try_into().expect("a full row");
+                for c in 0..W {
+                    acc[c] = Op::apply(acc[c], self.sent[row[c] as usize]);
+                }
+            }
+        }
+        out[..W].copy_from_slice(&acc);
+    }
+
+    /// Reduce the `count` messages of the column whose first cell is
+    /// `first`, `reduce_column_scalar`'s order: the identity, then each row
+    /// folded in.
+    fn reduce_column<Op: ReduceOp<T>>(
+        &self,
+        data: *const T,
+        first: usize,
+        count: u32,
+        stride: usize,
+    ) -> T {
+        let mut acc = Op::identity();
+        for r in 0..count {
+            acc = Op::apply(
+                acc,
+                self.message(data, first + r as usize * stride, r, count),
+            );
+        }
+        acc
+    }
+}
 
 impl<T: MsgValue> Csb<T> {
     /// Process the vector arrays of `groups`, writing each occupied
@@ -36,11 +156,25 @@ impl<T: MsgValue> Csb<T> {
         out_has: &SharedSlice<u8>,
         chunks: &mut Vec<ProcChunk>,
     ) {
+        self.process_groups_with::<Op>(groups, vectorized, None, out_msg, out_has, chunks);
+    }
+
+    /// [`Csb::process_groups`] whose local messages are the buffer's or,
+    /// on a gather-form dense step, `gather`'s.
+    pub(crate) fn process_groups_with<Op: ReduceOp<T>>(
+        &self,
+        groups: Range<usize>,
+        vectorized: bool,
+        gather: Option<Gather<'_, T>>,
+        out_msg: &SharedSlice<T>,
+        out_has: &SharedSlice<u8>,
+        chunks: &mut Vec<ProcChunk>,
+    ) {
         for g in groups {
             if vectorized {
-                self.process_group_vectorized::<Op>(g, chunks, out_msg, out_has);
+                self.process_group_vectorized::<Op>(g, gather, chunks, out_msg, out_has);
             } else {
-                self.process_group_scalar::<Op>(g, chunks, out_msg, out_has);
+                self.process_group_scalar::<Op>(g, gather, chunks, out_msg, out_has);
             }
         }
     }
@@ -48,6 +182,7 @@ impl<T: MsgValue> Csb<T> {
     fn process_group_vectorized<Op: ReduceOp<T>>(
         &self,
         g: usize,
+        gather: Option<Gather<'_, T>>,
         chunks: &mut Vec<ProcChunk>,
         out_msg: &SharedSlice<T>,
         out_has: &SharedSlice<u8>,
@@ -59,6 +194,7 @@ impl<T: MsgValue> Csb<T> {
         if used == 0 {
             return;
         }
+        let mut gathered = [T::ZERO; 64];
         let arrays = used.div_ceil(lanes).min(self.layout.k);
         for a in 0..arrays {
             let mut chunk = ProcChunk::default();
@@ -79,29 +215,52 @@ impl<T: MsgValue> Csb<T> {
             if max_count == 0 {
                 continue;
             }
-            // SAFETY: this task owns group g exclusively (disjoint ranges),
-            // so mutating its cells is race-free. The slice spans the rows
-            // of this vector array: row r starts at cell_offset + r*width
-            // + col_base; length covers (max_count-1) strides + lanes.
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(
-                    self.data_ptr().add(info.cell_offset + col_base),
-                    (max_count as usize - 1) * width + lanes,
-                )
-            };
-            // Fill bubbles in occupied columns with the identity.
-            for c in 0..lanes {
-                let cnt = counts[c];
-                if cnt > 0 && cnt < max_count {
-                    for r in cnt..max_count {
-                        slice[r as usize * width + c] = Op::identity();
-                        chunk.holes += 1;
-                    }
+            // The bubbles: the rows of each occupied column past its count.
+            for &cnt in &counts[..lanes] {
+                if cnt > 0 {
+                    chunk.holes += u64::from(max_count - cnt);
                 }
             }
-            // Lane-parallel reduction of all rows into row 0 — the
-            // user-visible process_messages() loop of Listing 1.
-            reduce_rows_strided::<T, Op>(slice, max_count as usize, lanes, width);
+            let first = info.cell_offset + col_base;
+            let reduced: &[T] = match gather {
+                Some(gather) => {
+                    gather.reduce_rows::<Op>(
+                        self.data_ptr(),
+                        first,
+                        &counts[..lanes],
+                        max_count as usize,
+                        width,
+                        &mut gathered[..lanes],
+                    );
+                    &gathered[..lanes]
+                }
+                None => {
+                    // SAFETY: this task owns group g exclusively (disjoint
+                    // ranges), so mutating its cells is race-free. The
+                    // slice spans the rows of this vector array: row r
+                    // starts at cell_offset + r*width + col_base; length
+                    // covers (max_count-1) strides + lanes.
+                    let slice = unsafe {
+                        std::slice::from_raw_parts_mut(
+                            self.data_ptr().add(first),
+                            (max_count as usize - 1) * width + lanes,
+                        )
+                    };
+                    // Fill bubbles in occupied columns with the identity.
+                    for c in 0..lanes {
+                        let cnt = counts[c];
+                        if cnt > 0 {
+                            for r in cnt..max_count {
+                                slice[r as usize * width + c] = Op::identity();
+                            }
+                        }
+                    }
+                    // Lane-parallel reduction of all rows into row 0 — the
+                    // user-visible process_messages() loop of Listing 1.
+                    reduce_rows_strided::<T, Op>(slice, max_count as usize, lanes, width);
+                    &slice[..lanes]
+                }
+            };
             chunk.rows += max_count as u64;
             // Deliver per occupied column.
             for c in 0..lanes {
@@ -109,7 +268,7 @@ impl<T: MsgValue> Csb<T> {
                     if let Some(pos) = self.column_position(g, col_base + c) {
                         // SAFETY: one column per position per iteration.
                         unsafe {
-                            out_msg.write(pos as usize, slice[c]);
+                            out_msg.write(pos as usize, reduced[c]);
                             out_has.write(pos as usize, 1);
                         }
                         chunk.columns += 1;
@@ -126,6 +285,7 @@ impl<T: MsgValue> Csb<T> {
     fn process_group_scalar<Op: ReduceOp<T>>(
         &self,
         g: usize,
+        gather: Option<Gather<'_, T>>,
         chunks: &mut Vec<ProcChunk>,
         out_msg: &SharedSlice<T>,
         out_has: &SharedSlice<u8>,
@@ -154,7 +314,15 @@ impl<T: MsgValue> Csb<T> {
                 if cnt == 0 {
                     continue;
                 }
-                let reduced = reduce_column_scalar::<T, Op>(slice, cnt as usize, c, width);
+                let reduced = match gather {
+                    Some(gather) => gather.reduce_column::<Op>(
+                        self.data_ptr(),
+                        info.cell_offset + c,
+                        cnt,
+                        width,
+                    ),
+                    None => reduce_column_scalar::<T, Op>(slice, cnt as usize, c, width),
+                };
                 if let Some(pos) = self.column_position(g, c) {
                     // SAFETY: one column per position per iteration.
                     unsafe {

@@ -7,11 +7,14 @@
 //! executes with real host threads (results are genuinely computed) and
 //! records the event counters the cost model converts into simulated device
 //! time. Every mode fills the buffer on one host path, which takes no
-//! per-column lock. On a dense superstep (every owned vertex active,
-//! message audit off) each message goes straight into the cell fixed for
-//! its out-edge ([`crate::csb::slots`]); every other superstep stages and
+//! per-column lock. On a dense superstep (every owned vertex active, no
+//! message audit, no message bit-flip pending) each vertex's one value is
+//! kept and processing gathers it through the cells' sender table
+//! ([`crate::csb::gather`]); every other superstep, and a dense one in
+//! which some vertex does not broadcast along its out-edges, stages and
 //! drains its insertions ([`crate::csb::stage`]). Both leave the same
-//! buffer, so the engine's counters and results depend on neither the host
+//! column state and reduce the same messages in the same order, so the
+//! engine's counters and results depend on neither the host
 //! thread count, nor the path, nor the mode. The modes differ in what the
 //! cost model charges for the counts: the paper's locked insertion
 //! (`lock`), its worker/mover pipeline (`pipe`, for which generation also
@@ -24,7 +27,8 @@
 
 use crate::active::ActiveSet;
 use crate::api::{GenContext, MsgSink, VertexProgram};
-use crate::csb::slots::DenseSlots;
+use crate::csb::gather::{DenseTable, GatherSink};
+use crate::csb::process::Gather;
 use crate::csb::stage::{Stager, Staging};
 use crate::csb::{Csb, CsbLayout};
 use crate::engine::config::{EngineConfig, ExecMode};
@@ -38,8 +42,8 @@ use phigraph_device::counters::GenChunk;
 use phigraph_device::pool::{run_parallel, run_parallel_collect};
 use phigraph_device::{ChunkScheduler, CostModel, DeviceSpec, RunScheduler, StepCounters};
 use phigraph_graph::{Csr, VertexId};
-use phigraph_recover::IntegrityStats;
-use phigraph_simd::MsgValue;
+use phigraph_recover::{FaultKind, IntegrityStats};
+use phigraph_simd::{MsgValue, ReduceOp};
 use phigraph_trace::{Phase, ThreadTracer, Trace};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -84,15 +88,15 @@ fn worker_tracer(trace: Option<&Trace>, dev: u8, tid: usize) -> ThreadTracer {
     }
 }
 
-/// The locking host path's dense-step state.
+/// The host path's dense-step state.
 enum Dense {
-    /// No dense superstep yet: the slots are built at the first one.
+    /// No dense superstep yet: the sender table is built at the first one.
     Unbuilt,
-    /// Dense supersteps write through these slots.
-    Ready(DenseSlots),
-    /// Every superstep stages and drains: the slots could not be built (a
+    /// Dense supersteps gather through this table.
+    Ready(DenseTable),
+    /// Every superstep stages and drains: the table could not be built (a
     /// column too small for its in-edges, or too many cells), or a vertex
-    /// left its out-edge order.
+    /// did not broadcast along its out-edge order.
     Off,
 }
 
@@ -127,8 +131,18 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     /// Supersteps started so far; attributes worker spans to their
     /// superstep (counts executed attempts — replays re-number).
     cur_step: u32,
-    /// Static slots for the locking host path's dense supersteps.
+    /// The host path's dense-step state.
     dense: Dense,
+    /// Each owned vertex's one value on a gather step, indexed like
+    /// `owned`, and the reduction's identity for the bubbles (empty until
+    /// the sender table is built).
+    sent: Vec<P::Msg>,
+    /// Whether this superstep's local messages are in `sent`.
+    gathered: bool,
+    /// Whether the buffer's column metadata is the sender table's, with
+    /// nothing appended behind it: a gather step then neither resets nor
+    /// reinstalls it.
+    held: bool,
 }
 
 /// Split `owned` into ranges of roughly equal out-edge mass. With
@@ -191,12 +205,27 @@ fn record_chunks<'a, T: MsgValue>(
 }
 
 /// Per-thread `(chunk index, record)` lists merged into chunk order (a
-/// stable sort: a chunk's records keep their order), so the makespan
-/// replay does not depend on which thread ran which chunk.
-pub(crate) fn in_chunk_order<T>(per_thread: Vec<Vec<(usize, T)>>) -> impl Iterator<Item = T> {
-    let mut all: Vec<(usize, T)> = per_thread.into_iter().flatten().collect();
-    all.sort_by_key(|&(chunk, _)| chunk);
-    all.into_iter().map(|(_, record)| record)
+/// chunk's records keep their order), so the makespan replay does not
+/// depend on which thread ran which chunk. One thread runs each chunk, so
+/// each chunk's records are one run of one list, and only the runs are
+/// sorted.
+pub(crate) fn in_chunk_order<T: Clone>(per_thread: Vec<Vec<(usize, T)>>) -> Vec<T> {
+    let mut runs = Vec::new();
+    for (t, records) in per_thread.iter().enumerate() {
+        let mut start = 0;
+        for end in 1..=records.len() {
+            if end == records.len() || records[end].0 != records[start].0 {
+                runs.push((records[start].0, t, start..end));
+                start = end;
+            }
+        }
+    }
+    runs.sort_by_key(|&(chunk, ..)| chunk);
+    let mut ordered = Vec::with_capacity(per_thread.iter().map(Vec::len).sum());
+    for (_, t, run) in runs {
+        ordered.extend(per_thread[t][run].iter().map(|(_, record)| record.clone()));
+    }
+    ordered
 }
 
 impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
@@ -296,6 +325,9 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             gen_ranges,
             cur_step: 0,
             dense: Dense::Unbuilt,
+            sent: Vec::new(),
+            gathered: false,
+            held: false,
         }
     }
 
@@ -318,7 +350,8 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// Restore vertex state from a checkpoint taken at a superstep barrier:
     /// overwrite all values and active flags. Message buffers need no
     /// restoration — the CSB is reset at the top of every superstep by
-    /// [`DeviceEngine::begin_step`].
+    /// [`DeviceEngine::begin_step`], or, when it holds only the sender
+    /// table's column state, before the first step that does not gather.
     ///
     /// # Panics
     /// Panics if `values` or `flags` do not cover the full vertex range.
@@ -470,15 +503,22 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         sink.reinserted
     }
 
-    /// Reset per-iteration buffer state; returns fresh counters.
+    /// Reset per-iteration buffer state; returns fresh counters. A buffer
+    /// that holds only the sender table's column state is kept until the
+    /// step turns out not to gather, and counts the cells its reset
+    /// touches.
     pub fn begin_step(&mut self) -> StepCounters {
-        let c = StepCounters {
-            reset_cells: self.csb.reset(),
-            ..Default::default()
+        let reset_cells = match &self.dense {
+            Dense::Ready(table) if self.held => table.reset_cells(),
+            _ => self.csb.reset(),
         };
+        self.gathered = false;
         self.has_msg.fill(0);
         self.cur_step = self.cur_step.wrapping_add(1);
-        c
+        StepCounters {
+            reset_cells,
+            ..Default::default()
+        }
     }
 
     /// Superstep index spans attribute to (1-based count of
@@ -549,90 +589,108 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         c.mover_msgs = tally;
     }
 
-    /// The host path of every mode: static slots on a dense superstep,
+    /// The host path of every mode: gather form on a dense superstep,
     /// stage-and-drain otherwise.
     fn generate_locking(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
         if self.dense_step() {
-            if let Some(remote) = self.generate_dense(c) {
+            if let Some(remote) = self.generate_gather(c) {
                 return remote;
             }
-            // A vertex left its out-edge order. Generation is pure, so the
-            // step re-runs through stage-and-drain, and so does every later
-            // one.
+            // A vertex did not broadcast along its out-edges. Generation is
+            // pure, so the step re-runs through stage-and-drain, and so does
+            // every later one.
             self.dense = Dense::Off;
+            self.sent = Vec::new();
+        }
+        if std::mem::take(&mut self.held) {
+            self.csb.reset();
         }
         self.generate_staged(c)
     }
 
-    /// Whether this superstep takes the static slots: every owned vertex
-    /// is active, the message audit is off and the slots exist (built here
-    /// at the first such step).
+    /// Whether this superstep gathers: every owned vertex is active, the
+    /// message audit is off, no message bit-flip is pending and the sender
+    /// table exists (built here at the first such step).
     fn dense_step(&mut self) -> bool {
         if matches!(self.dense, Dense::Off)
             || self.csb.audit_enabled()
+            || self.message_flip_pending()
             || (self.active.count() as usize) < self.owned.len()
             || !self.owned.iter().all(|&v| self.active.is_active(v))
         {
             return false;
         }
         if matches!(self.dense, Dense::Unbuilt) {
+            // Nothing was installed yet, so `begin_step` reset the buffer.
             let (assign, dev) = (self.assign, self.dev_id);
             let is_local = |v: VertexId| assign.is_none_or(|a| a[v as usize] == dev);
-            self.dense = match DenseSlots::build(
-                &self.csb,
-                self.graph,
-                &self.owned,
-                &self.gen_ranges,
-                is_local,
-            ) {
-                Some(slots) => Dense::Ready(slots),
+            self.dense = match DenseTable::build(&self.csb, self.graph, &self.owned, is_local) {
+                Some(table) => {
+                    self.sent = vec![P::Reduce::identity(); self.owned.len() + 1];
+                    Dense::Ready(table)
+                }
                 None => Dense::Off,
             };
         }
         matches!(self.dense, Dense::Ready(_))
     }
 
-    /// Dense-step generation: each thread generates one contiguous run of
+    /// Whether a `bitflip-msg` fault planned for this rank has yet to fire.
+    /// It flips a message in the buffer, where a gather step keeps none, so
+    /// dense steps stage and drain until it has fired and the flip lands
+    /// where it always did. Any pending one counts: the engine's step count
+    /// is not the rank loop's.
+    fn message_flip_pending(&self) -> bool {
+        self.config.fault_plan.as_ref().is_some_and(|inj| {
+            inj.plan().iter().any(|f| {
+                f.kind == FaultKind::BitFlipMessage
+                    && f.device == self.dev_id
+                    && inj.pending(f.superstep, f.kind, f.device)
+            })
+        })
+    }
+
+    /// Gather-form generation: each thread generates one contiguous run of
     /// the chunks (taking from the far end of another's run once its own is
-    /// done), writing every message straight into its out-edge's cell; the
-    /// slots' column state is installed after the barrier. Returns `None`,
-    /// with nothing recorded in `c`, when a vertex left its out-edge order.
-    fn generate_dense(&self, c: &mut StepCounters) -> Option<Vec<WireMsg<P::Msg>>> {
-        let Dense::Ready(slots) = &self.dense else {
+    /// done), keeping each vertex's one value; the table's column state is
+    /// installed after the barrier unless the buffer still holds it.
+    /// Returns `None`, with nothing recorded in `c`, when a vertex did not
+    /// broadcast along its out-edges.
+    fn generate_gather(&mut self, c: &mut StepCounters) -> Option<Vec<WireMsg<P::Msg>>> {
+        let Dense::Ready(table) = &self.dense else {
             return None;
         };
         let chunks = self.gen_ranges.len();
         let threads = self.host_threads.min(chunks).max(1);
         let sched = RunScheduler::new(chunks, threads);
         let deviated = AtomicBool::new(false);
-        let (program, graph, csb) = (self.program, self.graph, &self.csb);
+        let (program, graph) = (self.program, self.graph);
         let (owned, values, ranges) = (&self.owned, &self.values, &self.gen_ranges);
-        let (trace, dev, step) = (self.config.trace.as_ref(), self.dev_id, self.trace_step());
+        let (assign, dev) = (self.assign, self.dev_id);
+        let (trace, step) = (self.config.trace.as_ref(), self.trace_step());
+        let sent = SharedSlice::new(&mut self.sent);
 
         // Per thread: `(chunk, (thread, work record, its remote messages))`
         // for each chunk it generated, and those remote messages.
         let out = run_parallel_collect(threads, |tid| {
             let tracer = worker_tracer(trace, dev, tid);
             let _g = tracer.span(Phase::Generate, step);
-            // SAFETY: the slots were built on this engine's buffer, the
-            // scheduler hands each chunk to one thread, the loop below
-            // starts the sink on each of the chunk's vertices in order, and
-            // the buffer's cells see no other access until the threads
-            // join.
-            let mut sink = unsafe { slots.sink(csb, graph) };
+            // SAFETY: the scheduler hands each chunk to one thread, and the
+            // loop below starts the sink on that chunk's vertices only.
+            let mut sink = unsafe { GatherSink::new(graph, assign, dev, &sent) };
             let mut done = Vec::new();
             'chunks: while let Some(ri) = sched.next(tid) {
                 if deviated.load(Ordering::Relaxed) {
                     break;
                 }
-                sink.open(ri);
                 let (mut ch, start) = (GenChunk::default(), sink.remote.len());
-                for &v in &owned[ranges[ri].clone()] {
-                    sink.start(graph.edge_range(v));
+                for i in ranges[ri].clone() {
+                    let v = owned[i];
+                    sink.start(i, graph.edge_range(v));
                     let mut ctx = GenContext::new(graph, values, &mut sink);
                     program.generate(v, &mut ctx);
                     ch.msgs += ctx.sent;
-                    if !sink.finished() {
+                    if !sink.finish() {
                         deviated.store(true, Ordering::Relaxed);
                         break 'chunks;
                     }
@@ -649,9 +707,15 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         let (done, remote): (Vec<_>, Vec<_>) = out.into_iter().unzip();
         let remote = record_chunks(
             c,
-            in_chunk_order(done).map(|(t, ch, run)| (ch, &remote[t][run])),
+            in_chunk_order(done)
+                .into_iter()
+                .map(|(t, ch, run)| (ch, &remote[t][run])),
         );
-        self.csb.install(slots.columns());
+        if !self.held {
+            self.csb.install(table.columns());
+            self.held = true;
+        }
+        self.gathered = true;
         Some(remote)
     }
 
@@ -729,6 +793,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         if incoming.is_empty() {
             return;
         }
+        self.held = false;
         let chunks = incoming.len().div_ceil(ABSORB_CHUNK);
         let sched = ChunkScheduler::new(chunks, 1);
         let threads = self.host_threads.min(chunks);
@@ -778,6 +843,14 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         let sched =
             ChunkScheduler::new(groups, self.config.resolved_proc_chunk(groups, &self.spec));
         let csb = &self.csb;
+        let gather = match &self.dense {
+            Dense::Ready(table) if self.gathered => Some(Gather {
+                senders: table.senders(),
+                sent: &self.sent,
+                appended: !self.held,
+            }),
+            _ => None,
+        };
         let rslice = SharedSlice::new(&mut self.reduced);
         let hslice = SharedSlice::new(&mut self.has_msg);
         // Per thread: its work records, each tagged with the first group of
@@ -786,7 +859,14 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             let (mut tagged, mut chunks) = (Vec::new(), Vec::new());
             while let Some(r) = sched.next_batch() {
                 let first = r.start;
-                csb.process_groups::<P::Reduce>(r, vectorized, &rslice, &hslice, &mut chunks);
+                csb.process_groups_with::<P::Reduce>(
+                    r,
+                    vectorized,
+                    gather,
+                    &rslice,
+                    &hslice,
+                    &mut chunks,
+                );
                 tagged.extend(chunks.drain(..).map(|ch| (first, ch)));
             }
             tagged
@@ -794,11 +874,11 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         // Records in group order — the order the scheduler hands tasks out —
         // whichever thread ran them, so the makespan replay is the same on
         // any host thread count.
-        for ch in in_chunk_order(out) {
+        c.proc_chunks = in_chunk_order(out);
+        for ch in &c.proc_chunks {
             c.proc_rows += ch.rows;
             c.proc_msgs += ch.msgs;
             c.holes_filled += ch.holes;
-            c.proc_chunks.push(ch);
         }
         let lanes = self.csb.layout.lanes as u64;
         // Vectorized processing streams whole rows (messages + bubbles);
@@ -841,9 +921,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         .into_iter()
         .sum();
         if P::ALWAYS_ACTIVE {
-            let owned = std::mem::take(&mut self.owned);
-            self.active.activate_all(&owned);
-            self.owned = owned;
+            self.active.activate_all(&self.owned);
         }
         self.active.recount();
         c.updated_vertices = updated;
@@ -1199,13 +1277,27 @@ mod tests {
     }
 
     /// A forced run: the values' bits, every superstep's full counters
-    /// (chunk records included) and the simulated seconds.
+    /// (chunk records included) and reduced messages, and the simulated
+    /// seconds.
     struct Forced {
         values: Vec<u32>,
         steps: Vec<StepCounters>,
+        messages: Vec<Messages>,
         sim: f64,
-        /// Whether the dense-step slots were live after each step.
+        /// Whether the dense-step sender table was live after each step.
         dense: Vec<bool>,
+    }
+
+    /// Each position's has-message flag and reduced message bits (0 when
+    /// it has none).
+    type Messages = Vec<(u8, u32)>;
+
+    fn messages_of<P: VertexProgram<Msg = f32>>(eng: &DeviceEngine<'_, P>) -> Messages {
+        eng.has_msg
+            .iter()
+            .zip(&eng.reduced)
+            .map(|(&has, m)| (has, if has != 0 { m.to_bits() } else { 0 }))
+            .collect()
     }
 
     /// The three modes that share the host path.
@@ -1231,7 +1323,7 @@ mod tests {
         staged: bool,
     ) -> Forced
     where
-        P: VertexProgram<Value = f32>,
+        P: VertexProgram<Msg = f32, Value = f32>,
     {
         let mut eng = DeviceEngine::new(program, g, spec, config.clone(), 0, None);
         eng.host_threads = threads;
@@ -1239,12 +1331,14 @@ mod tests {
             eng.dense = Dense::Off;
         }
         let cost = CostModel::new(eng.spec.clone());
-        let (mut steps, mut sim, mut dense) = (Vec::new(), 0.0, Vec::new());
+        let (mut steps, mut messages, mut sim, mut dense) =
+            (Vec::new(), Vec::new(), 0.0, Vec::new());
         while steps.len() < program.max_supersteps().unwrap_or(usize::MAX) {
             let mut c = eng.begin_step();
             assert!(eng.generate(&mut c).is_empty());
             eng.finalize_insertion_stats(&mut c);
             eng.process(&mut c);
+            messages.push(messages_of(&eng));
             eng.update(&mut c);
             sim += RankEngine::step_times(&eng, &cost, &c).total;
             dense.push(matches!(eng.dense, Dense::Ready(_)));
@@ -1257,6 +1351,7 @@ mod tests {
         Forced {
             values: eng.values.iter().map(|v| v.to_bits()).collect(),
             steps,
+            messages,
             sim,
             dense,
         }
@@ -1468,21 +1563,15 @@ mod tests {
     }
 
     /// Each group's column offset and, for each of its bound columns, the
-    /// count, position and cell bits.
-    type Buffer = Vec<(usize, Vec<(u32, Option<u32>, Vec<u32>)>)>;
+    /// count and position.
+    type Columns = Vec<(usize, Vec<(u32, Option<u32>)>)>;
 
-    fn buffer_of(csb: &Csb<f32>) -> Buffer {
+    fn columns_of(csb: &Csb<f32>) -> Columns {
         (0..csb.layout.num_groups())
             .map(|g| {
                 let used = csb.used_columns(g);
                 let cols = (0..used)
-                    .map(|c| {
-                        let count = csb.column_count(g, c);
-                        let cells = (0..count as usize)
-                            .map(|r| csb.cell(g, r, c).to_bits())
-                            .collect();
-                        (count, csb.column_position(g, c), cells)
-                    })
+                    .map(|c| (csb.column_count(g, c), csb.column_position(g, c)))
                     .collect();
                 (used, cols)
             })
@@ -1490,21 +1579,28 @@ mod tests {
     }
 
     /// One superstep of `eng` observed between its phases: the remote
-    /// batch, the buffer after generation, the buffer after absorbing
-    /// `incoming`, and the step's counters.
-    type Observed = (Vec<(VertexId, u32)>, Buffer, Buffer, StepCounters);
+    /// batch, the column state after generation and after absorbing
+    /// `incoming`, the step's counters and its reduced messages.
+    type Observed = (
+        Vec<(VertexId, u32)>,
+        Columns,
+        Columns,
+        StepCounters,
+        Messages,
+    );
 
     fn observe_step(eng: &mut DeviceEngine<'_, Rank>, incoming: &[WireMsg<f32>]) -> Observed {
         let mut c = eng.begin_step();
         let remote = eng.generate(&mut c);
         let remote = remote.iter().map(|m| (m.dst, m.value.to_bits())).collect();
-        let generated = buffer_of(&eng.csb);
+        let generated = columns_of(&eng.csb);
         eng.absorb_remote(incoming, &mut c);
-        let absorbed = buffer_of(&eng.csb);
+        let absorbed = columns_of(&eng.csb);
         eng.finalize_insertion_stats(&mut c);
         eng.process(&mut c);
+        let messages = messages_of(eng);
         eng.update(&mut c);
-        (remote, generated, absorbed, c)
+        (remote, generated, absorbed, c, messages)
     }
 
     #[test]
@@ -1551,14 +1647,15 @@ mod tests {
                         for threads in [1, 2, 3, 8] {
                             let at = format!("{name} at {threads} threads");
                             let dense = lock_forced(&pr, &g, spec.clone(), &config, threads, false);
-                            assert!(
-                                dense.dense.iter().all(|&d| d),
-                                "{at}: every step takes the slots"
-                            );
+                            assert!(dense.dense.iter().all(|&d| d), "{at}: every step gathers");
                             assert!(dense.values == staged.values, "{at}: values differ");
                             assert_eq!(dense.steps.len(), staged.steps.len(), "{at}");
                             for (i, (a, b)) in dense.steps.iter().zip(&staged.steps).enumerate() {
                                 assert!(a == b, "{at}: counters of step {i}");
+                                assert!(
+                                    dense.messages[i] == staged.messages[i],
+                                    "{at}: reduced messages of step {i}"
+                                );
                             }
                             assert_eq!(dense.sim.to_bits(), staged.sim.to_bits(), "{at}: sim");
 
@@ -1572,22 +1669,26 @@ mod tests {
                                 observe_step(&mut one, &[]),
                                 observe_step(&mut staged_one, &[]),
                             );
-                            assert!(dense_step.1 == staged_step.1, "{at}: single-device buffer");
+                            assert!(dense_step == staged_step, "{at}: single-device step");
 
                             let mut dense_rank = rank(0, threads, false);
                             for (i, staged_step) in staged_steps.iter().enumerate() {
-                                let (remote, generated, absorbed, c) =
+                                let (remote, generated, absorbed, c, messages) =
                                     observe_step(&mut dense_rank, &incoming);
                                 assert!(remote == staged_step.0, "{at}: rank 0 remote, step {i}");
                                 assert!(
                                     generated == staged_step.1,
-                                    "{at}: rank 0 buffer, step {i}"
+                                    "{at}: rank 0 columns, step {i}"
                                 );
                                 assert!(
                                     absorbed == staged_step.2,
-                                    "{at}: rank 0 buffer after absorb, step {i}"
+                                    "{at}: rank 0 columns after absorb, step {i}"
                                 );
                                 assert!(c == staged_step.3, "{at}: rank 0 counters, step {i}");
+                                assert!(
+                                    messages == staged_step.4,
+                                    "{at}: rank 0 reduced messages, step {i}"
+                                );
                             }
                             assert!(matches!(dense_rank.dense, Dense::Ready(_)), "{at}");
                         }
@@ -1597,12 +1698,25 @@ mod tests {
         }
     }
 
-    /// Every vertex active in every step: it sends its out-edges in reverse
-    /// CSR order, or in order followed by one message to itself (not a
-    /// neighbour: the generator drops self-loops), which its capacity
-    /// declares.
+    /// How a [`Deviant`] vertex sends, every vertex active in every step.
+    #[derive(Clone, Copy)]
+    enum Deviation {
+        /// Its out-edges in reverse CSR order.
+        Reversed,
+        /// Its out-edges in order, then one message to itself (not a
+        /// neighbour: the generator drops self-loops), which its capacity
+        /// declares.
+        Extra,
+        /// Its out-edges in order, each with a value of its own:
+        /// `share + weight(e)`.
+        PerEdge,
+        /// Its out-edges in order, −0.0 along the even ones and +0.0 along
+        /// the odd ones: one value under `==`, two in bits.
+        SignedZeros,
+    }
+
     struct Deviant {
-        extra: bool,
+        how: Deviation,
         indeg: Vec<u32>,
     }
     impl VertexProgram for Deviant {
@@ -1617,14 +1731,33 @@ mod tests {
         fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
             interleave(v);
             let share = *ctx.value(v) / (ctx.graph.out_degree(v) + 1) as f32;
-            if self.extra {
-                for e in ctx.graph.edge_range(v) {
-                    ctx.send(ctx.graph.targets[e], share);
+            let edges = ctx.graph.edge_range(v);
+            match self.how {
+                Deviation::Reversed => {
+                    for e in edges.rev() {
+                        ctx.send(ctx.graph.targets[e], share);
+                    }
                 }
-                ctx.send(v, share);
-            } else {
-                for e in ctx.graph.edge_range(v).rev() {
-                    ctx.send(ctx.graph.targets[e], share);
+                Deviation::Extra => {
+                    for e in edges {
+                        ctx.send(ctx.graph.targets[e], share);
+                    }
+                    ctx.send(v, share);
+                }
+                Deviation::PerEdge => {
+                    for e in edges {
+                        ctx.send(ctx.graph.targets[e], share + ctx.graph.weight(e));
+                    }
+                }
+                Deviation::SignedZeros => {
+                    for e in edges.clone() {
+                        let zero = if (e - edges.start).is_multiple_of(2) {
+                            -0.0
+                        } else {
+                            0.0
+                        };
+                        ctx.send(ctx.graph.targets[e], zero);
+                    }
                 }
             }
         }
@@ -1636,13 +1769,55 @@ mod tests {
             Some(4)
         }
         fn capacity_hint(&self, v: VertexId, _g: &Csr) -> Option<u32> {
-            self.extra.then(|| self.indeg[v as usize] + 1)
+            matches!(self.how, Deviation::Extra).then(|| self.indeg[v as usize] + 1)
+        }
+    }
+
+    /// PageRank whose every fifth vertex shares NaN, the next −0.0 and the
+    /// next +0.0: still one value per vertex, which only a bit comparison
+    /// sees.
+    struct OddShares;
+    impl VertexProgram for OddShares {
+        type Msg = f32;
+        type Reduce = Sum;
+        type Value = f32;
+        const NAME: &'static str = "odd-shares";
+        const ALWAYS_ACTIVE: bool = true;
+        fn init(&self, _v: VertexId, _g: &Csr) -> (f32, bool) {
+            (1.0, true)
+        }
+        fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
+            interleave(v);
+            let share = match v % 5 {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                _ => *ctx.value(v) / ctx.graph.out_degree(v).max(1) as f32,
+            };
+            for e in ctx.graph.edge_range(v) {
+                ctx.send(ctx.graph.targets[e], share);
+            }
+        }
+        fn update(&self, _v: VertexId, sum: f32, value: &mut f32, _g: &Csr) -> bool {
+            *value = 0.15 + 0.85 * sum;
+            true
+        }
+        fn max_supersteps(&self) -> Option<usize> {
+            Some(4)
         }
     }
 
     #[test]
     fn a_vertex_off_its_out_edge_order_falls_back_to_stage_and_drain() {
-        fn check<P: VertexProgram<Value = f32>>(name: &str, program: &P, g: &Csr) {
+        /// `program` equals `seq` and the forced stage-and-drain run bit for
+        /// bit; its dense steps gather throughout when `gathers`, and none
+        /// does otherwise.
+        fn check<P: VertexProgram<Msg = f32, Value = f32>>(
+            name: &str,
+            program: &P,
+            g: &Csr,
+            gathers: bool,
+        ) {
             let spec = DeviceSpec::xeon_e5_2680();
             let seq =
                 crate::engine::seq::run_seq(program, g, spec.clone(), &EngineConfig::sequential());
@@ -1654,25 +1829,78 @@ mod tests {
                     let run = lock_forced(program, g, spec.clone(), &config, threads, false);
                     assert!(run.values == seq, "{at}: differs from seq");
                     assert!(run.values == staged.values, "{at}: differs from staged");
-                    // The aborted attempt left nothing in the first step's
-                    // counters, and no later step tried the slots again.
+                    // An aborted attempt left nothing in the first step's
+                    // counters.
                     assert_eq!(run.steps.len(), staged.steps.len(), "{at}");
                     for (i, (a, b)) in run.steps.iter().zip(&staged.steps).enumerate() {
                         assert!(a == b, "{at}: counters of step {i}");
+                        assert!(
+                            run.messages[i] == staged.messages[i],
+                            "{at}: reduced messages of step {i}"
+                        );
                     }
-                    assert!(run.dense.iter().all(|&d| !d), "{at}: the slots are gone");
+                    if gathers {
+                        assert!(run.dense.iter().all(|&d| d), "{at}: every step gathers");
+                    } else {
+                        assert!(run.dense.iter().all(|&d| !d), "{at}: the table is gone");
+                    }
                 }
             }
         }
         let g = pokec_small(7);
         let indeg = g.in_degrees();
-        check("zero shares", &Rank { source: Some(3) }, &g);
-        let reversed = Deviant {
-            extra: false,
-            indeg: indeg.clone(),
+        check("zero shares", &Rank { source: Some(3) }, &g, false);
+        for (name, how) in [
+            ("reversed", Deviation::Reversed),
+            ("extra", Deviation::Extra),
+            ("per-edge values", Deviation::PerEdge),
+            ("signed zeros", Deviation::SignedZeros),
+        ] {
+            let indeg = indeg.clone();
+            check(name, &Deviant { how, indeg }, &g, false);
+        }
+        check("NaN and signed-zero shares", &OddShares, &g, true);
+    }
+
+    #[test]
+    fn a_planned_message_flip_lands_where_stage_and_drain_puts_it() {
+        use crate::engine::hetero::{rank_loop, Site};
+        use crate::engine::integrity::Rungs;
+        use phigraph_recover::FaultPlan;
+        let g = pokec_small(7);
+        let pr = Rank { source: None };
+        // The values' bits, the faults injected and whether dense steps
+        // gather at the end of a lone-rank run with the integrity sites
+        // armed.
+        let run = |staged: bool, plan: Option<&FaultPlan>| {
+            let config = match plan {
+                Some(p) => EngineConfig::locking().with_fault_plan(p.injector()),
+                None => EngineConfig::locking(),
+            };
+            let mut eng = DeviceEngine::new(&pr, &g, DeviceSpec::xeon_e5_2680(), config, 0, None);
+            eng.host_threads = 2;
+            if staged {
+                eng.dense = Dense::Off;
+            }
+            let mut rungs = Rungs::arm(&eng);
+            let mut audit =
+                |site: Site, e: &mut DeviceEngine<'_, Rank>, step, c: &mut StepCounters| {
+                    rungs.at(site, e, step, c)
+                };
+            let out = rank_loop(&mut eng, Vec::new(), 0..8, None, None, Some(&mut audit));
+            let faults: u64 = out.steps.iter().map(|s| s.counters.faults_injected).sum();
+            let values: Vec<u32> = eng.values.iter().map(|v| v.to_bits()).collect();
+            (values, faults, matches!(eng.dense, Dense::Ready(_)))
         };
-        check("reversed", &reversed, &g);
-        check("extra", &Deviant { extra: true, indeg }, &g);
+        let plan = FaultPlan::single(2, FaultKind::BitFlipMessage);
+        let (clean, ..) = run(false, None);
+        let (staged, staged_faults, _) = run(true, Some(&plan));
+        let (gathered, faults, gathers) = run(false, Some(&plan));
+        assert_eq!(staged_faults, 1, "the flip fired on a buffered message");
+        assert!(staged != clean, "the flip changed the values");
+        assert!(gathered == staged, "the flip landed elsewhere");
+        assert_eq!(faults, staged_faults);
+        assert!(gathers, "dense steps gather again once the flip has fired");
     }
 
     /// Every vertex sends one message to vertex 0, whose declared capacity

@@ -146,8 +146,7 @@ pub(crate) fn run_seq_resume<P: VertexProgram>(
             }
         }
         if P::ALWAYS_ACTIVE {
-            let all: Vec<VertexId> = (0..n as VertexId).collect();
-            active.activate_all(&all);
+            active.activate_every();
         }
         c.next_active = active.count();
         c.bytes_update = c.updated_vertices * (std::mem::size_of::<P::Value>() as u64 + 1);

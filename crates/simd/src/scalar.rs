@@ -41,6 +41,9 @@ pub trait MsgValue:
     fn vmin(self, rhs: Self) -> Self;
     /// Element-wise maximum.
     fn vmax(self, rhs: Self) -> Self;
+    /// Whether `self` and `rhs` have the same bits. For floats this is not
+    /// `==`: `-0.0 == 0.0`, and a NaN equals nothing, itself included.
+    fn same_bits(self, rhs: Self) -> bool;
 
     /// Encode into exactly `Self::SIZE` little-endian bytes.
     fn write_le(&self, out: &mut [u8]);
@@ -83,6 +86,10 @@ macro_rules! impl_msg_int {
             #[inline(always)]
             fn vmax(self, rhs: Self) -> Self {
                 Ord::max(self, rhs)
+            }
+            #[inline(always)]
+            fn same_bits(self, rhs: Self) -> bool {
+                self == rhs
             }
 
             #[inline]
@@ -131,6 +138,10 @@ macro_rules! impl_msg_float {
             fn vmax(self, rhs: Self) -> Self {
                 self.max(rhs)
             }
+            #[inline(always)]
+            fn same_bits(self, rhs: Self) -> bool {
+                self.to_bits() == rhs.to_bits()
+            }
 
             #[inline]
             fn write_le(&self, out: &mut [u8]) {
@@ -174,6 +185,15 @@ mod tests {
         assert_eq!(3.5f32.vmin(f32::MAX_ID), 3.5);
         assert_eq!(3.5f32.vmax(f32::MIN_ID), 3.5);
         assert_eq!((-1.0f64).vmin(2.0), -1.0);
+    }
+
+    #[test]
+    fn same_bits_tells_signed_zeros_apart_and_matches_nan() {
+        assert!(!(-0.0f32).same_bits(0.0));
+        assert!(f32::NAN.same_bits(f32::NAN));
+        assert!(!f32::NAN.same_bits(-f32::NAN));
+        assert!(1.5f64.same_bits(1.5));
+        assert!(7i32.same_bits(7) && !7u64.same_bits(8));
     }
 
     #[test]

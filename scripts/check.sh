@@ -122,9 +122,9 @@ for engine in lock pipe omp; do
     done
 done
 echo "    (lock x3, pipe x3, omp x3 and seq: checksum=$WANT_PR)"
-# Two ranks: every PageRank step is dense, so both ranks write through their
-# static slots and then absorb the peer's combined batch. Rank 1 runs the
-# same host path on lock and on pipe: two runs of each must print one
+# Two ranks: every PageRank step is dense, so both ranks gather their local
+# rows and then absorb the peer's combined batch behind them. Rank 1 runs
+# the same host path on lock and on pipe: two runs of each must print one
 # checksum.
 FABRIC_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
     | sed -n 's/^checksum=//p')"
@@ -138,6 +138,22 @@ for engine in lock pipe pipe; do
     fi
 done
 echo "    (--devices 2, lock x2 and pipe x2: checksum=$FABRIC_PR)"
+# --integrity full arms the message audit on one device, which keeps every
+# dense step on stage-and-drain, and seals the exchange frames on two ranks:
+# each must print the checksum of the gather runs above.
+GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --integrity full \
+    --checkpoint-dir "$SMOKE_DIR/pr-full" --checksum | sed -n 's/^checksum=//p')"
+if [ "$GOT_PR" != "$WANT_PR" ]; then
+    echo "--integrity full printed checksum $GOT_PR, seq printed $WANT_PR" >&2
+    exit 1
+fi
+GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --integrity full \
+    --checkpoint-dir "$SMOKE_DIR/pr-full-2" --checksum | sed -n 's/^checksum=//p')"
+if [ "$GOT_PR" != "$FABRIC_PR" ]; then
+    echo "--devices 2 --integrity full printed checksum $GOT_PR, the gather runs printed $FABRIC_PR" >&2
+    exit 1
+fi
+echo "    (--integrity full on one device and on --devices 2: the same checksums)"
 
 echo "==> object-fabric smoke: semicluster on 3 ranks writes the one-device values"
 # Object messages run on the same rank loop as POD ones: a 3-rank

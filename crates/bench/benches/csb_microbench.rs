@@ -1,16 +1,15 @@
 //! CSB ablations (design choices from DESIGN.md): one-to-one vs dynamic
-//! column allocation, group width factor `k`, and raw insertion throughput
-//! under the locking and pipelined disciplines.
+//! column allocation, group width factor `k`, and the throughput of
+//! stage-and-drain, the insertion every engine runs.
 
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::Sssp;
 use phigraph_bench::harness::{BenchmarkId, Criterion, Throughput};
 use phigraph_bench::{criterion_group, criterion_main};
-use phigraph_core::csb::{ColumnMode, Csb, CsbLayout};
+use phigraph_core::benchable::csb_fixture;
+use phigraph_core::csb::{ColumnMode, CsbLayout};
 use phigraph_core::engine::{run_single, EngineConfig};
-use phigraph_device::pool::run_parallel;
 use phigraph_device::DeviceSpec;
-use phigraph_graph::generators::rng::SplitMix64 as StdRng;
 
 fn bench_column_modes(c: &mut Criterion) {
     let g = workloads::pokec_like_weighted(Scale::Tiny, 5);
@@ -55,42 +54,18 @@ fn bench_k_sweep(c: &mut Criterion) {
 }
 
 fn bench_insert_throughput(c: &mut Criterion) {
-    // Raw concurrent insertion, uniform destinations. Every thread inserts
-    // the same destination stream, so the exact per-vertex capacity is
-    // `threads x occurrences`.
-    let n = 4096usize;
-    let msgs_per_thread = 50_000usize;
-    let threads = 4;
-    let dsts: Vec<u32> = {
-        let mut rng = StdRng::seed_from_u64(9);
-        (0..msgs_per_thread)
-            .map(|_| rng.random_range(0..n as u32))
-            .collect()
-    };
-    let mut cap = vec![0u32; n];
-    for &d in &dsts {
-        cap[d as usize] += threads as u32;
-    }
-    let owned: Vec<u32> = (0..n as u32).collect();
-    let mut group = c.benchmark_group("csb/insert");
-    group.throughput(Throughput::Elements((threads * msgs_per_thread) as u64));
+    // A seeded uniform-destination stream staged and drained on 4 host
+    // threads, one full buffer fill + reset per iteration.
+    let (n, n_msgs, threads) = (4096usize, 200_000usize, 4);
+    let mut group = c.benchmark_group("csb/stage_drain");
+    group.throughput(Throughput::Elements(n_msgs as u64));
     group.sample_size(10);
     for mode in [ColumnMode::OneToOne, ColumnMode::Dynamic] {
+        let mut fx = csb_fixture(n, n_msgs, mode, 9);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{mode:?}")),
             &mode,
-            |b, &mode| {
-                let layout = CsbLayout::build(n, &owned, &cap, 16, 4);
-                let csb = Csb::<f32>::new(layout, mode);
-                b.iter(|| {
-                    csb.reset();
-                    run_parallel(threads, |_| {
-                        for &d in &dsts {
-                            csb.insert(d, 1.0);
-                        }
-                    });
-                });
-            },
+            |b, _| b.iter(|| fx.stage_and_drain(threads)),
         );
     }
     group.finish();

@@ -9,8 +9,7 @@
 //!
 //! | area        | hot path                                                  |
 //! |-------------|-----------------------------------------------------------|
-//! | `spsc`      | the paper's worker→mover `push_slice`/`pop_slices` transport (no engine runs it) |
-//! | `csb`       | `Csb::insert_slice` mover drains (both column modes)      |
+//! | `csb`       | stage-and-drain insertion (both column modes)             |
 //! | `superstep` | full SSSP and PageRank runs per engine mode               |
 //! | `exchange`  | hetero frame-exchange loopback, unframed vs framed        |
 //! | `integrity` | the `off`/`frames`/`full` switch on the recovering driver |
@@ -30,7 +29,7 @@ use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::{PageRank, SemiClustering, Sssp};
 use phigraph_comm::{loopback_all_to_all, loopback_rounds, PcieLink};
 use phigraph_core::api::VertexProgram;
-use phigraph_core::benchable::{csb_fixture, shuttle_msgs, spsc_shuttle, superstep_work};
+use phigraph_core::benchable::{csb_fixture, superstep_work};
 use phigraph_core::csb::ColumnMode;
 use phigraph_core::engine::obj::run_obj_single;
 use phigraph_core::engine::{run_ranks, run_recoverable, run_single, EngineConfig, ExecMode};
@@ -86,7 +85,6 @@ fn tune(g: &mut crate::harness::BenchmarkGroup<'_>, opts: &AreaOpts) {
 /// listing the valid names.
 pub fn run_area(area: &str, c: &mut Criterion, opts: &AreaOpts) -> Result<(), String> {
     match area {
-        "spsc" => bench_spsc(c, opts),
         "csb" => bench_csb(c, opts),
         "superstep" => bench_superstep(c, opts),
         "exchange" => bench_exchange(c, opts),
@@ -106,51 +104,24 @@ pub fn run_area(area: &str, c: &mut Criterion, opts: &AreaOpts) -> Result<(), St
     Ok(())
 }
 
-/// Worker→mover batched SPSC transport across a queue matrix: the paper's
-/// pipeline transport in isolation, at batch sizes 1, 64 and 512. No
-/// engine runs it (`pipe` fills the CSB on the locking host path).
-fn bench_spsc(c: &mut Criterion, opts: &AreaOpts) {
-    let (workers, movers, n_msgs) = if opts.smoke {
-        (2, 2, 40_000)
-    } else {
-        (4, 2, 400_000)
-    };
-    let msgs = shuttle_msgs(n_msgs, 1024, opts.seed);
-    let mut g = c.benchmark_group("spsc/pipeline");
-    tune(&mut g, opts);
-    g.throughput(Throughput::Elements(n_msgs as u64));
-    for batch in [1usize, 64, 512] {
-        g.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
-            b.iter(|| spsc_shuttle(workers, movers, 4096, batch, &msgs))
-        });
-    }
-    g.finish();
-}
-
-/// `Csb::insert_slice` steady state: seeded uniform destinations drained
-/// in mover-sized slices, one full buffer fill + reset per iteration.
+/// Stage-and-drain steady state, the insertion every engine runs: seeded
+/// uniform destinations staged and drained on one host thread, one full
+/// buffer fill + reset per iteration.
 fn bench_csb(c: &mut Criterion, opts: &AreaOpts) {
     let (n_vertices, n_msgs) = if opts.smoke {
         (1024, 20_000)
     } else {
         (4096, 200_000)
     };
-    let mut g = c.benchmark_group("csb/insert_slice");
+    let mut g = c.benchmark_group("csb/stage_drain");
     tune(&mut g, opts);
     g.throughput(Throughput::Elements(n_msgs as u64));
     for mode in [ColumnMode::OneToOne, ColumnMode::Dynamic] {
-        let fx = csb_fixture(n_vertices, n_msgs, mode, opts.seed);
+        let mut fx = csb_fixture(n_vertices, n_msgs, mode, opts.seed);
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("{mode:?}")),
             &mode,
-            |b, _| {
-                b.iter(|| {
-                    fx.csb.reset();
-                    for chunk in fx.msgs.chunks(256) {
-                        fx.csb.insert_slice(chunk);
-                    }
-                })
-            },
+            |b, _| b.iter(|| fx.stage_and_drain(1)),
         );
     }
     g.finish();

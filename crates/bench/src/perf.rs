@@ -21,16 +21,14 @@ use phigraph_trace::json::{num, Json, JsonBuf};
 /// Schema tag stamped into every report; bump on breaking layout changes.
 pub const BENCH_SCHEMA: &str = "phigraph-bench-v1";
 
-/// The measured areas, one `BENCH_<area>.json` each: the SPSC
-/// worker→mover pipeline, CSB slice insertion, a full superstep per engine
-/// mode, the hetero frame exchange, the integrity-switch overhead, the
+/// The measured areas, one `BENCH_<area>.json` each: CSB stage-and-drain
+/// insertion, a full superstep per engine mode, the hetero frame exchange, the integrity-switch overhead, the
 /// device-partitioning schemes, the object-message (semi-clustering)
 /// path, the multi-tenant serving pool, the serving pool held at
 /// overload (the shed ladder + journal on the admission path), and the
 /// observability plane's overhead on the serving hot path (off vs
 /// windows vs windows+events).
-pub const AREAS: [&str; 10] = [
-    "spsc",
+pub const AREAS: [&str; 9] = [
     "csb",
     "superstep",
     "exchange",
@@ -54,7 +52,7 @@ pub fn default_threshold(area: &str) -> f64 {
         // Cross-thread shuttles: scheduler noise dominates short runs, and
         // the serving pool adds queueing jitter on top (`obs` rides the
         // same pool, so it inherits the same slack).
-        "spsc" | "exchange" | "serve" | "serve_degraded" | "obs" => 1.6,
+        "exchange" | "serve" | "serve_degraded" | "obs" => 1.6,
         // Single-process compute loops are steadier.
         "csb" | "superstep" | "integrity" | "partition" | "objmsg" => 1.5,
         _ => 1.5,
@@ -441,11 +439,11 @@ mod tests {
     #[test]
     fn emit_parse_round_trip_is_identity() {
         let r = BenchReport::new(
-            "spsc",
+            "exchange",
             EnvFingerprint::capture(true, 7),
             &[
-                result("spsc/batched/64", 12, Some(100_000)),
-                result("spsc/per_message", 30, None),
+                result("exchange/framed/64", 12, Some(100_000)),
+                result("exchange/unframed", 30, None),
             ],
         );
         let text = r.emit();
@@ -469,7 +467,7 @@ mod tests {
         let base = BenchReport::new(
             "csb",
             EnvFingerprint::capture(true, 7),
-            &[result("csb/insert_slice/64", 10, Some(1000))],
+            &[result("csb/stage_drain/Dynamic", 10, Some(1000))],
         );
         // 3x slower than baseline: regression at a 1.5x threshold.
         let slow = base.perturbed(3.0);
@@ -511,9 +509,9 @@ mod tests {
     #[test]
     fn zero_throughput_baseline_skips() {
         let mut base = BenchReport::new(
-            "spsc",
+            "exchange",
             EnvFingerprint::capture(true, 7),
-            &[result("spsc/batched/64", 10, Some(1000))],
+            &[result("exchange/framed/64", 10, Some(1000))],
         );
         base.entries[0].elem_per_sec = 0.0;
         let out = compare_reports(&base, &base.clone(), 1.5);
@@ -523,7 +521,7 @@ mod tests {
 
     #[test]
     fn area_mismatch_skips_everything() {
-        let a = BenchReport::new("spsc", EnvFingerprint::capture(true, 7), &[]);
+        let a = BenchReport::new("exchange", EnvFingerprint::capture(true, 7), &[]);
         let b = BenchReport::new("csb", EnvFingerprint::capture(true, 7), &[]);
         let out = compare_reports(&a, &b, 1.5);
         assert_eq!(out.regressions(), 0);

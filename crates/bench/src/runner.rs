@@ -29,8 +29,8 @@ commands:
           rewrite a report with every timing scaled by F (gate self-tests)
   list    print the measured areas and their default thresholds
 
-areas: spsc csb superstep exchange integrity partition objmsg serve
-       serve_degraded obs";
+areas: csb superstep exchange integrity partition objmsg serve serve_degraded
+       obs";
 
 /// Entry point for both the standalone binary and `phigraph bench`.
 pub fn main(argv: &[String]) -> Result<(), String> {
@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn area_lists_parse_and_reject() {
         assert_eq!(parse_areas(None).unwrap().len(), AREAS.len());
-        assert_eq!(parse_areas(Some("spsc,csb")).unwrap(), vec!["spsc", "csb"]);
+        assert_eq!(parse_areas(Some("csb,obs")).unwrap(), vec!["csb", "obs"]);
         assert!(parse_areas(Some("bogus")).is_err());
         assert!(parse_areas(Some(" ,")).is_err());
     }

@@ -52,7 +52,7 @@ fn two_same_seed_smoke_runs_have_identical_structure() {
 fn different_seeds_still_produce_the_same_labels() {
     // Labels and entry structure are scale-derived, not seed-derived: a
     // re-seeded baseline still lines up label-for-label in `compare`.
-    let areas = vec!["spsc".to_string(), "csb".to_string()];
+    let areas = vec!["csb".to_string(), "partition".to_string()];
     let mk = |seed| AreaOpts {
         smoke: true,
         seed,

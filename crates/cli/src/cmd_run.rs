@@ -89,10 +89,35 @@ fn check_unread_flags(app: &str, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The format `--trace-out` is written in, checked before the graph
+/// loads: an unknown format, a format with no `--trace-out` to write, and
+/// a Chrome trace with tracing off are errors.
+fn trace_format(args: &Args) -> Result<&str, String> {
+    let format = args.flag_or("trace-format", "chrome");
+    if !["chrome", "json", "prom"].contains(&format) {
+        return Err(format!(
+            "unknown --trace-format {format:?} (expected chrome|json|prom)"
+        ));
+    }
+    if args.has("trace-format") && !args.has("trace-out") {
+        return Err("--trace-format needs --trace-out FILE to write".to_string());
+    }
+    if format == "chrome" && args.has("trace-out") && args.flag("trace-level") == Some("off") {
+        return Err(
+            "--trace-format chrome needs --trace-level phase: with tracing off \
+             there are no spans to write"
+                .to_string(),
+        );
+    }
+    Ok(format)
+}
+
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, FLAGS)?;
     let app = args.pos(0, "app")?.to_string();
     check_unread_flags(&app, &args)?;
+    let format = trace_format(&args)?;
+    let trace = build_trace(&args)?;
     let graph_path = args.pos(1, "graph")?;
     let g = load_graph(graph_path)?;
     let source: u32 = args.flag_parse("source", 0u32)?;
@@ -103,7 +128,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         ));
     }
     let iters: usize = args.flag_parse("iters", 20usize)?;
-    let trace = build_trace(&args)?;
 
     let (report, device_reports, lines, checksum) = match app.as_str() {
         "pagerank" => drive_pod(
@@ -167,7 +191,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
     }
     outln!("{}", report.summary());
-    write_trace_output(&args, trace.as_ref(), &report, &device_reports)?;
+    write_trace_output(&args, format, trace.as_ref(), &report, &device_reports)?;
     if let Some(out) = args.flag("out") {
         let mut f = std::io::BufWriter::new(
             std::fs::File::create(out).map_err(|e| format!("create {out}: {e}"))?,
@@ -199,9 +223,10 @@ fn attach(cfg: EngineConfig, trace: Option<&Trace>) -> EngineConfig {
     }
 }
 
-/// Write `--trace-out` in the format selected by `--trace-format`.
+/// Write `--trace-out` in `format`, which [`trace_format`] checked.
 fn write_trace_output(
     args: &Args,
+    format: &str,
     trace: Option<&Trace>,
     report: &RunReport,
     device_reports: &[RunReport],
@@ -209,21 +234,13 @@ fn write_trace_output(
     let Some(path) = args.flag("trace-out") else {
         return Ok(());
     };
-    let format = args.flag_or("trace-format", "chrome");
     let text = match format {
-        "chrome" => match trace {
-            Some(t) => t.export_chrome(),
-            None => return Err("--trace-format chrome needs --trace-level phase|fine".into()),
-        },
+        // `--trace-out` always builds a trace (see `build_trace`).
+        "chrome" => trace.map(Trace::export_chrome).unwrap_or_default(),
         "json" => phigraph_core::export::run_report_json(report, device_reports),
-        "prom" => {
+        _ => {
             let snap = trace.map(|t| t.snapshot());
             phigraph_core::export::prometheus_text(report, snap.as_ref())
-        }
-        other => {
-            return Err(format!(
-                "unknown --trace-format {other:?} (expected chrome|json|prom)"
-            ))
         }
     };
     std::fs::write(path, text.as_bytes()).map_err(|e| format!("write {path}: {e}"))?;

@@ -19,7 +19,7 @@
 //!              [--failover migrate|retry|off] [--watchdog-ms N] [--rebalance-after N]
 //!              [--integrity off|frames|full] [--scrub-every N]
 //!              [--trace-out FILE] [--trace-format chrome|json|prom]
-//!              [--trace-level off|phase|fine]
+//!              [--trace-level off|phase]
 //! phigraph serve <graph> [--workers N] [--queue-cap N] [--engine E] [--socket PATH]
 //!                [--tenants a:4:2,b:1:1] [--deadline-ms N] [--prom-out FILE]
 //!                [--journal-dir DIR] [--drain] [--shed-policy off|ladder]
@@ -103,7 +103,7 @@ commands:
       [--faults step:kind[:dev],...] [--max-retries N] [--backoff-ms N]
       [--failover migrate|retry|off] [--watchdog-ms N] [--rebalance-after N]
       [--integrity off|frames|full] [--scrub-every N]
-      [--trace-out FILE] [--trace-format chrome|json|prom] [--trace-level off|phase|fine]
+      [--trace-out FILE] [--trace-format chrome|json|prom] [--trace-level off|phase]
       (fault kinds: worker|mover|insert|checkpoint|exchange|crash|hang|slow
                     |crash-rank:K|partition-link:I-J
                     |bitflip-msg|bitflip-state|truncate-frame
@@ -115,7 +115,7 @@ commands:
        in Perfetto / chrome://tracing)
   serve <graph> [--workers N] [--queue-cap N] [--engine lock|pipe|omp|seq] [--device cpu|mic]
         [--socket PATH] [--tenants name:weight:cap,...] [--default-weight N] [--default-cap N]
-        [--deadline-ms N] [--report-out FILE] [--prom-out FILE] [--trace-level off|phase|fine]
+        [--deadline-ms N] [--report-out FILE] [--prom-out FILE] [--trace-level off|phase]
         [--journal-dir DIR] [--drain] [--shed-policy off|ladder]
         [--integrity off|frames|full] [--integrity-max off|frames|full]
         [--metrics-sock PATH] [--metrics-every SECS] [--events-out FILE]

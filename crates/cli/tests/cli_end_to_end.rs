@@ -254,6 +254,84 @@ fn run_rejects_flags_the_app_never_reads() {
 }
 
 #[test]
+fn run_checks_trace_flags_before_the_graph_loads() {
+    let dir = tmpdir("traceflags");
+    let graph = dir.join("g.bin");
+    let graph_s = graph.to_str().unwrap();
+    let o = phigraph(&[
+        "generate", "gnm", graph_s, "--scale", "small", "--seed", "7",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let trace = dir.join("t.json");
+    let trace_s = trace.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["--trace-format", "bogus"],
+            "unknown --trace-format \"bogus\" (expected chrome|json|prom)",
+        ),
+        (
+            &["--trace-out", trace_s, "--trace-format", "bogus"],
+            "unknown --trace-format \"bogus\"",
+        ),
+        (
+            &[
+                "--trace-level",
+                "off",
+                "--trace-format",
+                "chrome",
+                "--trace-out",
+                trace_s,
+            ],
+            "--trace-format chrome needs --trace-level phase",
+        ),
+        (
+            &["--trace-format", "json"],
+            "--trace-format needs --trace-out",
+        ),
+        (
+            &["--trace-level", "fine"],
+            "unknown trace level \"fine\" (expected off|phase)",
+        ),
+    ];
+    for (extra, want) in cases {
+        let mut argv = vec!["run", "pagerank", graph_s];
+        argv.extend_from_slice(extra);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "{extra:?} must exit 2");
+        assert!(stderr(&o).contains(want), "{extra:?}: {}", stderr(&o));
+        // Rejected before the solve: no run line, no trace file.
+        assert_eq!(stdout(&o), "", "{extra:?}");
+        assert!(!trace.exists(), "{extra:?} wrote {trace_s}");
+    }
+    let o = phigraph(&["serve", graph_s, "--trace-level", "fine"]);
+    assert_eq!(o.status.code(), Some(2));
+    assert!(
+        stderr(&o).contains("unknown trace level \"fine\" (expected off|phase)"),
+        "{}",
+        stderr(&o)
+    );
+    // Tracing off still dumps the aggregates.
+    let o = phigraph(&[
+        "run",
+        "pagerank",
+        graph_s,
+        "--iters",
+        "2",
+        "--trace-level",
+        "off",
+        "--trace-format",
+        "prom",
+        "--trace-out",
+        trace_s,
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(std::fs::read_to_string(&trace)
+        .unwrap()
+        .contains("phigraph_supersteps{"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn tune_command_reports_split_and_ratio() {
     let dir = tmpdir("tune");
     let graph = dir.join("g.bin");

@@ -1,24 +1,22 @@
 //! Benchable entry points over the engine's hot paths.
 //!
 //! The `phigraph-bench` perf areas (and the determinism tests backing
-//! them) need the queue, CSB, and superstep paths exercised in isolation
-//! with *fixed-seed deterministic inputs* — same seed, same destination
-//! stream, same element counts, every run — so that two `BENCH_*.json`
-//! files differ only in timings. Those fixtures live here, next to the
-//! code they drive, instead of being re-derived ad hoc inside each bench:
+//! them) need the CSB and superstep paths exercised in isolation with
+//! *fixed-seed deterministic inputs* — same seed, same destination stream,
+//! same element counts, every run — so that two `BENCH_*.json` files
+//! differ only in timings. Those fixtures live here, next to the code they
+//! drive, instead of being re-derived ad hoc inside each bench:
 //!
 //! * [`csb_fixture`] — a [`Csb`] sized exactly for a seeded message
-//!   stream, for steady-state `insert_slice` loops;
-//! * [`spsc_shuttle`] — the paper's worker→mover batched transport
-//!   (`push_slice`/`pop_slices`) over a [`QueueMatrix`], which no engine
-//!   runs, returning an order-independent checksum;
+//!   stream, filled by [`CsbFixture::stage_and_drain`] the way the engines
+//!   fill it;
 //! * [`superstep_work`] — one priming run that sizes a workload (superstep
 //!   and message counts) so benches can declare element throughput.
 
 use crate::api::VertexProgram;
+use crate::csb::stage::Staging;
 use crate::csb::{ColumnMode, Csb, CsbLayout};
 use crate::engine::{run_single, EngineConfig};
-use crate::queues::QueueMatrix;
 use phigraph_device::DeviceSpec;
 use phigraph_graph::generators::rng::SplitMix64;
 use phigraph_graph::Csr;
@@ -27,9 +25,21 @@ use phigraph_graph::Csr;
 pub struct CsbFixture {
     /// Buffer with capacity for exactly one insertion of `msgs`.
     pub csb: Csb<f32>,
-    /// Seeded `(dst, value)` stream; insert via slices, then
-    /// [`Csb::reset`] between iterations.
+    /// Seeded `(dst, value)` stream.
     pub msgs: Vec<(u32, f32)>,
+    staging: Staging<f32>,
+}
+
+impl CsbFixture {
+    /// Reset the buffer and insert `msgs` through stage-and-drain, the
+    /// insertion every engine runs: stage the stream in work chunks on
+    /// `threads` host threads, then drain each bin from one owning thread.
+    pub fn stage_and_drain(&mut self, threads: usize) {
+        self.csb.reset();
+        let msgs = &self.msgs;
+        self.staging
+            .insert_stream(&self.csb, threads, msgs.len(), |i| msgs[i]);
+    }
 }
 
 /// Build a CSB over `n_vertices` owned vertices sized for `n_msgs` seeded
@@ -52,94 +62,10 @@ pub fn csb_fixture(n_vertices: usize, n_msgs: usize, mode: ColumnMode, seed: u64
     let owned: Vec<u32> = (0..n_vertices as u32).collect();
     let layout = CsbLayout::build(n_vertices, &owned, &cap, 16, 4);
     CsbFixture {
+        staging: Staging::new(&layout),
         csb: Csb::new(layout, mode),
         msgs,
     }
-}
-
-/// Seeded `(dst, value)` stream for the SPSC shuttle; destinations cycle
-/// uniformly so every mover stays fed. Deterministic in `seed`.
-pub fn shuttle_msgs(n_msgs: usize, n_dsts: u32, seed: u64) -> Vec<(u32, f32)> {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    (0..n_msgs)
-        .map(|i| (rng.random_range(0..n_dsts.max(1)), i as f32))
-        .collect()
-}
-
-/// Move `msgs` through a `workers × movers` [`QueueMatrix`] with the
-/// paper's batched worker→mover protocol: each worker takes a strided share
-/// of the stream, stages per-mover batches of `batch`, flushes them with
-/// `push_slice`, and each mover drains with `pop_slices`. Returns the sum
-/// of all destination ids seen by the movers — order-independent, so it
-/// equals the direct sum whenever no message was lost or duplicated.
-pub fn spsc_shuttle(
-    workers: usize,
-    movers: usize,
-    queue_cap: usize,
-    batch: usize,
-    msgs: &[(u32, f32)],
-) -> u64 {
-    let workers = workers.max(1);
-    let movers = movers.max(1);
-    let batch = batch.max(1);
-    let queues = QueueMatrix::<(u32, f32)>::new(workers, movers, queue_cap);
-    let queues = &queues;
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            s.spawn(move || {
-                let mut stage: Vec<Vec<(u32, f32)>> =
-                    (0..movers).map(|_| Vec::with_capacity(batch)).collect();
-                for msg in msgs.iter().skip(w).step_by(workers) {
-                    let m = msg.0 as usize % movers;
-                    stage[m].push(*msg);
-                    if stage[m].len() >= batch {
-                        // SAFETY: worker w is the sole producer of row w.
-                        unsafe { queues.queue(w, m).push_slice(&stage[m]) };
-                        stage[m].clear();
-                    }
-                }
-                for (m, buf) in stage.iter().enumerate() {
-                    if !buf.is_empty() {
-                        // SAFETY: as above.
-                        unsafe { queues.queue(w, m).push_slice(buf) };
-                    }
-                }
-                queues.close_worker(w);
-            });
-        }
-        let sums: Vec<_> = (0..movers)
-            .map(|m| {
-                s.spawn(move || {
-                    let mut sum = 0u64;
-                    loop {
-                        let mut moved = false;
-                        for w in 0..workers {
-                            // SAFETY: mover m is the sole consumer of (w, m).
-                            let n = unsafe {
-                                queues.queue(w, m).pop_slices(queue_cap, |slice| {
-                                    for &(dst, _) in slice {
-                                        sum = sum.wrapping_add(dst as u64);
-                                    }
-                                })
-                            };
-                            moved |= n > 0;
-                        }
-                        if !moved {
-                            if queues.mover_done(m) {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                        }
-                    }
-                    sum
-                })
-            })
-            .collect();
-        sums.into_iter()
-            .map(|h| h.join().expect("mover thread"))
-            .sum()
-    })
 }
 
 /// How much work one full run of a program performs — the element counts a
@@ -174,35 +100,17 @@ mod tests {
 
     #[test]
     fn csb_fixture_is_seed_deterministic_and_insertable() {
-        let a = csb_fixture(256, 5_000, ColumnMode::Dynamic, 7);
+        let mut a = csb_fixture(256, 5_000, ColumnMode::Dynamic, 7);
         let b = csb_fixture(256, 5_000, ColumnMode::Dynamic, 7);
         assert_eq!(a.msgs, b.msgs, "same seed, same stream");
         let c = csb_fixture(256, 5_000, ColumnMode::Dynamic, 8);
         assert_ne!(a.msgs, c.msgs, "different seed, different stream");
-        // The fixture is sized exactly: a full insertion round fits.
-        for chunk in a.msgs.chunks(64) {
-            a.csb.insert_slice(chunk);
+        // The fixture is sized exactly: a full insertion round fits, and
+        // the next round starts from a reset buffer.
+        for threads in [1, 2, 1] {
+            a.stage_and_drain(threads);
+            assert_eq!(a.csb.insert_stats().0.total, 5_000);
         }
-        a.csb.reset();
-        for chunk in a.msgs.chunks(64) {
-            a.csb.insert_slice(chunk);
-        }
-    }
-
-    #[test]
-    fn shuttle_checksum_matches_direct_sum() {
-        let msgs = shuttle_msgs(20_000, 1024, 42);
-        let direct: u64 = msgs.iter().map(|&(d, _)| d as u64).sum();
-        for (workers, movers, batch) in [(1, 1, 64), (4, 2, 64), (2, 3, 1)] {
-            let got = spsc_shuttle(workers, movers, 256, batch, &msgs);
-            assert_eq!(got, direct, "{workers}x{movers} batch {batch}");
-        }
-    }
-
-    #[test]
-    fn shuttle_msgs_are_seed_deterministic() {
-        assert_eq!(shuttle_msgs(100, 64, 3), shuttle_msgs(100, 64, 3));
-        assert_ne!(shuttle_msgs(100, 64, 3), shuttle_msgs(100, 64, 4));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Concurrent message insertion into the condensed static buffer.
+//! Message insertion into the condensed static buffer.
 //!
 //! Two column-mapping strategies from §IV.C / Figure 3:
 //!
@@ -13,21 +13,20 @@
 //!   are condensed to the front, so "i (i < k) loop(s) of instructions may
 //!   process all the vertices in the vertex-group".
 //!
-//! Within a column, slots are claimed by an atomic cursor (`fetch_add`),
-//! which plays the role of the paper's per-column lock: each message gets a
-//! unique `(row, column)` cell, making the raw write race-free. That
-//! concurrent path ([`Csb::insert`], [`Csb::insert_slice`]) serves
-//! quarantine regeneration and the `csb` bench area; no engine mode
-//! generates through it. The engine's host path, shared by every mode,
-//! stages its messages and drains each run of groups from one owning
-//! thread through `Csb::insert_owned`, which needs neither the cursor RMW
-//! nor the allocation lock. On a gather-form dense superstep no message is
-//! written at all: the cell each out-edge's message would take is claimed
-//! once, at the engine's first dense step (`Csb::claim_owned`), and turned
-//! into a table of each cell's sender; the column metadata those claims
-//! left (`Csb::column_state`) is installed after each such step's
-//! generation (`Csb::install`), or kept from the step before when nothing
-//! was appended behind it.
+//! The paper claims each message's cell under a per-column lock. On the
+//! host no two threads ever insert into one group at once, so the claim
+//! (`Csb::claim_owned`) advances cursors, index entries and column offsets
+//! with plain loads and stores; the cost model still charges the locks.
+//! The engine's host path, shared by every mode, stages its messages and
+//! drains each run of groups from one owning thread through
+//! `Csb::insert_owned`. [`Csb::insert`] is the same claim for one message
+//! behind `&mut self`; quarantine regeneration inserts through it. On a
+//! gather-form dense superstep no message is written at all: the cell
+//! each out-edge's message would take is claimed once, at the engine's
+//! first dense step, and turned into a table of each cell's sender; the
+//! column metadata those claims left (`Csb::column_state`) is installed
+//! after each such step's generation (`Csb::install`), or kept from the
+//! step before when nothing was appended behind it.
 
 use super::layout::{CsbLayout, NOT_OWNED};
 use phigraph_device::counters::InsertProfile;
@@ -35,12 +34,9 @@ use phigraph_graph::{SplitMix64, VertexId};
 use phigraph_recover::integrity::message_digest;
 use phigraph_simd::{AVec, MsgValue};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Why an insertion was rejected. The panicking [`Csb::insert`] /
-/// [`Csb::insert_slice`] wrappers preserve the historical messages; the
-/// `try_` variants surface these typed errors instead so recovery drivers
-/// (and the `PoisonInsert` fault path) can react without unwinding.
+/// Why an insertion was rejected. The engine's staging and drain panic
+/// with its text; [`Csb::insert`] returns it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CsbInsertError {
     /// Destination id is outside the graph's vertex range entirely — a
@@ -58,8 +54,7 @@ pub enum CsbInsertError {
         dst: VertexId,
     },
     /// The destination vertex received more messages than its declared
-    /// capacity; the column cursor is left past the end, so the buffer
-    /// must be reset before reuse.
+    /// capacity; the message is not written.
     OverCapacity {
         /// The offending destination id.
         dst: VertexId,
@@ -126,8 +121,6 @@ pub struct Csb<T: MsgValue> {
     index: Vec<AtomicI32>,
     /// Per-group next free column (the column offset).
     group_next: Vec<AtomicU32>,
-    /// Per-group allocation lock ("using locking in the process").
-    group_locks: Vec<Mutex<()>>,
     /// Integrity kill switch: when false (the default) no checksum work
     /// happens anywhere on the insertion path — one relaxed load per
     /// insert/batch, so the disabled path stays bit-identical and
@@ -135,8 +128,8 @@ pub struct Csb<T: MsgValue> {
     audit: AtomicBool,
     /// Per-group commutative message checksum: the `wrapping_add` fold of
     /// [`message_digest`] over every message inserted into the group since
-    /// the last reset. Order-independent, so racy mover interleavings all
-    /// produce the same sum.
+    /// the last reset. Order-independent, so the audit can recompute it
+    /// from the cells column by column.
     group_sums: Vec<AtomicU64>,
 }
 
@@ -155,7 +148,6 @@ impl<T: MsgValue> Csb<T> {
             group_next: (0..layout.num_groups())
                 .map(|_| AtomicU32::new(0))
                 .collect(),
-            group_locks: (0..layout.num_groups()).map(|_| Mutex::new(())).collect(),
             audit: AtomicBool::new(false),
             group_sums: (0..layout.num_groups())
                 .map(|_| AtomicU64::new(0))
@@ -201,124 +193,26 @@ impl<T: MsgValue> Csb<T> {
         Ok(pos)
     }
 
-    /// Insert one message for `dst`. Thread-safe; callable concurrently
-    /// from any number of threads (quarantine regeneration calls it).
+    /// Insert one message for `dst`: the claim and write the drain makes
+    /// for a staged message, after the redirection map lookup.
     ///
-    /// # Panics
-    /// Panics if `dst` is not owned by this buffer's device, or if the
-    /// program sends a vertex more messages than its declared capacity.
-    /// Use [`Csb::try_insert`] for a non-unwinding variant.
-    #[inline]
-    pub fn insert(&self, dst: VertexId, value: T) {
-        if let Err(e) = self.try_insert(dst, value) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Csb::insert`]: returns a typed [`CsbInsertError`] instead
-    /// of panicking. On `Err(OverCapacity)` the column cursor is left past
-    /// the end; the buffer must be [`Csb::reset`] before reuse (recovery
-    /// drivers reset every step anyway).
-    #[inline]
-    pub fn try_insert(&self, dst: VertexId, value: T) -> Result<(), CsbInsertError> {
+    /// # Errors
+    /// [`CsbInsertError::OutOfRange`] or [`CsbInsertError::NotOwned`] if
+    /// this buffer does not own `dst`, and
+    /// [`CsbInsertError::OverCapacity`] if `dst` already holds as many
+    /// messages as its declared capacity.
+    pub fn insert(&mut self, dst: VertexId, value: T) -> Result<(), CsbInsertError> {
         let pos = self.resolve(dst)?;
-        let group = self.layout.group_of(pos);
-        let col_in_group = match self.mode {
-            ColumnMode::OneToOne => pos as usize % self.layout.width,
-            ColumnMode::Dynamic => self.column_for(pos, group),
-        };
-        let gcol = self.global_col(group, col_in_group);
-        let row = self.col_count[gcol].fetch_add(1, Ordering::Relaxed) as usize;
-        let info = &self.layout.groups[group];
-        if row >= info.rows as usize {
-            return Err(CsbInsertError::OverCapacity {
-                dst,
-                capacity: info.rows,
-            });
-        }
-        let cell = info.cell_offset + row * self.layout.width + col_in_group;
-        debug_assert!(cell < self.layout.total_cells);
-        // SAFETY: (row, gcol) is unique — the fetch_add above hands out each
-        // row of a column exactly once, and distinct columns map to distinct
-        // cells. `cell < total_cells` because row < rows.
-        unsafe { *self.data.base_ptr().add(cell) = value };
-        if self.audit.load(Ordering::Relaxed) {
-            self.group_sums[group].fetch_add(Self::digest_one(dst, value), Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Insert a slice of `(dst, value)` messages, such as a drained queue
-    /// slice. Runs of equal consecutive destinations resolve the
-    /// redirection map once and claim their rows
-    /// with a *single* `fetch_add` for the whole run instead of one per
-    /// message. When the integrity audit is armed, the group checksum is
-    /// likewise folded once per run (amortized — no per-message atomic).
-    ///
-    /// # Panics
-    /// Same conditions as [`Csb::insert`]. Use [`Csb::try_insert_slice`]
-    /// for the non-unwinding variant.
-    pub fn insert_slice(&self, msgs: &[(VertexId, T)]) {
-        if let Err(e) = self.try_insert_slice(msgs) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Csb::insert_slice`]. On error, messages of earlier runs
-    /// in `msgs` have already landed; recovery resets the affected groups
-    /// before replaying, so partial insertion is safe there.
-    pub fn try_insert_slice(&self, msgs: &[(VertexId, T)]) -> Result<(), CsbInsertError> {
-        let audit = self.audit.load(Ordering::Relaxed);
-        let mut i = 0;
-        while i < msgs.len() {
-            let dst = msgs[i].0;
-            let mut j = i + 1;
-            while j < msgs.len() && msgs[j].0 == dst {
-                j += 1;
-            }
-            let run = j - i;
-            let pos = self.resolve(dst)?;
-            let group = self.layout.group_of(pos);
-            let col_in_group = match self.mode {
-                ColumnMode::OneToOne => pos as usize % self.layout.width,
-                ColumnMode::Dynamic => self.column_for(pos, group),
-            };
-            let gcol = self.global_col(group, col_in_group);
-            let row0 = self.col_count[gcol].fetch_add(run as u32, Ordering::Relaxed) as usize;
-            let info = &self.layout.groups[group];
-            if row0 + run > info.rows as usize {
-                return Err(CsbInsertError::OverCapacity {
-                    dst,
-                    capacity: info.rows,
-                });
-            }
-            let base = info.cell_offset + row0 * self.layout.width + col_in_group;
-            for (k, &(_, value)) in msgs[i..j].iter().enumerate() {
-                debug_assert!(base + k * self.layout.width < self.layout.total_cells);
-                // SAFETY: rows row0..row0+run of column gcol were claimed
-                // above by one fetch_add; each (row, column) cell is written
-                // exactly once, and row0+run <= rows keeps cells in bounds.
-                unsafe { *self.data.base_ptr().add(base + k * self.layout.width) = value };
-            }
-            if audit {
-                let mut sum = 0u64;
-                for &(_, value) in &msgs[i..j] {
-                    sum = sum.wrapping_add(Self::digest_one(dst, value));
-                }
-                self.group_sums[group].fetch_add(sum, Ordering::Relaxed);
-            }
-            i = j;
-        }
-        Ok(())
+        // SAFETY: `pos` is an owned position, and `&mut self` keeps every
+        // other thread out of the buffer.
+        unsafe { self.insert_owned(&[(pos, value)]) }
     }
 
     /// Insert staged `(position, value)` messages as their groups' only
     /// writer: the drain half of the locking engine's stage-and-drain.
-    /// Messages land in the order given, in the cells, columns and column
-    /// order a one-thread sequence of [`Csb::insert`] calls would give them,
-    /// and fold the same integrity sums; but cursors, index entries and
-    /// column offsets advance with plain loads and stores — no `fetch_add`,
-    /// no group lock.
+    /// Messages land in the order given, each in the next cell of its
+    /// column, and fold into their group's integrity sum when the audit is
+    /// armed.
     ///
     /// On [`CsbInsertError::OverCapacity`] the messages before the
     /// offending one have landed; the buffer must be reset before reuse.
@@ -356,9 +250,9 @@ impl<T: MsgValue> Csb<T> {
     }
 
     /// Claim the next cell of `pos`'s column as its group's only writer,
-    /// binding the column first in dynamic mode: the cell a one-thread
-    /// [`Csb::insert`] would write. Plain loads and stores, as in
-    /// [`Csb::insert_owned`].
+    /// binding the column first in dynamic mode (the first message for a
+    /// vertex takes its group's next free column). Plain loads and stores,
+    /// as in [`Csb::insert_owned`].
     ///
     /// # Safety
     /// `pos` must be an owned position, and no other thread may touch its
@@ -564,26 +458,6 @@ impl<T: MsgValue> Csb<T> {
         unreachable!("k < total by construction")
     }
 
-    /// Dynamic column allocation for `pos` (Fig. 3b): check the index
-    /// array; on miss, take the group lock and claim the next free column.
-    #[inline]
-    fn column_for(&self, pos: u32, group: usize) -> usize {
-        let cached = self.index[pos as usize].load(Ordering::Acquire);
-        if cached >= 0 {
-            return cached as usize;
-        }
-        let _guard = self.group_locks[group].lock().unwrap();
-        let again = self.index[pos as usize].load(Ordering::Relaxed);
-        if again >= 0 {
-            return again as usize;
-        }
-        let col = self.group_next[group].fetch_add(1, Ordering::Relaxed) as usize;
-        debug_assert!(col < self.layout.width);
-        self.col_pos[self.global_col(group, col)].store(pos, Ordering::Relaxed);
-        self.index[pos as usize].store(col as i32, Ordering::Release);
-        col
-    }
-
     /// Reset per-iteration state (index arrays to −1, column offsets and
     /// cursors to 0). Returns the number of cells touched, for the cost
     /// model's reset accounting. Call between phases: plain loads and
@@ -703,7 +577,6 @@ impl<T: MsgValue> Csb<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phigraph_device::pool::run_parallel;
     use phigraph_graph::generators::small::{paper_example, paper_table1_messages};
 
     fn paper_csb(mode: ColumnMode) -> Csb<f32> {
@@ -713,12 +586,29 @@ mod tests {
         Csb::new(CsbLayout::build(16, &owned, &cap, 4, 2), mode)
     }
 
+    /// The paper's Table 1 messages, inserted one by one.
+    fn insert_table1(csb: &mut Csb<f32>) {
+        for (src, dst) in paper_table1_messages() {
+            csb.insert(dst, src as f32).unwrap();
+        }
+    }
+
+    /// A buffer owning only vertices 0, 1 and 2 of the paper's example.
+    fn partial_csb() -> Csb<f32> {
+        let g = paper_example();
+        let owned: Vec<VertexId> = vec![0, 1, 2];
+        let indeg = g.in_degrees();
+        let cap: Vec<u32> = owned.iter().map(|&v| indeg[v as usize]).collect();
+        Csb::new(
+            CsbLayout::build(16, &owned, &cap, 4, 2),
+            ColumnMode::Dynamic,
+        )
+    }
+
     #[test]
     fn table1_insertion_one_to_one_matches_figure_3a() {
-        let csb = paper_csb(ColumnMode::OneToOne);
-        for (src, dst) in paper_table1_messages() {
-            csb.insert(dst, src as f32);
-        }
+        let mut csb = paper_csb(ColumnMode::OneToOne);
+        insert_table1(&mut csb);
         // Destinations and their positions: 2→1, 6→6, 9→3, 12→11, 10→9, 7→7.
         assert_eq!(csb.column_count(0, 1), 2); // vertex 2 got two messages
         assert_eq!(csb.column_count(0, 3), 2); // vertex 9
@@ -733,10 +623,8 @@ mod tests {
 
     #[test]
     fn table1_insertion_dynamic_condenses_columns_like_figure_3b() {
-        let csb = paper_csb(ColumnMode::Dynamic);
-        for (src, dst) in paper_table1_messages() {
-            csb.insert(dst, src as f32);
-        }
+        let mut csb = paper_csb(ColumnMode::Dynamic);
+        insert_table1(&mut csb);
         // Group 0 received messages for 4 distinct vertices (2, 9, 6, 7):
         // dynamic allocation packs them into columns 0..4 — a single
         // 4-lane vector array covers them all (the Fig. 3b win).
@@ -752,11 +640,11 @@ mod tests {
 
     #[test]
     fn insertion_values_land_in_claimed_cells() {
-        let csb = paper_csb(ColumnMode::Dynamic);
-        csb.insert(9, 11.0); // from vertex 11
-        csb.insert(9, 13.0); // from vertex 13
-                             // Vertex 9 is position 3 in group 0; its column holds both values
-                             // in rows 0 and 1 (order depends on insertion order here).
+        let mut csb = paper_csb(ColumnMode::Dynamic);
+        csb.insert(9, 11.0).unwrap(); // from vertex 11
+        csb.insert(9, 13.0).unwrap(); // from vertex 13
+                                      // Vertex 9 is position 3 in group 0; its column holds both values
+                                      // in rows 0 and 1, in insertion order.
         let col = (0..csb.used_columns(0))
             .find(|&c| csb.column_position(0, c) == Some(3))
             .expect("column for vertex 9");
@@ -766,10 +654,8 @@ mod tests {
 
     #[test]
     fn reset_clears_state_for_next_iteration() {
-        let csb = paper_csb(ColumnMode::Dynamic);
-        for (src, dst) in paper_table1_messages() {
-            csb.insert(dst, src as f32);
-        }
+        let mut csb = paper_csb(ColumnMode::Dynamic);
+        insert_table1(&mut csb);
         let touched = csb.reset();
         assert!(touched > 0);
         assert_eq!(csb.used_columns(0), 0);
@@ -778,153 +664,42 @@ mod tests {
         assert_eq!(occupied, 0);
         assert_eq!(allocs, 0);
         // Buffer is reusable.
-        csb.insert(2, 1.0);
+        csb.insert(2, 1.0).unwrap();
         assert_eq!(csb.used_columns(0), 1);
-    }
-
-    #[test]
-    fn concurrent_insertion_is_exact() {
-        // A hot-column stress: many threads hammer a star graph's center.
-        let n = 64usize;
-        let owned: Vec<VertexId> = (0..n as u32).collect();
-        let mut cap = vec![4u32; n];
-        cap[0] = 8 * 1000; // center can take every message
-        let csb = Csb::<f32>::new(CsbLayout::build(n, &owned, &cap, 4, 2), ColumnMode::Dynamic);
-        run_parallel(8, |tid| {
-            for i in 0..1000 {
-                csb.insert(0, (tid * 1000 + i) as f32);
-            }
-        });
-        let (profile, occupied, _) = csb.insert_stats();
-        assert_eq!(profile.total, 8000);
-        assert_eq!(profile.max_column, 8000);
-        assert_eq!(occupied, 1);
-        // Every inserted value must be present exactly once.
-        let pos = csb.layout.position[0];
-        let g = csb.layout.group_of(pos);
-        let col = (0..csb.used_columns(g))
-            .find(|&c| csb.column_position(g, c) == Some(pos))
-            .unwrap();
-        let mut seen: Vec<f32> = (0..8000).map(|r| csb.cell(g, r, col)).collect();
-        seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (i, &v) in seen.iter().enumerate() {
-            assert_eq!(v, i as f32);
-        }
-    }
-
-    #[test]
-    fn insert_slice_matches_per_message_insert() {
-        let a = paper_csb(ColumnMode::Dynamic);
-        let b = paper_csb(ColumnMode::Dynamic);
-        let msgs: Vec<(VertexId, f32)> = paper_table1_messages()
-            .into_iter()
-            .map(|(src, dst)| (dst, src as f32))
-            .collect();
-        for &(dst, v) in &msgs {
-            a.insert(dst, v);
-        }
-        b.insert_slice(&msgs);
-        let (pa, oa, _) = a.insert_stats();
-        let (pb, ob, _) = b.insert_stats();
-        assert_eq!(pa, pb);
-        assert_eq!(oa, ob);
-        // Same per-destination cell contents (insertion order preserved
-        // within each destination run).
-        for g in 0..a.layout.num_groups() {
-            for c in 0..a.used_columns(g) {
-                let pos = a.column_position(g, c).unwrap();
-                let cb = (0..b.used_columns(g))
-                    .find(|&c2| b.column_position(g, c2) == Some(pos))
-                    .expect("same positions occupied");
-                for r in 0..a.column_count(g, c) as usize {
-                    assert_eq!(a.cell(g, r, c), b.cell(g, r, cb));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn insert_slice_claims_runs_with_one_cursor_bump() {
-        // A run of 3 messages for vertex 9 plus 1 for vertex 2: two runs.
-        let csb = paper_csb(ColumnMode::Dynamic);
-        csb.insert_slice(&[(9, 1.0), (9, 2.0), (9, 3.0), (2, 4.0)]);
-        let (profile, occupied, allocs) = csb.insert_stats();
-        assert_eq!(profile.total, 4);
-        assert_eq!(profile.max_column, 3);
-        assert_eq!(occupied, 2);
-        assert_eq!(allocs, 2, "one column allocation per destination");
-        // The run's values are in rows 0..3 of vertex 9's column, in order.
-        let pos = csb.layout.position[9];
-        let g = csb.layout.group_of(pos);
-        let col = (0..csb.used_columns(g))
-            .find(|&c| csb.column_position(g, c) == Some(pos))
-            .unwrap();
-        assert_eq!(
-            [
-                csb.cell(g, 0, col),
-                csb.cell(g, 1, col),
-                csb.cell(g, 2, col)
-            ],
-            [1.0, 2.0, 3.0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "more than its capacity")]
-    fn insert_slice_over_capacity_panics() {
-        let csb = paper_csb(ColumnMode::Dynamic);
-        // Vertex 5 has capacity 5; a 6-run overflows in one claim.
-        let msgs: Vec<(VertexId, f32)> = (0..6).map(|i| (5, i as f32)).collect();
-        csb.insert_slice(&msgs);
     }
 
     #[test]
     #[should_panic(expected = "more than its capacity")]
     fn over_capacity_insertion_panics() {
-        let csb = paper_csb(ColumnMode::Dynamic);
+        let mut csb = paper_csb(ColumnMode::Dynamic);
         for _ in 0..6 {
-            csb.insert(5, 1.0); // vertex 5 has capacity 5
+            // Vertex 5 has capacity 5; the engine panics with the error's
+            // text.
+            csb.insert(5, 1.0).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
     #[test]
     #[should_panic(expected = "non-owned")]
     fn non_owned_destination_panics() {
-        let g = paper_example();
-        let owned: Vec<VertexId> = vec![0, 1, 2];
-        let indeg = g.in_degrees();
-        let cap: Vec<u32> = owned.iter().map(|&v| indeg[v as usize]).collect();
-        let csb = Csb::<f32>::new(
-            CsbLayout::build(16, &owned, &cap, 4, 2),
-            ColumnMode::Dynamic,
-        );
-        csb.insert(9, 1.0);
+        let mut csb = partial_csb();
+        csb.insert(9, 1.0).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
-    fn try_insert_returns_typed_errors() {
-        let g = paper_example();
-        let owned: Vec<VertexId> = vec![0, 1, 2];
-        let indeg = g.in_degrees();
-        let cap: Vec<u32> = owned.iter().map(|&v| indeg[v as usize]).collect();
-        let csb = Csb::<f32>::new(
-            CsbLayout::build(16, &owned, &cap, 4, 2),
-            ColumnMode::Dynamic,
-        );
+    fn insert_returns_typed_errors() {
+        let mut csb = partial_csb();
         // Out-of-range destination: rejected before touching the map.
         assert_eq!(
-            csb.try_insert(999, 1.0),
+            csb.insert(999, 1.0),
             Err(CsbInsertError::OutOfRange {
                 dst: 999,
                 vertices: 16
             })
         );
         // Real vertex, wrong device.
-        assert_eq!(
-            csb.try_insert(9, 1.0),
-            Err(CsbInsertError::NotOwned { dst: 9 })
-        );
-        assert!(csb.try_insert(2, 1.0).is_ok());
+        assert_eq!(csb.insert(9, 1.0), Err(CsbInsertError::NotOwned { dst: 9 }));
+        assert!(csb.insert(2, 1.0).is_ok());
         // Errors display the historical panic text (substring-compatible).
         assert!(CsbInsertError::NotOwned { dst: 9 }
             .to_string()
@@ -932,27 +707,29 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_slice_surfaces_poisoned_capacity_overflow() {
-        // The PoisonInsert fault path drives an over-capacity batch through
-        // the typed-error API: no unwinding, a clear quarantine signal.
-        let csb = paper_csb(ColumnMode::Dynamic);
-        let msgs: Vec<(VertexId, f32)> = (0..6).map(|i| (5, i as f32)).collect();
-        let err = csb.try_insert_slice(&msgs).unwrap_err();
+    fn insert_surfaces_capacity_overflow() {
+        // An over-capacity message comes back as a typed error, not an
+        // unwind, and is not written.
+        let mut csb = paper_csb(ColumnMode::Dynamic);
+        for i in 0..5 {
+            csb.insert(5, i as f32).unwrap();
+        }
+        let err = csb.insert(5, 5.0).unwrap_err();
         assert!(matches!(err, CsbInsertError::OverCapacity { dst: 5, .. }));
         assert!(err.to_string().contains("more than its capacity"));
+        assert_eq!(csb.insert_stats().0.total, 5);
         // And the buffer is reusable after a reset.
         csb.reset();
-        assert!(csb.try_insert_slice(&[(5, 1.0), (2, 2.0)]).is_ok());
+        assert!(csb.insert(5, 1.0).is_ok());
+        assert!(csb.insert(2, 2.0).is_ok());
     }
 
     #[test]
     fn audit_accepts_clean_buffer_and_catches_every_flip() {
         for mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
-            let csb = paper_csb(mode);
+            let mut csb = paper_csb(mode);
             csb.set_audit(true);
-            for (src, dst) in paper_table1_messages() {
-                csb.insert(dst, src as f32);
-            }
+            insert_table1(&mut csb);
             assert_eq!(csb.audit_groups(), Vec::<usize>::new(), "{mode:?}");
             // Every seed corrupts some occupied cell; the audit must name
             // exactly the corrupted group each time.
@@ -964,7 +741,7 @@ mod tests {
                 for (src, dst) in paper_table1_messages() {
                     let pos = csb.layout.position[dst as usize];
                     if csb.layout.group_of(pos) == g {
-                        csb.insert(dst, src as f32);
+                        csb.insert(dst, src as f32).unwrap();
                     }
                 }
                 assert_eq!(csb.audit_groups(), Vec::<usize>::new());
@@ -974,11 +751,9 @@ mod tests {
 
     #[test]
     fn audit_disabled_is_inert() {
-        let csb = paper_csb(ColumnMode::Dynamic);
+        let mut csb = paper_csb(ColumnMode::Dynamic);
         assert!(!csb.audit_enabled());
-        for (src, dst) in paper_table1_messages() {
-            csb.insert(dst, src as f32);
-        }
+        insert_table1(&mut csb);
         // Sums were never folded; corruption goes unseen — exactly the
         // silent failure mode the integrity mode exists to close.
         csb.corrupt_cell(7).unwrap();
@@ -989,11 +764,9 @@ mod tests {
 
     #[test]
     fn reset_groups_leaves_other_groups_intact() {
-        let csb = paper_csb(ColumnMode::Dynamic);
+        let mut csb = paper_csb(ColumnMode::Dynamic);
         csb.set_audit(true);
-        for (src, dst) in paper_table1_messages() {
-            csb.insert(dst, src as f32);
-        }
+        insert_table1(&mut csb);
         let before_g1: Vec<u32> = (0..csb.used_columns(1))
             .map(|c| csb.column_count(1, c))
             .collect();
@@ -1004,24 +777,5 @@ mod tests {
             .collect();
         assert_eq!(before_g1, after_g1);
         assert_eq!(csb.audit_groups(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn slice_audit_matches_per_message_audit() {
-        // The amortized per-run fold must equal the per-message fold.
-        let a = paper_csb(ColumnMode::Dynamic);
-        let b = paper_csb(ColumnMode::Dynamic);
-        a.set_audit(true);
-        b.set_audit(true);
-        let msgs: Vec<(VertexId, f32)> = paper_table1_messages()
-            .into_iter()
-            .map(|(src, dst)| (dst, src as f32))
-            .collect();
-        for &(dst, v) in &msgs {
-            a.insert(dst, v);
-        }
-        b.insert_slice(&msgs);
-        assert_eq!(a.audit_groups(), Vec::<usize>::new());
-        assert_eq!(b.audit_groups(), Vec::<usize>::new());
     }
 }

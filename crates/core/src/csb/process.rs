@@ -380,10 +380,10 @@ mod tests {
     fn min_reduction_per_destination() {
         for mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
             for vectorized in [true, false] {
-                let csb = paper_csb(mode);
-                csb.insert(9, 7.5);
-                csb.insert(9, 3.25);
-                csb.insert(2, 10.0);
+                let mut csb = paper_csb(mode);
+                csb.insert(9, 7.5).unwrap();
+                csb.insert(9, 3.25).unwrap();
+                csb.insert(2, 10.0).unwrap();
                 let (msgs, has, chunk) = run_process(&csb, vectorized);
                 let pos9 = csb.layout.position[9] as usize;
                 let pos2 = csb.layout.position[2] as usize;
@@ -400,14 +400,14 @@ mod tests {
 
     #[test]
     fn sum_reduction_with_bubbles() {
-        let csb = paper_csb(ColumnMode::Dynamic);
+        let mut csb = paper_csb(ColumnMode::Dynamic);
         // Vertex 5 (capacity 5) gets 5 messages; vertex 2 gets 2 — three
         // bubble cells must be identity-filled in vertex 2's column.
         for i in 1..=5 {
-            csb.insert(5, i as f32);
+            csb.insert(5, i as f32).unwrap();
         }
-        csb.insert(2, 100.0);
-        csb.insert(2, 200.0);
+        csb.insert(2, 100.0).unwrap();
+        csb.insert(2, 200.0).unwrap();
         let n = csb.layout.num_positions();
         let mut msgs = vec![0f32; n];
         let mut has = vec![0u8; n];
@@ -432,10 +432,10 @@ mod tests {
 
     #[test]
     fn scalar_path_counts_no_holes() {
-        let csb = paper_csb(ColumnMode::Dynamic);
-        csb.insert(5, 1.0);
-        csb.insert(5, 2.0);
-        csb.insert(2, 3.0);
+        let mut csb = paper_csb(ColumnMode::Dynamic);
+        csb.insert(5, 1.0).unwrap();
+        csb.insert(5, 2.0).unwrap();
+        csb.insert(2, 3.0).unwrap();
         let (_, _, chunk) = run_process(&csb, false);
         assert_eq!(chunk.holes, 0);
         assert_eq!(chunk.msgs, 3);
@@ -446,14 +446,14 @@ mod tests {
         // The Fig. 3a vs 3b effect: scattered columns force more vector
         // arrays / rows in one-to-one mode.
         let mk = |mode| {
-            let csb = paper_csb(mode);
+            let mut csb = paper_csb(mode);
             // Messages to vertices at positions 1, 3, 6, 7 of group 0 —
             // spread over both vector arrays in one-to-one, condensed to
             // one array in dynamic.
-            csb.insert(2, 1.0);
-            csb.insert(9, 1.0);
-            csb.insert(6, 1.0);
-            csb.insert(7, 1.0);
+            csb.insert(2, 1.0).unwrap();
+            csb.insert(9, 1.0).unwrap();
+            csb.insert(6, 1.0).unwrap();
+            csb.insert(7, 1.0).unwrap();
             let (_, _, chunk) = run_process(&csb, true);
             chunk.rows
         };
@@ -465,14 +465,14 @@ mod tests {
 
     #[test]
     fn stale_cells_from_previous_iteration_are_invisible() {
-        let csb = paper_csb(ColumnMode::Dynamic);
+        let mut csb = paper_csb(ColumnMode::Dynamic);
         for i in 1..=5 {
-            csb.insert(5, 1000.0 + i as f32);
+            csb.insert(5, 1000.0 + i as f32).unwrap();
         }
         csb.reset();
         // New iteration: only vertex 2 gets a message; stale cells from
         // vertex 5's old column must not leak into any result.
-        csb.insert(2, 42.0);
+        csb.insert(2, 42.0).unwrap();
         let (msgs, has, _) = run_process(&csb, true);
         assert_eq!(has.iter().filter(|&&h| h == 1).count(), 1);
         assert_eq!(msgs[csb.layout.position[2] as usize], 42.0);

@@ -53,9 +53,6 @@ const EDGE_BYTES: u64 = 8;
 /// Effective bytes per locally inserted message: the destination column
 /// cell is a random cache line, so a full line moves per insertion.
 const MSG_LINE_BYTES: u64 = 64;
-/// Received remote messages per staging chunk in
-/// [`DeviceEngine::absorb_remote`].
-const ABSORB_CHUNK: usize = 1024;
 
 /// Stage-and-drain sink: stage local messages for the drain, collect
 /// peer-bound ones (in the order the chunk sends them).
@@ -456,13 +453,13 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// Peer-bound messages are skipped: they already left through the
     /// (frame-checksummed) exchange and are not part of the local buffer.
     pub fn regenerate_groups(
-        &self,
+        &mut self,
         groups: &[usize],
         image_values: &[P::Value],
         image_flags: &[u8],
     ) -> u64 {
         struct QuarantineSink<'a, T: MsgValue> {
-            csb: &'a Csb<T>,
+            csb: &'a mut Csb<T>,
             in_set: &'a [bool],
             assign: Option<&'a [u8]>,
             dev: u8,
@@ -476,7 +473,9 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
                 }
                 let pos = self.csb.layout.position[dst as usize];
                 if pos != crate::csb::NOT_OWNED && self.in_set[self.csb.layout.group_of(pos)] {
-                    self.csb.insert(dst, msg);
+                    if let Err(e) = self.csb.insert(dst, msg) {
+                        panic!("{e}");
+                    }
                     self.reinserted += 1;
                 }
             }
@@ -488,7 +487,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             }
         }
         let mut sink = QuarantineSink {
-            csb: &self.csb,
+            csb: &mut self.csb,
             in_set: &in_set,
             assign: self.assign,
             dev: self.dev_id,
@@ -794,23 +793,10 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             return;
         }
         self.held = false;
-        let chunks = incoming.len().div_ceil(ABSORB_CHUNK);
-        let sched = ChunkScheduler::new(chunks, 1);
-        let threads = self.host_threads.min(chunks);
-        self.staging.stage(&self.csb, threads, chunks, |_, stager| {
-            while let Some(batch) = sched.next_batch() {
-                for ri in batch {
-                    stager.open(ri);
-                    let end = (ri + 1) * ABSORB_CHUNK;
-                    for m in &incoming[ri * ABSORB_CHUNK..end.min(incoming.len())] {
-                        stager.stage(m.dst, m.value);
-                    }
-                    stager.close();
-                }
-            }
-        });
         self.staging
-            .drain(&self.csb, threads, |_| ThreadTracer::disabled(), 0);
+            .insert_stream(&self.csb, self.host_threads, incoming.len(), |i| {
+                (incoming[i].dst, incoming[i].value)
+            });
         // Record the insertion work in scheduler-grain batches (one giant
         // chunk would read as serial work in the makespan replay).
         let grain = (incoming.len() / (self.spec.threads() * 8).max(1)).clamp(16, 1024) as u64;

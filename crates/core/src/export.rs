@@ -580,8 +580,8 @@ mod tests {
     fn prometheus_text_has_expected_series() {
         let r = sample_report();
         let trace = Trace::new(TraceLevel::Phase);
-        trace.record_hist(phigraph_trace::HistKind::FlushBatch, 10);
-        trace.record_hist(phigraph_trace::HistKind::FlushBatch, 3);
+        trace.record_hist(phigraph_trace::HistKind::ExchangeRttUs, 10);
+        trace.record_hist(phigraph_trace::HistKind::ExchangeRttUs, 3);
         let snap = trace.snapshot();
         let text = prometheus_text(&r, Some(&snap));
         assert!(text.contains("phigraph_supersteps{app=\"sssp\""));
@@ -590,9 +590,9 @@ mod tests {
         assert!(text.contains("phigraph_failover_migrations"));
         assert!(text.contains("phigraph_integrity_frame_checks"));
         assert!(text.contains("phigraph_integrity_detections"));
-        assert!(text.contains("phigraph_flush_batch_msgs_bucket"));
+        assert!(text.contains("phigraph_exchange_rtt_us_bucket"));
         assert!(text.contains("le=\"+Inf\"} 2\n"));
-        assert!(text.contains("phigraph_flush_batch_msgs_sum"));
+        assert!(text.contains("phigraph_exchange_rtt_us_sum"));
         // Every line is either a comment or `name{labels} value`.
         for line in text.lines() {
             assert!(
@@ -601,7 +601,7 @@ mod tests {
             );
         }
         // Empty histograms are omitted entirely.
-        assert!(!text.contains("queue_occupancy"));
+        assert!(!text.contains("checkpoint_write_us"));
     }
 
     #[test]

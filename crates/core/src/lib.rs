@@ -68,7 +68,6 @@ pub mod csb;
 pub mod engine;
 pub mod export;
 pub mod metrics;
-pub mod queues;
 pub mod tune;
 pub mod util;
 

@@ -14,8 +14,8 @@
 //!
 //! The moving parts:
 //!
-//! - [`pool::ServePool`] — bounded admission through the PR 1 SPSC
-//!   ring (reject-with-retry-after on overflow), stride-scheduled
+//! - [`pool::ServePool`] — bounded admission straight into the
+//!   scheduler (reject-with-retry-after on overflow), stride-scheduled
 //!   weighted fairness across tenants with per-tenant concurrency caps
 //!   ([`sched::Scheduler`]), and a watchdog enforcing deadlines through
 //!   the PR 3 cancel tokens.

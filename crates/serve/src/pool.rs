@@ -2,26 +2,23 @@
 //! jobs over one shared immutable [`Csr`], plus the watchdog thread that
 //! enforces deadlines.
 //!
-//! Admission goes through a bounded SPSC ring (the PR 1 cached-index
-//! queue): frontend threads `try_push` behind a producer mutex, workers
-//! drain the ring into the per-tenant scheduler queues while holding the
-//! scheduler mutex — each side of the SPSC contract is serialized by a
-//! lock, which the queue's safety rules explicitly allow. When the ring
-//! or the admitted-job budget is full, [`ServePool::submit`] rejects
-//! immediately with a retry hint instead of blocking the frontend.
+//! Admission enqueues straight into the per-tenant scheduler queues under
+//! the pool's state lock, the lock workers pick jobs under. When the
+//! admitted-job budget (`queue_cap` jobs admitted but not started) is
+//! spent, [`ServePool::submit`] rejects immediately with a retry hint
+//! instead of blocking the frontend.
 //!
 //! Every job runs with its own [`EngineConfig`] carrying a
 //! [`CancelToken`]; the watchdog cancels tokens whose deadline passed
 //! (the engine stops at the next superstep boundary) and expires queued
 //! jobs that would start already late.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use phigraph_core::engine::{run_single, EngineConfig, ExecMode};
-use phigraph_core::queues::SpscQueue;
 use phigraph_device::{CancelReason, CancelToken, DeviceSpec};
 use phigraph_graph::state::{encode_state_slice, PodState};
 use phigraph_graph::Csr;
@@ -183,6 +180,8 @@ struct RunningEntry {
 
 struct State {
     sched: Scheduler,
+    /// Jobs admitted (in a tenant queue) not yet started.
+    pending: usize,
     running: Vec<RunningEntry>,
     shutdown: Shutdown,
     next_seq: u64,
@@ -200,12 +199,8 @@ struct GraphSlot {
 }
 
 struct Shared {
-    ring: SpscQueue<QueuedJob>,
-    prod: Mutex<()>,
     state: Mutex<State>,
     cv: Condvar,
-    /// Jobs admitted (in the ring or a tenant queue) not yet started.
-    pending: AtomicUsize,
     stop_watchdog: AtomicBool,
     queue_cap: usize,
     graph: Mutex<GraphSlot>,
@@ -231,17 +226,15 @@ impl ServePool {
             ..cfg
         };
         let shared = Arc::new(Shared {
-            ring: SpscQueue::new(cfg.queue_cap.next_power_of_two().max(2)),
-            prod: Mutex::new(()),
             state: Mutex::new(State {
                 sched: Scheduler::new(cfg.default_weight, cfg.default_cap),
+                pending: 0,
                 running: Vec::new(),
                 shutdown: Shutdown::None,
                 next_seq: 0,
                 shed: ShedState::default(),
             }),
             cv: Condvar::new(),
-            pending: AtomicUsize::new(0),
             stop_watchdog: AtomicBool::new(false),
             queue_cap: cfg.queue_cap,
             graph: Mutex::new(GraphSlot {
@@ -304,9 +297,8 @@ impl ServePool {
         // The one-relaxed-load gate: with no sink (or a disarmed one)
         // no event is ever built on this path.
         let sink = self.cfg.events.as_ref().filter(|s| s.armed());
-        let _prod = self.shared.prod.lock().unwrap();
-        let pending = self.shared.pending.load(Ordering::Acquire);
         let mut st = self.shared.state.lock().unwrap();
+        let pending = st.pending;
         if st.shutdown != Shutdown::None {
             if let Some(s) = sink {
                 s.reject(0, &spec.id, &spec.tenant, "shutting_down");
@@ -385,25 +377,12 @@ impl ServePool {
         if let Some(s) = sink {
             s.admit(trace, &job.spec, degraded);
         }
-        // SAFETY: `prod` is held, so this thread is the sole producer.
-        match unsafe { self.shared.ring.try_push(job) } {
-            Ok(()) => {
-                self.shared.pending.fetch_add(1, Ordering::Release);
-                // The state lock is held, so a worker that just saw "no
-                // work" is already parked and hears this.
-                self.shared.cv.notify_one();
-                Ok(())
-            }
-            Err(job) => {
-                self.note_reject(&mut st, &job.spec.tenant, now, false);
-                if let Some(s) = sink {
-                    s.reject(trace, &job.spec.id, &job.spec.tenant, "queue_full");
-                }
-                Err(AdmitError::QueueFull {
-                    retry_after_ms: retry_hint(pending),
-                })
-            }
-        }
+        st.sched.enqueue(job);
+        st.pending += 1;
+        // The state lock is held, so a worker that just saw "no work" is
+        // already parked and hears this.
+        self.shared.cv.notify_one();
+        Ok(())
     }
 
     /// Rejection bookkeeping: counters plus the breaker's consecutive-
@@ -454,14 +433,13 @@ impl ServePool {
             (slot.epoch, slot.swaps)
         };
         let st = self.shared.state.lock().unwrap();
-        let pending = self.shared.pending.load(Ordering::Acquire);
         let mut out = ServeStats {
-            queued: st.sched.queued() + self.shared.ring.occupancy(),
+            queued: st.sched.queued(),
             running: st.sched.running(),
             queue_cap: self.shared.queue_cap,
             workers: self.cfg.workers,
             shed_level: if self.cfg.shed == ShedPolicy::Ladder {
-                shed_level(pending, self.shared.queue_cap, st.shed.miss_rate())
+                shed_level(st.pending, self.shared.queue_cap, st.shed.miss_rate())
             } else {
                 0
             },
@@ -479,7 +457,7 @@ impl ServePool {
 
     /// Jobs admitted but not yet started.
     pub fn backlog(&self) -> usize {
-        self.shared.pending.load(Ordering::Acquire)
+        self.shared.state.lock().unwrap().pending
     }
 
     /// Shut the pool down and join every thread. `drain` finishes the
@@ -534,11 +512,8 @@ impl ServePool {
                     // Queued jobs go back to the journal (their admitted
                     // records simply never gain a `done`); running jobs
                     // keep their tokens and finish.
-                    drain_ring(&self.shared, &mut st);
                     let dropped = st.sched.drain_all();
-                    self.shared
-                        .pending
-                        .fetch_sub(dropped.len(), Ordering::Release);
+                    st.pending -= dropped.len();
                     if let Some(tx) = &self.tx {
                         for q in dropped {
                             st.sched.stats_mut(&q.spec.tenant).requeued += 1;
@@ -551,13 +526,9 @@ impl ServePool {
                     }
                 }
                 DrainMode::Abort => {
-                    // Pull whatever is still in the ring so it can be
-                    // reported, then drop the per-tenant queues too.
-                    drain_ring(&self.shared, &mut st);
+                    // Drop the per-tenant queues, reporting each job.
                     let dropped = st.sched.drain_all();
-                    self.shared
-                        .pending
-                        .fetch_sub(dropped.len(), Ordering::Release);
+                    st.pending -= dropped.len();
                     if let Some(tx) = &self.tx {
                         for q in dropped {
                             st.sched.stats_mut(&q.spec.tenant).cancelled += 1;
@@ -617,27 +588,6 @@ fn abort_result(q: &QueuedJob, status: JobStatus) -> JobResult {
     }
 }
 
-/// Move everything from the admission ring into the per-tenant queues.
-/// Caller holds the state lock, which serializes the consumer side.
-fn drain_ring(shared: &Shared, st: &mut State) {
-    let mut buf: Vec<QueuedJob> = Vec::new();
-    loop {
-        // SAFETY: the state lock is held; sole consumer.
-        let n = unsafe { shared.ring.pop_batch(&mut buf, usize::MAX) };
-        if n == 0 {
-            // The cached-index queue refreshes its view lazily: one more
-            // empty pop confirms the ring is actually empty.
-            let again = unsafe { shared.ring.pop_batch(&mut buf, usize::MAX) };
-            if again == 0 {
-                break;
-            }
-        }
-        for q in buf.drain(..) {
-            st.sched.enqueue(q);
-        }
-    }
-}
-
 fn worker_loop(idx: usize, shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<JobResult>) {
     let tracer = cfg
         .trace
@@ -647,10 +597,9 @@ fn worker_loop(idx: usize, shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<Job
         let picked = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                drain_ring(&shared, &mut st);
                 if st.shutdown != Shutdown::Requeue && st.shutdown != Shutdown::Now {
                     if let Some(q) = st.sched.pick() {
-                        shared.pending.fetch_sub(1, Ordering::Release);
+                        st.pending -= 1;
                         let token = CancelToken::new();
                         let seq = st.next_seq;
                         st.next_seq += 1;
@@ -665,7 +614,7 @@ fn worker_loop(idx: usize, shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<Job
                 match st.shutdown {
                     Shutdown::None => {}
                     Shutdown::Drain => {
-                        if st.sched.queued() == 0 && shared.ring.occupancy() == 0 {
+                        if st.sched.queued() == 0 {
                             break None;
                         }
                     }
@@ -791,10 +740,9 @@ fn watchdog_loop(shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<JobResult>, t
         let now = Instant::now();
         let mut st = shared.state.lock().unwrap();
         // Queued jobs already past their deadline never reach a worker.
-        drain_ring(&shared, &mut st);
         let expired = st.sched.expire(now);
         if !expired.is_empty() {
-            shared.pending.fetch_sub(expired.len(), Ordering::Release);
+            st.pending -= expired.len();
             for q in expired {
                 st.sched.stats_mut(&q.spec.tenant).expired += 1;
                 st.shed.note_finished(true);

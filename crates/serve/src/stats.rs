@@ -483,7 +483,7 @@ mod tests {
         engine_side.record(5);
         let hists = vec![
             wait.snapshot(HistKind::JobWaitUs),
-            engine_side.snapshot(HistKind::FlushBatch),
+            engine_side.snapshot(HistKind::ExchangeRttUs),
             Hist::default().snapshot(HistKind::JobExecUs), // empty: skipped
         ];
         let line = sample().to_line_with_hists(&hists);

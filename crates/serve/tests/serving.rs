@@ -1,7 +1,7 @@
 //! End-to-end serving-pool tests: concurrent multi-tenant correctness
-//! (bit-identity against one-shot runs), per-tenant cap enforcement,
-//! deadline cancellation mid-run, and a seeded many-tenant stress run
-//! proving no tenant starves.
+//! (bit-identity against one-shot runs), racing admission against a
+//! small budget, per-tenant cap enforcement, deadline cancellation
+//! mid-run, and a seeded many-tenant stress run proving no tenant starves.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,8 +13,10 @@ use phigraph_core::engine::{run_single, EngineConfig, ExecMode};
 use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
 use phigraph_serve::{
-    values_checksum, JobKind, JobResult, JobSpec, JobStatus, ServeConfig, ServePool,
+    values_checksum, AdmitError, EventSink, JobKind, JobResult, JobSpec, JobStatus, ServeConfig,
+    ServePool, ShedPolicy,
 };
+use phigraph_trace::json::Json;
 
 fn graph() -> Arc<Csr> {
     Arc::new(pokec_like_weighted(Scale::Tiny, 11))
@@ -147,6 +149,129 @@ fn sixteen_concurrent_tenants_bit_identical_to_one_shot_runs() {
     assert_eq!(stats.tenants.len(), 16);
     assert!(stats.tenants.values().all(|t| t.completed == 1));
     pool.shutdown(true);
+}
+
+/// Four submitter threads race `submit` against an 8-job admission
+/// budget and 2 workers. Every accepted job runs exactly once with the
+/// one-shot checksum, no refused job runs, the accounting adds up, and
+/// each tenant starts one submitter's jobs in the order it submitted them.
+#[test]
+fn racing_submitters_get_each_accepted_job_run_once_in_order() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 12;
+    const TENANTS: usize = 3;
+    let g = graph();
+    let n = g.num_vertices();
+    let sink = EventSink::new();
+    let (mut pool, rx) = ServePool::new(
+        Arc::clone(&g),
+        ServeConfig {
+            workers: 2,
+            queue_cap: 8,
+            // One running job per tenant: its `start` events then come in
+            // the order the scheduler picked its jobs.
+            default_cap: 1,
+            shed: ShedPolicy::Off,
+            events: Some(sink.clone()),
+            ..ServeConfig::default()
+        },
+    );
+    // Submitter `k`'s job `i`: id, tenant and kind.
+    let job = |k: usize, i: usize| {
+        let kind = match i % 3 {
+            0 => JobKind::Bfs {
+                source: ((k * 31 + i) % n) as u32,
+            },
+            1 => JobKind::Sssp {
+                sources: vec![((k * 17 + i * 5) % n) as u32],
+            },
+            _ => JobKind::PageRank {
+                damping: 0.85,
+                iterations: 3,
+            },
+        };
+        (
+            format!("s{k}-j{i}"),
+            format!("t{}", (k + i) % TENANTS),
+            kind,
+        )
+    };
+    let accepted: Vec<Vec<bool>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..SUBMITTERS)
+            .map(|k| {
+                let (pool, job) = (&pool, &job);
+                s.spawn(move || {
+                    (0..PER_SUBMITTER)
+                        .map(|i| {
+                            let (id, tenant, kind) = job(k, i);
+                            match pool.submit(spec(&id, &tenant, kind, ExecMode::Sequential)) {
+                                Ok(()) => true,
+                                Err(AdmitError::QueueFull { .. }) => false,
+                                Err(e) => panic!("{id}: unexpected {e:?}"),
+                            }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let total = accepted.iter().flatten().filter(|&&a| a).count();
+    assert!(
+        total < SUBMITTERS * PER_SUBMITTER,
+        "no submission was refused"
+    );
+    let mut results: HashMap<String, JobResult> = HashMap::new();
+    for _ in 0..total {
+        let r = rx.recv_timeout(Duration::from_secs(60)).expect("result");
+        assert_eq!(r.status, JobStatus::Ok, "{r:?}");
+        let id = r.id.clone();
+        assert!(results.insert(id.clone(), r).is_none(), "{id} ran twice");
+    }
+    assert_eq!(pool.backlog(), 0);
+    let stats = pool.stats();
+    let mut submissions = [0u64; TENANTS];
+    for (k, flags) in accepted.iter().enumerate() {
+        for (i, &ok) in flags.iter().enumerate() {
+            let (id, _, kind) = job(k, i);
+            submissions[(k + i) % TENANTS] += 1;
+            match results.get(&id) {
+                Some(r) => {
+                    assert!(ok, "refused {id} ran");
+                    assert_eq!(
+                        r.checksum,
+                        direct_checksum(&g, &kind, ExecMode::Sequential),
+                        "{id}: serving checksum diverged from the one-shot run"
+                    );
+                }
+                None => assert!(!ok, "accepted {id} never ran"),
+            }
+        }
+    }
+    for (t, &subs) in submissions.iter().enumerate() {
+        let ts = &stats.tenants[&format!("t{t}")];
+        assert_eq!(ts.completed + ts.rejected, subs, "t{t}: {ts:?}");
+    }
+    // Per tenant, one submitter's jobs start in submission order.
+    let mut last: HashMap<(String, usize), usize> = HashMap::new();
+    let mut starts = 0;
+    for line in sink.recent() {
+        let ev = Json::parse(&line).unwrap();
+        if ev.get("ev").and_then(|v| v.as_str()) != Some("start") {
+            continue;
+        }
+        starts += 1;
+        let id = ev.get("id").and_then(|v| v.as_str()).unwrap();
+        let tenant = ev.get("tenant").and_then(|v| v.as_str()).unwrap();
+        let (k, i) = id[1..].split_once("-j").unwrap();
+        let (k, i): (usize, usize) = (k.parse().unwrap(), i.parse().unwrap());
+        if let Some(prev) = last.insert((tenant.to_string(), k), i) {
+            assert!(prev < i, "{tenant}: s{k}-j{prev} started after {id}");
+        }
+    }
+    assert_eq!(starts, total);
+    pool.shutdown(true);
+    assert_eq!(rx.iter().count(), 0, "a result arrived after the last one");
 }
 
 /// A tenant with cap 1 never has two jobs on workers at once, no matter

@@ -17,43 +17,32 @@ pub const BUCKETS: usize = 33;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum HistKind {
-    /// SPSC queue occupancy (messages) observed at each mover drain pass
-    /// (no engine records it).
-    QueueOccupancy = 0,
-    /// Messages per worker→mover flush batch (no engine records it).
-    FlushBatch = 1,
-    /// Slice length per CSB `insert_slice` call on the mover path (no
-    /// engine records it).
-    InsertSlice = 2,
     /// Remote exchange round-trip latency in microseconds.
-    ExchangeRttUs = 3,
+    ExchangeRttUs = 0,
     /// Barrier checkpoint write time in microseconds.
-    CheckpointWriteUs = 4,
+    CheckpointWriteUs = 1,
     /// Latency between a device going silent and the watchdog noticing,
     /// in milliseconds.
-    WatchdogLatencyMs = 5,
+    WatchdogLatencyMs = 2,
     /// Serving daemon: time a job spent queued before a worker picked it
     /// up, in microseconds.
-    JobWaitUs = 6,
+    JobWaitUs = 3,
     /// Serving daemon: job execution time on a worker, in microseconds.
-    JobExecUs = 7,
+    JobExecUs = 4,
     /// Serving daemon: one append to the crash-recovery job journal
     /// (serialize + write + flush), in microseconds.
-    JournalAppendUs = 8,
+    JournalAppendUs = 5,
     /// Serving daemon: hot graph reload time (load + validate + swap the
     /// shared CSR), in microseconds.
-    GraphSwapUs = 9,
+    GraphSwapUs = 6,
     /// Serving daemon: load-shedding ladder level observed at each
     /// admission decision (0 = normal, 3 = max shedding).
-    ShedLevel = 10,
+    ShedLevel = 7,
 }
 
 impl HistKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [HistKind; 11] = [
-        HistKind::QueueOccupancy,
-        HistKind::FlushBatch,
-        HistKind::InsertSlice,
+    pub const ALL: [HistKind; 8] = [
         HistKind::ExchangeRttUs,
         HistKind::CheckpointWriteUs,
         HistKind::WatchdogLatencyMs,
@@ -67,9 +56,6 @@ impl HistKind {
     /// Stable metric name (Prometheus/JSON exports).
     pub fn name(&self) -> &'static str {
         match self {
-            HistKind::QueueOccupancy => "queue_occupancy",
-            HistKind::FlushBatch => "flush_batch_msgs",
-            HistKind::InsertSlice => "insert_slice_len",
             HistKind::ExchangeRttUs => "exchange_rtt_us",
             HistKind::CheckpointWriteUs => "checkpoint_write_us",
             HistKind::WatchdogLatencyMs => "watchdog_latency_ms",
@@ -285,8 +271,8 @@ mod tests {
         for v in [0u64, 1, 2, 3, 8, 8, 1 << 40] {
             h.record(v);
         }
-        let s = h.snapshot(HistKind::FlushBatch);
-        assert_eq!(s.name, "flush_batch_msgs");
+        let s = h.snapshot(HistKind::ExchangeRttUs);
+        assert_eq!(s.name, "exchange_rtt_us");
         assert_eq!(s.count, 7);
         assert_eq!(s.sum, 22 + (1 << 40));
         assert_eq!(s.buckets[0], 1);
@@ -301,13 +287,16 @@ mod tests {
     #[test]
     fn mean_and_quantiles() {
         let h = Hist::default();
-        assert_eq!(h.snapshot(HistKind::FlushBatch).mean(), None);
-        assert_eq!(h.snapshot(HistKind::FlushBatch).quantile_upper(0.5), None);
+        assert_eq!(h.snapshot(HistKind::ExchangeRttUs).mean(), None);
+        assert_eq!(
+            h.snapshot(HistKind::ExchangeRttUs).quantile_upper(0.5),
+            None
+        );
         for _ in 0..99 {
             h.record(4);
         }
         h.record(1 << 20);
-        let s = h.snapshot(HistKind::FlushBatch);
+        let s = h.snapshot(HistKind::ExchangeRttUs);
         assert_eq!(s.quantile_upper(0.5), Some(7));
         assert_eq!(s.quantile_upper(1.0), Some((1 << 21) - 1));
         assert!((s.mean().unwrap() - (99.0 * 4.0 + (1 << 20) as f64) / 100.0).abs() < 1e-9);
@@ -325,7 +314,7 @@ mod tests {
                 });
             }
         });
-        let s = h.snapshot(HistKind::QueueOccupancy);
+        let s = h.snapshot(HistKind::CheckpointWriteUs);
         assert_eq!(s.count, 4000);
         assert_eq!(s.sum, 4 * (999 * 1000 / 2));
         assert_eq!(s.buckets.iter().sum::<u64>(), 4000);

@@ -139,7 +139,7 @@ impl Json {
 /// ```
 /// use phigraph_trace::json::{Json, JsonBuf};
 /// let mut b = JsonBuf::obj();
-/// b.str("name", "spsc");
+/// b.str("name", "csb");
 /// b.num("mean_ns", 12.5);
 /// b.begin_arr("entries");
 /// b.elem_num(1.0);

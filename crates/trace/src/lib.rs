@@ -17,7 +17,7 @@
 //! fills, further spans are counted in a `dropped` tally instead of
 //! reallocating — the recorder never blocks or grows on the hot path.
 //!
-//! Worker and mover OS threads are respawned every superstep inside
+//! Worker OS threads are respawned every superstep inside
 //! `std::thread::scope`, so a logical thread's buffer is written by many
 //! OS threads *over time* but never concurrently: the scope's join barrier
 //! orders superstep N's writes before superstep N+1's. Each span cell is a
@@ -49,9 +49,6 @@ pub enum TraceLevel {
     /// Record engine phase spans (generate/insert/process/update/exchange/
     /// checkpoint/migrate and friends) and histograms.
     Phase = 1,
-    /// Additionally record fine-grained spans (per-batch flushes, per-queue
-    /// drains). Noticeably heavier; for deep dives only.
-    Fine = 2,
 }
 
 impl TraceLevel {
@@ -60,7 +57,6 @@ impl TraceLevel {
         match self {
             TraceLevel::Off => "off",
             TraceLevel::Phase => "phase",
-            TraceLevel::Fine => "fine",
         }
     }
 }
@@ -71,9 +67,8 @@ impl std::str::FromStr for TraceLevel {
         match s {
             "off" => Ok(TraceLevel::Off),
             "phase" => Ok(TraceLevel::Phase),
-            "fine" => Ok(TraceLevel::Fine),
             other => Err(format!(
-                "unknown trace level {other:?} (expected off|phase|fine)"
+                "unknown trace level {other:?} (expected off|phase)"
             )),
         }
     }
@@ -102,24 +97,19 @@ pub enum Phase {
     Checkpoint = 6,
     /// Partition migration onto the survivor after a device loss.
     Migrate = 7,
-    /// One worker→mover batch flush (fine level; no engine records it).
-    Flush = 8,
-    /// One mover drain pass over a queue (fine level; no engine records
-    /// it).
-    Drain = 9,
     /// One watchdog poll round.
-    Watchdog = 10,
+    Watchdog = 8,
     /// Straggler-driven partition rebalance.
-    Rebalance = 11,
+    Rebalance = 9,
     /// Post-failover lockstep replay of missed supersteps.
-    Replay = 12,
+    Replay = 10,
     /// One serving-daemon job, admission to completion (the worker-side
     /// envelope around that job's supersteps).
-    Job = 13,
+    Job = 11,
 }
 
 /// Every phase, in discriminant order (exporters and tests iterate this).
-pub const ALL_PHASES: [Phase; 14] = [
+pub const ALL_PHASES: [Phase; 12] = [
     Phase::Superstep,
     Phase::Generate,
     Phase::Insert,
@@ -128,8 +118,6 @@ pub const ALL_PHASES: [Phase; 14] = [
     Phase::Exchange,
     Phase::Checkpoint,
     Phase::Migrate,
-    Phase::Flush,
-    Phase::Drain,
     Phase::Watchdog,
     Phase::Rebalance,
     Phase::Replay,
@@ -148,20 +136,10 @@ impl Phase {
             Phase::Exchange => "exchange",
             Phase::Checkpoint => "checkpoint",
             Phase::Migrate => "migrate",
-            Phase::Flush => "flush",
-            Phase::Drain => "drain",
             Phase::Watchdog => "watchdog",
             Phase::Rebalance => "rebalance",
             Phase::Replay => "replay",
             Phase::Job => "job",
-        }
-    }
-
-    /// The minimum [`TraceLevel`] at which spans of this phase record.
-    pub fn level(&self) -> TraceLevel {
-        match self {
-            Phase::Flush | Phase::Drain => TraceLevel::Fine,
-            _ => TraceLevel::Phase,
         }
     }
 
@@ -369,8 +347,7 @@ impl Trace {
     pub fn level(&self) -> TraceLevel {
         match self.shared.level.load(Ordering::Relaxed) {
             0 => TraceLevel::Off,
-            1 => TraceLevel::Phase,
-            _ => TraceLevel::Fine,
+            _ => TraceLevel::Phase,
         }
     }
 
@@ -489,15 +466,6 @@ impl ThreadTracer {
         }
     }
 
-    /// Whether fine-grained spans currently record on this tracer.
-    #[inline]
-    pub fn enabled_fine(&self) -> bool {
-        match &self.inner {
-            Some(t) => t.shared.level.load(Ordering::Relaxed) >= TraceLevel::Fine as u8,
-            None => false,
-        }
-    }
-
     /// Nanoseconds since the trace origin (0 when disabled). Pair with
     /// [`ThreadTracer::record_closing`] for sites that only know after the
     /// fact whether a span is worth keeping.
@@ -511,10 +479,10 @@ impl ThreadTracer {
 
     /// Record a closed span that started at `t0_ns` (from
     /// [`ThreadTracer::now_ns`]) and ends now — for conditional sites like
-    /// mover drains, where empty polls should leave no span behind.
+    /// a serve job, which records no span when it ran degraded.
     pub fn record_closing(&self, phase: Phase, step: u32, t0_ns: u64) {
         if let Some(t) = &self.inner {
-            if t.shared.level.load(Ordering::Relaxed) >= phase.level() as u8 {
+            if t.shared.level.load(Ordering::Relaxed) >= TraceLevel::Phase as u8 {
                 let t1 = t.shared.origin.elapsed().as_nanos() as u64;
                 t.buf.push(phase, self.depth.get(), step, t0_ns, t1);
             }
@@ -523,14 +491,10 @@ impl ThreadTracer {
 
     /// Open a span for `phase` in superstep `step`; it records when the
     /// returned guard drops. Disabled (cost: one relaxed load) when the
-    /// trace level is below the phase's level.
+    /// trace level is off.
     #[inline]
     pub fn span(&self, phase: Phase, step: u32) -> SpanGuard<'_> {
-        let armed = match &self.inner {
-            Some(t) => t.shared.level.load(Ordering::Relaxed) >= phase.level() as u8,
-            None => false,
-        };
-        if !armed {
+        if !self.enabled() {
             return SpanGuard {
                 tracer: None,
                 phase,
@@ -582,11 +546,14 @@ mod tests {
     #[test]
     fn levels_order_and_parse() {
         assert!(TraceLevel::Off < TraceLevel::Phase);
-        assert!(TraceLevel::Phase < TraceLevel::Fine);
-        for l in [TraceLevel::Off, TraceLevel::Phase, TraceLevel::Fine] {
+        for l in [TraceLevel::Off, TraceLevel::Phase] {
             assert_eq!(l.name().parse::<TraceLevel>().unwrap(), l);
         }
         assert!("loud".parse::<TraceLevel>().is_err());
+        assert_eq!(
+            "fine".parse::<TraceLevel>(),
+            Err("unknown trace level \"fine\" (expected off|phase)".to_string())
+        );
     }
 
     #[test]
@@ -643,23 +610,11 @@ mod tests {
         assert!(!t.enabled());
         let _s = t.span(Phase::Generate, 0);
         drop(_s);
-        tr.record_hist(HistKind::FlushBatch, 10);
+        tr.record_hist(HistKind::ExchangeRttUs, 10);
         let snap = tr.snapshot();
         assert_eq!(snap.total_spans(), 0);
         assert!(snap.threads.is_empty(), "off traces register no threads");
         assert!(snap.hists.iter().all(|h| h.count == 0));
-    }
-
-    #[test]
-    fn fine_spans_gated_by_level() {
-        let tr = Trace::new(TraceLevel::Phase);
-        let t = tr.thread("m", 0);
-        drop(t.span(Phase::Flush, 0));
-        drop(t.span(Phase::Generate, 0));
-        assert_eq!(tr.snapshot().total_spans(), 1);
-        tr.set_level(TraceLevel::Fine);
-        drop(t.span(Phase::Flush, 0));
-        assert_eq!(tr.snapshot().total_spans(), 2);
     }
 
     #[test]
@@ -715,13 +670,13 @@ mod tests {
     #[test]
     fn hist_roundtrip_through_trace() {
         let tr = Trace::new(TraceLevel::Phase);
-        tr.record_hist(HistKind::InsertSlice, 5);
-        tr.record_hist(HistKind::InsertSlice, 9);
+        tr.record_hist(HistKind::ExchangeRttUs, 5);
+        tr.record_hist(HistKind::ExchangeRttUs, 9);
         let snap = tr.snapshot();
         let h = snap
             .hists
             .iter()
-            .find(|h| h.name == "insert_slice_len")
+            .find(|h| h.name == "exchange_rtt_us")
             .unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 14);

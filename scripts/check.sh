@@ -3,10 +3,6 @@
 # suite, and warning-free clippy. No network access is required — the workspace has
 # no external dependencies (vendored PRNG + bench harness), so everything
 # resolves from the local toolchain alone.
-#
-# Deeper concurrency checking (loom model checking of the SPSC protocol,
-# ThreadSanitizer runs of tests/spsc_stress.rs) needs a nightly toolchain
-# and is documented as a recipe in docs/pipeline.md rather than run here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -170,7 +166,7 @@ echo "==> bench smoke: BENCH_*.json emission + regression gate"
 # then prove the gate both passes and trips. Numbers from smoke runs are
 # for trend/gating only; full runs use 'phigraph bench run' without flags.
 "$PHIGRAPH" bench run --out-dir . --smoke --seed 7 --samples 3 --warmup 1
-for area in spsc csb superstep exchange integrity partition objmsg serve serve_degraded obs; do
+for area in csb superstep exchange integrity partition objmsg serve serve_degraded obs; do
     test -f "BENCH_$area.json" || { echo "missing BENCH_$area.json" >&2; exit 1; }
 done
 if [ -d bench-baseline ]; then
@@ -183,8 +179,8 @@ else
     cp BENCH_*.json bench-baseline/
 fi
 # The gate must exit nonzero against a baseline perturbed 100x faster.
-"$PHIGRAPH" bench perturb BENCH_spsc.json "$SMOKE_DIR/fast.json" --factor 0.01
-if "$PHIGRAPH" bench compare "$SMOKE_DIR/fast.json" BENCH_spsc.json >/dev/null 2>&1; then
+"$PHIGRAPH" bench perturb BENCH_csb.json "$SMOKE_DIR/fast.json" --factor 0.01
+if "$PHIGRAPH" bench compare "$SMOKE_DIR/fast.json" BENCH_csb.json >/dev/null 2>&1; then
     echo "bench gate FAILED to trip on a perturbed baseline" >&2
     exit 1
 fi

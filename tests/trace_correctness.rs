@@ -182,7 +182,7 @@ fn assert_nested(tid: u64, spans: &[(f64, f64, String)]) {
 #[test]
 fn chrome_trace_parses_and_spans_nest() {
     let g = graph();
-    let trace = Trace::new(TraceLevel::Fine);
+    let trace = Trace::new(TraceLevel::Phase);
     let cfg = EngineConfig::pipelined()
         .with_host_threads(4)
         .with_trace(trace.clone());

@@ -53,14 +53,8 @@ const FLAGS: &[&str] = &[
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, FLAGS)?;
     let graph_path = args.pos(0, "graph")?;
-    let g = Arc::new(load_graph(graph_path)?);
-    eprintln!(
-        "serve: loaded {} ({} vertices, {} edges)",
-        graph_path,
-        g.num_vertices(),
-        g.num_edges()
-    );
-
+    // Every flag is checked before the graph loads, so a bad one fails
+    // fast on a large input.
     let mode = match args.flag_or("engine", "lock") {
         "lock" => ExecMode::Locking,
         "pipe" => ExecMode::Pipelined,
@@ -133,6 +127,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         },
         events_out: args.flag("events-out").map(String::from),
     };
+    let g = Arc::new(load_graph(graph_path)?);
+    eprintln!(
+        "serve: loaded {} ({} vertices, {} edges)",
+        graph_path,
+        g.num_vertices(),
+        g.num_edges()
+    );
     eprintln!(
         "serve: {} workers, queue cap {}, engine {}, {} tenants preconfigured",
         cfg.workers,

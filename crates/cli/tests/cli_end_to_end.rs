@@ -303,13 +303,24 @@ fn run_checks_trace_flags_before_the_graph_loads() {
         assert_eq!(stdout(&o), "", "{extra:?}");
         assert!(!trace.exists(), "{extra:?} wrote {trace_s}");
     }
-    let o = phigraph(&["serve", graph_s, "--trace-level", "fine"]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(
-        stderr(&o).contains("unknown trace level \"fine\" (expected off|phase)"),
-        "{}",
-        stderr(&o)
-    );
+    // `serve` checks every flag before it loads the graph.
+    let serve_cases: &[(&[&str], &str)] = &[
+        (
+            &["--trace-level", "fine"],
+            "unknown trace level \"fine\" (expected off|phase)",
+        ),
+        (&["--engine", "bogus"], "unknown engine \"bogus\""),
+        (&["--device", "bogus"], "unknown device \"bogus\""),
+    ];
+    for (extra, want) in serve_cases {
+        let mut argv = vec!["serve", graph_s];
+        argv.extend_from_slice(extra);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "serve {extra:?} must exit 2");
+        let err = stderr(&o);
+        assert!(err.contains(want), "serve {extra:?}: {err}");
+        assert!(!err.contains("serve: loaded"), "serve {extra:?}: {err}");
+    }
     // Tracing off still dumps the aggregates.
     let o = phigraph(&[
         "run",

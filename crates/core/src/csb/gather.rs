@@ -36,8 +36,8 @@
 //! * **Fall back.** A vertex that does anything but send one value along
 //!   exactly its out-edges in CSR order (fewer, more, another order,
 //!   another destination, another value) fails the check. The engine then
-//!   drops the step's values, re-runs the step through stage-and-drain
-//!   (generation is pure) and stays there.
+//!   drops the step's values, re-runs the step through the mailbox or
+//!   stage-and-drain (generation is pure) and never gathers again.
 //!
 //! The column state, the step counters, the remote batch and every reduced
 //! message come out exactly as stage-and-drain leaves them

@@ -47,7 +47,8 @@ impl CsbLayout {
     /// Build the layout.
     ///
     /// * `n_total` — global vertex count (sizes the redirection map).
-    /// * `owned` — vertices this device owns.
+    /// * `owned` — vertices this device owns, in any order (the engine's
+    ///   ascend, which saves sorting them by id for the ties).
     /// * `capacity` — max messages per superstep for each owned vertex
     ///   (parallel to `owned`): its local in-degree, plus one if it can
     ///   receive combined remote messages.
@@ -67,8 +68,7 @@ impl CsbLayout {
 
         // Step 1: sort owned vertices by capacity (in-degree) descending,
         // ties by id — the order shown in the paper's Figure 3.
-        let mut idx: Vec<usize> = (0..owned.len()).collect();
-        idx.sort_by(|&a, &b| capacity[b].cmp(&capacity[a]).then(owned[a].cmp(&owned[b])));
+        let idx = by_capacity_descending(owned, capacity);
         let order: Vec<VertexId> = idx.iter().map(|&i| owned[i]).collect();
         let sorted_cap: Vec<u32> = idx.iter().map(|&i| capacity[i]).collect();
 
@@ -140,10 +140,44 @@ impl CsbLayout {
     }
 }
 
+/// The indices of `owned` ordered by capacity, descending, ties by id: a
+/// stable counting sort (linear in the length plus the largest capacity)
+/// over the indices in id order, which is index order when `owned`
+/// ascends.
+fn by_capacity_descending(owned: &[VertexId], capacity: &[u32]) -> Vec<usize> {
+    let max = capacity.iter().copied().max().unwrap_or(0) as usize;
+    // Bucket `max - c` holds capacity `c`; `next[b]` is its next slot.
+    let mut next = vec![0usize; max + 1];
+    for &c in capacity {
+        next[max - c as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut idx = vec![0usize; capacity.len()];
+    let mut place = |i: usize| {
+        let slot = &mut next[max - capacity[i] as usize];
+        idx[*slot] = i;
+        *slot += 1;
+    };
+    if owned.is_sorted() {
+        (0..owned.len()).for_each(&mut place);
+    } else {
+        let mut by_id: Vec<usize> = (0..owned.len()).collect();
+        by_id.sort_by_key(|&i| owned[i]);
+        by_id.into_iter().for_each(&mut place);
+    }
+    idx
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use phigraph_graph::generators::small::paper_example;
+    use phigraph_graph::SplitMix64;
 
     /// Layout for the paper's Figure 3 configuration: the example graph,
     /// lanes = 4 ("we assume the SIMD lane to be as wide as 4 messages"),
@@ -235,6 +269,59 @@ mod tests {
         let l = CsbLayout::build(30, &owned, &[1; 30], 4, 3);
         for pos in 0..30u32 {
             assert_eq!(l.group_of(pos), pos as usize / 12);
+        }
+    }
+
+    #[test]
+    fn counting_sort_builds_the_comparison_sort_layout() {
+        /// The layout as the comparison sort (capacity descending, ties by
+        /// id) orders it.
+        fn compared(owned: &[VertexId], capacity: &[u32]) -> (Vec<VertexId>, Vec<u32>) {
+            let mut idx: Vec<usize> = (0..owned.len()).collect();
+            idx.sort_by(|&a, &b| capacity[b].cmp(&capacity[a]).then(owned[a].cmp(&owned[b])));
+            (
+                idx.iter().map(|&i| owned[i]).collect(),
+                idx.iter().map(|&i| capacity[i]).collect(),
+            )
+        }
+        for case in 0..200u64 {
+            let mut rng = SplitMix64::seed_from_u64(case);
+            let n = rng.random_range(0usize..300);
+            // A small capacity range forces ties; every fourth case has a
+            // hub far above the rest, and zeros come up throughout.
+            let top = if case % 4 == 0 { 5000 } else { 8 };
+            let all: Vec<VertexId> = (0..n as VertexId).collect();
+            let partial: Vec<VertexId> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.random_range(0u32..3) != 0)
+                .collect();
+            // The same vertices out of id order: ties still go by id.
+            let mut shuffled = partial.clone();
+            rng.shuffle(&mut shuffled);
+            for owned in [&all, &partial, &shuffled] {
+                let capacity: Vec<u32> = owned
+                    .iter()
+                    .map(|_| match rng.random_range(0u32..10) {
+                        0 => 0,
+                        1 => top,
+                        _ => rng.random_range(0u32..8),
+                    })
+                    .collect();
+                let k = rng.random_range(1usize..5);
+                let l = CsbLayout::build(n, owned, &capacity, 4, k);
+                let (order, sorted_cap) = compared(owned, &capacity);
+                assert_eq!(l.order, order, "case {case}");
+                assert_eq!(l.capacity, sorted_cap, "case {case}");
+                for (pos, &v) in order.iter().enumerate() {
+                    assert_eq!(l.position[v as usize], pos as u32, "case {case}");
+                }
+                let rows: Vec<u32> = sorted_cap
+                    .chunks(l.width)
+                    .map(|c| c.iter().copied().max().unwrap_or(0))
+                    .collect();
+                assert_eq!(l.groups.iter().map(|g| g.rows).collect::<Vec<_>>(), rows);
+            }
         }
     }
 

@@ -19,8 +19,9 @@
 //!    cells with the operator identity.
 //!
 //! The engine's host path, which every framework mode shares, fills the
-//! buffer one of two ways, both ending with the column state a one-thread
-//! run of [`Csb::insert`] calls in source order leaves:
+//! buffer, or derives what it would hold, one of three ways, each ending
+//! with the column state a one-thread run of [`Csb::insert`] calls in
+//! source order leaves:
 //!
 //! * on a dense superstep, one where every owned vertex is active and
 //!   broadcasts one value along its out-edges, in gather form (`gather`):
@@ -30,15 +31,21 @@
 //!   metadata that replay computed is installed after the generation
 //!   barrier, and processing gathers `sent[sender[cell]]` in the row order
 //!   it reduces the buffer in;
-//! * on every other superstep, for the remote absorb, under the message
-//!   audit, while a message bit-flip fault is pending and once a vertex has
-//!   not broadcast along its out-edge order, by stage-and-drain (`stage`):
+//! * on any other superstep, by a mailbox (`mailbox`): the calling
+//!   thread generates in source order and folds each message on arrival
+//!   into its destination's slot, the remote absorb folds after it, and
+//!   the column binding, insertion statistics and processing records are
+//!   derived from the per-destination counts, with no cell written;
+//! * under the message audit and while a message bit-flip fault is
+//!   pending (both act on the cells), by stage-and-drain (`stage`):
 //!   threads stage messages per run of groups while generating, and each
-//!   run is then drained by one owning thread, in source order.
+//!   run is then drained by one owning thread, in source order; the
+//!   remote absorb of such a step stages and drains too.
 
 pub mod buffer;
 pub(crate) mod gather;
 pub mod layout;
+pub(crate) mod mailbox;
 pub mod process;
 pub(crate) mod stage;
 

@@ -229,6 +229,11 @@ impl<T: MsgValue> Staging<T> {
         }
     }
 
+    /// The bin group `group` drains in.
+    pub(crate) fn bin_of_group(&self, group: usize) -> u32 {
+        self.bin_of_group[group]
+    }
+
     /// Number of bins.
     pub(crate) fn num_bins(&self) -> usize {
         self.bin_base.len() - 1

@@ -10,24 +10,30 @@
 //! per-column lock. On a dense superstep (every owned vertex active, no
 //! message audit, no message bit-flip pending) each vertex's one value is
 //! kept and processing gathers it through the cells' sender table
-//! ([`crate::csb::gather`]); every other superstep, and a dense one in
-//! which some vertex does not broadcast along its out-edges, stages and
-//! drains its insertions ([`crate::csb::stage`]). Both leave the same
-//! column state and reduce the same messages in the same order, so the
-//! engine's counters and results depend on neither the host
-//! thread count, nor the path, nor the mode. The modes differ in what the
-//! cost model charges for the counts: the paper's locked insertion
-//! (`lock`), its worker/mover pipeline (`pipe`, for which generation also
-//! tallies each simulated mover's messages), or a per-message OpenMP lock
-//! and no processing phase with scalar processing (`omp`, "OpenMP
-//! directives on sequential code, with proper use of synchronization
-//! (OpenMP locks)"). The phase methods are public so the heterogeneous
-//! driver can interleave the remote exchange between generation and
-//! processing, exactly where the paper's workflow places it.
+//! ([`crate::csb::gather`]). Every other superstep, and a dense one in
+//! which some vertex does not broadcast along its out-edges, folds each
+//! message on arrival on the calling thread ([`crate::csb::mailbox`]),
+//! unless the message audit is on or a message bit-flip is pending: those
+//! act on the buffer's cells, so such a step stages and drains its
+//! insertions ([`crate::csb::stage`]). A mailbox step touches only the
+//! vertices that got messages and walks the active vertices the last
+//! update listed. All three leave the same column state, or derive it, and
+//! reduce the same messages in the same order, so the engine's counters
+//! and results depend on neither the host thread count, nor the path, nor
+//! the mode. The modes differ in what the cost model charges for the
+//! counts: the paper's locked insertion (`lock`), its worker/mover pipeline
+//! (`pipe`, for which generation also tallies each simulated mover's
+//! messages), or a per-message OpenMP lock and no processing phase with
+//! scalar processing (`omp`, "OpenMP directives on sequential code, with
+//! proper use of synchronization (OpenMP locks)"). The phase methods are
+//! public so the heterogeneous driver can interleave the remote exchange
+//! between generation and processing, exactly where the paper's workflow
+//! places it.
 
 use crate::active::ActiveSet;
 use crate::api::{GenContext, MsgSink, VertexProgram};
 use crate::csb::gather::{DenseTable, GatherSink};
+use crate::csb::mailbox::Mailbox;
 use crate::csb::process::Gather;
 use crate::csb::stage::{Stager, Staging};
 use crate::csb::{Csb, CsbLayout};
@@ -97,6 +103,16 @@ enum Dense {
     Off,
 }
 
+/// Which supersteps fold on arrival (tests force stage-and-drain).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mail {
+    /// Every superstep that may ([`DeviceEngine::mail_step`]).
+    Always,
+    /// None.
+    #[cfg(test)]
+    Never,
+}
+
 /// The per-device runtime for a [`VertexProgram`].
 pub struct DeviceEngine<'g, P: VertexProgram> {
     /// The user program.
@@ -140,6 +156,17 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     /// nothing appended behind it: a gather step then neither resets nor
     /// reinstalls it.
     held: bool,
+    /// The folds of mailbox supersteps.
+    mailbox: Mailbox<P::Msg>,
+    /// Whether the last superstep's messages are in `mailbox` rather than
+    /// the buffer (until the next `begin_step`).
+    mailed: bool,
+    /// Which supersteps fold on arrival.
+    mail: Mail,
+    /// The active vertices, when the last mailbox update listed them
+    /// (`None`: only the flags hold them). A mailbox step walks this list
+    /// instead of every owned vertex's flag.
+    frontier: Option<Vec<VertexId>>,
 }
 
 /// Split `owned` into ranges of roughly equal out-edge mass. With
@@ -267,25 +294,33 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             num_ranks - 1,
             phigraph_partition::MAX_RANKS
         );
-        let mut local_in = vec![0u32; n];
-        let mut remote_mask = vec![0u64; n];
-        let is_local = |v: VertexId| assign.is_none_or(|a| a[v as usize] == dev_id);
-        for (s, d) in graph.edge_iter() {
-            if is_local(d) {
-                if is_local(s) {
-                    local_in[d as usize] += 1;
-                } else {
-                    remote_mask[d as usize] |= 1 << assign.expect("remote sender")[s as usize];
+        let (local_in, remote_mask) = match assign {
+            // Every sender is local.
+            None => (graph.in_degrees(), Vec::new()),
+            Some(a) => {
+                let mut local_in = vec![0u32; n];
+                let mut remote_mask = vec![0u64; n];
+                for (s, d) in graph.edge_iter() {
+                    if a[d as usize] == dev_id {
+                        if a[s as usize] == dev_id {
+                            local_in[d as usize] += 1;
+                        } else {
+                            remote_mask[d as usize] |= 1 << a[s as usize];
+                        }
+                    }
                 }
+                (local_in, remote_mask)
             }
-        }
+        };
         let capacity: Vec<u32> = owned
             .iter()
             .map(|&v| match program.capacity_hint(v, graph) {
                 // Custom bound: all senders might be local, plus one
                 // combined remote message per peer rank.
                 Some(hint) => hint + (num_ranks - 1) as u32,
-                None => local_in[v as usize] + remote_mask[v as usize].count_ones(),
+                None => {
+                    local_in[v as usize] + remote_mask.get(v as usize).map_or(0, |m| m.count_ones())
+                }
             })
             .collect();
 
@@ -325,6 +360,10 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             sent: Vec::new(),
             gathered: false,
             held: false,
+            mailbox: Mailbox::new(),
+            mailed: false,
+            mail: Mail::Always,
+            frontier: None,
         }
     }
 
@@ -360,6 +399,17 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         );
         self.values = values;
         self.active.restore_flags(flags);
+        self.frontier = None;
+    }
+
+    /// The active owned vertices, read from the flags, ascending.
+    fn active_owned(&self) -> Vec<VertexId> {
+        let active = &self.active;
+        self.owned
+            .iter()
+            .copied()
+            .filter(|&v| active.is_active(v))
+            .collect()
     }
 
     // ---- Integrity / quarantine hooks ----------------------------------
@@ -440,6 +490,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             }
         }
         self.active.restore_flags(image_flags);
+        self.frontier = None;
     }
 
     /// Quarantine recompute for *messages*: re-run generation,
@@ -505,14 +556,21 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// Reset per-iteration buffer state; returns fresh counters. A buffer
     /// that holds only the sender table's column state is kept until the
     /// step turns out not to gather, and counts the cells its reset
-    /// touches.
+    /// touches. After a mailbox step the buffer is empty: only the
+    /// positions that got messages are cleared, and the cells a reset of
+    /// the buffer holding them would touch are counted.
     pub fn begin_step(&mut self) -> StepCounters {
-        let reset_cells = match &self.dense {
-            Dense::Ready(table) if self.held => table.reset_cells(),
-            _ => self.csb.reset(),
+        let reset_cells = if std::mem::take(&mut self.mailed) {
+            let layout = &self.csb.layout;
+            self.mailbox.clear(layout, self.csb.mode, &mut self.has_msg)
+        } else {
+            self.has_msg.fill(0);
+            match &self.dense {
+                Dense::Ready(table) if self.held => table.reset_cells(),
+                _ => self.csb.reset(),
+            }
         };
         self.gathered = false;
-        self.has_msg.fill(0);
         self.cur_step = self.cur_step.wrapping_add(1);
         StepCounters {
             reset_cells,
@@ -530,7 +588,8 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// uncombined. Deactivates all vertices afterwards (senders vote to
     /// halt; updates re-activate).
     pub fn generate(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
-        let remote = self.generate_locking(c);
+        let frontier = self.frontier.take();
+        let remote = self.generate_locking(c, frontier);
         if self.config.mode == ExecMode::Pipelined {
             self.tally_movers(&remote, c);
         }
@@ -546,12 +605,14 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     }
 
     /// Post-generation pass over the vertices that just sent messages
-    /// (disjoint writes: each active vertex is owned by one task).
+    /// (disjoint writes: each active vertex is owned by one task), on the
+    /// calling thread after a mailbox step.
     fn run_post_generate(&mut self) {
         let sched = ChunkScheduler::new(self.owned.len(), 512);
+        let threads = if self.mailed { 1 } else { self.host_threads };
         let (program, owned, active) = (self.program, &self.owned, &self.active);
         let vslice = SharedSlice::new(&mut self.values);
-        run_parallel(self.host_threads, |_| {
+        run_parallel(threads, |_| {
             while let Some(r) = sched.next_batch() {
                 for i in r {
                     let v = owned[i];
@@ -574,11 +635,15 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         let movers = self.config.pipeline_split(&self.spec).1;
         let mut tally = vec![0u64; movers];
         let csb = &self.csb;
-        for g in 0..csb.layout.num_groups() {
-            for col in 0..csb.used_columns(g) {
-                if let Some(pos) = csb.column_position(g, col) {
-                    let dst = csb.layout.order[pos as usize] as usize;
-                    tally[dst % movers] += u64::from(csb.column_count(g, col));
+        let mut add = |dst: VertexId, msgs: u32| tally[dst as usize % movers] += u64::from(msgs);
+        if self.mailed {
+            self.mailbox.counts().for_each(|(dst, n)| add(dst, n));
+        } else {
+            for g in 0..csb.layout.num_groups() {
+                for col in 0..csb.used_columns(g) {
+                    if let Some(pos) = csb.column_position(g, col) {
+                        add(csb.layout.order[pos as usize], csb.column_count(g, col));
+                    }
                 }
             }
         }
@@ -588,9 +653,13 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         c.mover_msgs = tally;
     }
 
-    /// The host path of every mode: gather form on a dense superstep,
-    /// stage-and-drain otherwise.
-    fn generate_locking(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
+    /// The host path of every mode: gather form on a dense superstep, the
+    /// mailbox on any other one that may, stage-and-drain otherwise.
+    fn generate_locking(
+        &mut self,
+        c: &mut StepCounters,
+        frontier: Option<Vec<VertexId>>,
+    ) -> Vec<WireMsg<P::Msg>> {
         if self.dense_step() {
             if let Some(remote) = self.generate_gather(c) {
                 return remote;
@@ -604,7 +673,22 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         if std::mem::take(&mut self.held) {
             self.csb.reset();
         }
+        if self.mail_step() {
+            let frontier = frontier.unwrap_or_else(|| self.active_owned());
+            return self.generate_mailed(c, frontier);
+        }
         self.generate_staged(c)
+    }
+
+    /// Whether a superstep that does not gather folds on arrival: the
+    /// message audit is off and no message bit-flip is pending (both act on
+    /// the buffer, which a mailbox step leaves empty).
+    fn mail_step(&self) -> bool {
+        match self.mail {
+            Mail::Always => !self.csb.audit_enabled() && !self.message_flip_pending(),
+            #[cfg(test)]
+            Mail::Never => false,
+        }
     }
 
     /// Whether this superstep gathers: every owned vertex is active, the
@@ -718,6 +802,59 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         Some(remote)
     }
 
+    /// Mailbox generation ([`crate::csb::mailbox`]): the calling thread
+    /// generates the active vertices of `frontier` (owned, in any order)
+    /// chunk by chunk in owned order, folding each local message on
+    /// arrival, then binds the columns the messages would take.
+    fn generate_mailed(
+        &mut self,
+        c: &mut StepCounters,
+        mut frontier: Vec<VertexId>,
+    ) -> Vec<WireMsg<P::Msg>> {
+        let vectorized = self.config.vectorized && P::SIMD_REDUCIBLE;
+        let (program, graph) = (self.program, self.graph);
+        let (owned, values) = (&self.owned, &self.values);
+        let layout = &self.csb.layout;
+        // `owned` ascends, so the sorted frontier meets the chunks in order.
+        frontier.sort_unstable();
+        let mut next = frontier.iter().copied().peekable();
+        let tracer = worker_tracer(self.config.trace.as_ref(), self.dev_id, 0);
+        let step = self.trace_step();
+        let generate = tracer.span(Phase::Generate, step);
+        let mut sink = self
+            .mailbox
+            .sink::<P::Reduce>(layout, vectorized, self.assign, self.dev_id);
+        let mut ctx = GenContext::new(graph, values, &mut sink);
+        for r in &self.gen_ranges {
+            let (mut ch, sent) = (GenChunk::default(), ctx.sent);
+            let last = owned[r.end - 1];
+            while let Some(v) = next.next_if(|&v| v <= last) {
+                ch.vertices += 1;
+                ch.edges += graph.out_degree(v) as u64;
+                program.generate(v, &mut ctx);
+            }
+            ch.msgs = ctx.sent - sent;
+            c.active_vertices += ch.vertices;
+            c.gen_edges += ch.edges;
+            c.gen_chunks.push(ch);
+        }
+        let sent = ctx.sent;
+        let remote = sink.remote;
+        c.msgs_local = sent - remote.len() as u64;
+        drop(generate);
+        let _insert = tracer.span(Phase::Insert, step);
+        if !self.mailbox.bind(layout, self.csb.mode) {
+            // A column overflows. Generation is pure, so the step re-runs
+            // through stage-and-drain, whose drain panics with the first
+            // rejected message in bin order.
+            self.mailbox.clear(layout, self.csb.mode, &mut self.has_msg);
+            self.generate_staged(c);
+            unreachable!("the drain rejects a message");
+        }
+        self.mailed = true;
+        remote
+    }
+
     /// Stage-and-drain generation: threads take chunks dynamically and
     /// stage their messages, then the drain inserts them in chunk order.
     fn generate_staged(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
@@ -787,16 +924,26 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// ("Received messages are inserted into local message buffer for
     /// further processing"). They are staged and drained like the locking
     /// engine's own messages, so each column appends them in `incoming`
-    /// order.
+    /// order; on a mailbox step they fold after the local ones, in the
+    /// same order.
     pub fn absorb_remote(&mut self, incoming: &[WireMsg<P::Msg>], c: &mut StepCounters) {
         if incoming.is_empty() {
             return;
         }
-        self.held = false;
-        self.staging
-            .insert_stream(&self.csb, self.host_threads, incoming.len(), |i| {
-                (incoming[i].dst, incoming[i].value)
-            });
+        if self.mailed {
+            let vectorized = self.config.vectorized && P::SIMD_REDUCIBLE;
+            let (layout, staging) = (&self.csb.layout, &self.staging);
+            self.mailbox
+                .absorb::<P::Reduce>(layout, self.csb.mode, vectorized, incoming, |g| {
+                    staging.bin_of_group(g)
+                });
+        } else {
+            self.held = false;
+            self.staging
+                .insert_stream(&self.csb, self.host_threads, incoming.len(), |i| {
+                    (incoming[i].dst, incoming[i].value)
+                });
+        }
         // Record the insertion work in scheduler-grain batches (one giant
         // chunk would read as serial work in the makespan replay).
         let grain = (incoming.len() / (self.spec.threads() * 8).max(1)).clamp(16, 1024) as u64;
@@ -816,7 +963,11 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// Collect insertion statistics after all insertions (local + remote)
     /// are done.
     pub fn finalize_insertion_stats(&self, c: &mut StepCounters) {
-        let (profile, occupied, allocs) = self.csb.insert_stats();
+        let (profile, occupied, allocs) = if self.mailed {
+            self.mailbox.insert_stats(self.csb.mode)
+        } else {
+            self.csb.insert_stats()
+        };
         c.insert_profile = profile;
         c.occupied_columns = occupied;
         c.column_allocs = allocs;
@@ -825,6 +976,34 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// Message processing: reduce the buffer into per-position messages.
     pub fn process(&mut self, c: &mut StepCounters) {
         let vectorized = self.config.vectorized && P::SIMD_REDUCIBLE;
+        if self.mailed {
+            self.mailbox.reduce::<P::Reduce>(
+                vectorized,
+                &mut self.reduced,
+                &mut self.has_msg,
+                &mut c.proc_chunks,
+            );
+        } else {
+            self.process_buffer(vectorized, c);
+        }
+        for ch in &c.proc_chunks {
+            c.proc_rows += ch.rows;
+            c.proc_msgs += ch.msgs;
+            c.holes_filled += ch.holes;
+        }
+        let lanes = self.csb.layout.lanes as u64;
+        // Vectorized processing streams whole rows (messages + bubbles);
+        // the scalar walk touches each message cell individually.
+        c.bytes_proc = if vectorized {
+            (c.proc_rows * lanes + c.occupied_columns) * P::Msg::SIZE as u64
+        } else {
+            (c.proc_msgs + c.occupied_columns) * P::Msg::SIZE as u64
+        };
+    }
+
+    /// Reduce the buffer's vector arrays on the host threads, recording
+    /// their work in group order.
+    fn process_buffer(&mut self, vectorized: bool, c: &mut StepCounters) {
         let groups = self.csb.layout.num_groups();
         let sched =
             ChunkScheduler::new(groups, self.config.resolved_proc_chunk(groups, &self.spec));
@@ -861,23 +1040,27 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         // whichever thread ran them, so the makespan replay is the same on
         // any host thread count.
         c.proc_chunks = in_chunk_order(out);
-        for ch in &c.proc_chunks {
-            c.proc_rows += ch.rows;
-            c.proc_msgs += ch.msgs;
-            c.holes_filled += ch.holes;
-        }
-        let lanes = self.csb.layout.lanes as u64;
-        // Vectorized processing streams whole rows (messages + bubbles);
-        // the scalar walk touches each message cell individually.
-        c.bytes_proc = if vectorized {
-            (c.proc_rows * lanes + c.occupied_columns) * P::Msg::SIZE as u64
-        } else {
-            (c.proc_msgs + c.occupied_columns) * P::Msg::SIZE as u64
-        };
     }
 
-    /// Vertex updating: apply reduced messages, set next-step active flags.
+    /// Vertex updating: apply reduced messages and set next-step active
+    /// flags.
     pub fn update(&mut self, c: &mut StepCounters) {
+        let updated = if self.mailed {
+            self.update_mailed()
+        } else {
+            self.update_buffer()
+        };
+        if P::ALWAYS_ACTIVE {
+            self.active.activate_all(&self.owned);
+        }
+        c.updated_vertices = updated;
+        c.next_active = self.active.count();
+        c.bytes_update = updated * (std::mem::size_of::<P::Value>() as u64 + 1);
+    }
+
+    /// Update the vertices of every position with a message, on the host
+    /// threads; returns how many.
+    fn update_buffer(&mut self) -> u64 {
         let positions = self.csb.layout.num_positions();
         let sched = ChunkScheduler::new(positions, 512);
         let (program, graph) = (self.program, self.graph);
@@ -906,13 +1089,31 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         })
         .into_iter()
         .sum();
-        if P::ALWAYS_ACTIVE {
-            self.active.activate_all(&self.owned);
-        }
         self.active.recount();
-        c.updated_vertices = updated;
-        c.next_active = self.active.count();
-        c.bytes_update = updated * (std::mem::size_of::<P::Value>() as u64 + 1);
+        updated
+    }
+
+    /// Update the vertices a mailbox step reached, on the calling thread,
+    /// listing those that stay active unless the program keeps every vertex
+    /// active; returns how many were updated.
+    fn update_mailed(&mut self) -> u64 {
+        let (program, graph) = (self.program, self.graph);
+        let mut frontier = Vec::new();
+        let mut updated = 0u64;
+        for (v, pos) in self.mailbox.reached() {
+            let val = &mut self.values[v as usize];
+            let act = program.update(v, self.reduced[pos as usize], val, graph);
+            // Generation cleared every flag, so `set` keeps the count.
+            self.active.set(v, act);
+            updated += 1;
+            if act && !P::ALWAYS_ACTIVE {
+                frontier.push(v);
+            }
+        }
+        if !P::ALWAYS_ACTIVE {
+            self.frontier = Some(frontier);
+        }
+        updated
     }
 }
 
@@ -1298,8 +1499,8 @@ mod tests {
     /// Run `program` under `config` (any of [`host_path_modes`]) with its
     /// host thread count forced to `threads` — past the
     /// `available_parallelism` clamp, so the threads really interleave even
-    /// on a one-core runner — and, when `staged`, with the dense path off,
-    /// so every superstep stages and drains.
+    /// on a one-core runner — and, when `staged`, with the dense path and
+    /// the mailbox off, so every superstep stages and drains.
     fn lock_forced<P>(
         program: &P,
         g: &Csr,
@@ -1315,6 +1516,7 @@ mod tests {
         eng.host_threads = threads;
         if staged {
             eng.dense = Dense::Off;
+            eng.mail = Mail::Never;
         }
         let cost = CostModel::new(eng.spec.clone());
         let (mut steps, mut messages, mut sim, mut dense) =
@@ -1617,6 +1819,7 @@ mod tests {
                             eng.host_threads = threads;
                             if staged {
                                 eng.dense = Dense::Off;
+                                eng.mail = Mail::Never;
                             }
                             eng
                         };
@@ -1651,6 +1854,7 @@ mod tests {
                             let mut staged_one =
                                 DeviceEngine::new(&pr, &g, spec.clone(), config.clone(), 0, None);
                             staged_one.dense = Dense::Off;
+                            staged_one.mail = Mail::Never;
                             let (dense_step, staged_step) = (
                                 observe_step(&mut one, &[]),
                                 observe_step(&mut staged_one, &[]),
@@ -1680,6 +1884,369 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Breadth-first levels from vertex 0: `i32` `Min` on the scalar
+    /// processing path, as the paper runs BFS.
+    struct Bfs;
+    impl VertexProgram for Bfs {
+        type Msg = i32;
+        type Reduce = Min;
+        type Value = i32;
+        const NAME: &'static str = "bfs";
+        const SIMD_REDUCIBLE: bool = false;
+        fn init(&self, v: VertexId, _g: &Csr) -> (i32, bool) {
+            if v == 0 {
+                (0, true)
+            } else {
+                (i32::MAX, false)
+            }
+        }
+        fn generate<S: MsgSink<i32>>(&self, v: VertexId, ctx: &mut GenContext<'_, i32, S>) {
+            interleave(v);
+            let next = *ctx.value(v) + 1;
+            for e in ctx.graph.edge_range(v) {
+                ctx.send(ctx.graph.targets[e], next);
+            }
+        }
+        fn update(&self, _v: VertexId, level: i32, value: &mut i32, _g: &Csr) -> bool {
+            let first = *value == i32::MAX;
+            if first {
+                *value = level;
+            }
+            first
+        }
+    }
+
+    /// Weakly connected components: each label goes along the out-edges,
+    /// then along the in-edges (out of CSR order), `i32` `Min`.
+    struct Wcc {
+        reverse: Csr,
+    }
+    impl VertexProgram for Wcc {
+        type Msg = i32;
+        type Reduce = Min;
+        type Value = i32;
+        const NAME: &'static str = "wcc";
+        fn init(&self, v: VertexId, _g: &Csr) -> (i32, bool) {
+            (v as i32, true)
+        }
+        fn generate<S: MsgSink<i32>>(&self, v: VertexId, ctx: &mut GenContext<'_, i32, S>) {
+            interleave(v);
+            let label = *ctx.value(v);
+            for e in ctx.graph.edge_range(v) {
+                ctx.send(ctx.graph.targets[e], label);
+            }
+            for &u in self.reverse.neighbors(v) {
+                ctx.send(u, label);
+            }
+        }
+        fn update(&self, _v: VertexId, msg: i32, value: &mut i32, _g: &Csr) -> bool {
+            let lower = msg < *value;
+            if lower {
+                *value = msg;
+            }
+            lower
+        }
+        fn capacity_hint(&self, v: VertexId, g: &Csr) -> Option<u32> {
+            Some((self.reverse.out_degree(v) + g.out_degree(v)) as u32)
+        }
+    }
+
+    /// k-core peeling: a removed vertex sends 1 along its out- and
+    /// in-edges, `i32` `Sum`. A live vertex's value is its live degree; a
+    /// removed one's is −1.
+    struct KCore {
+        k: i32,
+        reverse: Csr,
+    }
+    impl KCore {
+        fn degree(&self, v: VertexId, g: &Csr) -> i32 {
+            (g.out_degree(v) + self.reverse.out_degree(v)) as i32
+        }
+    }
+    impl VertexProgram for KCore {
+        type Msg = i32;
+        type Reduce = Sum;
+        type Value = i32;
+        const NAME: &'static str = "kcore";
+        fn init(&self, v: VertexId, g: &Csr) -> (i32, bool) {
+            let deg = self.degree(v, g);
+            if deg < self.k {
+                (-1, true)
+            } else {
+                (deg, false)
+            }
+        }
+        fn generate<S: MsgSink<i32>>(&self, v: VertexId, ctx: &mut GenContext<'_, i32, S>) {
+            interleave(v);
+            for e in ctx.graph.edge_range(v) {
+                ctx.send(ctx.graph.targets[e], 1);
+            }
+            for &u in self.reverse.neighbors(v) {
+                ctx.send(u, 1);
+            }
+        }
+        fn update(&self, _v: VertexId, removed: i32, value: &mut i32, _g: &Csr) -> bool {
+            if *value < 0 {
+                return false;
+            }
+            *value -= removed;
+            let gone = *value < self.k;
+            if gone {
+                *value = -1;
+            }
+            gone
+        }
+        fn capacity_hint(&self, v: VertexId, g: &Csr) -> Option<u32> {
+            Some(self.degree(v, g) as u32)
+        }
+    }
+
+    /// The little-endian bits of a message.
+    fn msg_bits<T: MsgValue>(m: T) -> u128 {
+        let mut bytes = [0u8; 16];
+        m.write_le(&mut bytes[..T::SIZE]);
+        u128::from_le_bytes(bytes)
+    }
+
+    /// One rank's forced run: its supersteps, its simulated seconds' bits
+    /// and its values' encoding.
+    #[derive(Default, PartialEq)]
+    struct Trail {
+        steps: Vec<TrailStep>,
+        sim: u64,
+        values: Vec<u8>,
+    }
+
+    /// One superstep of a [`Trail`].
+    #[derive(PartialEq)]
+    struct TrailStep {
+        /// Its full counters.
+        counters: StepCounters,
+        /// Each position's `(has, reduced message bits)`.
+        messages: Vec<(u8, u128)>,
+        /// Whether its messages went to the mailbox.
+        mailed: bool,
+    }
+
+    /// Run `program` on one device (`assign` = `None`) or on both ranks of
+    /// a 2-rank `assign`, each step's combined peer-bound messages absorbed
+    /// by the other rank, at `threads` forced host threads with the dense
+    /// path off and the mailbox forced to `mail`.
+    fn mail_forced<P>(
+        program: &P,
+        g: &Csr,
+        config: &EngineConfig,
+        assign: Option<&[u8]>,
+        threads: usize,
+        mail: Mail,
+    ) -> Vec<Trail>
+    where
+        P: VertexProgram,
+        P::Value: phigraph_graph::state::PodState,
+    {
+        use phigraph_graph::state::PodState;
+        let spec = DeviceSpec::xeon_e5_2680();
+        let cost = CostModel::new(spec.clone());
+        let ranks = 1 + usize::from(assign.is_some());
+        let mut engines: Vec<_> = (0..ranks as u8)
+            .map(|dev| {
+                let mut eng =
+                    DeviceEngine::new(program, g, spec.clone(), config.clone(), dev, assign);
+                eng.host_threads = threads;
+                eng.dense = Dense::Off;
+                eng.mail = mail;
+                eng
+            })
+            .collect();
+        let mut trails: Vec<Trail> = (0..ranks).map(|_| Trail::default()).collect();
+        let mut sim = vec![0.0f64; ranks];
+        for _ in 0..program.max_supersteps().unwrap_or(usize::MAX) {
+            let (mut steps, mut outgoing) = (Vec::new(), Vec::new());
+            for eng in &mut engines {
+                let mut c = eng.begin_step();
+                let remote = eng.generate(&mut c);
+                outgoing.push(combine_messages::<P::Msg, P::Reduce>(remote).0);
+                steps.push(c);
+            }
+            let sent: u64 = steps.iter().map(StepCounters::msgs_total).sum();
+            for (r, (eng, mut c)) in engines.iter_mut().zip(steps).enumerate() {
+                eng.absorb_remote(&outgoing[(r + 1) % ranks], &mut c);
+                eng.finalize_insertion_stats(&mut c);
+                eng.process(&mut c);
+                let messages = eng
+                    .has_msg
+                    .iter()
+                    .zip(&eng.reduced)
+                    .map(|(&has, &m)| (has, if has != 0 { msg_bits(m) } else { 0 }))
+                    .collect();
+                let mailed = eng.mailed;
+                eng.update(&mut c);
+                sim[r] += RankEngine::step_times(&*eng, &cost, &c).total;
+                trails[r].steps.push(TrailStep {
+                    counters: c,
+                    messages,
+                    mailed,
+                });
+            }
+            if sent == 0 {
+                break;
+            }
+        }
+        for ((trail, eng), sim) in trails.iter_mut().zip(&engines).zip(sim) {
+            trail.sim = sim.to_bits();
+            for &v in &eng.owned {
+                eng.values[v as usize].write_le(&mut trail.values);
+            }
+        }
+        trails
+    }
+
+    #[test]
+    fn mailbox_steps_leave_what_stage_and_drain_leaves() {
+        /// The forced mailbox run of `program` equals forced stage-and-drain
+        /// in everything [`Trail`] holds, on one device and on both ranks
+        /// of `assign`, at every host thread count.
+        fn check<P>(name: &str, program: &P, g: &Csr, assign: &[u8])
+        where
+            P: VertexProgram,
+            P::Value: phigraph_graph::state::PodState,
+        {
+            for base in host_path_modes() {
+                for column_mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
+                    let config = base.clone().with_column_mode(column_mode);
+                    let at = format!("{name}/{}/{column_mode:?}", config.mode.name());
+                    for placement in [None, Some(assign)] {
+                        let ranks = 1 + usize::from(placement.is_some());
+                        let mailed = mail_forced(program, g, &config, placement, 1, Mail::Always);
+                        let steps = &mailed[0].steps;
+                        assert!(steps.len() > 2, "{at}: {} steps", steps.len());
+                        assert!(steps.iter().all(|s| s.mailed), "{at}: every step mails");
+                        if ranks == 2 {
+                            assert!(
+                                steps.iter().any(|s| s.counters.msgs_remote > 0),
+                                "{at}: rank 0 sends to its peer"
+                            );
+                        }
+                        let wide = mail_forced(program, g, &config, placement, 8, Mail::Always);
+                        assert!(wide == mailed, "{at}: the mailbox depends on host threads");
+                        for threads in [1, 2, 3, 8] {
+                            let at = format!("{at} on {ranks} ranks at {threads} threads");
+                            let staged =
+                                mail_forced(program, g, &config, placement, threads, Mail::Never);
+                            for (rank, (m, s)) in mailed.iter().zip(&staged).enumerate() {
+                                let at = format!("{at}, rank {rank}");
+                                assert_eq!(m.steps.len(), s.steps.len(), "{at}: steps");
+                                for (i, (a, b)) in m.steps.iter().zip(&s.steps).enumerate() {
+                                    assert!(!b.mailed, "{at}: step {i} stages");
+                                    // Named first for a readable failure,
+                                    // then every field.
+                                    assert_eq!(
+                                        a.counters.gen_chunks, b.counters.gen_chunks,
+                                        "{at}: step {i}"
+                                    );
+                                    assert_eq!(
+                                        a.counters.proc_chunks, b.counters.proc_chunks,
+                                        "{at}: step {i}"
+                                    );
+                                    assert_eq!(
+                                        a.counters.mover_msgs, b.counters.mover_msgs,
+                                        "{at}: step {i}"
+                                    );
+                                    assert_eq!(
+                                        a.counters.reset_cells, b.counters.reset_cells,
+                                        "{at}: step {i}"
+                                    );
+                                    assert!(a.counters == b.counters, "{at}: counters of step {i}");
+                                    assert!(
+                                        a.messages == b.messages,
+                                        "{at}: reduced messages of step {i}"
+                                    );
+                                }
+                                assert_eq!(m.sim, s.sim, "{at}: simulated seconds");
+                                assert!(m.values == s.values, "{at}: values");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let g = pokec_small(7);
+        let assign: Vec<u8> = (0..g.num_vertices())
+            .map(|v| u8::from(v % 3 == 1))
+            .collect();
+        check("sssp", &Sssp, &g, &assign);
+        check("bfs", &Bfs, &g, &assign);
+        check(
+            "wcc",
+            &Wcc {
+                reverse: g.transpose(),
+            },
+            &g,
+            &assign,
+        );
+        check("ppr", &Rank { source: Some(3) }, &g, &assign);
+        let kcore = KCore {
+            k: 24,
+            reverse: g.transpose(),
+        };
+        check("kcore", &kcore, &g, &assign);
+    }
+
+    #[test]
+    fn a_short_negative_zero_column_takes_the_bubble_on_either_path() {
+        /// Vertex 0 sends −0.0 to 1 and 1.0 to 2; vertex 3 sends 2.0 to 2.
+        struct ShortZero;
+        impl VertexProgram for ShortZero {
+            type Msg = f32;
+            type Reduce = Sum;
+            type Value = f32;
+            const NAME: &'static str = "short-zero";
+            fn init(&self, _v: VertexId, _g: &Csr) -> (f32, bool) {
+                (0.0, true)
+            }
+            fn generate<S: MsgSink<f32>>(&self, v: VertexId, ctx: &mut GenContext<'_, f32, S>) {
+                for e in ctx.graph.edge_range(v) {
+                    let dst = ctx.graph.targets[e];
+                    ctx.send(dst, if dst == 1 { -0.0 } else { 1.0 + v as f32 });
+                }
+            }
+            fn update(&self, _v: VertexId, _msg: f32, _value: &mut f32, _g: &Csr) -> bool {
+                false
+            }
+        }
+        let mut el = phigraph_graph::EdgeList::new(4);
+        for (s, d) in [(0, 1), (0, 2), (3, 2)] {
+            el.push(s, d);
+        }
+        let g = Csr::from_edge_list(&el);
+        for base in host_path_modes() {
+            for column_mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
+                let config = base.clone().with_column_mode(column_mode);
+                let at = format!("{}/{column_mode:?}", config.mode.name());
+                let [mailed, staged] = [Mail::Always, Mail::Never].map(|mail| {
+                    mail_forced(&ShortZero, &g, &config, None, 2, mail)
+                        .remove(0)
+                        .steps
+                        .remove(0)
+                });
+                assert!(mailed.mailed && !staged.mailed, "{at}: the forced paths");
+                assert!(mailed.counters == staged.counters, "{at}: counters");
+                assert!(mailed.messages == staged.messages, "{at}: reduced messages");
+                // Vertex 1's column holds one message, vertex 2's two, in one
+                // vector array: the bubble row folds +0.0 into −0.0.
+                assert_eq!(
+                    mailed.counters.holes_filled,
+                    u64::from(config.vectorized),
+                    "{at}"
+                );
+                assert!(
+                    mailed.messages.contains(&(1, 0)),
+                    "{at}: +0.0 reaches vertex 1"
+                );
             }
         }
     }
@@ -1867,6 +2434,7 @@ mod tests {
             eng.host_threads = 2;
             if staged {
                 eng.dense = Dense::Off;
+                eng.mail = Mail::Never;
             }
             let mut rungs = Rungs::arm(&eng);
             let mut audit =
@@ -1913,7 +2481,12 @@ mod tests {
         }
     }
 
+    /// Flood vertex 0 on the path the engine picks: the mailbox.
     fn flood(cap: u32) {
+        flood_on(cap, Mail::Always);
+    }
+
+    fn flood_on(cap: u32, mail: Mail) {
         let g = chain(40);
         let program = Flood { cap };
         let mut eng = DeviceEngine::new(
@@ -1925,6 +2498,7 @@ mod tests {
             None,
         );
         eng.host_threads = 2;
+        eng.mail = mail;
         let mut c = eng.begin_step();
         eng.generate(&mut c);
     }
@@ -1941,6 +2515,18 @@ mod tests {
         // Zero-row groups leave every bin's staging region empty, so the
         // message is dropped while staging and reported after the drain.
         flood(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 0 received more than its capacity 1 messages")]
+    fn over_capacity_column_panics_from_the_drain_on_stage_and_drain() {
+        flood_on(1, Mail::Never);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 0 received more than its capacity 0 messages")]
+    fn over_capacity_bin_panics_from_the_drain_on_stage_and_drain() {
+        flood_on(0, Mail::Never);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! enough for IMCI's 512-bit registers, and therefore for every narrower ISA.
 
 use crate::scalar::MsgValue;
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
@@ -33,6 +33,31 @@ unsafe impl<T: Sync> Sync for AVec<T> {}
 impl<T: MsgValue> AVec<T> {
     /// Allocate `len` elements, all set to `fill`.
     pub fn new_filled(len: usize, fill: T) -> Self {
+        let avec = Self::allocate(len, false);
+        for i in 0..len {
+            // SAFETY: i < len elements fit in the allocation.
+            unsafe { avec.ptr.as_ptr().add(i).write(fill) };
+        }
+        avec
+    }
+
+    /// Allocate `len` elements, all `T::ZERO` ([`MsgValue::zeroed_buffer`]).
+    pub fn zeroed(len: usize) -> Self {
+        T::zeroed_buffer(len)
+    }
+
+    /// Allocate `len` elements of zeroed memory, whose pages are faulted in
+    /// only where they are first touched.
+    ///
+    /// # Safety
+    /// All zero bits must be a valid `T`.
+    pub(crate) unsafe fn zeroed_bits(len: usize) -> Self {
+        Self::allocate(len, true)
+    }
+
+    /// Allocate room for `len` elements, zeroed or not; the caller
+    /// initializes whatever the allocator did not.
+    fn allocate(len: usize, zeroed: bool) -> Self {
         if len == 0 {
             return AVec {
                 ptr: NonNull::dangling(),
@@ -41,20 +66,17 @@ impl<T: MsgValue> AVec<T> {
         }
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size (len > 0, T is a numeric scalar).
-        let raw = unsafe { alloc(layout) } as *mut T;
+        let raw = unsafe {
+            if zeroed {
+                alloc_zeroed(layout)
+            } else {
+                alloc(layout)
+            }
+        } as *mut T;
         let Some(ptr) = NonNull::new(raw) else {
             handle_alloc_error(layout);
         };
-        for i in 0..len {
-            // SAFETY: i < len elements fit in the allocation.
-            unsafe { ptr.as_ptr().add(i).write(fill) };
-        }
         AVec { ptr, len }
-    }
-
-    /// Allocate `len` zeroed elements.
-    pub fn zeroed(len: usize) -> Self {
-        Self::new_filled(len, T::ZERO)
     }
 
     /// Number of elements.
@@ -158,6 +180,20 @@ mod tests {
         }
         let d = AVec::<f64>::new_filled(33, 1.5);
         assert_eq!(d.base_ptr() as usize % BUFFER_ALIGN, 0);
+    }
+
+    #[test]
+    fn zeroed_buffers_read_as_zero() {
+        fn check<T: MsgValue>() {
+            let v = AVec::<T>::zeroed(4097);
+            assert!(v.iter().all(|x| x.same_bits(T::ZERO)));
+        }
+        check::<i32>();
+        check::<i64>();
+        check::<u32>();
+        check::<u64>();
+        check::<f32>();
+        check::<f64>();
     }
 
     #[test]

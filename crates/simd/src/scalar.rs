@@ -7,6 +7,7 @@
 //! fixed little-endian wire encoding (used by the inter-device exchange to
 //! account message bytes the way MPI would see them).
 
+use crate::aligned::AVec;
 use std::fmt::Debug;
 
 /// A plain-old-data scalar usable as a message value.
@@ -49,6 +50,13 @@ pub trait MsgValue:
     fn write_le(&self, out: &mut [u8]);
     /// Decode from exactly `Self::SIZE` little-endian bytes.
     fn read_le(input: &[u8]) -> Self;
+
+    /// `len` elements, all `ZERO`. The numeric scalars, whose `ZERO` is all
+    /// zero bits, take zeroed memory from the allocator, so an untouched
+    /// buffer costs no page writes; the default fills.
+    fn zeroed_buffer(len: usize) -> AVec<Self> {
+        AVec::new_filled(len, Self::ZERO)
+    }
 }
 
 macro_rules! impl_msg_int {
@@ -102,6 +110,11 @@ macro_rules! impl_msg_int {
                 buf.copy_from_slice(&input[..Self::SIZE]);
                 <$t>::from_le_bytes(buf)
             }
+
+            fn zeroed_buffer(len: usize) -> AVec<Self> {
+                // SAFETY: all zero bits are a valid scalar: its `ZERO`.
+                unsafe { AVec::zeroed_bits(len) }
+            }
         }
     };
 }
@@ -152,6 +165,11 @@ macro_rules! impl_msg_float {
                 let mut buf = [0u8; Self::SIZE];
                 buf.copy_from_slice(&input[..Self::SIZE]);
                 <$t>::from_le_bytes(buf)
+            }
+
+            fn zeroed_buffer(len: usize) -> AVec<Self> {
+                // SAFETY: all zero bits are a valid scalar: its `ZERO`.
+                unsafe { AVec::zeroed_bits(len) }
             }
         }
     };

@@ -98,7 +98,7 @@ grep -q "rank2: " "$SMOKE_DIR/fabric-recover.txt"
 grep -q "migrations=1" "$SMOKE_DIR/fabric-recover.txt"
 echo "    (rank 1 killed at step 4 of 3-rank SSSP: checksum parity after migration: ok)"
 
-echo "==> determinism smoke: lock, pipe and omp PageRank print seq's checksum on every run, two ranks one checksum"
+echo "==> determinism smoke: lock, pipe and omp PageRank, SSSP, BFS and WCC print seq's checksum on every run, two ranks one checksum"
 # f32 sums follow their association order. Every framework mode fills each
 # column in source order on the locking engine's host path (pipe and omp
 # differ only in what the cost model charges), so on any host thread count
@@ -150,6 +150,34 @@ if [ "$GOT_PR" != "$FABRIC_PR" ]; then
     exit 1
 fi
 echo "    (--integrity full on one device and on --devices 2: the same checksums)"
+# Traversals: their supersteps fold each message on arrival, and
+# --integrity full keeps them on stage-and-drain. Both print seq's checksum
+# on every mode, and two --devices 2 runs print one checksum.
+for app in sssp bfs wcc; do
+    WANT="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --engine seq --checksum \
+        | sed -n 's/^checksum=//p')"
+    test -n "$WANT"
+    for engine in lock pipe omp; do
+        for audit in "" "--integrity full --checkpoint-dir $SMOKE_DIR/$app-$engine-full"; do
+            # shellcheck disable=SC2086 # $audit is a list of flags
+            GOT="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --engine "$engine" \
+                $audit --checksum | sed -n 's/^checksum=//p')"
+            if [ "$GOT" != "$WANT" ]; then
+                echo "$app --engine $engine $audit printed checksum $GOT, seq printed $WANT" >&2
+                exit 1
+            fi
+        done
+    done
+    FIRST="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
+        | sed -n 's/^checksum=//p')"
+    SECOND="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
+        | sed -n 's/^checksum=//p')"
+    if [ -z "$FIRST" ] || [ "$FIRST" != "$SECOND" ]; then
+        echo "$app --devices 2 printed checksums $FIRST and $SECOND" >&2
+        exit 1
+    fi
+done
+echo "    (sssp, bfs and wcc on lock, pipe and omp, audited or not: seq's checksums; --devices 2 x2: one checksum each)"
 
 echo "==> object-fabric smoke: semicluster on 3 ranks writes the one-device values"
 # Object messages run on the same rank loop as POD ones: a 3-rank

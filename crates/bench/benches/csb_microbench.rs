@@ -1,6 +1,6 @@
 //! CSB ablations (design choices from DESIGN.md): one-to-one vs dynamic
-//! column allocation, group width factor `k`, and the throughput of
-//! stage-and-drain, the insertion every engine runs.
+//! column allocation, group width factor `k`, and the throughput of the
+//! one-thread insertion the engine's buffer steps run.
 
 use phigraph_apps::workloads::{self, Scale};
 use phigraph_apps::Sssp;
@@ -54,10 +54,10 @@ fn bench_k_sweep(c: &mut Criterion) {
 }
 
 fn bench_insert_throughput(c: &mut Criterion) {
-    // A seeded uniform-destination stream staged and drained on 4 host
-    // threads, one full buffer fill + reset per iteration.
-    let (n, n_msgs, threads) = (4096usize, 200_000usize, 4);
-    let mut group = c.benchmark_group("csb/stage_drain");
+    // A seeded uniform-destination stream inserted in stream order on the
+    // calling thread, one full buffer fill + reset per iteration.
+    let (n, n_msgs) = (4096usize, 200_000usize);
+    let mut group = c.benchmark_group("csb/insert");
     group.throughput(Throughput::Elements(n_msgs as u64));
     group.sample_size(10);
     for mode in [ColumnMode::OneToOne, ColumnMode::Dynamic] {
@@ -65,7 +65,7 @@ fn bench_insert_throughput(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{mode:?}")),
             &mode,
-            |b, _| b.iter(|| fx.stage_and_drain(threads)),
+            |b, _| b.iter(|| fx.insert()),
         );
     }
     group.finish();

@@ -9,7 +9,7 @@
 //!
 //! | area        | hot path                                                  |
 //! |-------------|-----------------------------------------------------------|
-//! | `csb`       | stage-and-drain insertion (both column modes)             |
+//! | `csb`       | one-thread buffer insertion (both column modes)           |
 //! | `superstep` | full SSSP and PageRank runs per engine mode               |
 //! | `exchange`  | hetero frame-exchange loopback, unframed vs framed        |
 //! | `integrity` | the `off`/`frames`/`full` switch on the recovering driver |
@@ -104,16 +104,16 @@ pub fn run_area(area: &str, c: &mut Criterion, opts: &AreaOpts) -> Result<(), St
     Ok(())
 }
 
-/// Stage-and-drain steady state, the insertion every engine runs: seeded
-/// uniform destinations staged and drained on one host thread, one full
-/// buffer fill + reset per iteration.
+/// Buffer insertion steady state, as the engine's buffer steps insert:
+/// seeded uniform destinations inserted in stream order on the calling
+/// thread, one full buffer fill + reset per iteration.
 fn bench_csb(c: &mut Criterion, opts: &AreaOpts) {
     let (n_vertices, n_msgs) = if opts.smoke {
         (1024, 20_000)
     } else {
         (4096, 200_000)
     };
-    let mut g = c.benchmark_group("csb/stage_drain");
+    let mut g = c.benchmark_group("csb/insert");
     tune(&mut g, opts);
     g.throughput(Throughput::Elements(n_msgs as u64));
     for mode in [ColumnMode::OneToOne, ColumnMode::Dynamic] {
@@ -121,7 +121,7 @@ fn bench_csb(c: &mut Criterion, opts: &AreaOpts) {
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("{mode:?}")),
             &mode,
-            |b, _| b.iter(|| fx.stage_and_drain(1)),
+            |b, _| b.iter(|| fx.insert()),
         );
     }
     g.finish();

@@ -21,7 +21,7 @@ use phigraph_trace::json::{num, Json, JsonBuf};
 /// Schema tag stamped into every report; bump on breaking layout changes.
 pub const BENCH_SCHEMA: &str = "phigraph-bench-v1";
 
-/// The measured areas, one `BENCH_<area>.json` each: CSB stage-and-drain
+/// The measured areas, one `BENCH_<area>.json` each: one-thread CSB
 /// insertion, a full superstep per engine mode, the hetero frame exchange, the integrity-switch overhead, the
 /// device-partitioning schemes, the object-message (semi-clustering)
 /// path, the multi-tenant serving pool, the serving pool held at
@@ -467,7 +467,7 @@ mod tests {
         let base = BenchReport::new(
             "csb",
             EnvFingerprint::capture(true, 7),
-            &[result("csb/stage_drain/Dynamic", 10, Some(1000))],
+            &[result("csb/insert/Dynamic", 10, Some(1000))],
         );
         // 3x slower than baseline: regression at a 1.5x threshold.
         let slow = base.perturbed(3.0);

@@ -13,6 +13,7 @@
 
 use crate::args::Args;
 use crate::out::{out, outln};
+use phigraph_core::metrics::seconds;
 use phigraph_serve::FLIGHT_SCHEMA;
 use phigraph_trace::json::Json;
 
@@ -93,10 +94,11 @@ fn steps(j: &Json) -> &[Json] {
 
 /// Sum one simulated phase time over a report's steps.
 fn phase_sum(j: &Json, phase: &str) -> f64 {
-    steps(j)
-        .iter()
-        .map(|s| s.get("times").map_or(0.0, |t| t.f64_or_0(phase)))
-        .sum()
+    seconds(
+        steps(j)
+            .iter()
+            .map(|s| s.get("times").map_or(0.0, |t| t.f64_or_0(phase))),
+    )
 }
 
 /// Sum one counter over a report's steps.
@@ -153,7 +155,7 @@ fn print_decomposition(combined: &Json, devices: &[Json]) {
             phase_sum(r, "update"),
         );
         let exec = (gen + proc_t + upd).max(f64::MIN_POSITIVE);
-        let comm: f64 = steps(r).iter().map(|s| s.f64_or_0("comm_time")).sum();
+        let comm = seconds(steps(r).iter().map(|s| s.f64_or_0("comm_time")));
         outln!(
             "  {:<22} {:>8.4} {:>4.0}% {:>8.4} {:>4.0}% {:>8.4} {:>4.0}% {:>10.4}",
             truncate(&label, 22),

@@ -68,6 +68,23 @@ const APP_FLAGS: &[(&str, &[&str])] = &[
     ("k", &["kcore"]),
 ];
 
+/// The flags that make a run recover: any one of them takes the
+/// checkpoint/fault/integrity path.
+const RECOVERY_FLAGS: &[&str] = &[
+    "checkpoint-every",
+    "checkpoint-dir",
+    "resume",
+    "faults",
+    "watchdog-ms",
+    "failover",
+    "rebalance-after",
+    "integrity",
+    "scrub-every",
+];
+
+/// The flags that tune a recovering run's retries, read only on that path.
+const RETRY_FLAGS: &[&str] = &["max-retries", "backoff-ms"];
+
 /// A flag the run would never read is an error, not a no-op.
 fn check_unread_flags(app: &str, args: &Args) -> Result<(), String> {
     for &(flag, apps) in APP_FLAGS {
@@ -75,6 +92,14 @@ fn check_unread_flags(app: &str, args: &Args) -> Result<(), String> {
             return Err(format!(
                 "--{flag} does not apply to {app}: it is read by {} only",
                 apps.join(", ")
+            ));
+        }
+    }
+    if let Some(flag) = RETRY_FLAGS.iter().find(|f| args.has(f)) {
+        if !recovery_requested(args) {
+            return Err(format!(
+                "--{flag} tunes a recovering run: give it with one of --{}",
+                RECOVERY_FLAGS.join(", --")
             ));
         }
     }
@@ -365,15 +390,20 @@ fn load_or_build_partition(g: &Csr, args: &Args, n: usize) -> Result<DeviceParti
 
 /// Whether any fault-tolerance flag was given.
 fn recovery_requested(args: &Args) -> bool {
-    args.has("checkpoint-every")
-        || args.has("checkpoint-dir")
-        || args.has("resume")
-        || args.has("faults")
-        || args.has("watchdog-ms")
-        || args.has("failover")
-        || args.has("rebalance-after")
-        || args.has("integrity")
-        || args.has("scrub-every")
+    RECOVERY_FLAGS.iter().any(|f| args.has(f))
+}
+
+/// Recovery snapshots and replays plain-old-data values only: the other
+/// apps refuse every fault-tolerance flag instead of ignoring it.
+fn refuse_recovery(args: &Args) -> Result<(), String> {
+    if recovery_requested(args) {
+        return Err(
+            "checkpoint/fault flags are unsupported for this app's value type \
+             (supported: pagerank, ppr, bfs, sssp, wcc)"
+                .to_string(),
+        );
+    }
+    Ok(())
 }
 
 /// Fold the liveness flags into a failover configuration.
@@ -542,13 +572,7 @@ fn drive<P: VertexProgram>(
     checksum_fn: Option<ChecksumFn<P::Value>>,
     fmt: impl Fn(&P::Value) -> String,
 ) -> DriveResult {
-    if recovery_requested(args) {
-        return Err(
-            "checkpoint/fault flags are unsupported for this app's value type \
-             (supported: pagerank, ppr, bfs, sssp, wcc)"
-                .to_string(),
-        );
-    }
+    refuse_recovery(args)?;
     let out = if args.has("hetero") || args.has("partition") || args.has("devices") {
         let n = device_count(args)?;
         let p = load_or_build_partition(g, args, n)?;
@@ -574,6 +598,7 @@ fn drive<P: VertexProgram>(
 }
 
 fn drive_semicluster(g: &Csr, args: &Args, iters: usize, trace: Option<&Trace>) -> DriveResult {
+    refuse_recovery(args)?;
     let sc = SemiClustering {
         iterations: iters.min(12),
         ..Default::default()

@@ -785,3 +785,109 @@ fn semicluster_runs_on_three_devices() {
     run_report(&dir, "semicluster", &dblp, &["--devices", "3"], None);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Semi-Clustering's object values have no snapshot encoding, so every
+/// recovery flag exits 2 as on the other non-POD apps, before any
+/// checkpoint directory is made.
+#[test]
+fn semicluster_refuses_recovery_flags() {
+    let (dir, _, dblp) = fabric_graphs("sc-recover");
+    let ckpt = dir.join("ck");
+    let ckpt_s = ckpt.to_str().unwrap();
+    for extra in [
+        &["--checkpoint-every", "2", "--checkpoint-dir", ckpt_s][..],
+        &["--faults", "1:bitflip-msg"],
+        &["--integrity", "full"],
+        &["--devices", "2", "--checkpoint-dir", ckpt_s],
+    ] {
+        let mut argv = vec!["run", "semicluster", &dblp];
+        argv.extend_from_slice(extra);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "{extra:?} must exit 2");
+        assert!(
+            stderr(&o).contains("unsupported for this app's value type"),
+            "{extra:?}: {}",
+            stderr(&o)
+        );
+        assert!(!ckpt.exists(), "{extra:?} made a checkpoint directory");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--max-retries` and `--backoff-ms` tune a recovering run: without a
+/// flag that makes the run recover they exit 2 and name those flags; with
+/// one they are taken.
+#[test]
+fn retry_flags_need_a_recovering_run() {
+    let (dir, gnm, _) = fabric_graphs("retry-flags");
+    let ckpt = dir.join("ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+    for (extra, flag) in [
+        (&["--max-retries", "3"][..], "--max-retries"),
+        (&["--backoff-ms", "5"], "--backoff-ms"),
+        (
+            &["--devices", "2", "--max-retries", "3", "--backoff-ms", "5"],
+            "--max-retries",
+        ),
+    ] {
+        let mut argv = vec!["run", "sssp", &gnm];
+        argv.extend_from_slice(extra);
+        let o = phigraph(&argv);
+        assert_eq!(o.status.code(), Some(2), "{extra:?} must exit 2");
+        let err = stderr(&o);
+        assert!(
+            err.contains(&format!("{flag} tunes a recovering run"))
+                && err.contains("--checkpoint-every")
+                && err.contains("--faults"),
+            "{extra:?}: {err}"
+        );
+    }
+    let o = phigraph(&[
+        "run",
+        "sssp",
+        &gnm,
+        "--max-retries",
+        "3",
+        "--backoff-ms",
+        "5",
+        "--checkpoint-dir",
+        ckpt_s,
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run with no supersteps reports +0 simulated seconds everywhere: in
+/// its summary, its JSON report and `phigraph report`'s tables.
+#[test]
+fn a_zero_step_run_reports_positive_zero_seconds() {
+    let (dir, gnm, _) = fabric_graphs("zero-steps");
+    let report = dir.join("r.json");
+    let report_s = report.to_str().unwrap();
+    let o = phigraph(&[
+        "run",
+        "pagerank",
+        &gnm,
+        "--iters",
+        "0",
+        "--trace-out",
+        report_s,
+        "--trace-format",
+        "json",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let summary = stdout(&o);
+    assert!(
+        summary.contains("steps=0") && summary.contains("exec=0.0000s comm=0.0000s total=0.0000s"),
+        "{summary}"
+    );
+    let json = std::fs::read_to_string(&report).unwrap();
+    assert!(json.contains("\"sim_total\":0,"), "{json}");
+    assert!(!json.contains(":-0"), "{json}");
+    let o = phigraph(&["report", report_s]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let text = stdout(&o);
+    assert!(text.contains("simulated 0.0000 s"), "{text}");
+    assert!(!text.contains("-0"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

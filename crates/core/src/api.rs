@@ -20,9 +20,9 @@ use phigraph_graph::{Csr, VertexId};
 use phigraph_simd::{MsgValue, ReduceOp};
 
 /// Destination for generated messages. The engines provide different sinks
-/// (staging for the CSB, the gather form's one value per sender, sequential
-/// mailboxes); user programs only ever call [`MsgSink::send`] through the
-/// context.
+/// (insertion into the CSB, the gather form's one value per sender, the
+/// fold-on-arrival mailboxes of the device and sequential engines); user
+/// programs only ever call [`MsgSink::send`] through the context.
 pub trait MsgSink<M> {
     /// Send one message to `dst`.
     fn send(&mut self, dst: VertexId, msg: M);

@@ -8,13 +8,11 @@
 //! drive, instead of being re-derived ad hoc inside each bench:
 //!
 //! * [`csb_fixture`] — a [`Csb`] sized exactly for a seeded message
-//!   stream, filled by [`CsbFixture::stage_and_drain`] the way the engines
-//!   fill it;
+//!   stream, filled by [`CsbFixture::insert`] the way the engines fill it;
 //! * [`superstep_work`] — one priming run that sizes a workload (superstep
 //!   and message counts) so benches can declare element throughput.
 
 use crate::api::VertexProgram;
-use crate::csb::stage::Staging;
 use crate::csb::{ColumnMode, Csb, CsbLayout};
 use crate::engine::{run_single, EngineConfig};
 use phigraph_device::DeviceSpec;
@@ -27,18 +25,18 @@ pub struct CsbFixture {
     pub csb: Csb<f32>,
     /// Seeded `(dst, value)` stream.
     pub msgs: Vec<(u32, f32)>,
-    staging: Staging<f32>,
 }
 
 impl CsbFixture {
-    /// Reset the buffer and insert `msgs` through stage-and-drain, the
-    /// insertion every engine runs: stage the stream in work chunks on
-    /// `threads` host threads, then drain each bin from one owning thread.
-    pub fn stage_and_drain(&mut self, threads: usize) {
+    /// Reset the buffer and insert `msgs` in stream order on the calling
+    /// thread, as the engine's buffer steps insert.
+    pub fn insert(&mut self) {
         self.csb.reset();
-        let msgs = &self.msgs;
-        self.staging
-            .insert_stream(&self.csb, threads, msgs.len(), |i| msgs[i]);
+        for &(dst, value) in &self.msgs {
+            if let Err(e) = self.csb.insert(dst, value) {
+                panic!("{e}");
+            }
+        }
     }
 }
 
@@ -62,7 +60,6 @@ pub fn csb_fixture(n_vertices: usize, n_msgs: usize, mode: ColumnMode, seed: u64
     let owned: Vec<u32> = (0..n_vertices as u32).collect();
     let layout = CsbLayout::build(n_vertices, &owned, &cap, 16, 4);
     CsbFixture {
-        staging: Staging::new(&layout),
         csb: Csb::new(layout, mode),
         msgs,
     }
@@ -107,8 +104,8 @@ mod tests {
         assert_ne!(a.msgs, c.msgs, "different seed, different stream");
         // The fixture is sized exactly: a full insertion round fits, and
         // the next round starts from a reset buffer.
-        for threads in [1, 2, 1] {
-            a.stage_and_drain(threads);
+        for _ in 0..2 {
+            a.insert();
             assert_eq!(a.csb.insert_stats().0.total, 5_000);
         }
     }

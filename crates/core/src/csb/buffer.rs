@@ -14,19 +14,18 @@
 //!   process all the vertices in the vertex-group".
 //!
 //! The paper claims each message's cell under a per-column lock. On the
-//! host no two threads ever insert into one group at once, so the claim
-//! (`Csb::claim_owned`) advances cursors, index entries and column offsets
-//! with plain loads and stores; the cost model still charges the locks.
-//! The engine's host path, shared by every mode, stages its messages and
-//! drains each run of groups from one owning thread through
-//! `Csb::insert_owned`. [`Csb::insert`] is the same claim for one message
-//! behind `&mut self`; quarantine regeneration inserts through it. On a
-//! gather-form dense superstep no message is written at all: the cell
-//! each out-edge's message would take is claimed once, at the engine's
-//! first dense step, and turned into a table of each cell's sender; the
-//! column metadata those claims left (`Csb::column_state`) is installed
-//! after each such step's generation (`Csb::install`), or kept from the
-//! step before when nothing was appended behind it.
+//! host one thread fills the buffer: [`Csb::insert`] claims the next cell
+//! of the destination's column behind `&mut self`, advancing its cursor,
+//! index entry and column offset with plain loads and stores, and the cost
+//! model still charges the locks. The engine's buffer steps insert each
+//! local message on arrival, in source order, then the peers' messages in
+//! incoming order; quarantine regeneration inserts through it too. On a
+//! gather-form dense superstep no message is written at all: the cell each
+//! out-edge's message would take is claimed once, at the engine's first
+//! dense step, and turned into a table of each cell's sender; the column
+//! metadata those claims left (`Csb::column_state`) is installed after each
+//! such step's generation (`Csb::install`), or kept from the step before
+//! when nothing was appended behind it.
 
 use super::layout::{CsbLayout, NOT_OWNED};
 use phigraph_device::counters::InsertProfile;
@@ -35,8 +34,8 @@ use phigraph_recover::integrity::message_digest;
 use phigraph_simd::{AVec, MsgValue};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, Ordering};
 
-/// Why an insertion was rejected. The engine's staging and drain panic
-/// with its text; [`Csb::insert`] returns it.
+/// Why an insertion was rejected. [`Csb::insert`] returns it, and the
+/// engine panics with its text.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CsbInsertError {
     /// Destination id is outside the graph's vertex range entirely — a
@@ -193,101 +192,60 @@ impl<T: MsgValue> Csb<T> {
         Ok(pos)
     }
 
-    /// Insert one message for `dst`: the claim and write the drain makes
-    /// for a staged message, after the redirection map lookup.
+    /// Insert one message for `dst` into the next cell of its column,
+    /// folding it into its group's integrity sum when the audit is armed.
     ///
     /// # Errors
     /// [`CsbInsertError::OutOfRange`] or [`CsbInsertError::NotOwned`] if
     /// this buffer does not own `dst`, and
     /// [`CsbInsertError::OverCapacity`] if `dst` already holds as many
-    /// messages as its declared capacity.
+    /// messages as its declared capacity. The message is not written.
+    #[inline]
     pub fn insert(&mut self, dst: VertexId, value: T) -> Result<(), CsbInsertError> {
         let pos = self.resolve(dst)?;
-        // SAFETY: `pos` is an owned position, and `&mut self` keeps every
-        // other thread out of the buffer.
-        unsafe { self.insert_owned(&[(pos, value)]) }
-    }
-
-    /// Insert staged `(position, value)` messages as their groups' only
-    /// writer: the drain half of the locking engine's stage-and-drain.
-    /// Messages land in the order given, each in the next cell of its
-    /// column, and fold into their group's integrity sum when the audit is
-    /// armed.
-    ///
-    /// On [`CsbInsertError::OverCapacity`] the messages before the
-    /// offending one have landed; the buffer must be reset before reuse.
-    ///
-    /// Every atomic here is accessed `Relaxed`: ownership keeps other
-    /// threads out for the call, and the phase barriers around it (joined
-    /// threads) order it against the staging before and the processing
-    /// after.
-    ///
-    /// # Safety
-    /// Every position must be an owned position (`< num_positions`), and
-    /// for the whole call no other thread may insert into, reset, audit or
-    /// process any group those positions fall in.
-    pub(crate) unsafe fn insert_owned(&self, staged: &[(u32, T)]) -> Result<(), CsbInsertError> {
-        let audit = self.audit.load(Ordering::Relaxed);
-        for &(pos, value) in staged {
-            // SAFETY: the caller passes owned positions and keeps every
-            // other thread out of their groups.
-            let cell = unsafe { self.claim_owned(pos)? };
-            // SAFETY: the caller owns this group exclusively, so the cell
-            // is claimed once; `claim_owned` keeps it in bounds.
-            unsafe { *self.data.base_ptr().add(cell) = value };
-            if audit {
-                let group = self.layout.group_of(pos);
-                let dst = self.layout.order[pos as usize];
-                let sum = &self.group_sums[group];
-                sum.store(
-                    sum.load(Ordering::Relaxed)
-                        .wrapping_add(Self::digest_one(dst, value)),
-                    Ordering::Relaxed,
-                );
-            }
+        let cell = self.claim_owned(pos)?;
+        self.data[cell] = value;
+        if *self.audit.get_mut() {
+            let sum = self.group_sums[self.layout.group_of(pos)].get_mut();
+            *sum = sum.wrapping_add(Self::digest_one(dst, value));
         }
         Ok(())
     }
 
-    /// Claim the next cell of `pos`'s column as its group's only writer,
-    /// binding the column first in dynamic mode (the first message for a
-    /// vertex takes its group's next free column). Plain loads and stores,
-    /// as in [`Csb::insert_owned`].
-    ///
-    /// # Safety
-    /// `pos` must be an owned position, and no other thread may touch its
-    /// group for the call.
+    /// Claim the next cell of owned position `pos`'s column, binding the
+    /// column first in dynamic mode (the first message for a vertex takes
+    /// its group's next free column). Returns the cell's index.
     #[inline(always)]
-    pub(crate) unsafe fn claim_owned(&self, pos: u32) -> Result<usize, CsbInsertError> {
+    pub(crate) fn claim_owned(&mut self, pos: u32) -> Result<usize, CsbInsertError> {
         let width = self.layout.width;
         let group = self.layout.group_of(pos);
         let col_in_group = match self.mode {
             ColumnMode::OneToOne => pos as usize % width,
             ColumnMode::Dynamic => {
-                let cached = self.index[pos as usize].load(Ordering::Relaxed);
-                if cached >= 0 {
-                    cached as usize
+                let index = self.index[pos as usize].get_mut();
+                if *index >= 0 {
+                    *index as usize
                 } else {
-                    let col = self.group_next[group].load(Ordering::Relaxed);
-                    debug_assert!((col as usize) < width);
-                    self.group_next[group].store(col + 1, Ordering::Relaxed);
-                    self.col_pos[self.global_col(group, col as usize)]
-                        .store(pos, Ordering::Relaxed);
-                    self.index[pos as usize].store(col as i32, Ordering::Relaxed);
-                    col as usize
+                    let next = self.group_next[group].get_mut();
+                    let col = *next as usize;
+                    debug_assert!(col < width);
+                    *next += 1;
+                    *index = col as i32;
+                    *self.col_pos[group * width + col].get_mut() = pos;
+                    col
                 }
             }
         };
-        let cursor = &self.col_count[self.global_col(group, col_in_group)];
-        let row = cursor.load(Ordering::Relaxed);
+        let cursor = self.col_count[group * width + col_in_group].get_mut();
         let info = &self.layout.groups[group];
+        let row = *cursor;
         if row >= info.rows {
             return Err(CsbInsertError::OverCapacity {
                 dst: self.layout.order[pos as usize],
                 capacity: info.rows,
             });
         }
-        cursor.store(row + 1, Ordering::Relaxed);
+        *cursor = row + 1;
         let cell = info.cell_offset + row as usize * width + col_in_group;
         debug_assert!(cell < self.layout.total_cells);
         Ok(cell)
@@ -420,7 +378,7 @@ impl<T: MsgValue> Csb<T> {
     /// Flip one seeded pseudo-random bit in one occupied message cell —
     /// the `BitFlipMessage` injection site. Returns the corrupted group, or
     /// `None` when the buffer holds no messages. Deterministic per seed.
-    pub fn corrupt_cell(&self, seed: u64) -> Option<usize> {
+    pub fn corrupt_cell(&mut self, seed: u64) -> Option<usize> {
         let mut occupied: Vec<(usize, usize, u32)> = Vec::new();
         let mut total: u64 = 0;
         for g in 0..self.layout.num_groups() {
@@ -447,12 +405,9 @@ impl<T: MsgValue> Csb<T> {
             let info = &self.layout.groups[g];
             let cell = info.cell_offset + row * self.layout.width + c;
             let mut buf = [0u8; 16];
-            // SAFETY: bounds follow from column_count(g, c) > row.
-            let v = unsafe { *self.data.base_ptr().add(cell) };
-            v.write_le(&mut buf[..T::SIZE]);
+            self.data[cell].write_le(&mut buf[..T::SIZE]);
             buf[bit / 8] ^= 1 << (bit % 8);
-            let flipped = T::read_le(&buf[..T::SIZE]);
-            unsafe { *self.data.base_ptr().add(cell) = flipped };
+            self.data[cell] = T::read_le(&buf[..T::SIZE]);
             return Some(g);
         }
         unreachable!("k < total by construction")
@@ -565,12 +520,7 @@ impl<T: MsgValue> Csb<T> {
     pub fn cell(&self, group: usize, row: usize, col_in_group: usize) -> T {
         let info = &self.layout.groups[group];
         assert!(row < info.rows as usize && col_in_group < self.layout.width);
-        // SAFETY: bounds asserted; read-only access after a phase barrier.
-        unsafe {
-            *self
-                .data_ptr()
-                .add(info.cell_offset + row * self.layout.width + col_in_group)
-        }
+        self.data[info.cell_offset + row * self.layout.width + col_in_group]
     }
 }
 

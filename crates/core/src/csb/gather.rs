@@ -14,17 +14,17 @@
 //!
 //! * **Build.** At an engine's first dense step, [`DenseTable::build`]
 //!   replays that sequence once through [`Csb::claim_owned`] — the cell
-//!   claim of the stage-and-drain drain — and inverts it into a sender
-//!   table: for each buffer cell (4 B), the owned vertex whose out-edge
-//!   fills it, or a bubble mark (one past the last owned vertex) for a
-//!   bubble and for a row the remote absorb appends. It keeps the column state the replay leaves (counts,
-//!   bindings and column offsets) and the cells a reset of that state
-//!   touches.
+//!   claim of [`Csb::insert`] — and inverts it into a sender table: for
+//!   each buffer cell (4 B), the owned vertex whose out-edge fills it, or a
+//!   bubble mark (one past the last owned vertex) for a bubble and for a
+//!   row the remote absorb appends. It keeps the column state the replay
+//!   leaves (counts, bindings and column offsets) and the cells a reset of
+//!   that state touches.
 //! * **Generate.** Each owned vertex generates through a [`GatherSink`],
 //!   which keeps the vertex's one value and checks every send: it must go
 //!   to the vertex's next out-edge and carry the bits of its first send.
 //!   Peer-bound sends still fill the remote batch, in send order. No cell
-//!   is written and no message is staged. After the generation barrier
+//!   is written. After the generation barrier
 //!   the engine installs the column state ([`Csb::install`]) unless the
 //!   buffer still holds it from the step before, and the remote absorb
 //!   appends behind it as usual.
@@ -36,12 +36,12 @@
 //! * **Fall back.** A vertex that does anything but send one value along
 //!   exactly its out-edges in CSR order (fewer, more, another order,
 //!   another destination, another value) fails the check. The engine then
-//!   drops the step's values, re-runs the step through the mailbox or
-//!   stage-and-drain (generation is pure) and never gathers again.
+//!   drops the step's values, re-runs the step through the frontier walk
+//!   (generation is pure) and never gathers again.
 //!
 //! The column state, the step counters, the remote batch and every reduced
-//! message come out exactly as stage-and-drain leaves them
-//! ([`super::stage`]).
+//! message come out exactly as inserting every message into the buffer
+//! in source order leaves them.
 
 use super::buffer::{ColumnState, Csb};
 use crate::api::MsgSink;
@@ -69,10 +69,10 @@ impl DenseTable {
     /// `None` when the out-edges overflow some column or the bubble mark
     /// does not fit the table.
     ///
-    /// `csb` must be freshly reset with its audit off, and no other thread
-    /// may use it for the call; it is reset again on return.
+    /// `csb` must be freshly reset with its audit off; it is reset again on
+    /// return.
     pub(crate) fn build<T: MsgValue>(
-        csb: &Csb<T>,
+        csb: &mut Csb<T>,
         graph: &Csr,
         owned: &[VertexId],
         is_local: impl Fn(VertexId) -> bool,
@@ -85,14 +85,9 @@ impl DenseTable {
                 if !is_local(dst) {
                     continue;
                 }
-                let cell = csb.resolve(dst).ok().and_then(|pos| {
-                    // SAFETY: an owned position; the caller keeps other
-                    // threads out of the buffer.
-                    unsafe { csb.claim_owned(pos) }.ok()
-                });
-                match cell {
-                    Some(c) => senders[c] = i as u32,
-                    None => {
+                match csb.resolve(dst).and_then(|pos| csb.claim_owned(pos)) {
+                    Ok(c) => senders[c] = i as u32,
+                    Err(_) => {
                         fits = false;
                         break 'replay;
                     }

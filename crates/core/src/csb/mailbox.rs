@@ -2,17 +2,15 @@
 //! does not gather, outside the message audit and a pending message
 //! bit-flip.
 //!
-//! Stage-and-drain ([`super::stage`]) writes every message twice and starts
-//! threads for each of its phases. On a small frontier, or on a host with
-//! too few cores to pay for the second write, those costs are the step. A
-//! mailbox step runs on the calling thread instead and acts on each message
-//! where it arrives (Rhizomes, arXiv 2402.06086), as the `seq` engine's
-//! sink does:
+//! Every such step is one frontier walk on the calling thread. Filling the
+//! buffer writes each message into a cell that processing then reads back;
+//! a mailbox step acts on each message where it arrives instead (Rhizomes,
+//! arXiv 2402.06086), as the `seq` engine's sink does:
 //!
 //! * **Fold.** Generation runs in owned order, one work chunk after another:
-//!   the order a one-thread drain inserts in. Each local message folds into
-//!   its destination's slot, which keeps the fold and a message count, and
-//!   the destinations that get messages are listed in first-arrival order.
+//!   the order the buffer inserts in. Each local message folds into its
+//!   destination's slot, which keeps the fold and a message count, and the
+//!   destinations that get messages are listed in first-arrival order.
 //!   Slots are indexed by vertex id, so a message costs what it costs
 //!   `seq`: no redirection-map lookup. Peer-bound messages go to the remote
 //!   batch in send order; the remote absorb folds the peers' messages after
@@ -24,10 +22,11 @@
 //!   come the insertion profile, the occupied columns, the column
 //!   allocations, each vector array's processing record and the cells the
 //!   next reset would touch. A column past its group's rows is a message
-//!   the drain would reject: the engine re-runs such a step through
-//!   stage-and-drain, whose drain panics with its
-//!   [`CsbInsertError::OverCapacity`] text, and the absorb names the first
-//!   rejected message in bin order itself, as the drain does.
+//!   the buffer would reject: the engine re-runs such a step into the
+//!   buffer, whose insert panics with its [`CsbInsertError::OverCapacity`]
+//!   text at the first rejected message in source order, and the absorb
+//!   names the first rejected message in incoming order itself, as the
+//!   buffer does.
 //! * **Reduce.** Each fold keeps the buffer reduction's bits. The
 //!   vectorized reduction seeds a column with its first message and folds
 //!   the bubble rows' identity into every column shorter than the longest
@@ -130,8 +129,8 @@ impl<T: MsgValue> Mailbox<T> {
     /// Bind a column to every vertex that got its first message since the
     /// last call, in first-arrival order, and note the vector array the
     /// column falls in. Returns whether each of those columns fits its
-    /// group's rows; when one does not, the buffer's drain would have
-    /// rejected a message. Every vertex folded into must be owned.
+    /// group's rows; when one does not, the buffer would have rejected a
+    /// message. Every vertex folded into must be owned.
     pub(crate) fn bind(&mut self, layout: &CsbLayout, mode: ColumnMode) -> bool {
         let Mailbox {
             counts,
@@ -162,19 +161,16 @@ impl<T: MsgValue> Mailbox<T> {
     /// `incoming` order, and bind their columns.
     ///
     /// # Panics
-    /// Panics with the [`CsbInsertError`] text the staged absorb panics
-    /// with: a destination out of range or not owned, or a column past its
-    /// group's rows (the first rejected message in bin order, where
-    /// `bin_of_group` maps a group to its staging bin).
+    /// Panics with the [`CsbInsertError`] text the buffer's insert returns
+    /// at the first message in `incoming` it rejects: a destination out of
+    /// range or not owned, or one past its column's rows.
     pub(crate) fn absorb<Op: ReduceOp<T>>(
         &mut self,
         layout: &CsbLayout,
         mode: ColumnMode,
         vectorized: bool,
         incoming: &[WireMsg<T>],
-        bin_of_group: impl Fn(usize) -> u32,
     ) {
-        let mut overflow = Vec::new();
         let mut fold = self.fold::<Op>(layout, vectorized);
         for m in incoming {
             let pos = match layout.position.get(m.dst as usize) {
@@ -182,24 +178,16 @@ impl<T: MsgValue> Mailbox<T> {
                 _ => not_owned(m.dst, layout.position.len()),
             };
             fold.fold(m.dst, m.value);
-            let rows = layout.groups[layout.group_of(pos)].rows;
-            if fold.counts[m.dst as usize] == rows + 1 {
-                overflow.push(pos);
+            let capacity = layout.groups[layout.group_of(pos)].rows;
+            if fold.counts[m.dst as usize] > capacity {
+                let e = CsbInsertError::OverCapacity {
+                    dst: m.dst,
+                    capacity,
+                };
+                panic!("{e}");
             }
         }
         self.bind(layout, mode);
-        // The drain fails in the lowest bin that overflows, at the first of
-        // its rejected messages; `min_by_key` keeps the first of equals.
-        let first = overflow
-            .into_iter()
-            .min_by_key(|&pos| bin_of_group(layout.group_of(pos)));
-        if let Some(pos) = first {
-            let e = CsbInsertError::OverCapacity {
-                dst: layout.order[pos as usize],
-                capacity: layout.groups[layout.group_of(pos)].rows,
-            };
-            panic!("{e}");
-        }
     }
 
     /// `(vertex, messages)` of every vertex that got messages, in
@@ -403,7 +391,6 @@ impl<'m, T: MsgValue, Op: ReduceOp<T>> MsgSink<T> for MailSink<'m, T, Op> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csb::stage::Staging;
     use crate::csb::Csb;
     use crate::util::SharedSlice;
     use phigraph_graph::generators::small::{paper_example, paper_table1_messages};
@@ -491,8 +478,8 @@ mod tests {
     }
 
     /// The panic text of absorbing `incoming` behind vertex 5's five
-    /// messages (its capacity) and vertex 12's one (its capacity), staged
-    /// and drained into the buffer or folded into a mailbox.
+    /// messages (its capacity) and vertex 12's one (its capacity), inserted
+    /// into the buffer or folded into a mailbox.
     fn absorb_panic(incoming: &[(VertexId, f32)], mailed: bool) -> String {
         let layout = paper_layout();
         let local = [(5, 0.0), (5, 1.0), (12, 2.0), (5, 3.0), (5, 4.0), (5, 5.0)];
@@ -501,7 +488,6 @@ mod tests {
             .map(|&(dst, value)| WireMsg { dst, value })
             .collect();
         let err = std::panic::catch_unwind(|| {
-            let mut staging = Staging::<f32>::new(&layout);
             if mailed {
                 let mut mailbox = Mailbox::<f32>::new();
                 let mut sink = mailbox.sink::<Sum>(&layout, true, None, 0);
@@ -509,17 +495,15 @@ mod tests {
                     sink.send(dst, v);
                 }
                 assert!(mailbox.bind(&layout, ColumnMode::Dynamic));
-                mailbox.absorb::<Sum>(&layout, ColumnMode::Dynamic, true, &incoming, |g| {
-                    staging.bin_of_group(g)
-                });
+                mailbox.absorb::<Sum>(&layout, ColumnMode::Dynamic, true, &incoming);
             } else {
                 let mut csb = Csb::<f32>::new(layout.clone(), ColumnMode::Dynamic);
-                for &(dst, v) in &local {
-                    csb.insert(dst, v).unwrap();
+                for (dst, v) in local
+                    .into_iter()
+                    .chain(incoming.iter().map(|m| (m.dst, m.value)))
+                {
+                    csb.insert(dst, v).unwrap_or_else(|e| panic!("{e}"));
                 }
-                staging.insert_stream(&csb, 1, incoming.len(), |i| {
-                    (incoming[i].dst, incoming[i].value)
-                });
             }
         })
         .expect_err("a column overflows");
@@ -549,11 +533,8 @@ mod tests {
         let indeg = g.in_degrees();
         let cap: Vec<u32> = owned.iter().map(|&v| indeg[v as usize]).collect();
         let layout = CsbLayout::build(16, &owned, &cap, 4, 2);
-        let staging = Staging::<f32>::new(&layout);
         let mut mailbox = Mailbox::<f32>::new();
         let incoming = [WireMsg { dst: 9, value: 1.0 }];
-        mailbox.absorb::<Sum>(&layout, ColumnMode::Dynamic, true, &incoming, |g| {
-            staging.bin_of_group(g)
-        });
+        mailbox.absorb::<Sum>(&layout, ColumnMode::Dynamic, true, &incoming);
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! The engine's host path, which every framework mode shares, fills the
 //! buffer, or derives what it would hold, one of three ways, each ending
-//! with the column state a one-thread run of [`Csb::insert`] calls in
-//! source order leaves:
+//! with the column state that inserting the step's messages with
+//! [`Csb::insert`] in source order, then the peers' in incoming order,
+//! leaves:
 //!
 //! * on a dense superstep, one where every owned vertex is active and
 //!   broadcasts one value along its out-edges, in gather form (`gather`):
@@ -31,23 +32,22 @@
 //!   metadata that replay computed is installed after the generation
 //!   barrier, and processing gathers `sent[sender[cell]]` in the row order
 //!   it reduces the buffer in;
-//! * on any other superstep, by a mailbox (`mailbox`): the calling
-//!   thread generates in source order and folds each message on arrival
-//!   into its destination's slot, the remote absorb folds after it, and
-//!   the column binding, insertion statistics and processing records are
-//!   derived from the per-destination counts, with no cell written;
-//! * under the message audit and while a message bit-flip fault is
-//!   pending (both act on the cells), by stage-and-drain (`stage`):
-//!   threads stage messages per run of groups while generating, and each
-//!   run is then drained by one owning thread, in source order; the
-//!   remote absorb of such a step stages and drains too.
+//! * on any other superstep, one frontier walk on the calling thread
+//!   generates the active vertices in source order into one of two sinks:
+//!   - a mailbox (`mailbox`), which folds each message on arrival into its
+//!     destination's slot, with the remote absorb folding after it, and
+//!     derives the column binding, insertion statistics and processing
+//!     records from the per-destination counts, with no cell written;
+//!   - the buffer itself, under the message audit and while a message
+//!     bit-flip fault is pending (both act on the cells): each message is
+//!     inserted into its column on arrival, and the remote absorb inserts
+//!     after them.
 
 pub mod buffer;
 pub(crate) mod gather;
 pub mod layout;
 pub(crate) mod mailbox;
 pub mod process;
-pub(crate) mod stage;
 
 pub use buffer::{ColumnMode, Csb, CsbInsertError};
 pub use layout::{CsbLayout, GroupInfo, NOT_OWNED};

@@ -11,31 +11,31 @@
 //! message audit, no message bit-flip pending) each vertex's one value is
 //! kept and processing gathers it through the cells' sender table
 //! ([`crate::csb::gather`]). Every other superstep, and a dense one in
-//! which some vertex does not broadcast along its out-edges, folds each
-//! message on arrival on the calling thread ([`crate::csb::mailbox`]),
+//! which some vertex does not broadcast along its out-edges, is one walk
+//! of the active vertices on the calling thread, chunk by chunk in owned
+//! order, which folds each message on arrival ([`crate::csb::mailbox`]),
 //! unless the message audit is on or a message bit-flip is pending: those
-//! act on the buffer's cells, so such a step stages and drains its
-//! insertions ([`crate::csb::stage`]). A mailbox step touches only the
-//! vertices that got messages and walks the active vertices the last
-//! update listed. All three leave the same column state, or derive it, and
-//! reduce the same messages in the same order, so the engine's counters
-//! and results depend on neither the host thread count, nor the path, nor
-//! the mode. The modes differ in what the cost model charges for the
-//! counts: the paper's locked insertion (`lock`), its worker/mover pipeline
-//! (`pipe`, for which generation also tallies each simulated mover's
-//! messages), or a per-message OpenMP lock and no processing phase with
-//! scalar processing (`omp`, "OpenMP directives on sequential code, with
-//! proper use of synchronization (OpenMP locks)"). The phase methods are
-//! public so the heterogeneous driver can interleave the remote exchange
-//! between generation and processing, exactly where the paper's workflow
-//! places it.
+//! act on the buffer's cells, so such a walk inserts each message into its
+//! column on arrival ([`Csb::insert`]). A mailbox step touches only the
+//! vertices that got messages, and the walk takes the active vertices the
+//! last mailbox update listed. All three leave the same column state, or
+//! derive it, and reduce the same messages in the same order, so the
+//! engine's counters and results depend on neither the host thread count,
+//! nor the path, nor the mode. The modes differ in what the cost model
+//! charges for the counts: the paper's locked insertion (`lock`), its
+//! worker/mover pipeline (`pipe`, for which generation also tallies each
+//! simulated mover's messages), or a per-message OpenMP lock and no
+//! processing phase with scalar processing (`omp`, "OpenMP directives on
+//! sequential code, with proper use of synchronization (OpenMP locks)").
+//! The phase methods are public so the heterogeneous driver can interleave
+//! the remote exchange between generation and processing, exactly where
+//! the paper's workflow places it.
 
 use crate::active::ActiveSet;
 use crate::api::{GenContext, MsgSink, VertexProgram};
 use crate::csb::gather::{DenseTable, GatherSink};
 use crate::csb::mailbox::Mailbox;
 use crate::csb::process::Gather;
-use crate::csb::stage::{Stager, Staging};
 use crate::csb::{Csb, CsbLayout};
 use crate::engine::config::{EngineConfig, ExecMode};
 use crate::engine::hetero::{Exchanged, RankEngine};
@@ -60,20 +60,22 @@ const EDGE_BYTES: u64 = 8;
 /// cell is a random cache line, so a full line moves per insertion.
 const MSG_LINE_BYTES: u64 = 64;
 
-/// Stage-and-drain sink: stage local messages for the drain, collect
-/// peer-bound ones (in the order the chunk sends them).
-struct StageSink<'s, 'a, T: MsgValue> {
-    stager: &'s mut Stager<'a, T>,
-    assign: Option<&'s [u8]>,
+/// A buffer step's sink: insert each local message into its column on
+/// arrival, collect peer-bound ones in send order.
+struct CellSink<'a, T: MsgValue> {
+    csb: &'a mut Csb<T>,
+    assign: Option<&'a [u8]>,
     dev: u8,
-    remote: &'s mut Vec<WireMsg<T>>,
+    remote: Vec<WireMsg<T>>,
 }
 
-impl<'s, 'a, T: MsgValue> MsgSink<T> for StageSink<'s, 'a, T> {
+impl<'a, T: MsgValue> MsgSink<T> for CellSink<'a, T> {
     #[inline(always)]
     fn send(&mut self, dst: VertexId, msg: T) {
         if self.assign.is_none_or(|a| a[dst as usize] == self.dev) {
-            self.stager.stage(dst, msg);
+            if let Err(e) = self.csb.insert(dst, msg) {
+                panic!("{e}");
+            }
         } else {
             self.remote.push(WireMsg { dst, value: msg });
         }
@@ -97,13 +99,13 @@ enum Dense {
     Unbuilt,
     /// Dense supersteps gather through this table.
     Ready(DenseTable),
-    /// Every superstep stages and drains: the table could not be built (a
-    /// column too small for its in-edges, or too many cells), or a vertex
-    /// did not broadcast along its out-edge order.
+    /// No superstep gathers: the table could not be built (a column too
+    /// small for its in-edges, or too many cells), or a vertex did not
+    /// broadcast along its out-edge order.
     Off,
 }
 
-/// Which supersteps fold on arrival (tests force stage-and-drain).
+/// Which supersteps fold on arrival (tests force the buffer).
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mail {
     /// Every superstep that may ([`DeviceEngine::mail_step`]).
@@ -129,9 +131,6 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     pub(crate) assign: Option<&'g [u8]>,
     owned: Vec<VertexId>,
     csb: Csb<P::Msg>,
-    /// Per-thread staging of the host path's insertions and received
-    /// remote messages, reused every superstep.
-    staging: Staging<P::Msg>,
     /// Vertex values (full-length; only owned entries are meaningful).
     pub values: Vec<P::Value>,
     active: ActiveSet,
@@ -164,8 +163,8 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     /// Which supersteps fold on arrival.
     mail: Mail,
     /// The active vertices, when the last mailbox update listed them
-    /// (`None`: only the flags hold them). A mailbox step walks this list
-    /// instead of every owned vertex's flag.
+    /// (`None`: only the flags hold them). A step that does not gather
+    /// walks this list instead of every owned vertex's flag.
     frontier: Option<Vec<VertexId>>,
 }
 
@@ -252,6 +251,35 @@ pub(crate) fn in_chunk_order<T: Clone>(per_thread: Vec<Vec<(usize, T)>>) -> Vec<
     ordered
 }
 
+/// The frontier walk of every superstep that does not gather: `program`
+/// generates the vertices of `frontier` (owned, ascending) into `ctx` on
+/// the calling thread, chunk by chunk of `ranges` (over `owned`) in owned
+/// order, as a one-thread run of the chunk schedule would, with one work
+/// record per chunk in `c`.
+fn walk<P: VertexProgram, S: MsgSink<P::Msg>>(
+    program: &P,
+    owned: &[VertexId],
+    ranges: &[std::ops::Range<usize>],
+    frontier: &[VertexId],
+    ctx: &mut GenContext<'_, P::Value, S>,
+    c: &mut StepCounters,
+) {
+    let mut next = frontier.iter().copied().peekable();
+    for r in ranges {
+        let (mut ch, sent) = (GenChunk::default(), ctx.sent);
+        let last = owned[r.end - 1];
+        while let Some(v) = next.next_if(|&v| v <= last) {
+            ch.vertices += 1;
+            ch.edges += ctx.graph.out_degree(v) as u64;
+            program.generate(v, ctx);
+        }
+        ch.msgs = ctx.sent - sent;
+        c.active_vertices += ch.vertices;
+        c.gen_edges += ch.edges;
+        c.gen_chunks.push(ch);
+    }
+}
+
 impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// Build the engine for device `dev_id`. `assign` is the vertex→device
     /// map (`None` = this device owns everything).
@@ -327,7 +355,6 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         let lanes = spec.lanes(P::Msg::SIZE);
         let layout = CsbLayout::build(n, &owned, &capacity, lanes, config.k);
         let positions = layout.num_positions();
-        let staging = Staging::new(&layout);
         let csb = Csb::new(layout, config.column_mode);
 
         let mut values = vec![P::Value::default(); n];
@@ -348,7 +375,6 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             assign,
             owned,
             csb,
-            staging,
             values,
             active,
             reduced: vec![P::Msg::ZERO; positions],
@@ -442,7 +468,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     /// SDC injection site: flip one bit of one buffered message (the
     /// `BitFlipMessage` fault). Returns the corrupted group, or `None` when
     /// the buffer is empty. Deterministic per seed.
-    pub fn corrupt_message_cell(&self, seed: u64) -> Option<usize> {
+    pub fn corrupt_message_cell(&mut self, seed: u64) -> Option<usize> {
         self.csb.corrupt_cell(seed)
     }
 
@@ -654,7 +680,8 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     }
 
     /// The host path of every mode: gather form on a dense superstep, the
-    /// mailbox on any other one that may, stage-and-drain otherwise.
+    /// frontier walk on any other, into the mailbox where it may and into
+    /// the buffer otherwise.
     fn generate_locking(
         &mut self,
         c: &mut StepCounters,
@@ -665,19 +692,22 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
                 return remote;
             }
             // A vertex did not broadcast along its out-edges. Generation is
-            // pure, so the step re-runs through stage-and-drain, and so does
-            // every later one.
+            // pure, so the step re-runs through the frontier walk, and so
+            // does every later one.
             self.dense = Dense::Off;
             self.sent = Vec::new();
         }
         if std::mem::take(&mut self.held) {
             self.csb.reset();
         }
+        let mut frontier = frontier.unwrap_or_else(|| self.active_owned());
+        // `owned` ascends, so the sorted frontier meets the chunks in order.
+        frontier.sort_unstable();
         if self.mail_step() {
-            let frontier = frontier.unwrap_or_else(|| self.active_owned());
-            return self.generate_mailed(c, frontier);
+            self.generate_mailed(c, &frontier)
+        } else {
+            self.generate_cells(c, &frontier)
         }
-        self.generate_staged(c)
     }
 
     /// Whether a superstep that does not gather folds on arrival: the
@@ -707,7 +737,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             // Nothing was installed yet, so `begin_step` reset the buffer.
             let (assign, dev) = (self.assign, self.dev_id);
             let is_local = |v: VertexId| assign.is_none_or(|a| a[v as usize] == dev);
-            self.dense = match DenseTable::build(&self.csb, self.graph, &self.owned, is_local) {
+            self.dense = match DenseTable::build(&mut self.csb, self.graph, &self.owned, is_local) {
                 Some(table) => {
                     self.sent = vec![P::Reduce::identity(); self.owned.len() + 1];
                     Dense::Ready(table)
@@ -719,10 +749,10 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     }
 
     /// Whether a `bitflip-msg` fault planned for this rank has yet to fire.
-    /// It flips a message in the buffer, where a gather step keeps none, so
-    /// dense steps stage and drain until it has fired and the flip lands
-    /// where it always did. Any pending one counts: the engine's step count
-    /// is not the rank loop's.
+    /// It flips a message in the buffer, where a gather or mailbox step
+    /// keeps none, so steps fill the buffer until it has fired and the flip
+    /// lands where it always did. Any pending one counts: the engine's step
+    /// count is not the rank loop's.
     fn message_flip_pending(&self) -> bool {
         self.config.fault_plan.as_ref().is_some_and(|inj| {
             inj.plan().iter().any(|f| {
@@ -802,42 +832,25 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         Some(remote)
     }
 
-    /// Mailbox generation ([`crate::csb::mailbox`]): the calling thread
-    /// generates the active vertices of `frontier` (owned, in any order)
-    /// chunk by chunk in owned order, folding each local message on
-    /// arrival, then binds the columns the messages would take.
+    /// Mailbox generation ([`crate::csb::mailbox`]): the frontier walk
+    /// folds each local message on arrival, then the columns the messages
+    /// would take are bound.
     fn generate_mailed(
         &mut self,
         c: &mut StepCounters,
-        mut frontier: Vec<VertexId>,
+        frontier: &[VertexId],
     ) -> Vec<WireMsg<P::Msg>> {
         let vectorized = self.config.vectorized && P::SIMD_REDUCIBLE;
-        let (program, graph) = (self.program, self.graph);
-        let (owned, values) = (&self.owned, &self.values);
         let layout = &self.csb.layout;
-        // `owned` ascends, so the sorted frontier meets the chunks in order.
-        frontier.sort_unstable();
-        let mut next = frontier.iter().copied().peekable();
         let tracer = worker_tracer(self.config.trace.as_ref(), self.dev_id, 0);
         let step = self.trace_step();
         let generate = tracer.span(Phase::Generate, step);
         let mut sink = self
             .mailbox
             .sink::<P::Reduce>(layout, vectorized, self.assign, self.dev_id);
-        let mut ctx = GenContext::new(graph, values, &mut sink);
-        for r in &self.gen_ranges {
-            let (mut ch, sent) = (GenChunk::default(), ctx.sent);
-            let last = owned[r.end - 1];
-            while let Some(v) = next.next_if(|&v| v <= last) {
-                ch.vertices += 1;
-                ch.edges += graph.out_degree(v) as u64;
-                program.generate(v, &mut ctx);
-            }
-            ch.msgs = ctx.sent - sent;
-            c.active_vertices += ch.vertices;
-            c.gen_edges += ch.edges;
-            c.gen_chunks.push(ch);
-        }
+        let mut ctx = GenContext::new(self.graph, &self.values, &mut sink);
+        let (program, owned, ranges) = (self.program, &self.owned, &self.gen_ranges);
+        walk(program, owned, ranges, frontier, &mut ctx, c);
         let sent = ctx.sent;
         let remote = sink.remote;
         c.msgs_local = sent - remote.len() as u64;
@@ -845,104 +858,61 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         let _insert = tracer.span(Phase::Insert, step);
         if !self.mailbox.bind(layout, self.csb.mode) {
             // A column overflows. Generation is pure, so the step re-runs
-            // through stage-and-drain, whose drain panics with the first
-            // rejected message in bin order.
+            // into the buffer, whose insert panics at the first rejected
+            // message in source order.
             self.mailbox.clear(layout, self.csb.mode, &mut self.has_msg);
-            self.generate_staged(c);
-            unreachable!("the drain rejects a message");
+            self.generate_cells(c, frontier);
+            unreachable!("the buffer rejects a message");
         }
         self.mailed = true;
         remote
     }
 
-    /// Stage-and-drain generation: threads take chunks dynamically and
-    /// stage their messages, then the drain inserts them in chunk order.
-    fn generate_staged(&mut self, c: &mut StepCounters) -> Vec<WireMsg<P::Msg>> {
-        let chunks = self.gen_ranges.len();
-        let sched = ChunkScheduler::new(chunks, 1);
-        let (program, graph) = (self.program, self.graph);
-        let (owned, values, active) = (&self.owned, &self.values, &self.active);
-        let (assign, dev) = (self.assign, self.dev_id);
-        let ranges = &self.gen_ranges;
-        let (trace, step) = (self.config.trace.as_ref(), self.trace_step());
-
-        // Per thread: (work record, end of its remote messages) for each
-        // chunk it generated, in the order it took them, and those remote
-        // messages.
-        let staged = self
-            .staging
-            .stage(&self.csb, self.host_threads, chunks, |tid, stager| {
-                let tracer = worker_tracer(trace, dev, tid);
-                let _g = tracer.span(Phase::Generate, step);
-                let mut done: Vec<(GenChunk, usize)> = Vec::new();
-                let mut remote = Vec::new();
-                while let Some(batch) = sched.next_batch() {
-                    for ri in batch {
-                        stager.open(ri);
-                        let mut ch = GenChunk::default();
-                        let mut sink = StageSink {
-                            stager: &mut *stager,
-                            assign,
-                            dev,
-                            remote: &mut remote,
-                        };
-                        let mut ctx = GenContext::new(graph, values, &mut sink);
-                        for i in ranges[ri].clone() {
-                            let v = owned[i];
-                            if active.is_active(v) {
-                                ch.vertices += 1;
-                                ch.edges += graph.out_degree(v) as u64;
-                                program.generate(v, &mut ctx);
-                            }
-                        }
-                        ch.msgs = ctx.sent;
-                        stager.close();
-                        done.push((ch, remote.len()));
-                    }
-                }
-                (done, remote)
-            });
-
-        let remote = record_chunks(
-            c,
-            self.staging.chunk_order().map(|(t, i)| {
-                let (done, thread_remote) = &staged[t];
-                let start = if i == 0 { 0 } else { done[i - 1].1 };
-                (done[i].0, &thread_remote[start..done[i].1])
-            }),
-        );
-        self.staging.drain(
-            &self.csb,
-            self.host_threads,
-            |tid| worker_tracer(trace, dev, tid),
-            step,
-        );
-        remote
+    /// Buffer generation: the frontier walk inserts each local message into
+    /// its column on arrival, leaving the cells, column state and group
+    /// checksums of a one-thread insertion in source order.
+    fn generate_cells(
+        &mut self,
+        c: &mut StepCounters,
+        frontier: &[VertexId],
+    ) -> Vec<WireMsg<P::Msg>> {
+        let tracer = worker_tracer(self.config.trace.as_ref(), self.dev_id, 0);
+        let _generate = tracer.span(Phase::Generate, self.trace_step());
+        let mut sink = CellSink {
+            csb: &mut self.csb,
+            assign: self.assign,
+            dev: self.dev_id,
+            remote: Vec::new(),
+        };
+        let mut ctx = GenContext::new(self.graph, &self.values, &mut sink);
+        let (program, owned, ranges) = (self.program, &self.owned, &self.gen_ranges);
+        walk(program, owned, ranges, frontier, &mut ctx, c);
+        let sent = ctx.sent;
+        c.msgs_local = sent - sink.remote.len() as u64;
+        sink.remote
     }
 
     /// Insert the peer's combined remote messages into the local buffer
     /// ("Received messages are inserted into local message buffer for
-    /// further processing"). They are staged and drained like the locking
-    /// engine's own messages, so each column appends them in `incoming`
-    /// order; on a mailbox step they fold after the local ones, in the
-    /// same order.
+    /// further processing") on the calling thread, after the local ones and
+    /// in `incoming` order; on a mailbox step they fold after the local
+    /// ones, in the same order.
     pub fn absorb_remote(&mut self, incoming: &[WireMsg<P::Msg>], c: &mut StepCounters) {
         if incoming.is_empty() {
             return;
         }
         if self.mailed {
             let vectorized = self.config.vectorized && P::SIMD_REDUCIBLE;
-            let (layout, staging) = (&self.csb.layout, &self.staging);
+            let layout = &self.csb.layout;
             self.mailbox
-                .absorb::<P::Reduce>(layout, self.csb.mode, vectorized, incoming, |g| {
-                    staging.bin_of_group(g)
-                });
+                .absorb::<P::Reduce>(layout, self.csb.mode, vectorized, incoming);
         } else {
             self.held = false;
-            self.staging
-                .insert_stream(&self.csb, self.host_threads, incoming.len(), |i| {
-                    (incoming[i].dst, incoming[i].value)
-                });
+            for m in incoming {
+                if let Err(e) = self.csb.insert(m.dst, m.value) {
+                    panic!("{e}");
+                }
+            }
         }
         // Record the insertion work in scheduler-grain batches (one giant
         // chunk would read as serial work in the makespan replay).
@@ -1499,22 +1469,22 @@ mod tests {
     /// Run `program` under `config` (any of [`host_path_modes`]) with its
     /// host thread count forced to `threads` — past the
     /// `available_parallelism` clamp, so the threads really interleave even
-    /// on a one-core runner — and, when `staged`, with the dense path and
-    /// the mailbox off, so every superstep stages and drains.
+    /// on a one-core runner — and, when `buffered`, with the dense path and
+    /// the mailbox off, so every superstep fills the buffer.
     fn lock_forced<P>(
         program: &P,
         g: &Csr,
         spec: DeviceSpec,
         config: &EngineConfig,
         threads: usize,
-        staged: bool,
+        buffered: bool,
     ) -> Forced
     where
         P: VertexProgram<Msg = f32, Value = f32>,
     {
         let mut eng = DeviceEngine::new(program, g, spec, config.clone(), 0, None);
         eng.host_threads = threads;
-        if staged {
+        if buffered {
             eng.dense = Dense::Off;
             eng.mail = Mail::Never;
         }
@@ -1807,7 +1777,7 @@ mod tests {
                         let config = base.clone().with_column_mode(column_mode).with_k(k);
                         let name =
                             format!("{}/{column_mode:?}/k{k}/{}", config.mode.name(), spec.name);
-                        let rank = |dev: u8, threads: usize, staged: bool| {
+                        let rank = |dev: u8, threads: usize, buffered: bool| {
                             let mut eng = DeviceEngine::new(
                                 &pr,
                                 &g,
@@ -1817,7 +1787,7 @@ mod tests {
                                 Some(&assign),
                             );
                             eng.host_threads = threads;
-                            if staged {
+                            if buffered {
                                 eng.dense = Dense::Off;
                                 eng.mail = Mail::Never;
                             }
@@ -1827,56 +1797,59 @@ mod tests {
                         let mut c = peer.begin_step();
                         let incoming = combine_messages::<f32, Sum>(peer.generate(&mut c)).0;
                         assert!(!incoming.is_empty(), "{name}: the peer sends to rank 0");
-                        let mut staged_rank = rank(0, 2, true);
-                        let staged_steps: Vec<Observed> = (0..2)
-                            .map(|_| observe_step(&mut staged_rank, &incoming))
+                        let mut buffered_rank = rank(0, 2, true);
+                        let buffered_steps: Vec<Observed> = (0..2)
+                            .map(|_| observe_step(&mut buffered_rank, &incoming))
                             .collect();
-                        assert!(!staged_steps[0].0.is_empty(), "{name}: rank 0 sends remote");
-                        let staged = lock_forced(&pr, &g, spec.clone(), &config, 2, true);
+                        assert!(
+                            !buffered_steps[0].0.is_empty(),
+                            "{name}: rank 0 sends remote"
+                        );
+                        let buffered = lock_forced(&pr, &g, spec.clone(), &config, 2, true);
                         for threads in [1, 2, 3, 8] {
                             let at = format!("{name} at {threads} threads");
                             let dense = lock_forced(&pr, &g, spec.clone(), &config, threads, false);
                             assert!(dense.dense.iter().all(|&d| d), "{at}: every step gathers");
-                            assert!(dense.values == staged.values, "{at}: values differ");
-                            assert_eq!(dense.steps.len(), staged.steps.len(), "{at}");
-                            for (i, (a, b)) in dense.steps.iter().zip(&staged.steps).enumerate() {
+                            assert!(dense.values == buffered.values, "{at}: values differ");
+                            assert_eq!(dense.steps.len(), buffered.steps.len(), "{at}");
+                            for (i, (a, b)) in dense.steps.iter().zip(&buffered.steps).enumerate() {
                                 assert!(a == b, "{at}: counters of step {i}");
                                 assert!(
-                                    dense.messages[i] == staged.messages[i],
+                                    dense.messages[i] == buffered.messages[i],
                                     "{at}: reduced messages of step {i}"
                                 );
                             }
-                            assert_eq!(dense.sim.to_bits(), staged.sim.to_bits(), "{at}: sim");
+                            assert_eq!(dense.sim.to_bits(), buffered.sim.to_bits(), "{at}: sim");
 
                             let mut one =
                                 DeviceEngine::new(&pr, &g, spec.clone(), config.clone(), 0, None);
                             one.host_threads = threads;
-                            let mut staged_one =
+                            let mut buffered_one =
                                 DeviceEngine::new(&pr, &g, spec.clone(), config.clone(), 0, None);
-                            staged_one.dense = Dense::Off;
-                            staged_one.mail = Mail::Never;
-                            let (dense_step, staged_step) = (
+                            buffered_one.dense = Dense::Off;
+                            buffered_one.mail = Mail::Never;
+                            let (dense_step, buffered_step) = (
                                 observe_step(&mut one, &[]),
-                                observe_step(&mut staged_one, &[]),
+                                observe_step(&mut buffered_one, &[]),
                             );
-                            assert!(dense_step == staged_step, "{at}: single-device step");
+                            assert!(dense_step == buffered_step, "{at}: single-device step");
 
                             let mut dense_rank = rank(0, threads, false);
-                            for (i, staged_step) in staged_steps.iter().enumerate() {
+                            for (i, buffered_step) in buffered_steps.iter().enumerate() {
                                 let (remote, generated, absorbed, c, messages) =
                                     observe_step(&mut dense_rank, &incoming);
-                                assert!(remote == staged_step.0, "{at}: rank 0 remote, step {i}");
+                                assert!(remote == buffered_step.0, "{at}: rank 0 remote, step {i}");
                                 assert!(
-                                    generated == staged_step.1,
+                                    generated == buffered_step.1,
                                     "{at}: rank 0 columns, step {i}"
                                 );
                                 assert!(
-                                    absorbed == staged_step.2,
+                                    absorbed == buffered_step.2,
                                     "{at}: rank 0 columns after absorb, step {i}"
                                 );
-                                assert!(c == staged_step.3, "{at}: rank 0 counters, step {i}");
+                                assert!(c == buffered_step.3, "{at}: rank 0 counters, step {i}");
                                 assert!(
-                                    messages == staged_step.4,
+                                    messages == buffered_step.4,
                                     "{at}: rank 0 reduced messages, step {i}"
                                 );
                             }
@@ -2107,7 +2080,7 @@ mod tests {
 
     #[test]
     fn mailbox_steps_leave_what_stage_and_drain_leaves() {
-        /// The forced mailbox run of `program` equals forced stage-and-drain
+        /// The forced mailbox run of `program` equals the forced buffer run
         /// in everything [`Trail`] holds, on one device and on both ranks
         /// of `assign`, at every host thread count.
         fn check<P>(name: &str, program: &P, g: &Csr, assign: &[u8])
@@ -2135,13 +2108,13 @@ mod tests {
                         assert!(wide == mailed, "{at}: the mailbox depends on host threads");
                         for threads in [1, 2, 3, 8] {
                             let at = format!("{at} on {ranks} ranks at {threads} threads");
-                            let staged =
+                            let buffered =
                                 mail_forced(program, g, &config, placement, threads, Mail::Never);
-                            for (rank, (m, s)) in mailed.iter().zip(&staged).enumerate() {
+                            for (rank, (m, s)) in mailed.iter().zip(&buffered).enumerate() {
                                 let at = format!("{at}, rank {rank}");
                                 assert_eq!(m.steps.len(), s.steps.len(), "{at}: steps");
                                 for (i, (a, b)) in m.steps.iter().zip(&s.steps).enumerate() {
-                                    assert!(!b.mailed, "{at}: step {i} stages");
+                                    assert!(!b.mailed, "{at}: step {i} fills the buffer");
                                     // Named first for a readable failure,
                                     // then every field.
                                     assert_eq!(
@@ -2227,15 +2200,18 @@ mod tests {
             for column_mode in [ColumnMode::Dynamic, ColumnMode::OneToOne] {
                 let config = base.clone().with_column_mode(column_mode);
                 let at = format!("{}/{column_mode:?}", config.mode.name());
-                let [mailed, staged] = [Mail::Always, Mail::Never].map(|mail| {
+                let [mailed, buffered] = [Mail::Always, Mail::Never].map(|mail| {
                     mail_forced(&ShortZero, &g, &config, None, 2, mail)
                         .remove(0)
                         .steps
                         .remove(0)
                 });
-                assert!(mailed.mailed && !staged.mailed, "{at}: the forced paths");
-                assert!(mailed.counters == staged.counters, "{at}: counters");
-                assert!(mailed.messages == staged.messages, "{at}: reduced messages");
+                assert!(mailed.mailed && !buffered.mailed, "{at}: the forced paths");
+                assert!(mailed.counters == buffered.counters, "{at}: counters");
+                assert!(
+                    mailed.messages == buffered.messages,
+                    "{at}: reduced messages"
+                );
                 // Vertex 1's column holds one message, vertex 2's two, in one
                 // vector array: the bubble row folds +0.0 into −0.0.
                 assert_eq!(
@@ -2362,9 +2338,9 @@ mod tests {
 
     #[test]
     fn a_vertex_off_its_out_edge_order_falls_back_to_stage_and_drain() {
-        /// `program` equals `seq` and the forced stage-and-drain run bit for
-        /// bit; its dense steps gather throughout when `gathers`, and none
-        /// does otherwise.
+        /// `program` equals `seq` and the forced buffer run bit for bit; its
+        /// dense steps gather throughout when `gathers`, and none does
+        /// otherwise.
         fn check<P: VertexProgram<Msg = f32, Value = f32>>(
             name: &str,
             program: &P,
@@ -2376,19 +2352,22 @@ mod tests {
                 crate::engine::seq::run_seq(program, g, spec.clone(), &EngineConfig::sequential());
             let seq: Vec<u32> = seq.values.iter().map(|v| v.to_bits()).collect();
             for config in host_path_modes() {
-                let staged = lock_forced(program, g, spec.clone(), &config, 2, true);
+                let buffered = lock_forced(program, g, spec.clone(), &config, 2, true);
                 for threads in [1, 3] {
                     let at = format!("{name}/{} at {threads} threads", config.mode.name());
                     let run = lock_forced(program, g, spec.clone(), &config, threads, false);
                     assert!(run.values == seq, "{at}: differs from seq");
-                    assert!(run.values == staged.values, "{at}: differs from staged");
+                    assert!(
+                        run.values == buffered.values,
+                        "{at}: differs from the buffer run"
+                    );
                     // An aborted attempt left nothing in the first step's
                     // counters.
-                    assert_eq!(run.steps.len(), staged.steps.len(), "{at}");
-                    for (i, (a, b)) in run.steps.iter().zip(&staged.steps).enumerate() {
+                    assert_eq!(run.steps.len(), buffered.steps.len(), "{at}");
+                    for (i, (a, b)) in run.steps.iter().zip(&buffered.steps).enumerate() {
                         assert!(a == b, "{at}: counters of step {i}");
                         assert!(
-                            run.messages[i] == staged.messages[i],
+                            run.messages[i] == buffered.messages[i],
                             "{at}: reduced messages of step {i}"
                         );
                     }
@@ -2425,14 +2404,14 @@ mod tests {
         // The values' bits, the faults injected and whether dense steps
         // gather at the end of a lone-rank run with the integrity sites
         // armed.
-        let run = |staged: bool, plan: Option<&FaultPlan>| {
+        let run = |buffered: bool, plan: Option<&FaultPlan>| {
             let config = match plan {
                 Some(p) => EngineConfig::locking().with_fault_plan(p.injector()),
                 None => EngineConfig::locking(),
             };
             let mut eng = DeviceEngine::new(&pr, &g, DeviceSpec::xeon_e5_2680(), config, 0, None);
             eng.host_threads = 2;
-            if staged {
+            if buffered {
                 eng.dense = Dense::Off;
                 eng.mail = Mail::Never;
             }
@@ -2448,12 +2427,12 @@ mod tests {
         };
         let plan = FaultPlan::single(2, FaultKind::BitFlipMessage);
         let (clean, ..) = run(false, None);
-        let (staged, staged_faults, _) = run(true, Some(&plan));
+        let (buffered, buffered_faults, _) = run(true, Some(&plan));
         let (gathered, faults, gathers) = run(false, Some(&plan));
-        assert_eq!(staged_faults, 1, "the flip fired on a buffered message");
-        assert!(staged != clean, "the flip changed the values");
-        assert!(gathered == staged, "the flip landed elsewhere");
-        assert_eq!(faults, staged_faults);
+        assert_eq!(buffered_faults, 1, "the flip fired on a buffered message");
+        assert!(buffered != clean, "the flip changed the values");
+        assert!(gathered == buffered, "the flip landed elsewhere");
+        assert_eq!(faults, buffered_faults);
         assert!(gathers, "dense steps gather again once the flip has fired");
     }
 
@@ -2512,8 +2491,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "vertex 0 received more than its capacity 0 messages")]
     fn over_capacity_bin_panics_from_the_drain() {
-        // Zero-row groups leave every bin's staging region empty, so the
-        // message is dropped while staging and reported after the drain.
+        // A zero-row column rejects the first message.
         flood(0);
     }
 

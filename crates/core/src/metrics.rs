@@ -35,6 +35,13 @@ impl StepReport {
     }
 }
 
+/// The sum of simulated `times`, from +0.0: `f64`'s `Sum` starts at −0.0,
+/// which a run with no supersteps would print as `-0.0000`. For any
+/// non-empty list of non-negative times the bits are `Sum`'s.
+pub fn seconds(times: impl Iterator<Item = f64>) -> f64 {
+    times.fold(0.0, |sum, t| sum + t)
+}
+
 /// Measurements for a complete run on one device (or one device's side of a
 /// heterogeneous run).
 #[derive(Clone, Debug, Default)]
@@ -67,12 +74,12 @@ pub struct RunReport {
 impl RunReport {
     /// Simulated execution time (compute phases, excluding communication).
     pub fn sim_exec(&self) -> f64 {
-        self.steps.iter().map(|s| s.times.total).sum()
+        seconds(self.steps.iter().map(|s| s.times.total))
     }
 
     /// Simulated communication time.
     pub fn sim_comm(&self) -> f64 {
-        self.steps.iter().map(|s| s.comm_time).sum()
+        seconds(self.steps.iter().map(|s| s.comm_time))
     }
 
     /// Simulated total time.
@@ -83,7 +90,7 @@ impl RunReport {
     /// Simulated time of the message-processing sub-step only (the
     /// Fig. 5(f) quantity).
     pub fn sim_process(&self) -> f64 {
-        self.steps.iter().map(|s| s.times.process).sum()
+        seconds(self.steps.iter().map(|s| s.times.process))
     }
 
     /// Total messages over the run.
@@ -281,6 +288,20 @@ mod tests {
         assert!((r.sim_comm() - 0.3).abs() < 1e-12);
         assert!((r.sim_total() - 3.3).abs() < 1e-12);
         assert!((r.sim_process() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_run_with_no_supersteps_sums_to_positive_zero() {
+        let r = RunReport {
+            app: "pagerank".into(),
+            ..Default::default()
+        };
+        for t in [r.sim_exec(), r.sim_comm(), r.sim_total(), r.sim_process()] {
+            assert_eq!(t.to_bits(), 0.0f64.to_bits());
+        }
+        let s = r.summary();
+        assert!(s.contains("exec=0.0000s comm=0.0000s total=0.0000s"), "{s}");
+        assert!(!s.contains("-0"), "{s}");
     }
 
     #[test]

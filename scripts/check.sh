@@ -55,6 +55,32 @@ echo "==> integrity smoke: seeded SDC chaos run heals bit-identically"
     --out "$SMOKE_DIR/healed.txt" | grep -q "integrity"
 cmp "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/healed.txt"
 "$PHIGRAPH" recover "$SMOKE_DIR/sdc" | grep -q "integrity:"
+# With the audit off a message bit-flip stays in the result: until it has
+# fired every step fills the buffer, where the flip lands, and lock, pipe
+# and omp fill it alike. All three print one checksum, not the clean one.
+"$PHIGRAPH" generate gnm "$SMOKE_DIR/gnm-small.bin" --scale small --seed 7 >/dev/null
+for app in pagerank sssp; do
+    CLEAN="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --checksum \
+        | sed -n 's/^checksum=//p')"
+    test -n "$CLEAN"
+    FLIPPED=""
+    for engine in lock pipe omp; do
+        GOT="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --engine "$engine" \
+            --faults 1:bitflip-msg --checkpoint-dir "$SMOKE_DIR/flip-$app-$engine" \
+            --checksum | sed -n 's/^checksum=//p')"
+        test -n "$GOT"
+        FLIPPED="${FLIPPED:-$GOT}"
+        if [ "$GOT" != "$FLIPPED" ]; then
+            echo "$app --engine $engine with a message bit-flip printed $GOT, lock printed $FLIPPED" >&2
+            exit 1
+        fi
+    done
+    if [ "$FLIPPED" = "$CLEAN" ]; then
+        echo "$app: the message bit-flip left the clean checksum $CLEAN" >&2
+        exit 1
+    fi
+    echo "    ($app with a message bit-flip: checksum=$FLIPPED on lock, pipe and omp; clean $CLEAN)"
+done
 
 echo "==> one-machine smoke: a dead worker rolls back once, on one device and on a fabric rank"
 # Single-device recovery is the N = 1 case of the failover driver: the
@@ -103,7 +129,6 @@ echo "==> determinism smoke: lock, pipe and omp PageRank, SSSP, BFS and WCC prin
 # column in source order on the locking engine's host path (pipe and omp
 # differ only in what the cost model charges), so on any host thread count
 # three runs of each and one seq run must print the same checksum.
-"$PHIGRAPH" generate gnm "$SMOKE_DIR/gnm-small.bin" --scale small --seed 7 >/dev/null
 WANT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --engine seq --checksum \
     | sed -n 's/^checksum=//p')"
 test -n "$WANT_PR"
@@ -134,9 +159,9 @@ for engine in lock pipe pipe; do
     fi
 done
 echo "    (--devices 2, lock x2 and pipe x2: checksum=$FABRIC_PR)"
-# --integrity full arms the message audit on one device, which keeps every
-# dense step on stage-and-drain, and seals the exchange frames on two ranks:
-# each must print the checksum of the gather runs above.
+# --integrity full arms the message audit on one device, which makes every
+# dense step fill the buffer instead of gathering, and seals the exchange
+# frames on two ranks: each must print the checksum of the gather runs above.
 GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --integrity full \
     --checkpoint-dir "$SMOKE_DIR/pr-full" --checksum | sed -n 's/^checksum=//p')"
 if [ "$GOT_PR" != "$WANT_PR" ]; then
@@ -150,9 +175,10 @@ if [ "$GOT_PR" != "$FABRIC_PR" ]; then
     exit 1
 fi
 echo "    (--integrity full on one device and on --devices 2: the same checksums)"
-# Traversals: their supersteps fold each message on arrival, and
-# --integrity full keeps them on stage-and-drain. Both print seq's checksum
-# on every mode, and two --devices 2 runs print one checksum.
+# Traversals: their supersteps fold each message on arrival, and under
+# --integrity full they insert each message into the buffer instead. Both
+# print seq's checksum on every mode, and two --devices 2 runs print one
+# checksum.
 for app in sssp bfs wcc; do
     WANT="$("$PHIGRAPH" run "$app" "$SMOKE_DIR/gnm-small.bin" --engine seq --checksum \
         | sed -n 's/^checksum=//p')"

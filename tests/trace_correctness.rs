@@ -193,7 +193,7 @@ fn chrome_trace_parses_and_spans_nest() {
 
     // One metadata track per registered thread, including the worker
     // lanes of the engine's host path (the pipelined mode has no movers of
-    // its own: its workers generate, then drain).
+    // its own: a worker generates and inserts).
     let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
     let names: Vec<&str> = events
         .iter()
@@ -228,8 +228,9 @@ fn chrome_trace_parses_and_spans_nest() {
             phases_seen.insert(name.clone());
         }
     }
-    // The drain records each worker's `insert` span; nothing flushes a
-    // worker→mover batch or makes a mover's `drain` pass.
+    // The mailbox step's column binding records the worker's `insert`
+    // span; nothing flushes a worker→mover batch or makes a mover's
+    // `drain` pass.
     for expected in ["superstep", "generate", "insert", "process", "update"] {
         assert!(
             phases_seen.contains(expected),

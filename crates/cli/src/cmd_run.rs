@@ -410,11 +410,17 @@ fn refuse_recovery(args: &Args) -> Result<(), String> {
 fn failover_config(args: &Args) -> Result<FailoverConfig, String> {
     let d = FailoverConfig::default();
     let policy: FailoverPolicy = args.flag_or("failover", "migrate").parse()?;
-    Ok(
-        d.with_watchdog_ms(args.flag_parse("watchdog-ms", d.watchdog_ms)?)
-            .with_policy(policy)
-            .with_rebalance_after(args.flag_parse("rebalance-after", d.rebalance_after)?),
-    )
+    let watchdog_ms = args.flag_parse("watchdog-ms", d.watchdog_ms)?;
+    if watchdog_ms == 0 {
+        return Err(
+            "--watchdog-ms must be at least 1: a 0 ms deadline times out \
+             every exchange"
+                .to_string(),
+        );
+    }
+    Ok(d.with_watchdog_ms(watchdog_ms)
+        .with_policy(policy)
+        .with_rebalance_after(args.flag_parse("rebalance-after", d.rebalance_after)?))
 }
 
 /// Parse `--faults step:kind[:dev],...` through the shared

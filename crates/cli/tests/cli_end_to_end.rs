@@ -469,6 +469,10 @@ fn faults_and_flags_that_cannot_fire_exit_2() {
         (&["--watchdog-ms", "100"], "--watchdog-ms needs peers"),
         (&["--rebalance-after", "2"], "--rebalance-after needs peers"),
         (
+            &["--devices", "2", "--watchdog-ms", "0"],
+            "--watchdog-ms must be at least 1",
+        ),
+        (
             &["--devices", "3", "--faults", "2:bitflip-state"],
             "no injection site on 3 ranks (kinds that apply: worker|",
         ),

@@ -16,23 +16,23 @@
 //! The paper claims each message's cell under a per-column lock. On the
 //! host one thread fills the buffer: [`Csb::insert`] claims the next cell
 //! of the destination's column behind `&mut self`, advancing its cursor,
-//! index entry and column offset with plain loads and stores, and the cost
-//! model still charges the locks. The engine's buffer steps insert each
-//! local message on arrival, in source order, then the peers' messages in
-//! incoming order; quarantine regeneration inserts through it too. On a
-//! gather-form dense superstep no message is written at all: the cell each
-//! out-edge's message would take is claimed once, at the engine's first
-//! dense step, and turned into a table of each cell's sender; the column
-//! metadata those claims left (`Csb::column_state`) is installed after each
-//! such step's generation (`Csb::install`), or kept from the step before
-//! when nothing was appended behind it.
+//! index entry and column offset, and the cost model still charges the
+//! locks. The column metadata is plain integers, written only through
+//! `&mut self`; processing reads it through `&self` on the host threads.
+//! The engine's buffer steps insert each local message on arrival, in
+//! source order, then the peers' messages in incoming order; quarantine
+//! regeneration inserts through it too. On a gather-form dense superstep
+//! no message is written at all: at the engine's first dense step the cell
+//! each out-edge's message would take is claimed once and turned into a
+//! table of each cell's sender, and the column metadata those claims leave
+//! stays in the buffer until the first step that does not gather resets
+//! it.
 
 use super::layout::{CsbLayout, NOT_OWNED};
 use phigraph_device::counters::InsertProfile;
 use phigraph_graph::{SplitMix64, VertexId};
 use phigraph_recover::integrity::message_digest;
 use phigraph_simd::{AVec, MsgValue};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, Ordering};
 
 /// Why an insertion was rejected. [`Csb::insert`] returns it, and the
 /// engine panics with its text.
@@ -94,17 +94,6 @@ pub enum ColumnMode {
 /// Sentinel: column not yet bound to a position.
 const COL_EMPTY: u32 = u32::MAX;
 
-/// A snapshot of a buffer's column metadata ([`Csb::column_state`]).
-#[derive(Debug, Default)]
-pub(crate) struct ColumnState {
-    /// `(global column, count, bound position)` of each column the
-    /// snapshot covers, in column order.
-    cols: Vec<(u32, u32, u32)>,
-    /// `(group, column offset)` of each group with bound columns (dynamic
-    /// mode only).
-    group_next: Vec<(u32, u32)>,
-}
-
 /// The condensed static buffer for message type `T`.
 pub struct Csb<T: MsgValue> {
     /// The static layout (sort order, groups, redirection map).
@@ -113,23 +102,22 @@ pub struct Csb<T: MsgValue> {
     pub mode: ColumnMode,
     data: AVec<T>,
     /// Messages inserted per global column (the insertion cursor).
-    col_count: Vec<AtomicU32>,
+    col_count: Vec<u32>,
     /// Position served by each global column this iteration.
-    col_pos: Vec<AtomicU32>,
+    col_pos: Vec<u32>,
     /// Per-position allocated column-in-group, or −1 (the index array).
-    index: Vec<AtomicI32>,
+    index: Vec<i32>,
     /// Per-group next free column (the column offset).
-    group_next: Vec<AtomicU32>,
+    group_next: Vec<u32>,
     /// Integrity kill switch: when false (the default) no checksum work
-    /// happens anywhere on the insertion path — one relaxed load per
-    /// insert/batch, so the disabled path stays bit-identical and
-    /// near-zero-cost.
-    audit: AtomicBool,
+    /// happens anywhere on the insertion path — one branch per insert, so
+    /// the disabled path stays bit-identical and near-zero-cost.
+    audit: bool,
     /// Per-group commutative message checksum: the `wrapping_add` fold of
     /// [`message_digest`] over every message inserted into the group since
     /// the last reset. Order-independent, so the audit can recompute it
     /// from the cells column by column.
-    group_sums: Vec<AtomicU64>,
+    group_sums: Vec<u64>,
 }
 
 impl<T: MsgValue> Csb<T> {
@@ -139,18 +127,12 @@ impl<T: MsgValue> Csb<T> {
         let cols = layout.num_groups() * layout.width;
         let mut csb = Csb {
             data: AVec::zeroed(layout.total_cells),
-            col_count: (0..cols).map(|_| AtomicU32::new(0)).collect(),
-            col_pos: (0..cols).map(|_| AtomicU32::new(COL_EMPTY)).collect(),
-            index: (0..layout.num_positions())
-                .map(|_| AtomicI32::new(-1))
-                .collect(),
-            group_next: (0..layout.num_groups())
-                .map(|_| AtomicU32::new(0))
-                .collect(),
-            audit: AtomicBool::new(false),
-            group_sums: (0..layout.num_groups())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            col_count: vec![0; cols],
+            col_pos: vec![COL_EMPTY; cols],
+            index: vec![-1; layout.num_positions()],
+            group_next: vec![0; layout.num_groups()],
+            audit: false,
+            group_sums: vec![0; layout.num_groups()],
             layout,
             mode,
         };
@@ -163,7 +145,7 @@ impl<T: MsgValue> Csb<T> {
     fn bind_one_to_one(&mut self) {
         for pos in 0..self.layout.num_positions() as u32 {
             let col = self.global_col(self.layout.group_of(pos), pos as usize % self.layout.width);
-            self.col_pos[col].store(pos, Ordering::Relaxed);
+            self.col_pos[col] = pos;
         }
     }
 
@@ -205,8 +187,8 @@ impl<T: MsgValue> Csb<T> {
         let pos = self.resolve(dst)?;
         let cell = self.claim_owned(pos)?;
         self.data[cell] = value;
-        if *self.audit.get_mut() {
-            let sum = self.group_sums[self.layout.group_of(pos)].get_mut();
+        if self.audit {
+            let sum = &mut self.group_sums[self.layout.group_of(pos)];
             *sum = sum.wrapping_add(Self::digest_one(dst, value));
         }
         Ok(())
@@ -222,21 +204,20 @@ impl<T: MsgValue> Csb<T> {
         let col_in_group = match self.mode {
             ColumnMode::OneToOne => pos as usize % width,
             ColumnMode::Dynamic => {
-                let index = self.index[pos as usize].get_mut();
-                if *index >= 0 {
-                    *index as usize
+                let index = self.index[pos as usize];
+                if index >= 0 {
+                    index as usize
                 } else {
-                    let next = self.group_next[group].get_mut();
-                    let col = *next as usize;
+                    let col = self.group_next[group] as usize;
                     debug_assert!(col < width);
-                    *next += 1;
-                    *index = col as i32;
-                    *self.col_pos[group * width + col].get_mut() = pos;
+                    self.group_next[group] += 1;
+                    self.index[pos as usize] = col as i32;
+                    self.col_pos[group * width + col] = pos;
                     col
                 }
             }
         };
-        let cursor = self.col_count[group * width + col_in_group].get_mut();
+        let cursor = &mut self.col_count[group * width + col_in_group];
         let info = &self.layout.groups[group];
         let row = *cursor;
         if row >= info.rows {
@@ -251,46 +232,6 @@ impl<T: MsgValue> Csb<T> {
         Ok(cell)
     }
 
-    /// The column metadata the buffer holds now: every column holding
-    /// messages (every bound column in dynamic mode) and every group's
-    /// column offset. [`Csb::install`] puts it back.
-    pub(crate) fn column_state(&self) -> ColumnState {
-        let mut state = ColumnState::default();
-        for g in 0..self.layout.num_groups() {
-            let used = self.used_columns(g);
-            if self.mode == ColumnMode::Dynamic && used > 0 {
-                state.group_next.push((g as u32, used as u32));
-            }
-            for c in 0..used {
-                let gcol = self.global_col(g, c);
-                let count = self.col_count[gcol].load(Ordering::Relaxed);
-                if count > 0 || self.mode == ColumnMode::Dynamic {
-                    let pos = self.col_pos[gcol].load(Ordering::Relaxed);
-                    state.cols.push((gcol as u32, count, pos));
-                }
-            }
-        }
-        state
-    }
-
-    /// Install `state` (taken by [`Csb::column_state`] from this buffer's
-    /// layout and mode) into a freshly reset buffer: its cursors, column
-    /// bindings, index entries and column offsets, as the insertions that
-    /// left it would have. Cells and checksums are untouched.
-    pub(crate) fn install(&self, state: &ColumnState) {
-        for &(gcol, count, pos) in &state.cols {
-            self.col_count[gcol as usize].store(count, Ordering::Relaxed);
-            if self.mode == ColumnMode::Dynamic {
-                self.col_pos[gcol as usize].store(pos, Ordering::Relaxed);
-                let col = gcol as usize % self.layout.width;
-                self.index[pos as usize].store(col as i32, Ordering::Relaxed);
-            }
-        }
-        for &(g, next) in &state.group_next {
-            self.group_next[g as usize].store(next, Ordering::Relaxed);
-        }
-    }
-
     /// The per-message checksum contribution (see
     /// [`phigraph_recover::integrity::message_digest`]).
     #[inline]
@@ -301,20 +242,18 @@ impl<T: MsgValue> Csb<T> {
     }
 
     /// Arm or disarm the per-group message checksums. Arming zeroes the
-    /// sums; disarmed buffers skip every checksum branch (one relaxed load
-    /// per insert or batch).
-    pub fn set_audit(&self, enabled: bool) {
+    /// sums; disarmed buffers skip every checksum branch (one branch per
+    /// insert).
+    pub fn set_audit(&mut self, enabled: bool) {
         if enabled {
-            for s in &self.group_sums {
-                s.store(0, Ordering::Relaxed);
-            }
+            self.group_sums.fill(0);
         }
-        self.audit.store(enabled, Ordering::Relaxed);
+        self.audit = enabled;
     }
 
     /// Whether the per-group checksums are armed.
     pub fn audit_enabled(&self) -> bool {
-        self.audit.load(Ordering::Relaxed)
+        self.audit
     }
 
     /// Audit every vertex group: recompute the commutative checksum from
@@ -340,7 +279,7 @@ impl<T: MsgValue> Csb<T> {
                     expect = expect.wrapping_add(Self::digest_one(dst, self.cell(g, r, c)));
                 }
             }
-            if expect != self.group_sums[g].load(Ordering::Acquire) {
+            if expect != self.group_sums[g] {
                 bad.push(g);
             }
         }
@@ -351,28 +290,35 @@ impl<T: MsgValue> Csb<T> {
     /// checksums), leaving every other group's messages intact — the
     /// quarantine primitive: detection re-inserts just the affected groups'
     /// messages instead of regenerating the whole superstep.
-    pub fn reset_groups(&self, groups: &[usize]) {
+    pub fn reset_groups(&mut self, groups: &[usize]) {
         for &g in groups {
             match self.mode {
                 ColumnMode::Dynamic => {
-                    let used = self.group_next[g].swap(0, Ordering::Relaxed) as usize;
-                    for c in 0..used.min(self.layout.width) {
-                        let gcol = self.global_col(g, c);
-                        let pos = self.col_pos[gcol].swap(COL_EMPTY, Ordering::Relaxed);
-                        if pos != COL_EMPTY {
-                            self.index[pos as usize].store(-1, Ordering::Relaxed);
-                        }
-                        self.col_count[gcol].store(0, Ordering::Relaxed);
-                    }
+                    self.reset_dynamic_group(g);
                 }
                 ColumnMode::OneToOne => {
-                    for c in 0..self.layout.width {
-                        self.col_count[self.global_col(g, c)].store(0, Ordering::Relaxed);
-                    }
+                    let first = self.global_col(g, 0);
+                    self.col_count[first..first + self.layout.width].fill(0);
                 }
             }
-            self.group_sums[g].store(0, Ordering::Relaxed);
+            self.group_sums[g] = 0;
         }
+    }
+
+    /// Unbind group `g`'s columns (dynamic mode): its column offset, each
+    /// bound column's count and position, and their index entries. Returns
+    /// the columns unbound.
+    fn reset_dynamic_group(&mut self, g: usize) -> usize {
+        let used = (std::mem::take(&mut self.group_next[g]) as usize).min(self.layout.width);
+        for c in 0..used {
+            let gcol = self.global_col(g, c);
+            let pos = std::mem::replace(&mut self.col_pos[gcol], COL_EMPTY);
+            if pos != COL_EMPTY {
+                self.index[pos as usize] = -1;
+            }
+            self.col_count[gcol] = 0;
+        }
+        used
     }
 
     /// Flip one seeded pseudo-random bit in one occupied message cell —
@@ -415,40 +361,25 @@ impl<T: MsgValue> Csb<T> {
 
     /// Reset per-iteration state (index arrays to −1, column offsets and
     /// cursors to 0). Returns the number of cells touched, for the cost
-    /// model's reset accounting. Call between phases: plain loads and
-    /// stores, no read-modify-write, so no insertion may run meanwhile.
-    pub fn reset(&self) -> u64 {
-        let mut touched = 0u64;
-        match self.mode {
-            ColumnMode::Dynamic => {
-                for g in 0..self.layout.num_groups() {
-                    let used = self.group_next[g].load(Ordering::Relaxed) as usize;
-                    self.group_next[g].store(0, Ordering::Relaxed);
-                    for c in 0..used.min(self.layout.width) {
-                        let gcol = self.global_col(g, c);
-                        let pos = self.col_pos[gcol].load(Ordering::Relaxed);
-                        self.col_pos[gcol].store(COL_EMPTY, Ordering::Relaxed);
-                        if pos != COL_EMPTY {
-                            self.index[pos as usize].store(-1, Ordering::Relaxed);
-                        }
-                        self.col_count[gcol].store(0, Ordering::Relaxed);
-                        touched += 3;
-                    }
-                }
-            }
+    /// model's reset accounting.
+    pub fn reset(&mut self) -> u64 {
+        let touched = match self.mode {
+            ColumnMode::Dynamic => (0..self.layout.num_groups())
+                .map(|g| 3 * self.reset_dynamic_group(g) as u64)
+                .sum(),
             ColumnMode::OneToOne => {
-                for c in &self.col_count {
-                    if c.load(Ordering::Relaxed) != 0 {
-                        c.store(0, Ordering::Relaxed);
+                let mut touched = 0;
+                for c in &mut self.col_count {
+                    if *c != 0 {
+                        *c = 0;
                         touched += 1;
                     }
                 }
+                touched
             }
-        }
-        if self.audit.load(Ordering::Relaxed) {
-            for s in &self.group_sums {
-                s.store(0, Ordering::Relaxed);
-            }
+        };
+        if self.audit {
+            self.group_sums.fill(0);
         }
         touched
     }
@@ -458,9 +389,7 @@ impl<T: MsgValue> Csb<T> {
     #[inline]
     pub fn used_columns(&self, group: usize) -> usize {
         match self.mode {
-            ColumnMode::Dynamic => {
-                (self.group_next[group].load(Ordering::Acquire) as usize).min(self.layout.width)
-            }
+            ColumnMode::Dynamic => (self.group_next[group] as usize).min(self.layout.width),
             ColumnMode::OneToOne => {
                 let n = self.layout.num_positions();
                 (n - (group * self.layout.width).min(n)).min(self.layout.width)
@@ -471,13 +400,13 @@ impl<T: MsgValue> Csb<T> {
     /// Message count of a global column.
     #[inline(always)]
     pub fn column_count(&self, group: usize, col_in_group: usize) -> u32 {
-        self.col_count[self.global_col(group, col_in_group)].load(Ordering::Acquire)
+        self.col_count[self.global_col(group, col_in_group)]
     }
 
     /// Position served by a global column (or `None` if unbound/empty).
     #[inline]
     pub fn column_position(&self, group: usize, col_in_group: usize) -> Option<u32> {
-        let p = self.col_pos[self.global_col(group, col_in_group)].load(Ordering::Acquire);
+        let p = self.col_pos[self.global_col(group, col_in_group)];
         (p != COL_EMPTY).then_some(p)
     }
 

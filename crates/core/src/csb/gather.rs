@@ -12,41 +12,41 @@
 //! sender's value, so the buffer need not hold messages at all: it can hold
 //! senders.
 //!
+//! The table is built only on an engine without peers: on a rank with
+//! peers the remote absorb appends their messages behind the local rows
+//! every step, so its steps fold on arrival instead.
+//!
 //! * **Build.** At an engine's first dense step, [`DenseTable::build`]
 //!   replays that sequence once through [`Csb::claim_owned`] — the cell
 //!   claim of [`Csb::insert`] — and inverts it into a sender table: for
 //!   each buffer cell (4 B), the owned vertex whose out-edge fills it, or a
-//!   bubble mark (one past the last owned vertex) for a bubble and for a
-//!   row the remote absorb appends. It keeps the column state the replay
-//!   leaves (counts, bindings and column offsets) and the cells a reset of
-//!   that state touches.
+//!   bubble mark (one past the last owned vertex). The column state the
+//!   replay leaves (counts, bindings and column offsets) stays in the
+//!   buffer, and the table keeps the cells a reset of it touches.
 //! * **Generate.** Each owned vertex generates through a [`GatherSink`],
 //!   which keeps the vertex's one value and checks every send: it must go
 //!   to the vertex's next out-edge and carry the bits of its first send.
-//!   Peer-bound sends still fill the remote batch, in send order. No cell
-//!   is written. After the generation barrier
-//!   the engine installs the column state ([`Csb::install`]) unless the
-//!   buffer still holds it from the step before, and the remote absorb
-//!   appends behind it as usual.
+//!   No cell is written, and the column state is already in place.
 //! * **Process.** Each vector array is reduced by gathering
 //!   `sent[sender[cell]]` lane by lane, in the order the buffer's own
 //!   reduction takes its rows ([`super::process`]). The bubble mark indexes
-//!   one more entry of `sent`, which holds the reduction's identity; rows
-//!   the absorb appended are read from the buffer.
-//! * **Fall back.** A vertex that does anything but send one value along
+//!   one more entry of `sent`, which holds the reduction's identity.
+//! * **Stop.** The first step that does not gather — one that is not
+//!   dense, runs under the message audit or with a message bit-flip
+//!   pending, or in which a vertex does anything but send one value along
 //!   exactly its out-edges in CSR order (fewer, more, another order,
-//!   another destination, another value) fails the check. The engine then
-//!   drops the step's values, re-runs the step through the frontier walk
-//!   (generation is pure) and never gathers again.
+//!   another destination, another value) — resets the buffer, and the
+//!   engine never gathers again. A vertex that fails the check has the
+//!   step's values dropped and the step re-run through the frontier walk
+//!   (generation is pure).
 //!
-//! The column state, the step counters, the remote batch and every reduced
-//! message come out exactly as inserting every message into the buffer
-//! in source order leaves them.
+//! The column state, the step counters and every reduced message come out
+//! exactly as inserting every message into the buffer in source order
+//! leaves them.
 
-use super::buffer::{ColumnState, Csb};
+use super::buffer::{ColumnMode, Csb};
 use crate::api::MsgSink;
 use crate::util::SharedSlice;
-use phigraph_comm::WireMsg;
 use phigraph_graph::{Csr, VertexId};
 use phigraph_simd::MsgValue;
 use std::ops::Range;
@@ -56,60 +56,52 @@ pub(crate) struct DenseTable {
     /// Per buffer cell: the index in `owned` of the vertex whose out-edge
     /// fills it, or `owned.len()` (the bubble mark).
     senders: Vec<u32>,
-    /// The column metadata the replayed insertions leave.
-    columns: ColumnState,
-    /// The cells [`Csb::reset`] touches on a buffer holding `columns`.
+    /// The cells [`Csb::reset`] touches on a buffer holding the replayed
+    /// column state.
     reset_cells: u64,
 }
 
 impl DenseTable {
     /// Replay the dense step's one-thread insertion sequence on `csb`:
-    /// every out-edge of `owned` (ascending) in CSR order, where
-    /// `is_local(dst)` tells an owned destination from a peer's. Returns
-    /// `None` when the out-edges overflow some column or the bubble mark
-    /// does not fit the table.
+    /// every out-edge of `owned` (ascending, every vertex `csb` owns) in
+    /// CSR order. Returns `None` when the out-edges overflow some column or
+    /// the bubble mark does not fit the table.
     ///
-    /// `csb` must be freshly reset with its audit off; it is reset again on
-    /// return.
+    /// `csb` must be empty with its audit off. It keeps the replayed column
+    /// state, or is reset again when the replay fails.
     pub(crate) fn build<T: MsgValue>(
         csb: &mut Csb<T>,
         graph: &Csr,
         owned: &[VertexId],
-        is_local: impl Fn(VertexId) -> bool,
     ) -> Option<Self> {
         let bubble = u32::try_from(owned.len()).ok()?;
         let mut senders = vec![bubble; csb.total_cells()];
-        let mut fits = true;
-        'replay: for (i, &v) in owned.iter().enumerate() {
+        for (i, &v) in owned.iter().enumerate() {
             for &dst in &graph.targets[graph.edge_range(v)] {
-                if !is_local(dst) {
-                    continue;
-                }
                 match csb.resolve(dst).and_then(|pos| csb.claim_owned(pos)) {
-                    Ok(c) => senders[c] = i as u32,
+                    Ok(cell) => senders[cell] = i as u32,
                     Err(_) => {
-                        fits = false;
-                        break 'replay;
+                        csb.reset();
+                        return None;
                     }
                 }
             }
         }
-        let columns = csb.column_state();
-        let reset_cells = csb.reset();
-        fits.then_some(DenseTable {
+        // What a reset touches: three cells per bound column in dynamic
+        // mode, one per occupied column in one-to-one mode.
+        let (_, occupied, allocs) = csb.insert_stats();
+        let reset_cells = match csb.mode {
+            ColumnMode::Dynamic => 3 * allocs,
+            ColumnMode::OneToOne => occupied,
+        };
+        Some(DenseTable {
             senders,
-            columns,
             reset_cells,
         })
     }
 
-    /// The column metadata a dense step leaves, for [`Csb::install`].
-    pub(crate) fn columns(&self) -> &ColumnState {
-        &self.columns
-    }
-
-    /// The cells a reset of a buffer holding [`DenseTable::columns`], and
-    /// nothing else, touches.
+    /// The cells a reset of a buffer holding the replayed column state,
+    /// and nothing else, touches.
     pub(crate) fn reset_cells(&self) -> u64 {
         self.reset_cells
     }
@@ -122,12 +114,9 @@ impl DenseTable {
 }
 
 /// One generating thread's sink on a dense step: it keeps each source's
-/// one value and collects the peer-bound messages.
+/// one value.
 pub(crate) struct GatherSink<'a, T: MsgValue> {
     targets: &'a [VertexId],
-    /// The vertex→rank map and this rank (`None`: every vertex is local).
-    assign: Option<&'a [u8]>,
-    dev: u8,
     /// One value per owned vertex, indexed like `owned`.
     sent: &'a SharedSlice<'a, T>,
     /// The current source's index in `owned`, its out-edges and the next
@@ -139,8 +128,6 @@ pub(crate) struct GatherSink<'a, T: MsgValue> {
     first: T,
     /// Whether a send left the broadcast.
     deviated: bool,
-    /// Peer-bound messages, in send order.
-    pub(crate) remote: Vec<WireMsg<T>>,
 }
 
 impl<'a, T: MsgValue> GatherSink<'a, T> {
@@ -150,23 +137,15 @@ impl<'a, T: MsgValue> GatherSink<'a, T> {
     /// Within one generation phase each owned vertex may be started on one
     /// sink only, and nothing else may access its entry of `sent` until
     /// the phase ends.
-    pub(crate) unsafe fn new(
-        graph: &'a Csr,
-        assign: Option<&'a [u8]>,
-        dev: u8,
-        sent: &'a SharedSlice<'a, T>,
-    ) -> Self {
+    pub(crate) unsafe fn new(graph: &'a Csr, sent: &'a SharedSlice<'a, T>) -> Self {
         GatherSink {
             targets: &graph.targets,
-            assign,
-            dev,
             sent,
             src: 0,
             edges: 0..0,
             edge: 0,
             first: T::ZERO,
             deviated: false,
-            remote: Vec::new(),
         }
     }
 
@@ -207,9 +186,6 @@ impl<'a, T: MsgValue> MsgSink<T> for GatherSink<'a, T> {
         } else if !msg.same_bits(self.first) {
             self.deviated = true;
             return;
-        }
-        if self.assign.is_some_and(|a| a[dst as usize] != self.dev) {
-            self.remote.push(WireMsg { dst, value: msg });
         }
         self.edge += 1;
     }

@@ -24,14 +24,15 @@
 //! [`Csb::insert`] in source order, then the peers' in incoming order,
 //! leaves:
 //!
-//! * on a dense superstep, one where every owned vertex is active and
-//!   broadcasts one value along its out-edges, in gather form (`gather`):
-//!   at the engine's first dense step the cell each out-edge's message
+//! * on an engine without peers, from its first dense superstep (every
+//!   owned vertex active and broadcasting one value along its out-edges)
+//!   up to its first superstep that does not gather, in gather form
+//!   (`gather`): at the first dense step the cell each out-edge's message
 //!   would land in is replayed once and inverted into a table of each
-//!   cell's sender; generation then keeps one value per sender, the column
-//!   metadata that replay computed is installed after the generation
-//!   barrier, and processing gathers `sent[sender[cell]]` in the row order
-//!   it reduces the buffer in;
+//!   cell's sender, and the column metadata the replay leaves stays in the
+//!   buffer; generation then keeps one value per sender, and processing
+//!   gathers `sent[sender[cell]]` in the row order it reduces the buffer
+//!   in;
 //! * on any other superstep, one frontier walk on the calling thread
 //!   generates the active vertices in source order into one of two sinks:
 //!   - a mailbox (`mailbox`), which folds each message on arrival into its

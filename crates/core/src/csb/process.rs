@@ -10,13 +10,11 @@
 //! time — the Fig. 5(f) comparison.
 //!
 //! On a gather-form dense step ([`super::gather`]) the buffer holds no
-//! local messages: each array is reduced by reading `sent[sender[cell]]`
-//! lane by lane instead, where a bubble's sender is the last entry of
-//! `sent`, the identity, and the rows the remote absorb appended are read
-//! from the buffer. The vectorized gather
-//! keeps `reduce_rows_strided`'s row order and the scalar one
-//! `reduce_column_scalar`'s, so every reduced message, and every work
-//! record, is the one the buffer would give.
+//! messages: each array is reduced by reading `sent[sender[cell]]` lane by
+//! lane instead, where a bubble's sender is the last entry of `sent`, the
+//! identity. The vectorized gather keeps `reduce_rows_strided`'s row order
+//! and the scalar one `reduce_column_scalar`'s, so every reduced message,
+//! and every work record, is the one the buffer would give.
 #![allow(clippy::needless_range_loop)] // lane loops over runtime widths
 
 use super::buffer::Csb;
@@ -25,61 +23,44 @@ use phigraph_device::counters::ProcChunk;
 use phigraph_simd::{reduce_column_scalar, reduce_rows_strided, MsgValue, ReduceOp};
 use std::ops::Range;
 
-/// A gather-form dense step's local messages: per buffer cell the index of
-/// its sender, and each sender's one value. A bubble's index is the last
-/// one, whose value is the reduction's identity.
+/// A gather-form dense step's messages: per buffer cell the index of its
+/// sender, and each sender's one value. A bubble's index is the last one,
+/// whose value is the reduction's identity.
 #[derive(Clone, Copy)]
 pub(crate) struct Gather<'a, T> {
     pub(crate) senders: &'a [u32],
     pub(crate) sent: &'a [T],
-    /// Whether the remote absorb appended messages behind the local rows.
-    pub(crate) appended: bool,
 }
 
 impl<'a, T: MsgValue> Gather<'a, T> {
-    /// The message in cell `cell`, row `row` of a column holding `count`.
-    /// Only a step with appended rows needs `count`: a row that has no
-    /// sender but lies below the count was appended by the absorb. The
-    /// message is picked by address, not by a branch, so the row where a
-    /// lane turns from local to appended rows costs no misprediction.
+    /// The message in cell `cell`.
     #[inline(always)]
-    fn message(&self, data: *const T, cell: usize, row: u32, count: u32) -> T {
-        let s = self.senders[cell] as usize;
-        let sent: *const T = &self.sent[s];
-        let appended = self.appended & (s == self.sent.len() - 1) & (row < count);
-        // SAFETY: `sent` is a reference into `self.sent`. `cell` lies in a
-        // vector array's rows below its group's row count, inside the
-        // buffer; an appended row also lies below its column's count, so
-        // the absorb wrote it before the processing barrier.
-        unsafe { *if appended { data.add(cell) } else { sent } }
+    fn message(&self, cell: usize) -> T {
+        self.sent[self.senders[cell] as usize]
     }
 
     /// Reduce the `rows` rows of the vector array whose first cell is
-    /// `first` into `out`, one value per lane: row 0, then each later row
-    /// folded in, `reduce_rows_strided`'s order. `counts` holds the lanes'
-    /// column counts.
+    /// `first` into `out`, one value per lane (`out.len()` lanes): row 0,
+    /// then each later row folded in, `reduce_rows_strided`'s order.
     fn reduce_rows<Op: ReduceOp<T>>(
         &self,
-        data: *const T,
         first: usize,
-        counts: &[u32],
         rows: usize,
         stride: usize,
         out: &mut [T],
     ) {
-        match counts.len() {
-            2 => self.reduce_rows_const::<Op, 2>(data, first, counts, rows, stride, out),
-            4 => self.reduce_rows_const::<Op, 4>(data, first, counts, rows, stride, out),
-            8 => self.reduce_rows_const::<Op, 8>(data, first, counts, rows, stride, out),
-            16 => self.reduce_rows_const::<Op, 16>(data, first, counts, rows, stride, out),
+        match out.len() {
+            2 => self.reduce_rows_const::<Op, 2>(first, rows, stride, out),
+            4 => self.reduce_rows_const::<Op, 4>(first, rows, stride, out),
+            8 => self.reduce_rows_const::<Op, 8>(first, rows, stride, out),
+            16 => self.reduce_rows_const::<Op, 16>(first, rows, stride, out),
             lanes => {
                 for c in 0..lanes {
-                    out[c] = self.message(data, first + c, 0, counts[c]);
+                    out[c] = self.message(first + c);
                 }
                 for r in 1..rows {
                     for c in 0..lanes {
-                        let m = self.message(data, first + r * stride + c, r as u32, counts[c]);
-                        out[c] = Op::apply(out[c], m);
+                        out[c] = Op::apply(out[c], self.message(first + r * stride + c));
                     }
                 }
             }
@@ -89,27 +70,17 @@ impl<'a, T: MsgValue> Gather<'a, T> {
     #[inline]
     fn reduce_rows_const<Op: ReduceOp<T>, const W: usize>(
         &self,
-        data: *const T,
         first: usize,
-        counts: &[u32],
         rows: usize,
         stride: usize,
         out: &mut [T],
     ) {
-        let counts: &[u32; W] = counts.try_into().expect("one count per lane");
-        let mut acc: [T; W] = std::array::from_fn(|c| self.message(data, first + c, 0, counts[c]));
+        let mut acc: [T; W] = std::array::from_fn(|c| self.message(first + c));
         for r in 1..rows {
             let base = first + r * stride;
-            if self.appended {
-                for c in 0..W {
-                    let m = self.message(data, base + c, r as u32, counts[c]);
-                    acc[c] = Op::apply(acc[c], m);
-                }
-            } else {
-                let row: &[u32; W] = self.senders[base..base + W].try_into().expect("a full row");
-                for c in 0..W {
-                    acc[c] = Op::apply(acc[c], self.sent[row[c] as usize]);
-                }
+            let row: &[u32; W] = self.senders[base..base + W].try_into().expect("a full row");
+            for c in 0..W {
+                acc[c] = Op::apply(acc[c], self.sent[row[c] as usize]);
             }
         }
         out[..W].copy_from_slice(&acc);
@@ -118,21 +89,10 @@ impl<'a, T: MsgValue> Gather<'a, T> {
     /// Reduce the `count` messages of the column whose first cell is
     /// `first`, `reduce_column_scalar`'s order: the identity, then each row
     /// folded in.
-    fn reduce_column<Op: ReduceOp<T>>(
-        &self,
-        data: *const T,
-        first: usize,
-        count: u32,
-        stride: usize,
-    ) -> T {
-        let mut acc = Op::identity();
-        for r in 0..count {
-            acc = Op::apply(
-                acc,
-                self.message(data, first + r as usize * stride, r, count),
-            );
-        }
-        acc
+    fn reduce_column<Op: ReduceOp<T>>(&self, first: usize, count: u32, stride: usize) -> T {
+        (0..count as usize).fold(Op::identity(), |acc, r| {
+            Op::apply(acc, self.message(first + r * stride))
+        })
     }
 }
 
@@ -159,8 +119,8 @@ impl<T: MsgValue> Csb<T> {
         self.process_groups_with::<Op>(groups, vectorized, None, out_msg, out_has, chunks);
     }
 
-    /// [`Csb::process_groups`] whose local messages are the buffer's or,
-    /// on a gather-form dense step, `gather`'s.
+    /// [`Csb::process_groups`] whose messages are the buffer's or, on a
+    /// gather-form dense step, `gather`'s.
     pub(crate) fn process_groups_with<Op: ReduceOp<T>>(
         &self,
         groups: Range<usize>,
@@ -225,9 +185,7 @@ impl<T: MsgValue> Csb<T> {
             let reduced: &[T] = match gather {
                 Some(gather) => {
                     gather.reduce_rows::<Op>(
-                        self.data_ptr(),
                         first,
-                        &counts[..lanes],
                         max_count as usize,
                         width,
                         &mut gathered[..lanes],
@@ -315,12 +273,7 @@ impl<T: MsgValue> Csb<T> {
                     continue;
                 }
                 let reduced = match gather {
-                    Some(gather) => gather.reduce_column::<Op>(
-                        self.data_ptr(),
-                        info.cell_offset + c,
-                        cnt,
-                        width,
-                    ),
+                    Some(gather) => gather.reduce_column::<Op>(info.cell_offset + c, cnt, width),
                     None => reduce_column_scalar::<T, Op>(slice, cnt as usize, c, width),
                 };
                 if let Some(pos) = self.column_position(g, c) {

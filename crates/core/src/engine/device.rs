@@ -7,21 +7,24 @@
 //! executes with real host threads (results are genuinely computed) and
 //! records the event counters the cost model converts into simulated device
 //! time. Every mode fills the buffer on one host path, which takes no
-//! per-column lock. On a dense superstep (every owned vertex active, no
-//! message audit, no message bit-flip pending) each vertex's one value is
-//! kept and processing gathers it through the cells' sender table
-//! ([`crate::csb::gather`]). Every other superstep, and a dense one in
-//! which some vertex does not broadcast along its out-edges, is one walk
-//! of the active vertices on the calling thread, chunk by chunk in owned
-//! order, which folds each message on arrival ([`crate::csb::mailbox`]),
-//! unless the message audit is on or a message bit-flip is pending: those
-//! act on the buffer's cells, so such a walk inserts each message into its
-//! column on arrival ([`Csb::insert`]). A mailbox step touches only the
-//! vertices that got messages, and the walk takes the active vertices the
-//! last mailbox update listed. All three leave the same column state, or
-//! derive it, and reduce the same messages in the same order, so the
-//! engine's counters and results depend on neither the host thread count,
-//! nor the path, nor the mode. The modes differ in what the cost model
+//! per-column lock. An engine without peers runs its dense supersteps
+//! (every owned vertex active, no message audit, no message bit-flip
+//! pending) in gather form, from the first one up to its first superstep
+//! that does not gather: each vertex's one value is kept and processing
+//! gathers it through the cells' sender table ([`crate::csb::gather`]).
+//! Every other superstep, every superstep of a rank with peers, and a
+//! dense one in which some vertex does not broadcast along its out-edges,
+//! is one walk of the active vertices on the calling thread, chunk by chunk
+//! in owned order, which folds each message on arrival
+//! ([`crate::csb::mailbox`]), unless the message audit is on or, without
+//! peers, a message bit-flip is pending: those act on the buffer's cells,
+//! so such a walk inserts each message into its column on arrival
+//! ([`Csb::insert`]). A mailbox step touches only the vertices that got
+//! messages, and the walk takes the active vertices the last mailbox
+//! update listed. All three leave the same column state, or derive it, and
+//! reduce the same messages in the same order, so the engine's counters
+//! and results depend on neither the host thread count, nor the path, nor
+//! the mode. The modes differ in what the cost model
 //! charges for the counts: the paper's locked insertion (`lock`), its
 //! worker/mover pipeline (`pipe`, for which generation also tallies each
 //! simulated mover's messages), or a per-message OpenMP lock and no
@@ -97,11 +100,12 @@ fn worker_tracer(trace: Option<&Trace>, dev: u8, tid: usize) -> ThreadTracer {
 enum Dense {
     /// No dense superstep yet: the sender table is built at the first one.
     Unbuilt,
-    /// Dense supersteps gather through this table.
+    /// Every superstep since the first dense one gathered through this
+    /// table, and the buffer holds the table's column state.
     Ready(DenseTable),
-    /// No superstep gathers: the table could not be built (a column too
-    /// small for its in-edges, or too many cells), or a vertex did not
-    /// broadcast along its out-edge order.
+    /// No superstep gathers: the engine has peers, the table could not be
+    /// built (a column too small for its in-edges, or too many cells), or a
+    /// superstep did not gather.
     Off,
 }
 
@@ -146,15 +150,9 @@ pub struct DeviceEngine<'g, P: VertexProgram> {
     /// The host path's dense-step state.
     dense: Dense,
     /// Each owned vertex's one value on a gather step, indexed like
-    /// `owned`, and the reduction's identity for the bubbles (empty until
+    /// `owned`, and the reduction's identity for the bubbles (empty unless
     /// the sender table is built).
     sent: Vec<P::Msg>,
-    /// Whether this superstep's local messages are in `sent`.
-    gathered: bool,
-    /// Whether the buffer's column metadata is the sender table's, with
-    /// nothing appended behind it: a gather step then neither resets nor
-    /// reinstalls it.
-    held: bool,
     /// The folds of mailbox supersteps.
     mailbox: Mailbox<P::Msg>,
     /// Whether the last superstep's messages are in `mailbox` rather than
@@ -205,26 +203,6 @@ pub(crate) fn edge_balanced_ranges(
         ranges.push(start..owned.len());
     }
     ranges
-}
-
-/// Fold generation chunks' work records and peer-bound messages, given in
-/// chunk order, into `c`; returns the remote batch. Chunk order keeps the
-/// makespan replay and the remote batch independent of which thread ran
-/// which chunk.
-fn record_chunks<'a, T: MsgValue>(
-    c: &mut StepCounters,
-    chunks: impl Iterator<Item = (GenChunk, &'a [WireMsg<T>])>,
-) -> Vec<WireMsg<T>> {
-    let (mut remote, mut sent) = (Vec::new(), 0);
-    for (ch, msgs) in chunks {
-        remote.extend_from_slice(msgs);
-        c.active_vertices += ch.vertices;
-        c.gen_edges += ch.edges;
-        sent += ch.msgs;
-        c.gen_chunks.push(ch);
-    }
-    c.msgs_local += sent - remote.len() as u64;
-    remote
 }
 
 /// Per-thread `(chunk index, record)` lists merged into chunk order (a
@@ -382,10 +360,14 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             host_threads,
             gen_ranges,
             cur_step: 0,
-            dense: Dense::Unbuilt,
+            // A rank with peers absorbs their messages behind its own every
+            // step: it never gathers.
+            dense: if assign.is_some() {
+                Dense::Off
+            } else {
+                Dense::Unbuilt
+            },
             sent: Vec::new(),
-            gathered: false,
-            held: false,
             mailbox: Mailbox::new(),
             mailed: false,
             mail: Mail::Always,
@@ -446,9 +428,9 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     // individual vertex groups, and the two seeded SDC injection sites.
 
     /// Arm or disarm the CSB's per-group message checksums. Disarmed, every
-    /// checksum branch collapses to one relaxed atomic load per insert (or
-    /// per batch), so the off path stays bit-identical and near-free.
-    pub fn set_integrity_audit(&self, enabled: bool) {
+    /// checksum branch collapses to one test per insert, so the off path
+    /// stays bit-identical and near-free.
+    pub fn set_integrity_audit(&mut self, enabled: bool) {
         self.csb.set_audit(enabled);
     }
 
@@ -461,7 +443,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
 
     /// Clear only the quarantined groups' messages (cursors, bindings and
     /// checksums), leaving every other group's messages intact.
-    pub fn reset_message_groups(&self, groups: &[usize]) {
+    pub fn reset_message_groups(&mut self, groups: &[usize]) {
         self.csb.reset_groups(groups);
     }
 
@@ -580,11 +562,11 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
     }
 
     /// Reset per-iteration buffer state; returns fresh counters. A buffer
-    /// that holds only the sender table's column state is kept until the
-    /// step turns out not to gather, and counts the cells its reset
-    /// touches. After a mailbox step the buffer is empty: only the
-    /// positions that got messages are cleared, and the cells a reset of
-    /// the buffer holding them would touch are counted.
+    /// that holds the sender table's column state is kept until a step
+    /// does not gather, and counts the cells its reset touches. After a
+    /// mailbox step the buffer is empty: only the positions that got
+    /// messages are cleared, and the cells a reset of the buffer holding
+    /// them would touch are counted.
     pub fn begin_step(&mut self) -> StepCounters {
         let reset_cells = if std::mem::take(&mut self.mailed) {
             let layout = &self.csb.layout;
@@ -592,11 +574,10 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         } else {
             self.has_msg.fill(0);
             match &self.dense {
-                Dense::Ready(table) if self.held => table.reset_cells(),
+                Dense::Ready(table) => table.reset_cells(),
                 _ => self.csb.reset(),
             }
         };
-        self.gathered = false;
         self.cur_step = self.cur_step.wrapping_add(1);
         StepCounters {
             reset_cells,
@@ -687,18 +668,17 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         c: &mut StepCounters,
         frontier: Option<Vec<VertexId>>,
     ) -> Vec<WireMsg<P::Msg>> {
-        if self.dense_step() {
-            if let Some(remote) = self.generate_gather(c) {
-                return remote;
-            }
-            // A vertex did not broadcast along its out-edges. Generation is
-            // pure, so the step re-runs through the frontier walk, and so
-            // does every later one.
+        if self.dense_step() && self.generate_gather(c) {
+            return Vec::new();
+        }
+        if matches!(self.dense, Dense::Ready(_)) {
+            // The first step that does not gather (a vertex that did not
+            // broadcast along its out-edges leaves nothing behind:
+            // generation is pure) drops the table's column state, and no
+            // later step gathers.
+            self.csb.reset();
             self.dense = Dense::Off;
             self.sent = Vec::new();
-        }
-        if std::mem::take(&mut self.held) {
-            self.csb.reset();
         }
         let mut frontier = frontier.unwrap_or_else(|| self.active_owned());
         // `owned` ascends, so the sorted frontier meets the chunks in order.
@@ -721,7 +701,7 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         }
     }
 
-    /// Whether this superstep gathers: every owned vertex is active, the
+    /// Whether this superstep may gather: every owned vertex is active, the
     /// message audit is off, no message bit-flip is pending and the sender
     /// table exists (built here at the first such step).
     fn dense_step(&mut self) -> bool {
@@ -734,10 +714,8 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             return false;
         }
         if matches!(self.dense, Dense::Unbuilt) {
-            // Nothing was installed yet, so `begin_step` reset the buffer.
-            let (assign, dev) = (self.assign, self.dev_id);
-            let is_local = |v: VertexId| assign.is_none_or(|a| a[v as usize] == dev);
-            self.dense = match DenseTable::build(&mut self.csb, self.graph, &self.owned, is_local) {
+            // `begin_step` reset the buffer.
+            self.dense = match DenseTable::build(&mut self.csb, self.graph, &self.owned) {
                 Some(table) => {
                     self.sent = vec![P::Reduce::identity(); self.owned.len() + 1];
                     Dense::Ready(table)
@@ -748,55 +726,51 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         matches!(self.dense, Dense::Ready(_))
     }
 
-    /// Whether a `bitflip-msg` fault planned for this rank has yet to fire.
-    /// It flips a message in the buffer, where a gather or mailbox step
-    /// keeps none, so steps fill the buffer until it has fired and the flip
-    /// lands where it always did. Any pending one counts: the engine's step
-    /// count is not the rank loop's.
+    /// Whether a `bitflip-msg` fault planned for this engine has yet to
+    /// fire in its buffer. On an engine without peers it flips a message in
+    /// the buffer, where a gather or mailbox step keeps none, so steps fill
+    /// the buffer until it has fired and the flip lands where it always did;
+    /// on a rank with peers it flips an outgoing frame instead. Any pending
+    /// one counts: the engine's step count is not the rank loop's.
     fn message_flip_pending(&self) -> bool {
-        self.config.fault_plan.as_ref().is_some_and(|inj| {
-            inj.plan().iter().any(|f| {
-                f.kind == FaultKind::BitFlipMessage
-                    && f.device == self.dev_id
-                    && inj.pending(f.superstep, f.kind, f.device)
+        self.assign.is_none()
+            && self.config.fault_plan.as_ref().is_some_and(|inj| {
+                inj.plan().iter().any(|f| {
+                    f.kind == FaultKind::BitFlipMessage
+                        && f.device == self.dev_id
+                        && inj.pending(f.superstep, f.kind, f.device)
+                })
             })
-        })
     }
 
     /// Gather-form generation: each thread generates one contiguous run of
     /// the chunks (taking from the far end of another's run once its own is
-    /// done), keeping each vertex's one value; the table's column state is
-    /// installed after the barrier unless the buffer still holds it.
-    /// Returns `None`, with nothing recorded in `c`, when a vertex did not
-    /// broadcast along its out-edges.
-    fn generate_gather(&mut self, c: &mut StepCounters) -> Option<Vec<WireMsg<P::Msg>>> {
-        let Dense::Ready(table) = &self.dense else {
-            return None;
-        };
+    /// done), keeping each vertex's one value; the buffer already holds the
+    /// table's column state. Returns whether every vertex broadcast along
+    /// its out-edges; when one did not, nothing is recorded in `c`.
+    fn generate_gather(&mut self, c: &mut StepCounters) -> bool {
         let chunks = self.gen_ranges.len();
         let threads = self.host_threads.min(chunks).max(1);
         let sched = RunScheduler::new(chunks, threads);
         let deviated = AtomicBool::new(false);
         let (program, graph) = (self.program, self.graph);
         let (owned, values, ranges) = (&self.owned, &self.values, &self.gen_ranges);
-        let (assign, dev) = (self.assign, self.dev_id);
-        let (trace, step) = (self.config.trace.as_ref(), self.trace_step());
+        let (trace, dev, step) = (self.config.trace.as_ref(), self.dev_id, self.trace_step());
         let sent = SharedSlice::new(&mut self.sent);
 
-        // Per thread: `(chunk, (thread, work record, its remote messages))`
-        // for each chunk it generated, and those remote messages.
-        let out = run_parallel_collect(threads, |tid| {
+        // Per thread: `(chunk, work record)` for each chunk it generated.
+        let done = run_parallel_collect(threads, |tid| {
             let tracer = worker_tracer(trace, dev, tid);
             let _g = tracer.span(Phase::Generate, step);
             // SAFETY: the scheduler hands each chunk to one thread, and the
             // loop below starts the sink on that chunk's vertices only.
-            let mut sink = unsafe { GatherSink::new(graph, assign, dev, &sent) };
+            let mut sink = unsafe { GatherSink::new(graph, &sent) };
             let mut done = Vec::new();
             'chunks: while let Some(ri) = sched.next(tid) {
                 if deviated.load(Ordering::Relaxed) {
                     break;
                 }
-                let (mut ch, start) = (GenChunk::default(), sink.remote.len());
+                let mut ch = GenChunk::default();
                 for i in ranges[ri].clone() {
                     let v = owned[i];
                     sink.start(i, graph.edge_range(v));
@@ -810,26 +784,22 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
                     ch.vertices += 1;
                     ch.edges += graph.out_degree(v) as u64;
                 }
-                done.push((ri, (tid, ch, start..sink.remote.len())));
+                done.push((ri, ch));
             }
-            (done, sink.remote)
+            done
         });
         if deviated.into_inner() {
-            return None;
+            return false;
         }
-        let (done, remote): (Vec<_>, Vec<_>) = out.into_iter().unzip();
-        let remote = record_chunks(
-            c,
-            in_chunk_order(done)
-                .into_iter()
-                .map(|(t, ch, run)| (ch, &remote[t][run])),
-        );
-        if !self.held {
-            self.csb.install(table.columns());
-            self.held = true;
+        // Chunk order keeps the makespan replay independent of which thread
+        // ran which chunk.
+        for ch in in_chunk_order(done) {
+            c.active_vertices += ch.vertices;
+            c.gen_edges += ch.edges;
+            c.msgs_local += ch.msgs;
+            c.gen_chunks.push(ch);
         }
-        self.gathered = true;
-        Some(remote)
+        true
     }
 
     /// Mailbox generation ([`crate::csb::mailbox`]): the frontier walk
@@ -907,7 +877,6 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
             self.mailbox
                 .absorb::<P::Reduce>(layout, self.csb.mode, vectorized, incoming);
         } else {
-            self.held = false;
             for m in incoming {
                 if let Err(e) = self.csb.insert(m.dst, m.value) {
                     panic!("{e}");
@@ -978,11 +947,11 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         let sched =
             ChunkScheduler::new(groups, self.config.resolved_proc_chunk(groups, &self.spec));
         let csb = &self.csb;
+        // After generation the table is live only if the step gathered.
         let gather = match &self.dense {
-            Dense::Ready(table) if self.gathered => Some(Gather {
+            Dense::Ready(table) => Some(Gather {
                 senders: table.senders(),
                 sent: &self.sent,
-                appended: !self.held,
             }),
             _ => None,
         };
@@ -1482,6 +1451,23 @@ mod tests {
     where
         P: VertexProgram<Msg = f32, Value = f32>,
     {
+        lock_forced_with(program, g, spec, config, threads, buffered, |_, _| {})
+    }
+
+    /// [`lock_forced`], calling `before(step, engine)` before each
+    /// superstep.
+    fn lock_forced_with<P>(
+        program: &P,
+        g: &Csr,
+        spec: DeviceSpec,
+        config: &EngineConfig,
+        threads: usize,
+        buffered: bool,
+        before: fn(usize, &mut DeviceEngine<'_, P>),
+    ) -> Forced
+    where
+        P: VertexProgram<Msg = f32, Value = f32>,
+    {
         let mut eng = DeviceEngine::new(program, g, spec, config.clone(), 0, None);
         eng.host_threads = threads;
         if buffered {
@@ -1492,6 +1478,7 @@ mod tests {
         let (mut steps, mut messages, mut sim, mut dense) =
             (Vec::new(), Vec::new(), 0.0, Vec::new());
         while steps.len() < program.max_supersteps().unwrap_or(usize::MAX) {
+            before(steps.len(), &mut eng);
             let mut c = eng.begin_step();
             assert!(eng.generate(&mut c).is_empty());
             eng.finalize_insertion_stats(&mut c);
@@ -1834,31 +1821,186 @@ mod tests {
                             );
                             assert!(dense_step == buffered_step, "{at}: single-device step");
 
-                            let mut dense_rank = rank(0, threads, false);
+                            // A rank with peers builds no table: its dense
+                            // steps fold on arrival.
+                            let mut peered = rank(0, threads, false);
                             for (i, buffered_step) in buffered_steps.iter().enumerate() {
-                                let (remote, generated, absorbed, c, messages) =
-                                    observe_step(&mut dense_rank, &incoming);
+                                let (remote, _, _, c, messages) =
+                                    observe_step(&mut peered, &incoming);
+                                assert!(
+                                    matches!(peered.dense, Dense::Off) && peered.mailed,
+                                    "{at}: rank 0 folds step {i} on arrival"
+                                );
                                 assert!(remote == buffered_step.0, "{at}: rank 0 remote, step {i}");
-                                assert!(
-                                    generated == buffered_step.1,
-                                    "{at}: rank 0 columns, step {i}"
-                                );
-                                assert!(
-                                    absorbed == buffered_step.2,
-                                    "{at}: rank 0 columns after absorb, step {i}"
-                                );
                                 assert!(c == buffered_step.3, "{at}: rank 0 counters, step {i}");
                                 assert!(
                                     messages == buffered_step.4,
                                     "{at}: rank 0 reduced messages, step {i}"
                                 );
                             }
-                            assert!(matches!(dense_rank.dense, Dense::Ready(_)), "{at}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_sole_owner_stops_gathering_at_its_first_step_that_does_not() {
+        let g = pokec_small(7);
+        let pr = Rank { source: None };
+        // Step 2 does not gather: the message audit is armed for it, or
+        // vertex 0 sits it out.
+        let audited: fn(usize, &mut DeviceEngine<'_, Rank>) = |step, eng| match step {
+            2 => eng.set_integrity_audit(true),
+            3 => eng.set_integrity_audit(false),
+            _ => {}
+        };
+        let idle: fn(usize, &mut DeviceEngine<'_, Rank>) = |step, eng| {
+            if step == 2 {
+                eng.active.set(0, false);
+            }
+        };
+        for spec in [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()] {
+            for config in host_path_modes() {
+                for (how, before) in [("audited", audited), ("idle vertex", idle)] {
+                    let name = format!("{how}/{}/{}", config.mode.name(), spec.name);
+                    let buffered =
+                        lock_forced_with(&pr, &g, spec.clone(), &config, 2, true, before);
+                    for threads in [1, 2, 3, 8] {
+                        let at = format!("{name} at {threads} threads");
+                        let run = lock_forced_with(
+                            &pr,
+                            &g,
+                            spec.clone(),
+                            &config,
+                            threads,
+                            false,
+                            before,
+                        );
+                        let gathered: Vec<bool> = (0..run.dense.len()).map(|i| i < 2).collect();
+                        assert_eq!(run.dense, gathered, "{at}: gathers until step 2 only");
+                        assert!(run.values == buffered.values, "{at}: values differ");
+                        assert_eq!(run.steps.len(), buffered.steps.len(), "{at}");
+                        for (i, (a, b)) in run.steps.iter().zip(&buffered.steps).enumerate() {
+                            assert_eq!(a.reset_cells, b.reset_cells, "{at}: step {i}");
+                            assert!(a == b, "{at}: counters of step {i}");
+                            assert!(
+                                run.messages[i] == buffered.messages[i],
+                                "{at}: reduced messages of step {i}"
+                            );
+                        }
+                        assert_eq!(run.sim.to_bits(), buffered.sim.to_bits(), "{at}: sim");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Run `program` on both ranks of a 2-rank `assign` through the rank
+    /// loop over a link mesh, each rank with `config`, 2 host threads and
+    /// the mailbox forced to `mail`. Returns the merged values' encoding
+    /// and, per rank, whether each superstep folded on arrival.
+    fn fabric_forced<P>(
+        program: &P,
+        g: &Csr,
+        assign: &[u8],
+        config: &EngineConfig,
+        mail: Mail,
+    ) -> (Vec<u8>, Vec<Vec<bool>>)
+    where
+        P: VertexProgram,
+        P::Value: phigraph_graph::state::PodState,
+    {
+        use crate::engine::hetero::{merge_by_owner, rank_loop, ExitKind, Site, Verdict};
+        use phigraph_graph::state::PodState;
+        let sides =
+            phigraph_comm::mesh::<WireMsg<P::Msg>>(phigraph_comm::PcieLink::ideal(), &[0, 1]);
+        let outs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = sides
+                .into_iter()
+                .enumerate()
+                .map(|(r, eps)| {
+                    s.spawn(move || {
+                        let spec = DeviceSpec::xeon_e5_2680();
+                        let mut eng = DeviceEngine::new(
+                            program,
+                            g,
+                            spec,
+                            config.clone(),
+                            r as u8,
+                            Some(assign),
+                        );
+                        eng.host_threads = 2;
+                        eng.mail = mail;
+                        let mut mailed = Vec::new();
+                        let mut note = |site, e: &mut DeviceEngine<'_, P>, _step, _c: &mut _| {
+                            if site == Site::Generated {
+                                mailed.push(e.mailed);
+                            }
+                            Verdict::Go
+                        };
+                        let cap = program.max_supersteps().unwrap_or(1000);
+                        let run = rank_loop(&mut eng, eps, 0..cap, None, None, Some(&mut note));
+                        assert!(run.exit == ExitKind::Done, "rank {r} left early");
+                        ((r, eng.values), mailed)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let (parts, mailed): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
+        let mut bytes = Vec::new();
+        for v in merge_by_owner(assign, parts) {
+            v.write_le(&mut bytes);
+        }
+        (bytes, mailed)
+    }
+
+    #[test]
+    fn a_rank_with_peers_folds_while_a_message_flip_is_pending() {
+        use phigraph_recover::{FaultPlan, IntegrityMode};
+        fn check<P>(name: &str, program: &P, g: &Csr, assign: &[u8])
+        where
+            P: VertexProgram,
+            P::Value: phigraph_graph::state::PodState,
+        {
+            // The flip strikes rank 1's outgoing frame at step 1.
+            let plan = FaultPlan::new().with(1, FaultKind::BitFlipMessage, 1);
+            for integrity in [IntegrityMode::Off, IntegrityMode::Frames] {
+                let at = format!("{name} under {}", integrity.name());
+                let [(folded, mailed), (buffered, _)] = [Mail::Always, Mail::Never].map(|mail| {
+                    let injector = plan.injector();
+                    let config = EngineConfig::locking()
+                        .with_integrity(integrity)
+                        .with_fault_plan(injector.clone());
+                    let run = fabric_forced(program, g, assign, &config, mail);
+                    assert_eq!(injector.fired_count(), 1, "{at}: the flip fired");
+                    run
+                });
+                for (rank, steps) in mailed.iter().enumerate() {
+                    assert!(
+                        steps.len() > 2,
+                        "{at}: rank {rank} ran {} steps",
+                        steps.len()
+                    );
+                    assert!(
+                        steps.iter().all(|&m| m),
+                        "{at}: rank {rank} folds every step"
+                    );
+                }
+                assert!(
+                    folded == buffered,
+                    "{at}: values differ from the buffer run"
+                );
+            }
+        }
+        let g = pokec_small(7);
+        let assign: Vec<u8> = (0..g.num_vertices())
+            .map(|v| u8::from(v % 3 == 1))
+            .collect();
+        check("pagerank", &Rank { source: None }, &g, &assign);
+        check("sssp", &Sssp, &g, &assign);
     }
 
     /// Breadth-first levels from vertex 0: `i32` `Min` on the scalar
@@ -2415,7 +2557,7 @@ mod tests {
                 eng.dense = Dense::Off;
                 eng.mail = Mail::Never;
             }
-            let mut rungs = Rungs::arm(&eng);
+            let mut rungs = Rungs::arm(&mut eng);
             let mut audit =
                 |site: Site, e: &mut DeviceEngine<'_, Rank>, step, c: &mut StepCounters| {
                     rungs.at(site, e, step, c)

@@ -559,7 +559,7 @@ where
                 let mut write_own = |e: &DeviceEngine<'_, P>, step, c: &mut StepCounters| {
                     write_snapshot(e, step, &stores[r], injector.as_ref(), c)
                 };
-                let mut rungs = (m == 1).then(|| Rungs::arm(&engine));
+                let mut rungs = (m == 1).then(|| Rungs::arm(&mut engine));
                 let mut audit = |site, e: &mut DeviceEngine<'_, P>, step, c: &mut _| {
                     rungs
                         .as_mut()
@@ -850,9 +850,13 @@ where
         }
 
         // Any remaining mix (peer-dead/timeout without a lost rank or a
-        // reported partition) is a race we cannot attribute; degrade
-        // rather than guess.
-        debug_assert!(false, "inconsistent rank exits: {exits:?}");
-        degrade_seq!(live[0]);
+        // reported partition) is an exchange that failed at its barrier
+        // with no rank to blame: count its timeouts and roll everyone back
+        // together.
+        fstats.exchange_timeouts += exits
+            .iter()
+            .filter(|e| matches!(e, ExitKind::PeerTimeout(..)))
+            .count() as u64;
+        roll_back!(live[0]);
     }
 }

@@ -150,7 +150,7 @@ pub(crate) struct Rungs<V> {
 impl<V: PodState> Rungs<V> {
     /// Arm the rungs on `engine` at the barrier it starts from: the CSB
     /// group checksums (full mode) and the first image.
-    pub(crate) fn arm<P: VertexProgram<Value = V>>(engine: &DeviceEngine<'_, P>) -> Self {
+    pub(crate) fn arm<P: VertexProgram<Value = V>>(engine: &mut DeviceEngine<'_, P>) -> Self {
         let (mode, scrub_every) = (engine.config.integrity, engine.config.scrub_every);
         engine.set_integrity_audit(mode.full());
         Rungs {

@@ -551,6 +551,8 @@ impl ServePool {
         }
         self.shared.stop_watchdog.store(true, Ordering::Release);
         if let Some(h) = self.watchdog.take() {
+            // Wake the watchdog from its tick rather than wait it out.
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -588,6 +590,26 @@ fn abort_result(q: &QueuedJob, status: JobStatus) -> JobResult {
     }
 }
 
+/// Expire the queued jobs whose deadline has passed by `now`: they never
+/// reach a worker. Each is journalled, emitted and counted as `Expired`,
+/// and counts as a missed deadline on the shed ladder.
+fn expire_queued(st: &mut State, cfg: &ServeConfig, tx: &Sender<JobResult>, now: Instant) {
+    let expired = st.sched.expire(now);
+    st.pending -= expired.len();
+    for q in expired {
+        st.sched.stats_mut(&q.spec.tenant).expired += 1;
+        st.shed.note_finished(true);
+        let result = abort_result(&q, JobStatus::Expired);
+        if let Some(journal) = &cfg.journal {
+            journal.done(&result);
+        }
+        if let Some(s) = cfg.events.as_ref().filter(|s| s.armed()) {
+            s.done(&result, 0);
+        }
+        let _ = tx.send(result);
+    }
+}
+
 fn worker_loop(idx: usize, shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<JobResult>) {
     let tracer = cfg
         .trace
@@ -598,6 +620,10 @@ fn worker_loop(idx: usize, shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<Job
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown != Shutdown::Requeue && st.shutdown != Shutdown::Now {
+                    // A job whose deadline passed while it waited expires
+                    // here rather than run, whether or not the watchdog's
+                    // tick has come round.
+                    expire_queued(&mut st, &cfg, &tx, Instant::now());
                     if let Some(q) = st.sched.pick() {
                         st.pending -= 1;
                         let token = CancelToken::new();
@@ -735,27 +761,14 @@ fn worker_loop(idx: usize, shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<Job
 }
 
 fn watchdog_loop(shared: Arc<Shared>, cfg: ServeConfig, tx: Sender<JobResult>, tick: Duration) {
-    while !shared.stop_watchdog.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
+    loop {
+        std::thread::park_timeout(tick);
+        if shared.stop_watchdog.load(Ordering::Acquire) {
+            break;
+        }
         let now = Instant::now();
         let mut st = shared.state.lock().unwrap();
-        // Queued jobs already past their deadline never reach a worker.
-        let expired = st.sched.expire(now);
-        if !expired.is_empty() {
-            st.pending -= expired.len();
-            for q in expired {
-                st.sched.stats_mut(&q.spec.tenant).expired += 1;
-                st.shed.note_finished(true);
-                let result = abort_result(&q, JobStatus::Expired);
-                if let Some(journal) = &cfg.journal {
-                    journal.done(&result);
-                }
-                if let Some(s) = cfg.events.as_ref().filter(|s| s.armed()) {
-                    s.done(&result, 0);
-                }
-                let _ = tx.send(result);
-            }
-        }
+        expire_queued(&mut st, &cfg, &tx, now);
         // Running jobs get their token cancelled; the engine notices at
         // the next superstep boundary (the token's heartbeat tells a
         // stalled engine from one that simply has not reached a

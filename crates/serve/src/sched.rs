@@ -167,12 +167,17 @@ impl Scheduler {
     /// Remove queued jobs whose deadline has passed, returning them.
     pub fn expire(&mut self, now: Instant) -> Vec<QueuedJob> {
         let mut out = Vec::new();
+        let due = |q: &QueuedJob| q.deadline.is_some_and(|d| d <= now);
         for t in self.tenants.values_mut() {
+            if !t.queue.iter().any(due) {
+                continue;
+            }
             let mut keep = std::collections::VecDeque::new();
             while let Some(q) = t.queue.pop_front() {
-                match q.deadline {
-                    Some(d) if d <= now => out.push(q),
-                    _ => keep.push_back(q),
+                if due(&q) {
+                    out.push(q);
+                } else {
+                    keep.push_back(q);
                 }
             }
             t.queue = keep;

@@ -365,7 +365,8 @@ fn deadline_cancels_a_running_job_mid_superstep() {
 }
 
 /// Jobs that would start after their deadline expire in the queue
-/// without ever reaching a worker.
+/// without ever reaching a worker, even when the watchdog's next tick is
+/// far off: the worker expires them at pickup.
 #[test]
 fn queued_jobs_past_deadline_expire_without_running() {
     let g = graph();
@@ -373,7 +374,7 @@ fn queued_jobs_past_deadline_expire_without_running() {
         Arc::clone(&g),
         ServeConfig {
             workers: 1,
-            watchdog_tick_ms: 2,
+            watchdog_tick_ms: 5_000,
             default_cap: 4,
             ..ServeConfig::default()
         },

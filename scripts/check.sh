@@ -143,10 +143,10 @@ for engine in lock pipe omp; do
     done
 done
 echo "    (lock x3, pipe x3, omp x3 and seq: checksum=$WANT_PR)"
-# Two ranks: every PageRank step is dense, so both ranks gather their local
-# rows and then absorb the peer's combined batch behind them. Rank 1 runs
-# the same host path on lock and on pipe: two runs of each must print one
-# checksum.
+# Two ranks: a rank with peers never gathers, so every PageRank step folds
+# each message on arrival, the peer's combined batch after the rank's own
+# messages. Rank 1 runs the same host path on lock and on pipe: two runs of
+# each must print one checksum.
 FABRIC_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --checksum \
     | sed -n 's/^checksum=//p')"
 test -n "$FABRIC_PR"
@@ -161,7 +161,8 @@ done
 echo "    (--devices 2, lock x2 and pipe x2: checksum=$FABRIC_PR)"
 # --integrity full arms the message audit on one device, which makes every
 # dense step fill the buffer instead of gathering, and seals the exchange
-# frames on two ranks: each must print the checksum of the gather runs above.
+# frames on two ranks, whose steps fold on arrival either way: each must
+# print the checksum of the plain runs above.
 GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --integrity full \
     --checkpoint-dir "$SMOKE_DIR/pr-full" --checksum | sed -n 's/^checksum=//p')"
 if [ "$GOT_PR" != "$WANT_PR" ]; then
@@ -171,10 +172,36 @@ fi
 GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 --integrity full \
     --checkpoint-dir "$SMOKE_DIR/pr-full-2" --checksum | sed -n 's/^checksum=//p')"
 if [ "$GOT_PR" != "$FABRIC_PR" ]; then
-    echo "--devices 2 --integrity full printed checksum $GOT_PR, the gather runs printed $FABRIC_PR" >&2
+    echo "--devices 2 --integrity full printed checksum $GOT_PR, the plain runs printed $FABRIC_PR" >&2
     exit 1
 fi
 echo "    (--integrity full on one device and on --devices 2: the same checksums)"
+# On a rank with peers a message bit-flip strikes the outgoing frame, not a
+# buffer cell, and the rank's steps fold on arrival while it is pending. The
+# frame check heals it to the clean checksum; without the check lock and
+# pipe carry the same flip into one checksum that is not the clean one.
+GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 \
+    --faults 1:bitflip-msg --integrity frames --checksum | sed -n 's/^checksum=//p')"
+if [ "$GOT_PR" != "$FABRIC_PR" ]; then
+    echo "--devices 2 with a healed message bit-flip printed checksum $GOT_PR, the plain runs printed $FABRIC_PR" >&2
+    exit 1
+fi
+FLIPPED=""
+for engine in lock pipe; do
+    GOT_PR="$("$PHIGRAPH" run pagerank "$SMOKE_DIR/gnm-small.bin" --devices 2 \
+        --engine "$engine" --faults 1:bitflip-msg --checksum | sed -n 's/^checksum=//p')"
+    test -n "$GOT_PR"
+    FLIPPED="${FLIPPED:-$GOT_PR}"
+    if [ "$GOT_PR" != "$FLIPPED" ]; then
+        echo "--devices 2 --engine $engine with a message bit-flip printed $GOT_PR, lock printed $FLIPPED" >&2
+        exit 1
+    fi
+done
+if [ "$FLIPPED" = "$FABRIC_PR" ]; then
+    echo "--devices 2: the message bit-flip left the clean checksum $FABRIC_PR" >&2
+    exit 1
+fi
+echo "    (--devices 2 with a message bit-flip: healed by frames to $FABRIC_PR; checksum=$FLIPPED on lock and pipe without)"
 # Traversals: their supersteps fold each message on arrival, and under
 # --integrity full they insert each message into the buffer instead. Both
 # print seq's checksum on every mode, and two --devices 2 runs print one

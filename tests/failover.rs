@@ -310,6 +310,33 @@ fn retry_policy_rolls_back_without_migration() {
     assert!(!out.report.recovery.degraded);
 }
 
+/// A 0 ms deadline times out a healthy fabric's exchanges with no rank to
+/// blame: every rank rolls back together, each timeout is counted, and past
+/// the retry budget the run degrades and still converges.
+#[test]
+fn unattributed_exchange_timeouts_roll_back_and_are_counted() {
+    let g = sweep_graph(61);
+    let p = even_partition(&g);
+    let app = Sssp { source: 0 };
+    let baseline = run_ranks(
+        &app,
+        &g,
+        &p,
+        &specs(),
+        &sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
+    let fcfg = FailoverConfig::default().with_watchdog_ms(0);
+    let out = run_failover(&app, &g, &p, sssp_configs(), &fcfg, None);
+    assert_eq!(out.values, baseline.values);
+    let (f, r) = (out.report.failover, out.report.recovery);
+    assert!(f.exchange_timeouts > 0, "no timeout counted: {f:?}");
+    assert!(r.rollbacks > 0, "no rollback: {r:?}");
+    assert!(f.exchange_timeouts >= r.rollbacks, "{f:?} {r:?}");
+    assert_eq!((f.crash_detections, f.hang_detections), (0, 0));
+    assert_eq!(f.migrations, 0);
+}
+
 /// `--failover off`: no migration machinery — the survivor degrades to the
 /// sequential engine from the last barrier and still converges correctly.
 #[test]
